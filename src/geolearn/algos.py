@@ -49,13 +49,27 @@ def warmup_sparsity(epoch, e_warm, schedule=WARMUP_SCHEDULE):
 
 
 def dgc_select(v, sparsity_pct):
-    """Indices to emit: the ceil((1-s)*M) largest |v|, ties to lowest index."""
+    """Indices to emit: the ceil((1-s)*M) largest |v|, ties to lowest index.
+
+    NaN ranks below every number. Returned sorted by index.
+    """
     m = v.size
     k = math.ceil((1.0 - sparsity_pct / 100.0) * m)
     if k <= 0:
         return np.empty(0, dtype=np.intp)
-    order = np.lexsort((np.arange(m), -np.abs(v)))
-    return np.sort(order[:k])
+    if k >= m:
+        return np.arange(m, dtype=np.intp)
+    # rank by -|v| ascending; partition, like sort, places NaN last
+    key = np.abs(v)
+    np.negative(key, out=key)
+    kth = np.partition(key, k - 1)[k - 1]
+    if kth != kth:            # NaN: every number ranks above it
+        tied = np.isnan(key)
+        above = ~tied
+    else:
+        above, tied = key < kth, key == kth
+    above[tied.nonzero()[0][:k - np.count_nonzero(above)]] = True
+    return above.nonzero()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +292,9 @@ class GaiaNode(_NodeBase):
         for clock, origin, _seq, idx, vals, dense in self.inbox:
             if dense:
                 self.shard.w = self.shard.w + vals
-                # a dense update touches everything pending
-                idx = np.fromiter(self.shard.barrier_waits, dtype=np.intp)
+                # a dense update touches everything the origin still blocks
+                row = self.shard.barrier_waits.get(origin)
+                idx = np.flatnonzero(row >= 0) if row is not None else ()
             else:
                 w = self.shard.w.copy()
                 w[idx] += vals

@@ -106,9 +106,14 @@ class WeightShard:
 
     w is the live weight vector, momentum the local velocity, v the update
     accumulated since the coordinate last cleared the significance filter.
-    barrier_waits maps a blocked coordinate to the (source, clock) flushes
-    whose values have not arrived yet; mirror_clocks holds the latest clock
-    heard from each peer.
+    mirror_clocks holds the latest clock heard from each peer.
+
+    barrier_waits maps a source that has sent barriers to an int64 array
+    with one entry per coordinate: -1 when the coordinate is clear of that
+    source, otherwise the newest barrier clock whose flush from that source
+    has not arrived yet. A source's array exists only while at least one of
+    its entries is outstanding, so an empty dict means nothing is blocked.
+    Barrier clocks are non-negative.
     """
 
     w: np.ndarray
@@ -199,9 +204,27 @@ def threshold_decay(schedule, t_prev, event):
 
 @dataclass(frozen=True)
 class BarrierMsg:
+    """Indexes (sorted, unique intp array) of a flush still on its way."""
+
     source: str
     clock: int
-    indexes: tuple
+    indexes: np.ndarray
+
+
+def _sorted_unique(indexes):
+    """indexes as a sorted, duplicate-free intp array.
+
+    A strictly increasing input (every flush) is returned as is; anything
+    else is sorted and deduplicated by comparing neighbours.
+    """
+    indexes = np.asarray(indexes, dtype=np.intp)
+    if np.all(indexes[1:] > indexes[:-1]):
+        return indexes
+    indexes = np.sort(indexes)
+    keep = np.empty(indexes.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(indexes[1:], indexes[:-1], out=keep[1:])
+    return indexes[keep]
 
 
 def maybe_emit_barrier(rate, bandwidth, pending_indexes, source, clock):
@@ -213,38 +236,45 @@ def maybe_emit_barrier(rate, bandwidth, pending_indexes, source, clock):
     """
     if rate <= bandwidth or len(pending_indexes) == 0:
         return None
-    return BarrierMsg(
-        source=source, clock=clock,
-        indexes=tuple(sorted(set(int(i) for i in pending_indexes))))
+    return BarrierMsg(source=source, clock=clock,
+                      indexes=_sorted_unique(pending_indexes))
 
 
 def apply_barrier(shard, msg):
     """Mark msg.indexes as read-blocked until the matching update lands."""
-    for idx in msg.indexes:
-        waits = shard.barrier_waits.setdefault(idx, {})
-        prev = waits.get(msg.source)
-        if prev is None or msg.clock > prev:
-            waits[msg.source] = msg.clock
+    idx = np.asarray(msg.indexes, dtype=np.intp)
+    if idx.size == 0:
+        return
+    row = shard.barrier_waits.get(msg.source)
+    if row is None:
+        row = shard.barrier_waits[msg.source] = np.full(
+            shard.w.size, -1, dtype=np.int64)
+    # a repeated index writes the same value twice, so plain fancy
+    # assignment is exact
+    row[idx] = np.maximum(row[idx], msg.clock)
 
 
 def clear_barrier_on_update(shard, source, clock, indexes):
     """Release barrier waits satisfied by an arrived update flush."""
-    for idx in indexes:
-        waits = shard.barrier_waits.get(int(idx))
-        if waits and source in waits and clock >= waits[source]:
-            del waits[source]
-            if not waits:
-                del shard.barrier_waits[int(idx)]
+    row = shard.barrier_waits.get(source)
+    if row is None:
+        return
+    idx = np.asarray(indexes, dtype=np.intp)
+    # clear entries (-1) pass the test too and are rewritten unchanged
+    row[idx[row[idx] <= clock]] = -1
+    if row.max() < 0:
+        del shard.barrier_waits[source]
 
 
 def gate_read(shard, read_indexes):
     """Indices in the read set still barrier-blocked (empty array = allow)."""
     if not shard.barrier_waits:
         return np.empty(0, dtype=np.intp)
-    blocked = shard.barrier_waits.keys()
     read_indexes = np.asarray(read_indexes, dtype=np.intp)
-    mask = np.isin(read_indexes, np.fromiter(blocked, dtype=np.intp))
-    return np.unique(read_indexes[mask])
+    blocked = np.zeros(read_indexes.size, dtype=bool)
+    for row in shard.barrier_waits.values():
+        blocked |= row[read_indexes] >= 0
+    return _sorted_unique(read_indexes[blocked])
 
 
 # ---------------------------------------------------------------------------

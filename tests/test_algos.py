@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geolearn import wansim
 from geolearn.algos import (ArrayBatches, AspPolicy, BspPolicy, DgcNode,
@@ -52,6 +55,39 @@ def test_dgc_select_empty_selection():
     idx = dgc_select(np.array([1.0, 2.0]), 100.0)
     assert idx.size == 0
     assert idx.dtype == np.intp
+
+
+def _dgc_select_by_lexsort(v, sparsity_pct):
+    """Full-sort reference: -|v| ascending (NaN last), then index."""
+    k = math.ceil((1.0 - sparsity_pct / 100.0) * v.size)
+    if k <= 0:
+        return np.empty(0, dtype=np.intp)
+    order = np.lexsort((np.arange(v.size), -np.abs(v)))
+    return np.sort(order[:k])
+
+
+# a few repeated magnitudes of both signs force ties at the k-th place
+_TIE_PRONE = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan])
+
+
+@given(st.lists(st.one_of(_TIE_PRONE, st.floats()), min_size=1, max_size=40),
+       st.one_of(st.sampled_from([0.0, 50.0, 75.0, 99.9, 100.0]),
+                 st.floats(0.0, 100.0)))
+@settings(max_examples=400)
+def test_dgc_select_matches_full_sort(vals, sparsity):
+    v = np.array(vals, dtype=np.float64)
+    got = dgc_select(v, sparsity)
+    want = _dgc_select_by_lexsort(v, sparsity)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_dgc_select_nan_ranks_last_and_inf_first():
+    v = np.array([np.nan, 1.0, -np.inf, np.nan, 0.0])
+    assert dgc_select(v, 60.0).tolist() == [1, 2]
+    # past the numbers, NaNs fill in by index
+    assert dgc_select(v, 20.0).tolist() == [0, 1, 2, 4]
 
 
 # ---------------------------------------------------------------------------

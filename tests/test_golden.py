@@ -1,0 +1,152 @@
+"""Golden replay corpus: run outputs pinned across commits.
+
+Each config below is small (well under a second) and its sha256 digest of
+``metrics.csv`` + NUL + ``summary.txt`` bytes lives in
+``tests/golden/digests.json``. A refactor or optimisation that claims to
+change nothing must leave every digest as it is; a deliberate change of
+behaviour regenerates the file in the same change and says which digests
+moved and why. Regenerate with::
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import pytest
+
+from geolearn.harness import (config_from_dict, metrics_csv_text,
+                              run_experiment, summary_text)
+
+DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "golden",
+                            "digests.json")
+
+SOFTMAX = {"kind": "softmax", "features": 6, "classes": 4}
+BLOBS = {"per_class": 40, "spread": 1.0, "test_per_class": 20}
+MLP = {"kind": "mlp", "features": 16, "classes": 4, "hidden": [64]}
+MLP_BN = {"kind": "mlp", "features": 6, "classes": 6, "hidden": [12, 12],
+          "norm": "batch"}
+MF = {"kind": "mf", "rows": 12, "cols": 10, "rank": 3}
+MF_DATA = {"kind": "mf", "density": 0.5, "noise_sigma": 0.05}
+# the five regions whose links in the packaged bandwidth table are slowest:
+# Gaia's selective barrier fires on them
+SLOW_DCS = ["mumbai", "saopaulo", "sydney", "seoul", "singapore"]
+OVERLAY = {"dcs": ["virginia", "california", "ireland", "frankfurt"],
+           "groups": [["virginia", "california"], ["ireland", "frankfurt"]],
+           "hubs": [[0, 1, "ireland"], [1, 0, "virginia"]]}
+
+
+def _cfg(name, model, data, nodes, alpha, algorithm, topology=None,
+         scout=None, convergence="none"):
+    raw = {
+        "name": name,
+        "seed": 11,
+        "model": dict(model),
+        "data": dict(data),
+        "partition": {"nodes": nodes, "alpha": alpha},
+        "algorithm": dict(algorithm),
+        "convergence": {"mode": convergence},
+    }
+    if topology:
+        raw["topology"] = dict(topology)
+    if scout:
+        raw["scout"] = dict(scout)
+    return raw
+
+
+CONFIGS = {
+    "gaia-softmax": _cfg(
+        "gaia-softmax", SOFTMAX, BLOBS, 3, 0.5,
+        {"kind": "gaia", "epochs": 4, "t0": 0.01}),
+    "gaia-mlp-barrier": _cfg(
+        "gaia-mlp-barrier", MLP, BLOBS, 5, 0.5,
+        {"kind": "gaia", "epochs": 3, "t0": 0.001},
+        topology={"dcs": SLOW_DCS}),
+    "gaia-mlp-overlay": _cfg(
+        "gaia-mlp-overlay", MLP, BLOBS, 4, 0.3,
+        {"kind": "gaia", "epochs": 3, "t0": 0.005, "decay": "invsqrt",
+         "soft": {"target": 0.8}},
+        topology=OVERLAY),
+    # 7 classes over 3 DCs at full skew: one node holds half as many
+    # batches again as its peers and blocks on the mirror clock once they
+    # stop, so the queue drains early (the known budget stall)
+    "gaia-softmax-stall": _cfg(
+        "gaia-softmax-stall", {"kind": "softmax", "features": 6,
+                               "classes": 7}, BLOBS, 3, 1.0,
+        {"kind": "gaia", "epochs": 3, "batch_size": 10}),
+    "gaia-mf": _cfg(
+        "gaia-mf", MF, MF_DATA, 3, 0.0,
+        {"kind": "gaia", "epochs": 4, "t0": 0.02, "lr": {"eta0": 0.05}}),
+    "gaia-scout": _cfg(
+        "gaia-scout", MLP_BN, BLOBS, 3, 1.0,
+        {"kind": "gaia", "epochs": 3},
+        scout={"enabled": True, "tuner": "hill"}),
+    "bsp-mlp": _cfg(
+        "bsp-mlp", MLP, BLOBS, 4, 0.5, {"kind": "bsp", "epochs": 4}),
+    "bsp-softmax-overlay": _cfg(
+        "bsp-softmax-overlay", SOFTMAX, BLOBS, 4, 0.5,
+        {"kind": "bsp", "epochs": 4}, topology=OVERLAY),
+    "ssp-mf": _cfg(
+        "ssp-mf", MF, MF_DATA, 3, 0.0,
+        {"kind": "ssp", "epochs": 4, "staleness": 2}),
+    "fedavg-softmax": _cfg(
+        "fedavg-softmax", SOFTMAX, BLOBS, 4, 0.5,
+        {"kind": "fedavg", "epochs": 6, "iter_local": 3,
+         "client_fraction": 0.5}),
+    "fedavg-scout": _cfg(
+        "fedavg-scout", MLP_BN, BLOBS, 3, 1.0,
+        {"kind": "fedavg", "epochs": 4, "iter_local": 2},
+        scout={"enabled": True, "tuner": "anneal"}),
+    "dgc-mlp": _cfg(
+        "dgc-mlp", MLP, BLOBS, 4, 0.5,
+        {"kind": "dgc", "epochs": 4, "e_warm": 1}),
+    "dgc-scout": _cfg(
+        "dgc-scout", MLP_BN, BLOBS, 3, 1.0,
+        {"kind": "dgc", "epochs": 3},
+        scout={"enabled": True, "tuner": "stochastic"}),
+    "dgc-softmax-window": _cfg(
+        "dgc-softmax-window", SOFTMAX, BLOBS, 3, 0.0,
+        {"kind": "dgc", "epochs": 6, "e_warm": 2}, convergence="window"),
+}
+
+
+def run_digest(raw):
+    """(digest, result) for one config: sha256 of metrics.csv NUL summary.txt."""
+    result = run_experiment(config_from_dict(raw))
+    text = metrics_csv_text(result.rows) + "\0" + summary_text(result.summary)
+    return hashlib.sha256(text.encode()).hexdigest(), result
+
+
+def _golden():
+    with open(DIGESTS_PATH) as fh:
+        return json.load(fh)
+
+
+def test_corpus_covers_every_config():
+    assert sorted(_golden()) == sorted(CONFIGS)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_digest(name):
+    digest, _ = run_digest(CONFIGS[name])
+    assert digest == _golden()[name]
+
+
+def test_barrier_config_sends_barriers_that_block_reads():
+    _, result = run_digest(CONFIGS["gaia-mlp-barrier"])
+    assert sum(row["barrier_bytes"] for row in result.rows) > 0
+    # (time, node, gate, local clock, blocked count, true min clock, allow)
+    assert any(rec[2] == "barrier" and not rec[6]
+               for rec in result.sim.gate_trace)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    digests = {name: run_digest(raw)[0] for name, raw in sorted(CONFIGS.items())}
+    os.makedirs(os.path.dirname(DIGESTS_PATH), exist_ok=True)
+    with open(DIGESTS_PATH, "w") as fh:
+        json.dump(digests, fh, indent=2, sort_keys=True)
+        fh.write("\n")

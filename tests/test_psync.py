@@ -128,7 +128,7 @@ def test_barrier_emitted_only_when_saturated():
     assert maybe_emit_barrier(100.0, 200.0, [1, 2], "a", 5) is None
     assert maybe_emit_barrier(300.0, 200.0, [], "a", 5) is None
     msg = maybe_emit_barrier(300.0, 200.0, [3, 1, 3], "a", 5)
-    assert msg == BarrierMsg(source="a", clock=5, indexes=(1, 3))
+    assert (msg.source, msg.clock, list(msg.indexes)) == ("a", 5, [1, 3])
 
 
 def test_barrier_block_and_release_cycle():
@@ -160,7 +160,87 @@ def test_barrier_keeps_newest_clock_per_source():
     shard = WeightShard.fresh(np.zeros(1))
     apply_barrier(shard, BarrierMsg(source="b", clock=5, indexes=(0,)))
     apply_barrier(shard, BarrierMsg(source="b", clock=2, indexes=(0,)))
-    assert shard.barrier_waits[0]["b"] == 5
+    assert shard.barrier_waits["b"][0] == 5
+
+
+class _DictBarriers:
+    """The former dict-of-dicts barrier state ({coord: {source: clock}}),
+    kept as the oracle for the array-backed functions."""
+
+    def __init__(self):
+        self.waits = {}
+
+    def emit(self, pending):
+        return tuple(sorted(set(int(i) for i in pending)))
+
+    def apply(self, source, clock, indexes):
+        for idx in indexes:
+            waits = self.waits.setdefault(idx, {})
+            prev = waits.get(source)
+            if prev is None or clock > prev:
+                waits[source] = clock
+
+    def clear(self, source, clock, indexes):
+        for idx in indexes:
+            waits = self.waits.get(int(idx))
+            if waits and source in waits and clock >= waits[source]:
+                del waits[source]
+                if not waits:
+                    del self.waits[int(idx)]
+
+    def gate(self, read):
+        return sorted({int(i) for i in read if int(i) in self.waits})
+
+
+_M = 9
+_SOURCES = st.sampled_from(["a", "b", "c"])
+_CLOCKS = st.integers(0, 6)
+_INDEXES = st.lists(st.integers(0, _M - 1), max_size=12)
+_STEPS = st.one_of(
+    # a barrier from an unsorted, duplicated pending set
+    st.tuples(st.just("barrier"), _SOURCES, _CLOCKS,
+              _INDEXES.filter(len)),
+    # a sparse flush arriving: unique indexes, any order
+    st.tuples(st.just("update"), _SOURCES, _CLOCKS, st.sets(
+        st.integers(0, _M - 1)).map(sorted).flatmap(st.permutations)),
+    # a dense update: clears whatever the source still blocks
+    st.tuples(st.just("dense"), _SOURCES, _CLOCKS, st.just(())),
+)
+
+
+@given(st.lists(st.tuples(_STEPS, _INDEXES), max_size=30))
+@settings(max_examples=300)
+def test_barrier_arrays_match_dict_of_dicts(steps):
+    shard = WeightShard.fresh(np.zeros(_M))
+    oracle = _DictBarriers()
+    for (kind, source, clock, indexes), read in steps:
+        if kind == "barrier":
+            msg = maybe_emit_barrier(2.0, 1.0, indexes, source, clock)
+            assert (msg.source, msg.clock) == (source, clock)
+            assert tuple(msg.indexes.tolist()) == oracle.emit(indexes)
+            apply_barrier(shard, msg)
+            oracle.apply(source, clock, oracle.emit(indexes))
+        elif kind == "update":
+            clear_barrier_on_update(shard, source, clock,
+                                    np.array(indexes, dtype=np.intp))
+            oracle.clear(source, clock, indexes)
+        else:
+            row = shard.barrier_waits.get(source)
+            blocked = np.flatnonzero(row >= 0) if row is not None else ()
+            clear_barrier_on_update(shard, source, clock, blocked)
+            oracle.clear(source, clock, list(oracle.waits))
+        assert gate_read(shard, read).tolist() == oracle.gate(read)
+        assert gate_read(shard, np.arange(_M)).tolist() == sorted(oracle.waits)
+        state = {
+            (int(i), src): int(row[i])
+            for src, row in shard.barrier_waits.items()
+            for i in np.flatnonzero(row >= 0)
+        }
+        assert state == {
+            (i, src): c for i, waits in oracle.waits.items()
+            for src, c in waits.items()
+        }
+        assert all(row.max() >= 0 for row in shard.barrier_waits.values())
 
 
 # ---------------------------------------------------------------------------
