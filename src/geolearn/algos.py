@@ -13,6 +13,11 @@ Nodes are state machines driven by Simulator wake and delivery events: a
 node computes for its DC's configured compute time per minibatch, then
 exchanges according to its policy, and blocks whenever its gates say so.
 A blocked node simply stays idle until a delivery changes its view.
+
+The message plumbing is shared in _NodeBase: it receives, forwards the
+copies an overlay hub must re-broadcast, broadcasts, and holds a node that
+waits for a round to complete. A node class supplies only its algorithm:
+_receive, _ready, _finish_iteration and set_knob.
 """
 
 import math
@@ -24,7 +29,7 @@ from . import psync, wansim
 from .data import MinibatchStream
 from .numerics import ClipConfig, MomentumState, clip_by_norm, lr_at, momentum_step
 from .psync import (
-    BarrierMsg, EPS_WEIGHT, IterTick, LrDropped, SoftCtl, ThresholdSchedule,
+    IterTick, LrDropped, SoftCtl, ThresholdSchedule,
     WeightShard, accumulate_and_flush, apply_barrier, clear_barrier_on_update,
     gate_read, mirror_clock_gate, ssp_gate, soft_threshold_adjust,
 )
@@ -73,29 +78,6 @@ def dgc_select(v, sparsity_pct):
 
 
 # ---------------------------------------------------------------------------
-# diagnostics
-
-
-def residual_delta_diag(v_list, w_list, eps=EPS_WEIGHT):
-    """Mean |residual| relative to |weight|, in percent, across nodes."""
-    vals = [
-        float(np.mean(np.abs(v) / np.maximum(np.abs(w), eps))) * 100.0
-        for v, w in zip(v_list, w_list)
-    ]
-    return float(np.mean(vals))
-
-
-def local_update_delta_diag(local_ws, global_w, eps=EPS_WEIGHT):
-    """Mean |local - global| relative to |global|, in percent, across nodes."""
-    g = np.asarray(global_w, dtype=np.float64)
-    vals = [
-        float(np.mean(np.abs(w - g) / np.maximum(np.abs(g), eps))) * 100.0
-        for w in local_ws
-    ]
-    return float(np.mean(vals))
-
-
-# ---------------------------------------------------------------------------
 # policies
 
 
@@ -118,7 +100,6 @@ class AspPolicy:
     t0: float = 0.01
     ds: int = 1
     decay_mode: str = "lr"              # "lr" | "invsqrt"
-    sig_fn: object = "relative"
     barrier: bool = True
     mirror: bool = True
     soft: SoftCtl = field(default_factory=SoftCtl)
@@ -147,10 +128,19 @@ class EntryBatches:
 
 
 class _NodeBase:
-    """Shared plumbing: compute scheduling, counters, hooks."""
+    """What every node shares: compute scheduling, counters, hooks, and the
+    message plumbing.
+
+    The base receives (travel payloads go to travel_sink, anything else to
+    the subclass's _receive), forwards overlay copies a hub must
+    re-broadcast, broadcasts, and holds a node that is _awaiting a round.
+    A subclass supplies the algorithm: _receive, _ready (may the next step
+    start now?), _finish_iteration (one local step and its exchange),
+    weights and set_knob (the knob SkewScout tunes).
+    """
 
     def __init__(self, name, index, model, batch_view, stream, lr_schedule,
-                 compute_s, max_iters):
+                 compute_s, max_iters, peers):
         self.name = name
         self.index = index
         self.model = model
@@ -159,10 +149,12 @@ class _NodeBase:
         self.lr_schedule = lr_schedule
         self.compute_s = compute_s
         self.max_iters = max_iters
+        self.peers = list(peers)
         self.iters_done = 0
         self.stopped = False
         self.diverged = False
         self._computing = False
+        self._awaiting = False        # held until a round's exchange completes
         self._finish_at = None
         self.epoch_hook = None        # fn(node, sim) at each local epoch end
         self.iter_hook = None         # fn(node, sim) after every iteration
@@ -176,9 +168,9 @@ class _NodeBase:
     def epochs_done(self):
         return self.iters_done // self.batches_per_epoch
 
-    def _epoch_index(self):
-        # 0-indexed epoch the *next* iteration belongs to
-        return self.iters_done // self.batches_per_epoch
+    def members(self):
+        """Every node in the exchange, this one included, in name order."""
+        return sorted([self.name] + self.peers)
 
     def _begin_compute(self, sim):
         self._computing = True
@@ -197,6 +189,42 @@ class _NodeBase:
             return
         self.try_start(sim)
 
+    def on_message(self, sim, msg):
+        if msg.kind == wansim.KIND_TRAVEL:
+            if self.travel_sink:
+                self.travel_sink(self, sim, msg)
+        else:
+            self._receive(sim, msg)
+        self._maybe_forward(sim, msg)
+        self.try_start(sim)
+
+    def _maybe_forward(self, sim, msg):
+        if not msg.forward or sim.overlay is None:
+            return
+        for dst in wansim.forward_hops(sim.overlay, self.name, msg.origin):
+            sim.send(wansim.Message(
+                kind=msg.kind, src=self.name, dst=dst,
+                byte_split=dict(msg.byte_split), payload=msg.payload,
+                origin=msg.origin, forward=False))
+
+    def _broadcast(self, sim, byte_split, payload):
+        for dst, needs_forward in wansim.broadcast_hops(
+                sim.overlay, self.name, sim.topology.dcs):
+            sim.send(wansim.Message(
+                kind=wansim.KIND_UPDATE if wansim.KIND_UPDATE in byte_split
+                else wansim.KIND_CLOCK,
+                src=self.name, dst=dst, byte_split=dict(byte_split),
+                payload=payload, origin=self.name, forward=needs_forward))
+
+    def try_start(self, sim):
+        if self._computing or self.stopped or self._awaiting:
+            return
+        if self._ready(sim):
+            self._begin_compute(sim)
+
+    def _ready(self, sim):
+        return True
+
     def _after_iteration(self, sim):
         if not np.all(np.isfinite(self.weights())):
             self.diverged = True
@@ -211,7 +239,10 @@ class _NodeBase:
     def weights(self):
         raise NotImplementedError
 
-    def try_start(self, sim):
+    def set_knob(self, theta):
+        raise NotImplementedError
+
+    def _receive(self, sim, msg):
         raise NotImplementedError
 
     def _finish_iteration(self, sim):
@@ -234,9 +265,8 @@ class GaiaNode(_NodeBase):
     def __init__(self, name, index, model, batch_view, stream, lr_schedule,
                  compute_s, max_iters, w0, policy, peers, momentum=0.9):
         super().__init__(name, index, model, batch_view, stream, lr_schedule,
-                         compute_s, max_iters)
+                         compute_s, max_iters, peers)
         self.policy = policy
-        self.peers = list(peers)
         self.shard = WeightShard.fresh(w0, m=momentum, peers=self.peers)
         self.inbox = []            # (clock, origin, seq, idx, vals, dense)
         self._inbox_seq = 0
@@ -248,16 +278,20 @@ class GaiaNode(_NodeBase):
             self.t_soft = policy.t0
             self.t_sched = ThresholdSchedule(t0=policy.t0, mode=policy.decay_mode)
         self.sig_counts = {}       # epoch -> [emitted, scored]
-        self.comm_enabled = True
 
     def weights(self):
         return self.shard.w
 
+    def set_knob(self, theta):
+        """Restart the significance threshold at theta."""
+        self.t_hard = theta
+        self.t_soft = min(self.t_soft, theta)
+        self.t_sched = ThresholdSchedule(t0=theta, mode=self.policy.decay_mode)
+
     # -- receiving ---------------------------------------------------------
 
-    def on_message(self, sim, msg):
-        split = msg.byte_split
-        if wansim.KIND_CLOCK in split and msg.payload is not None:
+    def _receive(self, sim, msg):
+        if wansim.KIND_CLOCK in msg.byte_split and msg.payload is not None:
             clock = msg.payload.get("clock")
             if clock is not None and msg.origin in self.shard.mirror_clocks:
                 self.shard.mirror_clocks[msg.origin] = max(
@@ -269,21 +303,6 @@ class GaiaNode(_NodeBase):
             self.inbox.append((p["clock"], msg.origin, self._inbox_seq,
                                p["idx"], p["vals"], p["dense"]))
             self._inbox_seq += 1
-        elif msg.kind == wansim.KIND_TRAVEL:
-            if self.travel_sink:
-                self.travel_sink(self, sim, msg)
-        self._maybe_forward(sim, msg)
-        if not self._computing and not self.stopped:
-            self.try_start(sim)
-
-    def _maybe_forward(self, sim, msg):
-        if not msg.forward or sim.overlay is None:
-            return
-        for dst in wansim.forward_hops(sim.overlay, self.name, msg.origin):
-            sim.send(wansim.Message(
-                kind=msg.kind, src=self.name, dst=dst,
-                byte_split=dict(msg.byte_split), payload=msg.payload,
-                origin=msg.origin, forward=False))
 
     def _drain_inbox(self):
         if not self.inbox:
@@ -315,7 +334,7 @@ class GaiaNode(_NodeBase):
         local = self.shard.local_clock
         if isinstance(self.policy, AspPolicy):
             allow = True
-            if self.policy.mirror and self.peers and self.comm_enabled:
+            if self.policy.mirror and self.peers:
                 min_known = min(self.shard.mirror_clocks.values())
                 allow = mirror_clock_gate(local, min_known, self.policy.ds)
                 sim.gate_trace.append((
@@ -333,7 +352,7 @@ class GaiaNode(_NodeBase):
                     return False
             return True
         staleness = 0 if isinstance(self.policy, BspPolicy) else self.policy.staleness
-        if not self.peers or not self.comm_enabled:
+        if not self.peers:
             return True
         slowest = min(self.shard.mirror_clocks.values())
         allow = ssp_gate(local, slowest, staleness)
@@ -342,13 +361,9 @@ class GaiaNode(_NodeBase):
             self._true_min_peer_clock(sim), allow))
         return allow
 
-    def try_start(self, sim):
-        if self._computing or self.stopped:
-            return
+    def _ready(self, sim):
         self._drain_inbox()
-        if not self._gates_allow(sim):
-            return
-        self._begin_compute(sim)
+        return self._gates_allow(sim)
 
     # -- the local step ----------------------------------------------------
 
@@ -356,7 +371,7 @@ class GaiaNode(_NodeBase):
         batch = self.batch_view.make(self.stream.next_batch())
         loss, grad = self.model.loss_and_grad(self.shard.w, batch,
                                               update_stats=True)
-        eta = lr_at(self.lr_schedule, self._epoch_index(), self.iters_done)
+        eta = lr_at(self.lr_schedule, self.epochs_done, self.iters_done)
         w_next, m_next, update = momentum_step(self.shard.w, self.shard.momentum,
                                                grad, eta)
         self.shard.w = w_next
@@ -370,17 +385,8 @@ class GaiaNode(_NodeBase):
         self._last_eta = eta
         self._after_iteration(sim)
 
-    def _broadcast(self, sim, byte_split, payload):
-        for dst, needs_forward in wansim.broadcast_hops(
-                sim.overlay, self.name, sim.topology.dcs):
-            sim.send(wansim.Message(
-                kind=wansim.KIND_UPDATE if wansim.KIND_UPDATE in byte_split
-                else wansim.KIND_CLOCK,
-                src=self.name, dst=dst, byte_split=dict(byte_split),
-                payload=payload, origin=self.name, forward=needs_forward))
-
     def _dense_exchange(self, sim, update):
-        if not self.peers or not self.comm_enabled:
+        if not self.peers:
             return
         payload = {
             "clock": self.shard.local_clock,
@@ -407,12 +413,12 @@ class GaiaNode(_NodeBase):
                 self.t_sched, self.t_hard, IterTick(self.iters_done))
             self.t_soft = min(self.t_soft, self.t_hard)
         t_eff = self.t_soft if pol.soft.enabled else self.t_hard
-        idx, vals = accumulate_and_flush(self.shard, t_eff, sig_fn=pol.sig_fn)
+        idx, vals = accumulate_and_flush(self.shard, t_eff)
         epoch = (self.iters_done - 1) // self.batches_per_epoch
         counts = self.sig_counts.setdefault(epoch, [0, 0])
         counts[0] += int(idx.size)
         counts[1] += int(self.shard.v.size)
-        if not self.peers or not self.comm_enabled:
+        if not self.peers:
             return
         payload = {
             "clock": self.shard.local_clock,
@@ -473,60 +479,49 @@ class FedAvgNode(_NodeBase):
                  compute_s, max_rounds, w0, peers, iter_local, momentum=0.9,
                  participants_fn=None):
         super().__init__(name, index, model, batch_view, stream, lr_schedule,
-                         compute_s, max_iters=None)
-        self.peers = list(peers)
+                         compute_s, max_iters=None, peers=peers)
         self.w = np.array(w0, dtype=np.float64)
         self.momentum = MomentumState.zeros(self.w.size, m=momentum)
         self.iter_local = int(iter_local)
         self.max_rounds = max_rounds
         self.round = 0
         self._round_models = {}    # round -> {name: w}
-        self._awaiting = False
         self._steps_in_round = 0
         # participants_fn(round) -> ordered participant name list
         self.participants_fn = participants_fn
         self.round_hook = None
-        self.comm_enabled = True
         self.reconstructed = None
 
     def weights(self):
         return self.w
 
-    def _ordered_members(self):
-        return sorted([self.name] + self.peers)
+    def set_knob(self, theta):
+        """Average every theta local steps from the next round on."""
+        self.iter_local = int(theta)
 
-    def on_message(self, sim, msg):
-        if msg.kind == wansim.KIND_TRAVEL:
-            if self.travel_sink:
-                self.travel_sink(self, sim, msg)
-        elif msg.kind == wansim.KIND_UPDATE:
-            p = msg.payload
-            self._round_models.setdefault(p["round"], {})[msg.origin] = p["w"]
-            if self._awaiting:
-                self._try_reduce(sim)
-        if not self._computing and not self.stopped and not self._awaiting:
-            self.try_start(sim)
-
-    def try_start(self, sim):
-        if self._computing or self.stopped or self._awaiting:
-            return
-        participants = self._members_this_round()
-        if self.name not in participants:
-            # sitting this round out: adopt the average once it is complete
-            self._awaiting = True
+    def _receive(self, sim, msg):
+        p = msg.payload
+        self._round_models.setdefault(p["round"], {})[msg.origin] = p["w"]
+        if self._awaiting:
             self._try_reduce(sim)
-            return
-        self._begin_compute(sim)
+
+    def _ready(self, sim):
+        if self.name in self._members_this_round():
+            return True
+        # sitting this round out: adopt the average once it is complete
+        self._awaiting = True
+        self._try_reduce(sim)
+        return False
 
     def _members_this_round(self):
-        if self.participants_fn is None or not self.comm_enabled:
-            return self._ordered_members()
+        if self.participants_fn is None:
+            return self.members()
         return self.participants_fn(self.round)
 
     def _finish_iteration(self, sim):
         batch = self.batch_view.make(self.stream.next_batch())
         loss, grad = self.model.loss_and_grad(self.w, batch, update_stats=True)
-        eta = lr_at(self.lr_schedule, self._epoch_index(), self.iters_done)
+        eta = lr_at(self.lr_schedule, self.epochs_done, self.iters_done)
         self.w, self.momentum, _ = momentum_step(self.w, self.momentum, grad, eta)
         self.iters_done += 1
         self._steps_in_round += 1
@@ -538,23 +533,11 @@ class FedAvgNode(_NodeBase):
             self._share_model(sim)
 
     def _share_model(self, sim):
-        if not self.comm_enabled or not self.peers:
-            self.reconstructed = {self.name: self.w.copy()}
-            self.round += 1
-            if self.round_hook:
-                self.round_hook(self, sim)
-            if self.round >= self.max_rounds:
-                self.stopped = True
-            return
         payload = {"round": self.round, "w": self.w.copy()}
         self._round_models.setdefault(self.round, {})[self.name] = self.w.copy()
-        for dst, needs_forward in wansim.broadcast_hops(
-                sim.overlay, self.name, sim.topology.dcs):
-            sim.send(wansim.Message(
-                kind=wansim.KIND_UPDATE, src=self.name, dst=dst,
-                byte_split={wansim.KIND_UPDATE:
-                            wansim.dense_update_bytes(self.w.size)},
-                payload=payload, origin=self.name, forward=needs_forward))
+        self._broadcast(
+            sim, {wansim.KIND_UPDATE: wansim.dense_update_bytes(self.w.size)},
+            payload)
         self._awaiting = True
         self._try_reduce(sim)
 
@@ -594,8 +577,7 @@ class DgcNode(_NodeBase):
                  compute_s, max_iters, w0, peers, e_warm=1, momentum=0.9,
                  clip_norm=DGC_CLIP_NORM, schedule=WARMUP_SCHEDULE):
         super().__init__(name, index, model, batch_view, stream, lr_schedule,
-                         compute_s, max_iters)
-        self.peers = list(peers)
+                         compute_s, max_iters, peers)
         self.w = np.array(w0, dtype=np.float64)
         self.u = np.zeros_like(self.w)
         self.v = np.zeros_like(self.w)
@@ -605,39 +587,29 @@ class DgcNode(_NodeBase):
         self.schedule = schedule
         self.step = 0                  # completed & applied steps
         self._step_slices = {}         # step -> {name: (idx, vals)}
-        self._awaiting = False
-        self.comm_enabled = True
         self.last_emitted = None
 
     def weights(self):
         return self.w
 
-    def on_message(self, sim, msg):
-        if msg.kind == wansim.KIND_TRAVEL:
-            if self.travel_sink:
-                self.travel_sink(self, sim, msg)
-        elif msg.kind == wansim.KIND_UPDATE:
-            p = msg.payload
-            self._step_slices.setdefault(p["step"], {})[msg.origin] = (
-                p["idx"], p["vals"])
-            if self._awaiting:
-                self._try_apply(sim)
-        if not self._computing and not self.stopped and not self._awaiting:
-            self.try_start(sim)
+    def set_knob(self, theta):
+        """Advance the warm-up ramp one stage every theta epochs."""
+        self.e_warm = int(theta)
 
-    def try_start(self, sim):
-        if self._computing or self.stopped or self._awaiting:
-            return
-        self._begin_compute(sim)
+    def _receive(self, sim, msg):
+        p = msg.payload
+        self._step_slices.setdefault(p["step"], {})[msg.origin] = (
+            p["idx"], p["vals"])
+        if self._awaiting:
+            self._try_apply(sim)
 
     def current_sparsity(self):
-        epoch_1idx = self.iters_done // self.batches_per_epoch + 1
-        return warmup_sparsity(epoch_1idx, self.e_warm, self.schedule)
+        return warmup_sparsity(self.epochs_done + 1, self.e_warm, self.schedule)
 
     def _finish_iteration(self, sim):
         batch = self.batch_view.make(self.stream.next_batch())
         loss, grad = self.model.loss_and_grad(self.w, batch, update_stats=True)
-        eta = lr_at(self.lr_schedule, self._epoch_index(), self.iters_done)
+        eta = lr_at(self.lr_schedule, self.epochs_done, self.iters_done)
         step_vec = clip_by_norm(-eta * grad, ClipConfig(self.clip))
         self.u = self.m * self.u + step_vec
         self.v = self.v + self.u
@@ -649,26 +621,19 @@ class DgcNode(_NodeBase):
         self.last_emitted = (idx, vals)
         this_step = self.iters_done   # 0-indexed step being exchanged
         self._step_slices.setdefault(this_step, {})[self.name] = (idx, vals)
-        if self.comm_enabled and self.peers:
-            payload = {"step": this_step, "idx": idx, "vals": vals}
-            for dst, needs_forward in wansim.broadcast_hops(
-                    sim.overlay, self.name, sim.topology.dcs):
-                sim.send(wansim.Message(
-                    kind=wansim.KIND_UPDATE, src=self.name, dst=dst,
-                    byte_split={wansim.KIND_UPDATE:
-                                wansim.sparse_update_bytes(idx.size)},
-                    payload=payload, origin=self.name, forward=needs_forward))
+        self._broadcast(
+            sim, {wansim.KIND_UPDATE: wansim.sparse_update_bytes(idx.size)},
+            {"step": this_step, "idx": idx, "vals": vals})
         self._awaiting = True
         self._try_apply(sim)
 
     def _try_apply(self, sim):
-        members = sorted([self.name] + self.peers) if (
-            self.comm_enabled and self.peers) else [self.name]
         have = self._step_slices.get(self.iters_done, {})
+        members = self.members()
         if any(m not in have for m in members):
             return
         w = self.w.copy()
-        for m in sorted(members):
+        for m in members:
             idx, vals = have[m]
             w[idx] += vals
         self.w = w

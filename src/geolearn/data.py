@@ -7,7 +7,6 @@ dealt by label ownership so each partition concentrates on its own slice of
 the label space, and the remainder is dealt uniformly.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -138,11 +137,6 @@ def partition_uniform(n, partitions, seed):
     return [np.sort(order[p::partitions]).astype(np.intp) for p in range(partitions)]
 
 
-def label_histogram(dataset, indices, classes=None):
-    classes = classes if classes is not None else dataset.classes
-    return np.bincount(dataset.y[indices], minlength=classes)
-
-
 class MinibatchStream:
     """Without-replacement minibatches over a fixed index set.
 
@@ -176,24 +170,3 @@ class MinibatchStream:
         self._cursor += self.batch_size
         return batch
 
-
-def dump_dataset_csv(dataset, path):
-    """Write a labeled dataset as feat_0..feat_{d-1},label rows."""
-    d = dataset.X.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"feat_{i}" for i in range(d)] + ["label"])
-        for xi, yi in zip(dataset.X, dataset.y):
-            writer.writerow([repr(float(v)) for v in xi] + [int(yi)])
-
-
-def load_dataset_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] != "label" or not header[0].startswith("feat_"):
-            raise ValueError(f"unrecognized dataset header: {header}")
-        rows = list(reader)
-    X = np.array([[float(v) for v in row[:-1]] for row in rows])
-    y = np.array([int(row[-1]) for row in rows], dtype=np.intp)
-    return LabeledDataset(X=X, y=y, classes=int(y.max()) + 1 if y.size else 0)

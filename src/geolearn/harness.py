@@ -34,7 +34,7 @@ from .data import (
 )
 from .models import MFModel, SoftmaxModel, TinyMLP
 from .numerics import PolyDecay, StepDecay
-from .psync import SoftCtl, ThresholdSchedule
+from .psync import SoftCtl
 from .rng import seed_stream
 from .skewscout import ScoutConfig, ScoutController
 
@@ -90,7 +90,6 @@ class AlgoCfg:
     t0: float = 0.01
     ds: int = 1
     decay: str = "lr"                # lr | invsqrt
-    sig: str = "relative"
     barrier: bool = True
     mirror: bool = True
     soft: dict = None                # {target, adjust, floor} enables soft sharing
@@ -231,8 +230,6 @@ def validate_config(cfg):
             errs.append("ds must be >= 0")
         if a.decay not in ("lr", "invsqrt"):
             errs.append(f"unknown threshold decay {a.decay!r}")
-        if a.sig != "relative":
-            errs.append(f"config-level significance must be 'relative', got {a.sig!r}")
         if a.soft:
             floor = a.soft.get("floor", 1e-4)
             if floor > a.t0:
@@ -350,28 +347,16 @@ class RunResult:
     extras: dict = field(default_factory=dict)
 
 
-def _mean_objective(nodes, model_kind, full_batch):
-    vals = []
-    for node in nodes:
-        if model_kind == "mlp":
-            vals.append(node.model.objective(node.weights(), full_batch,
-                                             mode="train"))
-        else:
-            vals.append(node.model.objective(node.weights(), full_batch))
-    return float(np.mean(vals))
+def _mean_objective(nodes, full_batch):
+    return float(np.mean([node.model.objective(node.weights(), full_batch)
+                          for node in nodes]))
 
 
-def _mean_accuracy(nodes, model_kind, test):
+def _mean_accuracy(nodes, test):
     if test is None:
         return None
-    vals = []
-    for node in nodes:
-        if model_kind == "mlp":
-            vals.append(node.model.accuracy(node.weights(), test.X, test.y,
-                                            mode="eval"))
-        else:
-            vals.append(node.model.accuracy(node.weights(), test.X, test.y))
-    return float(np.mean(vals))
+    return float(np.mean([node.model.accuracy(node.weights(), test.X, test.y)
+                          for node in nodes]))
 
 
 def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
@@ -423,20 +408,17 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
     w0 = base_model.init_params(seed_stream(seed, "model", "init"))
 
     # topology and cost table
+    costs = (wansim.load_cost_csv(cfg.topology.cost_file)
+             if cfg.topology.cost_file else wansim.default_costs())
     if topology is None:
         if cfg.topology.bandwidth_file:
             bandwidth = wansim.load_bandwidth_csv(cfg.topology.bandwidth_file)
         else:
             bandwidth = wansim.default_bandwidth()
-        costs = (wansim.load_cost_csv(cfg.topology.cost_file)
-                 if cfg.topology.cost_file else wansim.default_costs())
         dcs = list(cfg.topology.dcs) if cfg.topology.dcs else bandwidth[0][:k]
         topology = wansim.build_topology(
             dcs, bandwidth=bandwidth, costs=costs,
             latency_s=cfg.topology.latency_s, compute_s=cfg.topology.compute_s)
-    else:
-        costs = (wansim.load_cost_csv(cfg.topology.cost_file)
-                 if cfg.topology.cost_file else wansim.default_costs())
     dcs = topology.dcs
     if len(dcs) != k:
         raise ValueError(f"topology has {len(dcs)} DCs for {k} partitions")
@@ -451,11 +433,28 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
 
     # nodes
     lr_schedule = _lr_schedule(acfg.lr)
+    streams = [
+        MinibatchStream(parts[i], min(acfg.batch_size, parts[i].size),
+                        seed_stream(seed, "node", str(i), "batches"))
+        for i in range(k)
+    ]
+    bpe0 = streams[0].batches_per_epoch
+    max_rounds, participants_fn = math.inf, None
+    if acfg.kind == "fedavg":
+        if not cfg.scout.enabled:
+            # fixed round budget only when iter_local cannot change mid-run
+            max_rounds = math.ceil(acfg.epochs * bpe0 / acfg.iter_local)
+        if acfg.client_fraction < 1.0:
+            names = sorted(dcs)
+            n_pick = max(1, int(round(acfg.client_fraction * k)))
+
+            def participants_fn(rnd):
+                rng = seed_stream(seed, "fedavg", "round", str(rnd))
+                pick = rng.choice(len(names), size=n_pick, replace=False)
+                return sorted(names[int(i)] for i in pick)
+
     nodes = []
-    for i, dc in enumerate(dcs):
-        stream = MinibatchStream(
-            parts[i], min(acfg.batch_size, parts[i].size),
-            seed_stream(seed, "node", str(i), "batches"))
+    for i, (dc, stream) in enumerate(zip(dcs, streams)):
         model_i = base_model.clone()
         peers = [d for d in dcs if d != dc]
         compute_s = topology.compute_s.get(dc, 0.001)
@@ -466,7 +465,7 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
             if acfg.kind == "gaia":
                 soft = SoftCtl(enabled=True, **acfg.soft) if acfg.soft else SoftCtl()
                 policy = AspPolicy(t0=acfg.t0, ds=acfg.ds,
-                                   decay_mode=acfg.decay, sig_fn=acfg.sig,
+                                   decay_mode=acfg.decay,
                                    barrier=acfg.barrier, mirror=acfg.mirror,
                                    soft=soft)
             elif acfg.kind == "bsp":
@@ -477,10 +476,10 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
                             w0=w0, policy=policy, peers=peers,
                             momentum=acfg.momentum, **common)
         elif acfg.kind == "fedavg":
-            node = FedAvgNode(max_rounds=math.inf, w0=w0, peers=peers,
+            node = FedAvgNode(max_rounds=max_rounds, w0=w0, peers=peers,
                               iter_local=acfg.iter_local,
                               momentum=acfg.momentum,
-                              participants_fn=None, **common)
+                              participants_fn=participants_fn, **common)
         else:
             node = DgcNode(max_iters=acfg.epochs * stream.batches_per_epoch,
                            w0=w0, peers=peers, e_warm=acfg.e_warm,
@@ -488,25 +487,6 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
                            **common)
         nodes.append(node)
         sim.register(dc, node)
-
-    bpe0 = nodes[0].batches_per_epoch
-    if acfg.kind == "fedavg":
-        if acfg.client_fraction < 1.0:
-            names = sorted(dcs)
-            n_pick = max(1, int(round(acfg.client_fraction * k)))
-
-            def participants_fn(rnd):
-                rng = seed_stream(seed, "fedavg", "round", str(rnd))
-                pick = rng.choice(len(names), size=n_pick, replace=False)
-                return sorted(names[int(i)] for i in pick)
-
-            for node in nodes:
-                node.participants_fn = participants_fn
-        if not cfg.scout.enabled:
-            # fixed round budget only when iter_local cannot change mid-run
-            rounds = math.ceil(acfg.epochs * bpe0 / acfg.iter_local)
-            for node in nodes:
-                node.max_rounds = rounds
 
     # evaluation and stopping
     rows = []
@@ -519,8 +499,8 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
             node.stopped = True
 
     def evaluate(trigger, sim_):
-        obj = _mean_objective(nodes, mcfg.kind, full_batch)
-        acc = _mean_accuracy(nodes, mcfg.kind, test)
+        obj = _mean_objective(nodes, full_batch)
+        acc = _mean_accuracy(nodes, test)
         sim_.ledger.machine_seconds = {dc: sim_.now for dc in dcs}
         cost = wansim.account_cost(sim_.ledger, rates)
         row = {"sim_time_s": sim_.now, "epoch": trigger.epochs_done,
@@ -560,27 +540,13 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
                 model = base_model.clone()
                 if stats is not None:
                     model.bn_stats = stats
-                Xp, yp = train.X[probes[i]], train.y[probes[i]]
-                if mcfg.kind == "mlp":
-                    return model.accuracy(w, Xp, yp, mode="eval") * 100.0
-                return model.accuracy(w, Xp, yp) * 100.0
+                return model.accuracy(w, train.X[probes[i]],
+                                      train.y[probes[i]]) * 100.0
             al_mode = "points"
 
-        if acfg.kind == "gaia":
-            def apply_theta(theta):
-                for node in nodes:
-                    node.t_hard = theta
-                    node.t_soft = min(node.t_soft, theta)
-                    node.t_sched = ThresholdSchedule(t0=theta,
-                                                     mode=acfg.decay)
-        elif acfg.kind == "fedavg":
-            def apply_theta(theta):
-                for node in nodes:
-                    node.iter_local = int(theta)
-        else:
-            def apply_theta(theta):
-                for node in nodes:
-                    node.e_warm = int(theta)
+        def apply_theta(theta):
+            for node in nodes:
+                node.set_knob(theta)
 
         scout = ScoutController(
             cfg=ScoutConfig(

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from geolearn import wansim
 from geolearn.algos import (ArrayBatches, AspPolicy, BspPolicy, DgcNode,
-                            FedAvgNode, GaiaNode, dgc_select,
-                            local_update_delta_diag, residual_delta_diag,
-                            warmup_sparsity)
+                            FedAvgNode, GaiaNode, dgc_select, warmup_sparsity)
 from geolearn.data import (MinibatchStream, SkewSpec, gen_cluster_data,
                            partition_label_skew)
 from geolearn.numerics import StepDecay
@@ -88,28 +86,6 @@ def test_dgc_select_nan_ranks_last_and_inf_first():
     assert dgc_select(v, 60.0).tolist() == [1, 2]
     # past the numbers, NaNs fill in by index
     assert dgc_select(v, 20.0).tolist() == [0, 1, 2, 4]
-
-
-# ---------------------------------------------------------------------------
-# divergence diagnostics
-
-
-def test_residual_delta_diag_oracle():
-    # node 1: mean(1/2, 0/1) = 25%; node 2: 1/1 = 100%; average 62.5%
-    v_list = [np.array([1.0, 0.0]), np.array([1.0])]
-    w_list = [np.array([2.0, 1.0]), np.array([1.0])]
-    assert residual_delta_diag(v_list, w_list) == pytest.approx(62.5)
-
-
-def test_local_update_delta_diag_oracle():
-    locals_ = [np.array([3.0, 1.0]), np.array([2.0, 1.0])]
-    # node 1: mean(0.5, 0) = 25%; node 2 sits on the global model: 0%
-    assert local_update_delta_diag(locals_, np.array([2.0, 1.0])) == pytest.approx(12.5)
-
-
-def test_diag_epsilon_floor():
-    out = residual_delta_diag([np.array([1e-6])], [np.array([0.0])])
-    assert out == pytest.approx(100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +217,11 @@ def test_fedavg_single_node_rounds_without_traffic():
     assert a.iters_done == 6
     assert set(a.reconstructed) == {"a"}
     assert sim.ledger.sent_bytes() == 0
+    # DGC and BSP on a lone DC take their general exchange path too: no
+    # hop, and the full budget
+    for kind, node_kw in ((DgcNode, {}), (GaiaNode, {"policy": BspPolicy()})):
+        sim, (a,) = _spawn(kind, ["a"], max_iters=6, **node_kw)
+        sim.run()
+        assert a.stopped and not a.diverged, kind.__name__
+        assert a.iters_done == 6, kind.__name__
+        assert sim.ledger.sent_bytes() == 0, kind.__name__

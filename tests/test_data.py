@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geolearn.data import (MFDatasetSpec, MinibatchStream, SkewSpec,
-                           dump_dataset_csv, gen_cluster_data, gen_mf_data,
-                           label_histogram, load_dataset_csv,
+                           gen_cluster_data, gen_mf_data,
                            partition_label_skew, partition_uniform)
 from geolearn.rng import seed_stream
 
@@ -52,7 +51,7 @@ def test_gen_cluster_data_tags_share_geometry():
 
 def test_gen_cluster_data_balanced_labels():
     data = gen_cluster_data(4, 2, 25, 0.5, seed=2)
-    np.testing.assert_array_equal(label_histogram(data, np.arange(len(data))),
+    np.testing.assert_array_equal(np.bincount(data.y, minlength=4),
                                   [25, 25, 25, 25])
 
 
@@ -156,17 +155,3 @@ def test_minibatch_stream_rejects_bad_batch_size():
         MinibatchStream(np.arange(4), 5, seed_stream(0, "t"))
     with pytest.raises(ValueError):
         MinibatchStream(np.arange(4), 0, seed_stream(0, "t"))
-
-
-# ---------------------------------------------------------------------------
-# CSV round trip
-
-
-def test_dataset_csv_round_trip(tmp_path):
-    data = gen_cluster_data(3, 4, 6, 0.7, seed=12)
-    path = tmp_path / "blobs.csv"
-    dump_dataset_csv(data, path)
-    loaded = load_dataset_csv(path)
-    np.testing.assert_allclose(loaded.X, data.X)
-    np.testing.assert_array_equal(loaded.y, data.y)
-    assert loaded.classes == data.classes

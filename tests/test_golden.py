@@ -99,6 +99,9 @@ CONFIGS = {
         "fedavg-scout", MLP_BN, BLOBS, 3, 1.0,
         {"kind": "fedavg", "epochs": 4, "iter_local": 2},
         scout={"enabled": True, "tuner": "anneal"}),
+    "fedavg-softmax-overlay": _cfg(
+        "fedavg-softmax-overlay", SOFTMAX, BLOBS, 4, 0.5,
+        {"kind": "fedavg", "epochs": 4, "iter_local": 3}, topology=OVERLAY),
     "dgc-mlp": _cfg(
         "dgc-mlp", MLP, BLOBS, 4, 0.5,
         {"kind": "dgc", "epochs": 4, "e_warm": 1}),
@@ -109,6 +112,9 @@ CONFIGS = {
     "dgc-softmax-window": _cfg(
         "dgc-softmax-window", SOFTMAX, BLOBS, 3, 0.0,
         {"kind": "dgc", "epochs": 6, "e_warm": 2}, convergence="window"),
+    "dgc-softmax-overlay": _cfg(
+        "dgc-softmax-overlay", SOFTMAX, BLOBS, 4, 0.5,
+        {"kind": "dgc", "epochs": 4, "e_warm": 1}, topology=OVERLAY),
 }
 
 
@@ -140,6 +146,20 @@ def test_barrier_config_sends_barriers_that_block_reads():
     # (time, node, gate, local clock, blocked count, true min clock, allow)
     assert any(rec[2] == "barrier" and not rec[6]
                for rec in result.sim.gate_trace)
+
+
+@pytest.mark.parametrize("name", ["fedavg-softmax-overlay",
+                                  "dgc-softmax-overlay"])
+def test_overlay_runs_finish_every_budget(name):
+    # a hub must re-broadcast inter-group copies, or the round never
+    # completes for the rest of its group and the queue drains early
+    _, result = run_digest(CONFIGS[name])
+    for node in result.nodes:
+        assert node.stopped, node.name
+        if node.max_iters is None:
+            assert node.round == node.max_rounds, node.name
+        else:
+            assert node.iters_done == node.max_iters, node.name
 
 
 if __name__ == "__main__":
