@@ -198,23 +198,25 @@ class _NodeBase:
         self._maybe_forward(sim, msg)
         self.try_start(sim)
 
+    # Copies of one message share its byte_split and payload dicts: the
+    # simulator and the ledger only read byte_split, and receivers only
+    # read payloads.
+
     def _maybe_forward(self, sim, msg):
         if not msg.forward or sim.overlay is None:
             return
         for dst in wansim.forward_hops(sim.overlay, self.name, msg.origin):
-            sim.send(wansim.Message(
-                kind=msg.kind, src=self.name, dst=dst,
-                byte_split=dict(msg.byte_split), payload=msg.payload,
-                origin=msg.origin, forward=False))
+            sim.send(wansim.Message(msg.kind, self.name, dst, msg.byte_split,
+                                    msg.payload, msg.origin))
 
     def _broadcast(self, sim, byte_split, payload):
+        kind = (wansim.KIND_UPDATE if wansim.KIND_UPDATE in byte_split
+                else wansim.KIND_CLOCK)
+        name, send, message = self.name, sim.send, wansim.Message
         for dst, needs_forward in wansim.broadcast_hops(
-                sim.overlay, self.name, sim.topology.dcs):
-            sim.send(wansim.Message(
-                kind=wansim.KIND_UPDATE if wansim.KIND_UPDATE in byte_split
-                else wansim.KIND_CLOCK,
-                src=self.name, dst=dst, byte_split=dict(byte_split),
-                payload=payload, origin=self.name, forward=needs_forward))
+                sim.overlay, name, sim.topology.dcs):
+            send(message(kind, name, dst, byte_split, payload, name,
+                         needs_forward))
 
     def try_start(self, sim):
         if self._computing or self.stopped or self._awaiting:
@@ -267,13 +269,19 @@ class GaiaNode(_NodeBase):
         super().__init__(name, index, model, batch_view, stream, lr_schedule,
                          compute_s, max_iters, peers)
         self.policy = policy
+        self._asp = isinstance(policy, AspPolicy)
+        if not self._asp:
+            # the dense policies' staleness bound; BSP is lockstep
+            self._staleness = (0 if isinstance(policy, BspPolicy)
+                               else policy.staleness)
+        self._peer_shards = None   # (sim, nodes registered, peer shards)
         self.shard = WeightShard.fresh(w0, m=momentum, peers=self.peers)
         self.inbox = []            # (clock, origin, seq, idx, vals, dense)
         self._inbox_seq = 0
         self._last_eta = None
         self._last_flush_time = {p: 0.0 for p in self.peers}
         self.rate_monitors = {p: wansim.RateMonitor() for p in self.peers}
-        if isinstance(policy, AspPolicy):
+        if self._asp:
             self.t_hard = policy.t0
             self.t_soft = policy.t0
             self.t_sched = ThresholdSchedule(t0=policy.t0, mode=policy.decay_mode)
@@ -307,13 +315,16 @@ class GaiaNode(_NodeBase):
     def _drain_inbox(self):
         if not self.inbox:
             return
-        self.inbox.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
+        if len(self.inbox) > 1:
+            self.inbox.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
         for clock, origin, _seq, idx, vals, dense in self.inbox:
             if dense:
                 self.shard.w = self.shard.w + vals
                 # a dense update touches everything the origin still blocks
                 row = self.shard.barrier_waits.get(origin)
-                idx = np.flatnonzero(row >= 0) if row is not None else ()
+                if row is None:
+                    continue
+                idx = np.flatnonzero(row >= 0)
             else:
                 w = self.shard.w.copy()
                 w[idx] += vals
@@ -324,15 +335,20 @@ class GaiaNode(_NodeBase):
     # -- gating ------------------------------------------------------------
 
     def _true_min_peer_clock(self, sim):
-        clocks = [
-            sim.nodes[p].shard.local_clock
-            for p in self.peers if p in sim.nodes
-        ]
-        return min(clocks) if clocks else self.shard.local_clock
+        # the registered peers' shards, resolved again only when the
+        # simulator or its set of registered nodes changes
+        view = self._peer_shards
+        if view is None or view[0] is not sim or view[1] != len(sim.nodes):
+            view = self._peer_shards = (sim, len(sim.nodes), [
+                sim.nodes[p].shard for p in self.peers if p in sim.nodes])
+        shards = view[2]
+        if not shards:
+            return self.shard.local_clock
+        return min([shard.local_clock for shard in shards])
 
     def _gates_allow(self, sim):
         local = self.shard.local_clock
-        if isinstance(self.policy, AspPolicy):
+        if self._asp:
             allow = True
             if self.policy.mirror and self.peers:
                 min_known = min(self.shard.mirror_clocks.values())
@@ -351,11 +367,10 @@ class GaiaNode(_NodeBase):
                 if blocked.size:
                     return False
             return True
-        staleness = 0 if isinstance(self.policy, BspPolicy) else self.policy.staleness
         if not self.peers:
             return True
         slowest = min(self.shard.mirror_clocks.values())
-        allow = ssp_gate(local, slowest, staleness)
+        allow = ssp_gate(local, slowest, self._staleness)
         sim.gate_trace.append((
             sim.now, self.name, "ssp", local, slowest,
             self._true_min_peer_clock(sim), allow))
@@ -378,7 +393,7 @@ class GaiaNode(_NodeBase):
         self.shard.momentum = m_next
         self.iters_done += 1
         self.shard.local_clock += 1
-        if isinstance(self.policy, AspPolicy):
+        if self._asp:
             self._asp_exchange(sim, update, eta)
         else:
             self._dense_exchange(sim, update)

@@ -140,17 +140,23 @@ class SoftmaxModel:
         W, b = self._unpack(params)
         return X @ W.T + b
 
-    def objective(self, params, batch):
-        return self.loss_and_grad(params, batch)[0]
-
-    def loss_and_grad(self, params, batch, update_stats=False):
+    def _forward(self, params, batch):
+        """(class probabilities, mean cross-entropy loss) of a batch."""
         X, y = batch
-        n = X.shape[0]
         scores = self.logits(params, X)
         scores -= scores.max(axis=1, keepdims=True)
         exp = np.exp(scores)
         probs = exp / exp.sum(axis=1, keepdims=True)
-        loss = float(-np.mean(np.log(probs[np.arange(n), y])))
+        loss = float(-np.mean(np.log(probs[np.arange(X.shape[0]), y])))
+        return probs, loss
+
+    def objective(self, params, batch):
+        return self._forward(params, batch)[1]
+
+    def loss_and_grad(self, params, batch, update_stats=False):
+        X, y = batch
+        n = X.shape[0]
+        probs, loss = self._forward(params, batch)
         dscores = probs
         dscores[np.arange(n), y] -= 1.0
         dscores /= n

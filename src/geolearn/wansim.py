@@ -8,6 +8,15 @@ s + bytes/bandwidth + latency.
 
 Determinism: the event queue is a heap keyed by (time, insertion sequence),
 so ties resolve in insertion order and identical runs replay identically.
+A message that starts service reserves two sequence numbers: one for the
+link becoming free at the end of its transmission, the next for its
+delivery. The delivery is always scheduled; the free event is scheduled,
+under its reserved key, only when a message waits behind this one (queued
+at service start, or offered later while the link is still busy). Without
+a waiting message the free event would find an empty queue, so it is
+skipped, and the next send starts service at once. Every scheduled event
+keeps the key it would have had if all free events were scheduled, so
+events are processed in the same order either way.
 
 Cost accounting: machine time is billed per data center at an hourly rate;
 traffic is billed per GB (1 GB = 1e9 bytes) at the sending region's egress
@@ -55,8 +64,14 @@ def barrier_bytes(n_indexes):
     return BARRIER_HEADER_BYTES + BARRIER_INDEX_BYTES * n_indexes
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
+    """One message on one link.
+
+    byte_split is fixed once the message is built: nbytes, its total, is
+    computed at construction.
+    """
+
     kind: str                 # primary kind, decides the priority class
     src: str
     dst: str
@@ -64,17 +79,17 @@ class Message:
     payload: object = None
     origin: str = None        # original producer (survives hub forwarding)
     forward: bool = False     # receiver should re-broadcast within its group
+    nbytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.kind not in _PRIORITY:
+            raise ValueError(f"unknown message kind {self.kind!r}")
         if self.origin is None:
             self.origin = self.src
         for kind in self.byte_split:
             if kind not in BYTE_KINDS:
                 raise ValueError(f"unknown byte kind {kind!r}")
-
-    @property
-    def nbytes(self):
-        return sum(self.byte_split.values())
+        self.nbytes = sum(self.byte_split.values())
 
     @property
     def klass(self):
@@ -98,21 +113,38 @@ class LinkSpec:
 
 
 class _Channel:
-    """Runtime queue state of one directed link."""
+    """Runtime queue state of one directed link.
+
+    busy_until and free_seq form the key of the link's free event (see the
+    module docstring); free_scheduled says whether that event is on the
+    heap. in_flight holds the messages whose delivery is scheduled, oldest
+    first: deliveries on one link land in service order, because latency is
+    constant, busy_until never decreases and ties resolve by sequence.
+    sent and delivered are this link's ledger rows, made at its first send
+    and first delivery.
+    """
+
+    __slots__ = ("key", "bandwidth", "latency", "control", "data",
+                 "in_flight", "busy_until", "free_seq", "free_scheduled",
+                 "sent", "delivered")
 
     def __init__(self, spec):
-        self.spec = spec
+        self.key = (spec.src, spec.dst)
+        self.bandwidth = spec.bandwidth
+        self.latency = spec.latency
         self.control = deque()
         self.data = deque()
-        self.busy_until = 0.0
-        self.in_service = None
+        self.in_flight = deque()
+        self.busy_until = -math.inf       # never busy yet
+        self.free_seq = -1
+        self.free_scheduled = False
+        self.sent = None
+        self.delivered = None
 
     def pop_next(self):
         if self.control:
             return self.control.popleft()
-        if self.data:
-            return self.data.popleft()
-        return None
+        return self.data.popleft()
 
 
 @dataclass
@@ -131,6 +163,14 @@ class Topology:
             raise KeyError(f"no link configured from {src} to {dst}")
 
 
+def _ledger_row(table, key):
+    """table's row for key, made (every kind at 0) on a miss."""
+    row = table.get(key)
+    if row is None:
+        row = table[key] = dict.fromkeys(BYTE_KINDS, 0)
+    return row
+
+
 class CostLedger:
     """Byte and machine-time bookkeeping for one simulation."""
 
@@ -141,7 +181,7 @@ class CostLedger:
 
     @staticmethod
     def _bump(table, key, split):
-        row = table.setdefault(key, {k: 0 for k in BYTE_KINDS})
+        row = _ledger_row(table, key)
         for kind, nbytes in split.items():
             row[kind] += nbytes
 
@@ -310,6 +350,7 @@ class Simulator:
         self.now = 0.0
         self._heap = []
         self._seq = 0
+        self._event_seq = -1      # sequence of the event being processed
         self.nodes = {}
         self.channels = {
             key: _Channel(spec) for key, spec in topology.links.items()
@@ -320,73 +361,89 @@ class Simulator:
     def register(self, name, node):
         self.nodes[name] = node
 
-    def _push(self, time, kind, data):
+    def wake_at(self, time, name):
         if time < self.now:
             raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
-        heapq.heappush(self._heap, (time, self._seq, kind, data))
+        heapq.heappush(self._heap, (time, self._seq, _WAKE, name))
         self._seq += 1
-
-    def wake_at(self, time, name):
-        self._push(time, _WAKE, name)
 
     def send(self, msg):
         """Offer a message to its link; service starts as soon as possible."""
         channel = self.channels.get((msg.src, msg.dst))
         if channel is None:
             raise KeyError(f"no link configured from {msg.src} to {msg.dst}")
-        self.ledger.record_sent(msg.src, msg.dst, msg.byte_split)
+        row = channel.sent
+        if row is None:
+            row = channel.sent = _ledger_row(self.ledger.sent, channel.key)
+        for kind, nbytes in msg.byte_split.items():
+            row[kind] += nbytes
+        # busy while the link's free event still lies ahead of this one
+        busy_until = channel.busy_until
+        if busy_until < self.now or (busy_until == self.now
+                                     and channel.free_seq < self._event_seq):
+            self._start_service(channel, msg)
+            return
         if msg.klass == CONTROL:
             channel.control.append(msg)
         else:
             channel.data.append(msg)
-        if channel.in_service is None:
-            self._start_service(channel)
+        if not channel.free_scheduled:
+            channel.free_scheduled = True
+            heapq.heappush(self._heap,
+                           (busy_until, channel.free_seq, _FREE, channel))
 
-    def _start_service(self, channel):
-        msg = channel.pop_next()
-        if msg is None:
-            return
-        start = max(self.now, channel.busy_until)
-        tx = msg.nbytes / channel.spec.bandwidth
-        channel.in_service = msg
-        channel.busy_until = start + tx
-        key = (channel.spec.src, channel.spec.dst)
-        self._push(channel.busy_until, _FREE, key)
-        self._push(channel.busy_until + channel.spec.latency, _DELIVER, (key, msg))
-
-    def advance(self):
-        """Process one event; returns its record, or None when idle/complete."""
-        if not self._heap:
-            return None
-        time, seq, kind, data = heapq.heappop(self._heap)
-        self.now = time
-        if kind == _FREE:
-            channel = self.channels[data]
-            channel.in_service = None
-            self._start_service(channel)
-        elif kind == _DELIVER:
-            key, msg = data
-            self.ledger.record_delivered(msg.src, msg.dst, msg.byte_split)
-            node = self.nodes.get(msg.dst)
-            if node is not None:
-                node.on_message(self, msg)
-        elif kind == _WAKE:
-            node = self.nodes.get(data)
-            if node is not None:
-                node.on_wake(self)
-        return (time, kind, data)
+    def _start_service(self, channel, msg):
+        # the link is free by now, so service starts now
+        busy_until = self.now + msg.nbytes / channel.bandwidth
+        seq = self._seq
+        self._seq = seq + 2
+        channel.busy_until = busy_until
+        channel.free_seq = seq
+        channel.in_flight.append(msg)
+        heapq.heappush(self._heap, (busy_until + channel.latency, seq + 1,
+                                    _DELIVER, channel))
+        channel.free_scheduled = bool(channel.control or channel.data)
+        if channel.free_scheduled:
+            heapq.heappush(self._heap, (busy_until, seq, _FREE, channel))
 
     def run(self, max_events=None):
-        """Drain the event queue (optionally bounded); returns events processed."""
+        """Process events in (time, sequence) order until the queue drains
+        or max_events have been processed; returns the number processed.
+
+        Free events that were never scheduled (no message waited for the
+        link) are not events and are not counted.
+        """
+        heap = self._heap
+        nodes = self.nodes
+        pop = heapq.heappop
+        limit = math.inf if max_events is None else max_events
         count = 0
-        while self._heap:
-            if max_events is not None and count >= max_events:
-                break
-            self.advance()
+        while heap and count < limit:
+            time, seq, kind, data = pop(heap)
+            self.now = time
+            self._event_seq = seq
             count += 1
+            if kind is _DELIVER:
+                msg = data.in_flight.popleft()
+                row = data.delivered
+                if row is None:
+                    row = data.delivered = _ledger_row(
+                        self.ledger.delivered, data.key)
+                for k, nbytes in msg.byte_split.items():
+                    row[k] += nbytes
+                node = nodes.get(msg.dst)
+                if node is not None:
+                    node.on_message(self, msg)
+            elif kind is _WAKE:
+                node = nodes.get(data)
+                if node is not None:
+                    node.on_wake(self)
+            else:
+                self._start_service(data, data.pop_next())
         return count
 
     def pending(self):
+        """Events on the queue; free events never scheduled are not counted."""
         return len(self._heap)
 
 

@@ -2,14 +2,17 @@
 
 Each config below is small (well under a second) and its sha256 digest of
 ``metrics.csv`` + NUL + ``summary.txt`` bytes lives in
-``tests/golden/digests.json``. A refactor or optimisation that claims to
-change nothing must leave every digest as it is; a deliberate change of
-behaviour regenerates the file in the same change and says which digests
-moved and why. Regenerate with::
+``tests/golden/digests.json``; the sha256 of its gate trace (every gate
+check's row, as ``repr`` of a list of tuples) lives in
+``tests/golden/gate_traces.json``. A refactor or optimisation that claims
+to change nothing must leave every pin as it is; a deliberate change of
+behaviour regenerates the files in the same change and says which pins
+moved and why. Regenerate both with::
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -20,8 +23,9 @@ import pytest
 from geolearn.harness import (config_from_dict, metrics_csv_text,
                               run_experiment, summary_text)
 
-DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "golden",
-                            "digests.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+DIGESTS_PATH = os.path.join(GOLDEN_DIR, "digests.json")
+GATE_TRACES_PATH = os.path.join(GOLDEN_DIR, "gate_traces.json")
 
 SOFTMAX = {"kind": "softmax", "features": 6, "classes": 4}
 BLOBS = {"per_class": 40, "spread": 1.0, "test_per_class": 20}
@@ -125,19 +129,38 @@ def run_digest(raw):
     return hashlib.sha256(text.encode()).hexdigest(), result
 
 
-def _golden():
-    with open(DIGESTS_PATH) as fh:
+def gate_trace_digest(result):
+    """sha256 of the gate trace; rows as plain tuples, so the pin does not
+    depend on the row type."""
+    rows = [tuple(row) for row in result.sim.gate_trace]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _golden(path=DIGESTS_PATH):
+    with open(path) as fh:
         return json.load(fh)
 
 
 def test_corpus_covers_every_config():
     assert sorted(_golden()) == sorted(CONFIGS)
+    assert sorted(_golden(GATE_TRACES_PATH)) == sorted(CONFIGS)
+
+
+@functools.lru_cache(maxsize=None)
+def _run(name):
+    return run_digest(CONFIGS[name])
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_digest(name):
-    digest, _ = run_digest(CONFIGS[name])
+    digest, _ = _run(name)
     assert digest == _golden()[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_gate_trace(name):
+    _, result = _run(name)
+    assert gate_trace_digest(result) == _golden(GATE_TRACES_PATH)[name]
 
 
 def test_barrier_config_sends_barriers_that_block_reads():
@@ -165,8 +188,13 @@ def test_overlay_runs_finish_every_budget(name):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    digests = {name: run_digest(raw)[0] for name, raw in sorted(CONFIGS.items())}
-    os.makedirs(os.path.dirname(DIGESTS_PATH), exist_ok=True)
-    with open(DIGESTS_PATH, "w") as fh:
-        json.dump(digests, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    digests, gate_traces = {}, {}
+    for name, raw in sorted(CONFIGS.items()):
+        digests[name], result = run_digest(raw)
+        gate_traces[name] = gate_trace_digest(result)
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for path, pins in ((DIGESTS_PATH, digests),
+                       (GATE_TRACES_PATH, gate_traces)):
+        with open(path, "w") as fh:
+            json.dump(pins, fh, indent=2, sort_keys=True)
+            fh.write("\n")

@@ -92,6 +92,21 @@ def test_softmax_loss_invariant_to_logit_shift():
         model.objective(params, (X, y)), rel=1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(features=st.integers(1, 6), classes=st.integers(2, 5),
+       n=st.integers(1, 12), seed=st.integers(0, 2**16),
+       scale=st.sampled_from((1e-3, 1.0, 50.0)))
+def test_softmax_objective_is_the_training_loss_bit_for_bit(
+        features, classes, n, seed, scale):
+    model = SoftmaxModel(features, classes)
+    rng = np.random.default_rng(seed)
+    params = rng.normal(scale=scale, size=model.n_params)
+    batch = (rng.normal(size=(n, features)), rng.integers(0, classes, size=n))
+    loss = model.objective(params, batch)
+    assert type(loss) is float
+    assert loss == model.loss_and_grad(params, batch)[0]
+
+
 # ---------------------------------------------------------------------------
 # normalization layers
 

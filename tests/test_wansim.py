@@ -1,7 +1,9 @@
+import heapq
 import io
+from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geolearn.wansim import (CLOCK_BYTES, CostLedger, CostRates, GB,
                              KIND_BARRIER, KIND_CLOCK, KIND_TRAVEL,
@@ -181,6 +183,157 @@ def test_conservation_holds_for_any_traffic_mix(sizes):
     assert sim.ledger.conservation_ok()
     assert sim.ledger.delivered_bytes() == sum(sizes)
     assert len(sink.inbox) == len(sizes)
+
+
+def test_free_event_is_scheduled_only_behind_a_waiting_message():
+    sim, sink = _one_link_sim()
+    sim.send(_update("first", 200))
+    assert sim.pending() == 1          # the delivery; nothing waits
+    sim.send(_update("second", 100))
+    assert sim.pending() == 2          # now the link's free event too
+    # free, then first; nothing waits behind second, so no second free
+    assert sim.run() == 3
+    assert sink.inbox == [(2.5, "first"), (3.5, "second")]
+
+
+# ---------------------------------------------------------------------------
+# oracle: the event loop that schedules every free event
+
+
+class _EagerSimulator:
+    """Reference loop: every service start schedules the link's free event,
+    which runs even when no message waits."""
+
+    def __init__(self, topology):
+        self.now, self._heap, self._seq, self.nodes = 0.0, [], 0, {}
+        self.channels = {key: [spec, deque(), deque(), 0.0, None]
+                         for key, spec in topology.links.items()}
+        self.ledger = CostLedger()
+
+    def _push(self, time, kind, data):
+        heapq.heappush(self._heap, (time, self._seq, kind, data))
+        self._seq += 1
+
+    def wake_at(self, time, name):
+        self._push(time, "wake", name)
+
+    def send(self, msg):
+        channel = self.channels[(msg.src, msg.dst)]
+        self.ledger.record_sent(msg.src, msg.dst, msg.byte_split)
+        channel[1 if msg.klass == "control" else 2].append(msg)
+        if channel[4] is None:
+            self._start_service(channel)
+
+    def _start_service(self, channel):
+        spec, control, data, busy_until, _ = channel
+        if not control and not data:
+            return
+        msg = control.popleft() if control else data.popleft()
+        channel[3] = max(self.now, busy_until) + msg.nbytes / spec.bandwidth
+        channel[4] = msg
+        self._push(channel[3], "free", channel)
+        self._push(channel[3] + spec.latency, "deliver", msg)
+
+    def run(self):
+        while self._heap:
+            self.now, _, kind, data = heapq.heappop(self._heap)
+            if kind == "free":
+                data[4] = None
+                self._start_service(data)
+            elif kind == "deliver":
+                self.ledger.record_delivered(data.src, data.dst,
+                                             data.byte_split)
+                self.nodes[data.dst].on_message(self, data)
+            else:
+                self.nodes[data].on_wake(self)
+
+
+_DCS = ("a", "b", "c")
+
+
+def _lab_topology():
+    # bandwidths and latencies are binary fractions, so events often tie
+    # exactly; a->b has no latency, so a delivery can tie a free event
+    links = {}
+    for i, src in enumerate(_DCS):
+        for j, dst in enumerate(_DCS):
+            latency = 0.0 if (src, dst) == ("a", "b") else 0.25 * ((i + j) % 3)
+            links[(src, dst)] = LinkSpec(src, dst, 100.0 * (1 + i % 2),
+                                         latency)
+    return Topology(dcs=list(_DCS), links=links)
+
+
+class _Script:
+    """Node behaviour shared by the nodes of one simulator: a delivery of
+    message i makes its receiver send replies[i]; the n-th wake of a node
+    makes it send that wake's specs. Every send gets the next message id."""
+
+    def __init__(self, replies, wakes):
+        self.replies = replies
+        self.wakes = {dc: deque(specs for _, who, specs in wakes if who == dc)
+                      for dc in _DCS}
+        self.next_id = 0
+        self.log = []
+
+    def emit(self, sim, src, specs):
+        for dst, kind, nbytes, clock in specs:
+            split = {kind: nbytes}
+            if clock:
+                split[KIND_CLOCK] = split.get(KIND_CLOCK, 0) + CLOCK_BYTES
+            sim.send(Message(kind, src, dst, split, self.next_id))
+            self.next_id += 1
+
+
+class _ScriptedNode:
+    def __init__(self, name, script):
+        self.name, self.script = name, script
+
+    def on_message(self, sim, msg):
+        self.script.log.append((sim.now, self.name, msg.payload))
+        if msg.payload < len(self.script.replies):
+            self.script.emit(sim, self.name, self.script.replies[msg.payload])
+
+    def on_wake(self, sim):
+        self.script.log.append((sim.now, self.name, "wake"))
+        self.script.emit(sim, self.name, self.script.wakes[self.name].popleft())
+
+
+_spec = st.tuples(st.sampled_from(_DCS),
+                  st.sampled_from((KIND_UPDATE, KIND_CLOCK, KIND_BARRIER,
+                                   KIND_TRAVEL)),
+                  st.sampled_from((0, 0, 25, 50, 100, 200)),
+                  st.booleans())
+_specs = st.lists(_spec, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(initial=st.lists(st.tuples(st.sampled_from(_DCS), _specs),
+                        max_size=4),
+       wakes=st.lists(st.tuples(st.sampled_from((0.0, 0.5, 1.0, 1.25)),
+                                st.sampled_from(_DCS), _specs), max_size=5),
+       replies=st.lists(_specs, max_size=25))
+# a link freed by a zero-byte message takes a send from a later event at
+# the same instant at once, ahead of the sends that follow it
+@example(initial=[("a", [("a", KIND_UPDATE, 0, False)])], wakes=[],
+         replies=[[("a", KIND_UPDATE, 0, False), ("b", KIND_UPDATE, 0, False)]])
+def test_event_loop_matches_the_eager_free_event_oracle(initial, wakes,
+                                                        replies):
+    wakes = sorted(wakes, key=lambda w: w[0])    # stable: ties keep order
+    runs = []
+    for make in (Simulator, _EagerSimulator):
+        sim = make(_lab_topology())
+        script = _Script(replies, wakes)
+        for dc in _DCS:
+            sim.nodes[dc] = _ScriptedNode(dc, script)
+        for time, dc, _ in wakes:
+            sim.wake_at(time, dc)
+        for src, specs in initial:
+            script.emit(sim, src, specs)
+        sim.run()
+        # the same sequence numbers were handed out, too
+        runs.append((script.log, list(sim.ledger.sent.items()),
+                     list(sim.ledger.delivered.items()), sim._seq))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
