@@ -82,13 +82,8 @@ def dgc_select(v, sparsity_pct):
 
 
 @dataclass
-class BspPolicy:
-    """Dense exchange every iteration, lockstep."""
-
-
-@dataclass
 class SspPolicy:
-    """Dense exchange every iteration, bounded staleness."""
+    """Dense exchange every iteration, bounded staleness; 0 is lockstep BSP."""
 
     staleness: int = 1
 
@@ -209,12 +204,14 @@ class _NodeBase:
             sim.send(wansim.Message(msg.kind, self.name, dst, msg.byte_split,
                                     msg.payload, msg.origin))
 
-    def _broadcast(self, sim, byte_split, payload):
+    def _broadcast(self, sim, byte_split, payload, hops=None):
+        """Send one copy per first hop; hops defaults to broadcast_hops."""
         kind = (wansim.KIND_UPDATE if wansim.KIND_UPDATE in byte_split
                 else wansim.KIND_CLOCK)
         name, send, message = self.name, sim.send, wansim.Message
-        for dst, needs_forward in wansim.broadcast_hops(
-                sim.overlay, name, sim.topology.dcs):
+        if hops is None:
+            hops = wansim.broadcast_hops(sim.overlay, name, sim.topology.dcs)
+        for dst, needs_forward in hops:
             send(message(kind, name, dst, byte_split, payload, name,
                          needs_forward))
 
@@ -271,9 +268,7 @@ class GaiaNode(_NodeBase):
         self.policy = policy
         self._asp = isinstance(policy, AspPolicy)
         if not self._asp:
-            # the dense policies' staleness bound; BSP is lockstep
-            self._staleness = (0 if isinstance(policy, BspPolicy)
-                               else policy.staleness)
+            self._staleness = policy.staleness
         self._peer_shards = None   # (sim, nodes registered, peer shards)
         self.shard = WeightShard.fresh(w0, m=momentum, peers=self.peers)
         self.inbox = []            # (clock, origin, seq, idx, vals, dense)
@@ -469,13 +464,13 @@ class GaiaNode(_NodeBase):
                 wansim.KIND_UPDATE: wansim.sparse_update_bytes(idx.size),
                 wansim.KIND_CLOCK: wansim.CLOCK_BYTES,
             }
-            self._broadcast(sim, split, payload)
+            self._broadcast(sim, split, payload, hops)
         else:
             # nothing significant: the clock still has to move
             self._broadcast(
                 sim, {wansim.KIND_CLOCK: wansim.CLOCK_BYTES},
                 {"clock": self.shard.local_clock, "idx": None,
-                 "vals": None, "dense": False})
+                 "vals": None, "dense": False}, hops)
         if pol.soft.enabled and utilizations:
             self.t_soft = soft_threshold_adjust(
                 pol.soft, max(utilizations), self.t_soft, self.t_hard)
@@ -590,7 +585,7 @@ class DgcNode(_NodeBase):
 
     def __init__(self, name, index, model, batch_view, stream, lr_schedule,
                  compute_s, max_iters, w0, peers, e_warm=1, momentum=0.9,
-                 clip_norm=DGC_CLIP_NORM, schedule=WARMUP_SCHEDULE):
+                 clip_norm=DGC_CLIP_NORM):
         super().__init__(name, index, model, batch_view, stream, lr_schedule,
                          compute_s, max_iters, peers)
         self.w = np.array(w0, dtype=np.float64)
@@ -599,8 +594,6 @@ class DgcNode(_NodeBase):
         self.m = momentum
         self.e_warm = int(e_warm)
         self.clip = clip_norm
-        self.schedule = schedule
-        self.step = 0                  # completed & applied steps
         self._step_slices = {}         # step -> {name: (idx, vals)}
         self.last_emitted = None
 
@@ -619,7 +612,7 @@ class DgcNode(_NodeBase):
             self._try_apply(sim)
 
     def current_sparsity(self):
-        return warmup_sparsity(self.epochs_done + 1, self.e_warm, self.schedule)
+        return warmup_sparsity(self.epochs_done + 1, self.e_warm)
 
     def _finish_iteration(self, sim):
         batch = self.batch_view.make(self.stream.next_batch())
@@ -654,7 +647,6 @@ class DgcNode(_NodeBase):
         self.w = w
         del self._step_slices[self.iters_done]
         self.iters_done += 1
-        self.step = self.iters_done
         self._awaiting = False
         self._after_iteration(sim)
         if not self.stopped:

@@ -25,8 +25,8 @@ import yaml
 
 from . import skewscout, wansim
 from .algos import (
-    ArrayBatches, AspPolicy, BspPolicy, DgcNode, EntryBatches, FedAvgNode,
-    GaiaNode, SspPolicy,
+    ArrayBatches, AspPolicy, DgcNode, EntryBatches, FedAvgNode, GaiaNode,
+    SspPolicy,
 )
 from .data import (
     MFDatasetSpec, MinibatchStream, SkewSpec, gen_cluster_data, gen_mf_data,
@@ -190,6 +190,14 @@ def load_config(path):
         return config_from_dict(yaml.safe_load(fh))
 
 
+# algorithm kind -> the grid SkewScout searches by default; an empty grid
+# means the kind has no communication knob to tune
+KNOB_GRIDS = {
+    "gaia": skewscout.GAIA_T0_GRID, "bsp": (), "ssp": (),
+    "fedavg": skewscout.FEDAVG_ITER_GRID, "dgc": skewscout.DGC_EWARM_GRID,
+}
+
+
 def validate_config(cfg):
     """Collect human-readable problems; empty list means runnable."""
     errs = []
@@ -213,7 +221,7 @@ def validate_config(cfg):
         errs.append("partition.nodes must be >= 1")
     if not 0.0 <= p.alpha <= 1.0:
         errs.append(f"alpha must be in [0, 1], got {p.alpha}")
-    if a.kind not in ("gaia", "bsp", "ssp", "fedavg", "dgc"):
+    if a.kind not in KNOB_GRIDS:
         errs.append(f"unknown algorithm kind {a.kind!r}")
     if a.epochs < 1:
         errs.append("epochs must be >= 1")
@@ -249,13 +257,13 @@ def validate_config(cfg):
         if a.clip_norm <= 0:
             errs.append("clip_norm must be positive")
     if s.enabled:
-        if a.kind in ("bsp", "ssp"):
+        if a.kind in KNOB_GRIDS and not KNOB_GRIDS[a.kind]:
             errs.append(f"{a.kind} has no communication knob to tune")
         if s.tuner not in ("hill", "stochastic", "anneal"):
             errs.append(f"unknown tuner {s.tuner!r}")
         if s.mtp < 0:
             errs.append("scout mtp must be >= 0")
-        grid = s.grid or _default_grid(a.kind)
+        grid = s.grid or KNOB_GRIDS.get(a.kind, ())
         if grid and not 0 <= s.start_idx < len(grid):
             errs.append(f"scout start_idx {s.start_idx} outside grid of {len(grid)}")
     if cfg.topology.dcs and len(cfg.topology.dcs) != p.nodes:
@@ -271,14 +279,6 @@ def validate_config(cfg):
     if c.mode == "window" and c.rel_tol <= 0:
         errs.append("rel_tol must be positive")
     return errs
-
-
-def _default_grid(algo_kind):
-    return {
-        "gaia": skewscout.GAIA_T0_GRID,
-        "fedavg": skewscout.FEDAVG_ITER_GRID,
-        "dgc": skewscout.DGC_EWARM_GRID,
-    }.get(algo_kind, ())
 
 
 def _lr_schedule(lr):
@@ -417,8 +417,8 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
             bandwidth = wansim.default_bandwidth()
         dcs = list(cfg.topology.dcs) if cfg.topology.dcs else bandwidth[0][:k]
         topology = wansim.build_topology(
-            dcs, bandwidth=bandwidth, costs=costs,
-            latency_s=cfg.topology.latency_s, compute_s=cfg.topology.compute_s)
+            dcs, bandwidth=bandwidth, latency_s=cfg.topology.latency_s,
+            compute_s=cfg.topology.compute_s)
     dcs = topology.dcs
     if len(dcs) != k:
         raise ValueError(f"topology has {len(dcs)} DCs for {k} partitions")
@@ -439,8 +439,10 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
         for i in range(k)
     ]
     bpe0 = streams[0].batches_per_epoch
-    max_rounds, participants_fn = math.inf, None
+    # the node class and its kind-specific arguments; one policy per run,
+    # shared by every node (nodes never mutate it)
     if acfg.kind == "fedavg":
+        max_rounds, participants_fn = math.inf, None
         if not cfg.scout.enabled:
             # fixed round budget only when iter_local cannot change mid-run
             max_rounds = math.ceil(acfg.epochs * bpe0 / acfg.iter_local)
@@ -453,38 +455,31 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
                 pick = rng.choice(len(names), size=n_pick, replace=False)
                 return sorted(names[int(i)] for i in pick)
 
+        node_cls, kind_kw = FedAvgNode, dict(
+            max_rounds=max_rounds, iter_local=acfg.iter_local,
+            participants_fn=participants_fn)
+    elif acfg.kind == "dgc":
+        node_cls, kind_kw = DgcNode, dict(e_warm=acfg.e_warm,
+                                          clip_norm=acfg.clip_norm)
+    elif acfg.kind == "gaia":
+        soft = SoftCtl(enabled=True, **acfg.soft) if acfg.soft else SoftCtl()
+        node_cls, kind_kw = GaiaNode, dict(policy=AspPolicy(
+            t0=acfg.t0, ds=acfg.ds, decay_mode=acfg.decay,
+            barrier=acfg.barrier, mirror=acfg.mirror, soft=soft))
+    else:
+        staleness = 0 if acfg.kind == "bsp" else acfg.staleness
+        node_cls, kind_kw = GaiaNode, dict(policy=SspPolicy(staleness))
+
     nodes = []
     for i, (dc, stream) in enumerate(zip(dcs, streams)):
-        model_i = base_model.clone()
-        peers = [d for d in dcs if d != dc]
-        compute_s = topology.compute_s.get(dc, 0.001)
-        common = dict(name=dc, index=i, model=model_i, batch_view=make_view(),
-                      stream=stream, lr_schedule=lr_schedule,
-                      compute_s=compute_s)
-        if acfg.kind in ("gaia", "bsp", "ssp"):
-            if acfg.kind == "gaia":
-                soft = SoftCtl(enabled=True, **acfg.soft) if acfg.soft else SoftCtl()
-                policy = AspPolicy(t0=acfg.t0, ds=acfg.ds,
-                                   decay_mode=acfg.decay,
-                                   barrier=acfg.barrier, mirror=acfg.mirror,
-                                   soft=soft)
-            elif acfg.kind == "bsp":
-                policy = BspPolicy()
-            else:
-                policy = SspPolicy(staleness=acfg.staleness)
-            node = GaiaNode(max_iters=acfg.epochs * stream.batches_per_epoch,
-                            w0=w0, policy=policy, peers=peers,
-                            momentum=acfg.momentum, **common)
-        elif acfg.kind == "fedavg":
-            node = FedAvgNode(max_rounds=max_rounds, w0=w0, peers=peers,
-                              iter_local=acfg.iter_local,
-                              momentum=acfg.momentum,
-                              participants_fn=participants_fn, **common)
-        else:
-            node = DgcNode(max_iters=acfg.epochs * stream.batches_per_epoch,
-                           w0=w0, peers=peers, e_warm=acfg.e_warm,
-                           momentum=acfg.momentum, clip_norm=acfg.clip_norm,
-                           **common)
+        if node_cls is not FedAvgNode:
+            kind_kw["max_iters"] = acfg.epochs * stream.batches_per_epoch
+        node = node_cls(
+            name=dc, index=i, model=base_model.clone(),
+            batch_view=make_view(), stream=stream, lr_schedule=lr_schedule,
+            compute_s=topology.compute_s.get(dc, 0.001),
+            peers=[d for d in dcs if d != dc], w0=w0, momentum=acfg.momentum,
+            **kind_kw)
         nodes.append(node)
         sim.register(dc, node)
 
@@ -519,7 +514,7 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
 
     scout = None
     if cfg.scout.enabled:
-        grid = list(cfg.scout.grid) or list(_default_grid(acfg.kind))
+        grid = list(cfg.scout.grid) or list(KNOB_GRIDS[acfg.kind])
         mtp = cfg.scout.mtp
         if mtp == 0:
             mtp = (max(1, round(bpe0 / acfg.iter_local))

@@ -352,8 +352,7 @@ class TinyMLP:
     in the parameter vector, mirroring how they travel in real systems.
     """
 
-    def __init__(self, layer_sizes, norm="none", group_size=2,
-                 rho=RUNNING_RHO, eps=EPS_NORM):
+    def __init__(self, layer_sizes, norm="none", group_size=2):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         if norm not in ("none", "batch", "group"):
@@ -361,8 +360,6 @@ class TinyMLP:
         self.layer_sizes = list(layer_sizes)
         self.norm = norm
         self.group_size = group_size
-        self.rho = rho
-        self.eps = eps
         self.n_hidden = len(layer_sizes) - 2
         if norm == "group":
             for h in layer_sizes[1:-1]:
@@ -411,10 +408,8 @@ class TinyMLP:
             return BatchNorm(
                 gamma=gamma, beta=beta,
                 running_mean=stats["mean"], running_var=stats["var"],
-                rho=self.rho, eps=self.eps,
             )
-        return GroupNorm(gamma=gamma, beta=beta,
-                         group_size=self.group_size, eps=self.eps)
+        return GroupNorm(gamma=gamma, beta=beta, group_size=self.group_size)
 
     def _forward(self, params, X, mode, update_stats):
         h = np.asarray(X, dtype=np.float64)
@@ -503,7 +498,7 @@ class TinyMLP:
     def clone(self):
         """Copy with independent running statistics (weights stay external)."""
         twin = TinyMLP(self.layer_sizes, norm=self.norm,
-                       group_size=self.group_size, rho=self.rho, eps=self.eps)
+                       group_size=self.group_size)
         twin.bn_stats = [
             {"mean": s["mean"].copy(), "var": s["var"].copy()}
             for s in self.bn_stats

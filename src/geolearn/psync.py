@@ -31,69 +31,10 @@ EPS_WEIGHT = 1e-6
 # significance
 
 
-@dataclass
-class CompositeSig:
-    """Significance through a registered product of coordinates.
-
-    groups maps each member coordinate to the tuple of coordinates whose
-    product is the quantity that matters (for factorization-style models
-    where an update only matters through L_i . R_j style products). A delta
-    on one member scores as the relative change of the whole product.
-    """
-
-    groups: tuple
-
-    def __post_init__(self):
-        owner = {}
-        for group in self.groups:
-            for coord in group:
-                if coord in owner:
-                    raise ValueError(f"coordinate {coord} in more than one group")
-                owner[coord] = tuple(group)
-        self._owner = owner
-
-    def group_of(self, coord):
-        try:
-            return self._owner[coord]
-        except KeyError:
-            raise ValueError(f"coordinate {coord} not registered in any group")
-
-
-def significance(delta, value, fn="relative", position=0, eps=EPS_WEIGHT):
-    """Score one accumulated update against the weight it perturbs.
-
-    fn="relative": |delta| / max(|value|, eps) with value the current weight.
-    fn="composite": value is the sequence of current values of a registered
-    group and `position` names the perturbed member; the score is the
-    relative change of the group's product. If any other member is zero the
-    product cannot move, so the score is zero.
-    """
-    if fn == "relative":
-        return abs(delta) / max(abs(value), eps)
-    if fn == "composite":
-        values = np.asarray(value, dtype=np.float64)
-        product = float(np.prod(values))
-        bumped = values.copy()
-        bumped[position] += delta
-        return abs(float(np.prod(bumped)) - product) / max(abs(product), eps)
-    raise ValueError(f"unknown significance function {fn!r}")
-
-
-def significance_scores(v, w, sig_fn="relative", eps=EPS_WEIGHT):
-    """Vectorized per-coordinate scores of accumulated updates v against w."""
-    if isinstance(sig_fn, CompositeSig):
-        scores = np.zeros_like(v)
-        nz = np.nonzero(v)[0]
-        for coord in nz:
-            group = sig_fn.group_of(int(coord))
-            values = w[list(group)]
-            scores[coord] = significance(
-                v[coord], values, fn="composite",
-                position=group.index(int(coord)), eps=eps)
-        return scores
-    if sig_fn != "relative":
-        raise ValueError(f"unknown significance function {sig_fn!r}")
-    return np.abs(v) / np.maximum(np.abs(w), eps)
+def significance_scores(v, w):
+    """Per-coordinate relative significance of accumulated updates v against
+    the weights w they perturb: |v| / max(|w|, EPS_WEIGHT)."""
+    return np.abs(v) / np.maximum(np.abs(w), EPS_WEIGHT)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +75,7 @@ class WeightShard:
         )
 
 
-def accumulate_and_flush(shard, threshold, sig_fn="relative", eps=EPS_WEIGHT):
+def accumulate_and_flush(shard, threshold):
     """Emit and clear every coordinate of v whose significance exceeds threshold.
 
     Returns (indices, values) sorted by coordinate. Retained coordinates all
@@ -142,7 +83,7 @@ def accumulate_and_flush(shard, threshold, sig_fn="relative", eps=EPS_WEIGHT):
     """
     if threshold < 0:
         raise ValueError(f"negative threshold: {threshold}")
-    scores = significance_scores(shard.v, shard.w, sig_fn=sig_fn, eps=eps)
+    scores = significance_scores(shard.v, shard.w)
     idx = np.nonzero(scores > threshold)[0]
     values = shard.v[idx].copy()
     shard.v[idx] = 0.0

@@ -41,6 +41,7 @@ CLOCK_BYTES = 24
 
 CONTROL, DATA = "control", "data"
 GB = 1e9
+MBPS = 125_000.0             # bytes/second in one Mb/s, the bandwidth CSV unit
 
 KIND_UPDATE = "update"
 KIND_BARRIER = "barrier"
@@ -102,8 +103,6 @@ class LinkSpec:
     dst: str
     bandwidth: float          # bytes / second
     latency: float            # seconds
-    send_cost_per_gb: float = 0.0
-    recv_cost_per_gb: float = 0.0
 
     def __post_init__(self):
         if self.bandwidth <= 0:
@@ -149,11 +148,11 @@ class _Channel:
 
 @dataclass
 class Topology:
-    """Named data centers, directed link specs, and per-DC machine data."""
+    """Named data centers, directed link specs, and per-DC compute time;
+    prices live only in the cost table (see account_cost)."""
 
     dcs: list
     links: dict                      # (src, dst) -> LinkSpec
-    machine_rate: dict = field(default_factory=dict)   # dc -> $/hr
     compute_s: dict = field(default_factory=dict)      # dc -> s per minibatch
 
     def link(self, src, dst):
@@ -246,8 +245,9 @@ def account_cost(ledger, rates):
 class RateMonitor:
     """Exponentially smoothed bytes/second, one observation per clock."""
 
-    def __init__(self, alpha=0.5):
-        self.alpha = alpha
+    ALPHA = 0.5               # weight of the newest observation
+
+    def __init__(self):
         self._rate = None
 
     def observe(self, nbytes, dt):
@@ -257,7 +257,7 @@ class RateMonitor:
         if self._rate is None:
             self._rate = inst
         else:
-            self._rate = (1.0 - self.alpha) * self._rate + self.alpha * inst
+            self._rate = (1.0 - self.ALPHA) * self._rate + self.ALPHA * inst
 
     @property
     def warm(self):
@@ -451,7 +451,7 @@ class Simulator:
 # external file formats
 
 
-def load_bandwidth_csv(path_or_file, unit_bytes_per_sec=125_000.0):
+def load_bandwidth_csv(path_or_file):
     """Read a bandwidth matrix CSV (row/col headers are DC names, cells Mb/s).
 
     Returns (dc_names, matrix) with matrix[i][j] in bytes/second from DC i to
@@ -473,7 +473,7 @@ def load_bandwidth_csv(path_or_file, unit_bytes_per_sec=125_000.0):
                 mbps = float(cell)
                 if mbps <= 0:
                     raise ValueError(f"non-positive bandwidth {src}->{dst}")
-                matrix[(src, dst)] = mbps * unit_bytes_per_sec
+                matrix[(src, dst)] = mbps * MBPS
         if names != header:
             raise ValueError("bandwidth matrix row and column headers differ")
         return names, matrix
@@ -517,19 +517,17 @@ def default_costs():
         return load_cost_csv(fh)
 
 
-def build_topology(dc_names, bandwidth=None, costs=None, latency_s=0.05,
+def build_topology(dc_names, bandwidth=None, latency_s=0.05,
                    compute_s=0.001):
-    """Assemble a Topology for the named DCs from matrix + cost tables.
+    """Assemble a Topology for the named DCs from a bandwidth matrix.
 
-    bandwidth/costs default to the packaged tables. latency_s and compute_s
-    may be scalars or {dc_pair}/{dc} dicts.
+    bandwidth defaults to the packaged table. latency_s and compute_s may be
+    scalars or {dc_pair}/{dc} dicts. Prices stay in the cost table.
     """
     if bandwidth is None:
         names, matrix = default_bandwidth()
     else:
         names, matrix = bandwidth
-    if costs is None:
-        costs = default_costs()
     missing = [dc for dc in dc_names if dc not in names]
     if missing:
         raise ValueError(f"data centers missing from bandwidth matrix: {missing}")
@@ -545,16 +543,13 @@ def build_topology(dc_names, bandwidth=None, costs=None, latency_s=0.05,
                 src=src, dst=dst,
                 bandwidth=matrix[(src, dst)],
                 latency=lat,
-                send_cost_per_gb=costs[src].send_usd_per_gb if src in costs else 0.0,
-                recv_cost_per_gb=costs[dst].recv_usd_per_gb if dst in costs else 0.0,
             )
     # intra-DC traffic is effectively local: free and far faster than any WAN hop
     lan_bw = 15.0 * (sum(pair_bw) / len(pair_bw)) if pair_bw else 1.0
     for dc in dc_names:
         links[(dc, dc)] = LinkSpec(src=dc, dst=dc, bandwidth=lan_bw, latency=0.0)
-    rate = {dc: costs[dc].machine_usd_per_hr if dc in costs else 0.0 for dc in dc_names}
     comp = {
         dc: compute_s.get(dc, 0.001) if isinstance(compute_s, dict) else compute_s
         for dc in dc_names
     }
-    return Topology(dcs=list(dc_names), links=links, machine_rate=rate, compute_s=comp)
+    return Topology(dcs=list(dc_names), links=links, compute_s=comp)

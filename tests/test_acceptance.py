@@ -136,7 +136,6 @@ def _c03_topology():
     }
     return wansim.Topology(
         dcs=["east", "west"], links=links,
-        machine_rate={"east": 0.5, "west": 0.5},
         compute_s={"east": 0.001, "west": 0.001})
 
 

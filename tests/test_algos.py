@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geolearn import wansim
-from geolearn.algos import (ArrayBatches, AspPolicy, BspPolicy, DgcNode,
-                            FedAvgNode, GaiaNode, dgc_select, warmup_sparsity)
+from geolearn.algos import (ArrayBatches, AspPolicy, DgcNode, FedAvgNode,
+                            GaiaNode, SspPolicy, dgc_select, warmup_sparsity)
 from geolearn.data import (MinibatchStream, SkewSpec, gen_cluster_data,
                            partition_label_skew)
 from geolearn.numerics import StepDecay
@@ -125,7 +125,8 @@ def _spawn(kind, names, seed=5, batch=10, per_class=30, features=3, classes=2,
 
 
 def test_bsp_nodes_stay_in_lockstep():
-    sim, (a, b) = _spawn(GaiaNode, ["a", "b"], max_iters=6, policy=BspPolicy())
+    sim, (a, b) = _spawn(GaiaNode, ["a", "b"], max_iters=6,
+                         policy=SspPolicy(staleness=0))
     gaps = []
     a.iter_hook = lambda n, s: gaps.append(abs(n.iters_done - b.iters_done))
     sim.run()
@@ -219,7 +220,7 @@ def test_fedavg_single_node_rounds_without_traffic():
     assert sim.ledger.sent_bytes() == 0
     # DGC and BSP on a lone DC take their general exchange path too: no
     # hop, and the full budget
-    for kind, node_kw in ((DgcNode, {}), (GaiaNode, {"policy": BspPolicy()})):
+    for kind, node_kw in ((DgcNode, {}), (GaiaNode, {"policy": SspPolicy(staleness=0)})):
         sim, (a,) = _spawn(kind, ["a"], max_iters=6, **node_kw)
         sim.run()
         assert a.stopped and not a.diverged, kind.__name__

@@ -1,0 +1,58 @@
+"""Demo outputs pinned across commits.
+
+Each script in ``demos/`` runs in a subprocess and the sha256 of its
+stdout lives in ``tests/golden/demos.json``. The demos call the package the
+way a user would, so a change that breaks one, or changes what it prints,
+fails here. Regenerate the pins with::
+
+    PYTHONPATH=src python tests/test_demos.py --write
+"""
+
+import glob
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(os.path.basename(path)
+               for path in glob.glob(os.path.join(ROOT, "demos", "*.py")))
+PINS_PATH = os.path.join(ROOT, "tests", "golden", "demos.json")
+
+
+def demo_digest(name):
+    """sha256 of the demo's stdout; a non-zero exit raises."""
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)],
+                         env=env, cwd=ROOT, capture_output=True, check=True,
+                         timeout=300).stdout
+    return hashlib.sha256(out).hexdigest()
+
+
+def _pins():
+    with open(PINS_PATH) as fh:
+        return json.load(fh)
+
+
+def test_pins_cover_every_demo():
+    assert sorted(_pins()) == DEMOS
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_output(name):
+    assert demo_digest(name) == _pins()[name]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_demos.py --write")
+    pins = {name: demo_digest(name) for name in DEMOS}
+    with open(PINS_PATH, "w") as fh:
+        json.dump(pins, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -94,6 +94,12 @@ def test_validate_config_catches(patch, needle):
     assert any(needle in e for e in errs), errs
 
 
+def test_unknown_algorithm_kind_with_the_scout_on_is_one_error():
+    cfg = config_from_dict({"algorithm": {"kind": "gossip"},
+                            "scout": {"enabled": True}})
+    assert validate_config(cfg) == ["unknown algorithm kind 'gossip'"]
+
+
 # ---------------------------------------------------------------------------
 # convergence bookkeeping
 

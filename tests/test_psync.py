@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geolearn.psync import (BarrierMsg, CompositeSig, IterTick, LrDropped,
+from geolearn.psync import (BarrierMsg, IterTick, LrDropped,
                             SoftCtl, ThresholdSchedule, WeightShard,
                             accumulate_and_flush, apply_barrier,
                             clear_barrier_on_update, gate_read,
                             maybe_emit_barrier, mirror_clock_gate,
-                            significance, significance_scores, ssp_gate,
+                            significance_scores, ssp_gate,
                             soft_threshold_adjust, threshold_decay)
 
 
@@ -15,48 +15,12 @@ from geolearn.psync import (BarrierMsg, CompositeSig, IterTick, LrDropped,
 # significance
 
 
-def test_relative_significance_oracle():
-    assert significance(0.5, 10.0) == pytest.approx(0.05)
-    assert significance(-0.5, 10.0) == pytest.approx(0.05)
-    # tiny weights fall back to the epsilon denominator
-    assert significance(1e-3, 0.0) == pytest.approx(1e-3 / 1e-6)
-
-
-def test_composite_significance_oracle():
-    # product a*b = 6; bump a by 1: (3+1)*2 = 8, relative change 2/6
-    assert significance(1.0, [3.0, 2.0], fn="composite",
-                        position=0) == pytest.approx(2.0 / 6.0)
-    # a zero member freezes the product: score 0 against the epsilon floor
-    assert significance(1.0, [3.0, 0.0], fn="composite", position=0) == 0.0
-
-
-def test_significance_rejects_unknown_fn():
-    with pytest.raises(ValueError):
-        significance(1.0, 1.0, fn="cosine")
-
-
 def test_significance_scores_vectorized_matches_scalar():
-    v = np.array([0.5, 0.0, -2.0])
-    w = np.array([10.0, 1.0, 4.0])
+    v = np.array([0.5, -0.5, 0.0, -2.0, 1e-3])
+    w = np.array([10.0, 10.0, 1.0, 4.0, 0.0])
+    # |v| / |w|; a zero weight falls back to the epsilon denominator
     np.testing.assert_allclose(significance_scores(v, w),
-                               [0.05, 0.0, 0.5])
-
-
-def test_composite_sig_group_registry():
-    sig = CompositeSig(groups=((0, 2), (1, 3)))
-    assert sig.group_of(2) == (0, 2)
-    with pytest.raises(ValueError):
-        sig.group_of(4)
-    with pytest.raises(ValueError):
-        CompositeSig(groups=((0, 1), (1, 2)))
-
-
-def test_significance_scores_composite_path():
-    sig = CompositeSig(groups=((0, 1),))
-    v = np.array([1.0, 0.0])
-    w = np.array([3.0, 2.0])
-    scores = significance_scores(v, w, sig_fn=sig)
-    np.testing.assert_allclose(scores, [2.0 / 6.0, 0.0])
+                               [0.05, 0.05, 0.0, 0.5, 1e-3 / 1e-6])
 
 
 # ---------------------------------------------------------------------------
