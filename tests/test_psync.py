@@ -15,6 +15,16 @@ from geolearn.psync import (BarrierMsg, IterTick, LrDropped,
 # significance
 
 
+def test_relative_significance_oracle():
+    assert significance_scores(np.array([0.5]),
+                               np.array([10.0]))[0] == pytest.approx(0.05)
+    assert significance_scores(np.array([-0.5]),
+                               np.array([10.0]))[0] == pytest.approx(0.05)
+    # tiny weights fall back to the epsilon denominator
+    assert significance_scores(np.array([1e-3]),
+                               np.array([0.0]))[0] == pytest.approx(1e-3 / 1e-6)
+
+
 def test_significance_scores_vectorized_matches_scalar():
     v = np.array([0.5, -0.5, 0.0, -2.0, 1e-3])
     w = np.array([10.0, 10.0, 1.0, 4.0, 0.0])
