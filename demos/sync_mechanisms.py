@@ -38,6 +38,7 @@ def gated_cfg(mechanisms_on):
                       "lr": {"eta0": 0.008}, "t0": 1e-3, "ds": 1,
                       "barrier": mechanisms_on, "mirror": mechanisms_on},
         "convergence": {"mode": "none"},
+        "output": {"trace": True},
     })
 
 

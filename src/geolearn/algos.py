@@ -195,25 +195,28 @@ class _NodeBase:
 
     # Copies of one message share its byte_split and payload dicts: the
     # simulator and the ledger only read byte_split, and receivers only
-    # read payloads.
+    # read payloads. The split is checked once, when it is first built, and
+    # every copy carries its total.
 
     def _maybe_forward(self, sim, msg):
         if not msg.forward or sim.overlay is None:
             return
         for dst in wansim.forward_hops(sim.overlay, self.name, msg.origin):
             sim.send(wansim.Message(msg.kind, self.name, dst, msg.byte_split,
-                                    msg.payload, msg.origin))
+                                    msg.payload, msg.origin,
+                                    nbytes=msg.nbytes))
 
     def _broadcast(self, sim, byte_split, payload, hops=None):
         """Send one copy per first hop; hops defaults to broadcast_hops."""
         kind = (wansim.KIND_UPDATE if wansim.KIND_UPDATE in byte_split
                 else wansim.KIND_CLOCK)
         name, send, message = self.name, sim.send, wansim.Message
+        nbytes = wansim.split_nbytes(byte_split)
         if hops is None:
             hops = wansim.broadcast_hops(sim.overlay, name, sim.topology.dcs)
         for dst, needs_forward in hops:
             send(message(kind, name, dst, byte_split, payload, name,
-                         needs_forward))
+                         needs_forward, nbytes))
 
     def try_start(self, sim):
         if self._computing or self.stopped or self._awaiting:
@@ -259,6 +262,17 @@ class GaiaNode(_NodeBase):
     significance-filtered slice of the accumulated update, or the whole
     dense update) and what gates the next step (mirror clock + selective
     barrier, or a staleness bound on known peer clocks).
+
+    A blocked node waits for something, and an untraced run re-checks its
+    gates only when that has moved. Its local clock stands still while it
+    is blocked and mirror clocks only grow, so a clock gate (mirror or SSP)
+    that needs every peer at _need or above stays shut while _short, the
+    number of peers still below _need, is positive; _receive counts the
+    peers that cross it. A barrier gate can open only when an update clears
+    barrier entries, so it is re-checked only after one has. Every delivery
+    still drains the inbox, so updates land in the same order either way.
+    A traced run (Simulator(trace=True)) checks on every delivery and
+    records each check in sim.gate_trace.
     """
 
     def __init__(self, name, index, model, batch_view, stream, lr_schedule,
@@ -281,6 +295,12 @@ class GaiaNode(_NodeBase):
             self.t_soft = policy.t0
             self.t_sched = ThresholdSchedule(t0=policy.t0, mode=policy.decay_mode)
         self.sig_counts = {}       # epoch -> [emitted, scored]
+        # the wait of an untraced blocked node (see the class docstring);
+        # _short is always the number of peers whose mirror clock is below
+        # _need
+        self._need = 0
+        self._short = 0
+        self._barrier_wait = False
 
     def weights(self):
         return self.shard.w
@@ -296,9 +316,13 @@ class GaiaNode(_NodeBase):
     def _receive(self, sim, msg):
         if wansim.KIND_CLOCK in msg.byte_split and msg.payload is not None:
             clock = msg.payload.get("clock")
-            if clock is not None and msg.origin in self.shard.mirror_clocks:
-                self.shard.mirror_clocks[msg.origin] = max(
-                    self.shard.mirror_clocks[msg.origin], clock)
+            clocks = self.shard.mirror_clocks
+            if clock is not None and msg.origin in clocks:
+                known = clocks[msg.origin]
+                if clock > known:
+                    clocks[msg.origin] = clock
+                    if known < self._need <= clock:
+                        self._short -= 1
         if msg.kind == wansim.KIND_BARRIER:
             apply_barrier(self.shard, msg.payload["barrier"])
         elif msg.kind == wansim.KIND_UPDATE and "idx" in (msg.payload or {}):
@@ -308,15 +332,19 @@ class GaiaNode(_NodeBase):
             self._inbox_seq += 1
 
     def _drain_inbox(self):
+        """Apply the inbox in (clock, origin, arrival) order; True when an
+        applied update came from a source with barrier entries."""
         if not self.inbox:
-            return
+            return False
         if len(self.inbox) > 1:
             self.inbox.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
+        waits = self.shard.barrier_waits
+        cleared = False
         for clock, origin, _seq, idx, vals, dense in self.inbox:
             if dense:
                 self.shard.w = self.shard.w + vals
                 # a dense update touches everything the origin still blocks
-                row = self.shard.barrier_waits.get(origin)
+                row = waits.get(origin)
                 if row is None:
                     continue
                 idx = np.flatnonzero(row >= 0)
@@ -324,8 +352,10 @@ class GaiaNode(_NodeBase):
                 w = self.shard.w.copy()
                 w[idx] += vals
                 self.shard.w = w
+            cleared = cleared or origin in waits
             clear_barrier_on_update(self.shard, origin, clock, idx)
         self.inbox.clear()
+        return cleared
 
     # -- gating ------------------------------------------------------------
 
@@ -341,38 +371,53 @@ class GaiaNode(_NodeBase):
             return self.shard.local_clock
         return min([shard.local_clock for shard in shards])
 
-    def _gates_allow(self, sim):
+    def _clock_gate(self, sim, kind, gate, slack):
+        """A gate on the slowest known peer clock; an untraced block records
+        the clock every peer must reach and how many are still short of it."""
         local = self.shard.local_clock
-        if self._asp:
-            allow = True
-            if self.policy.mirror and self.peers:
-                min_known = min(self.shard.mirror_clocks.values())
-                allow = mirror_clock_gate(local, min_known, self.policy.ds)
-                sim.gate_trace.append((
-                    sim.now, self.name, "mirror", local, min_known,
-                    self._true_min_peer_clock(sim), allow))
-                if not allow:
-                    return False
-            if self.policy.barrier and self.shard.barrier_waits:
-                read_set = self.model.touched(self.batch_view.make(self.stream.peek()))
-                blocked = gate_read(self.shard, read_set)
-                sim.gate_trace.append((
-                    sim.now, self.name, "barrier", local, len(blocked),
-                    self._true_min_peer_clock(sim), blocked.size == 0))
-                if blocked.size:
-                    return False
-            return True
-        if not self.peers:
-            return True
-        slowest = min(self.shard.mirror_clocks.values())
-        allow = ssp_gate(local, slowest, self._staleness)
-        sim.gate_trace.append((
-            sim.now, self.name, "ssp", local, slowest,
-            self._true_min_peer_clock(sim), allow))
+        clocks = self.shard.mirror_clocks
+        slowest = min(clocks.values())
+        allow = gate(local, slowest, slack)
+        if sim.trace:
+            sim.gate_trace.append((
+                sim.now, self.name, kind, local, slowest,
+                self._true_min_peer_clock(sim), allow))
+        elif not allow:
+            need = self._need = local - slack
+            self._short = sum(clock < need for clock in clocks.values())
         return allow
 
+    def _barrier_gate(self, sim):
+        """Whether the next step's reads are clear of barrier entries."""
+        if not self.shard.barrier_waits:
+            return True
+        read_set = self.model.touched(self.batch_view.make(self.stream.peek()))
+        if sim.trace:
+            n_blocked = gate_read(self.shard, read_set).size
+            sim.gate_trace.append((
+                sim.now, self.name, "barrier", self.shard.local_clock,
+                n_blocked, self._true_min_peer_clock(sim), n_blocked == 0))
+            return n_blocked == 0
+        # a dense read (None) meets every outstanding entry
+        allow = read_set is not None and gate_read(self.shard, read_set).size == 0
+        self._barrier_wait = not allow
+        return allow
+
+    def _gates_allow(self, sim):
+        if self._asp:
+            pol = self.policy
+            if pol.mirror and self.peers and not self._clock_gate(
+                    sim, "mirror", mirror_clock_gate, pol.ds):
+                return False
+            return not pol.barrier or self._barrier_gate(sim)
+        return not self.peers or self._clock_gate(sim, "ssp", ssp_gate,
+                                                   self._staleness)
+
     def _ready(self, sim):
-        self._drain_inbox()
+        cleared = self._drain_inbox()
+        if self._short or (self._barrier_wait and not cleared):
+            return False
+        self._barrier_wait = False
         return self._gates_allow(sim)
 
     # -- the local step ----------------------------------------------------

@@ -148,7 +148,8 @@ class ExperimentConfig:
     topology: TopoCfg = field(default_factory=TopoCfg)
     scout: ScoutCfgSection = field(default_factory=ScoutCfgSection)
     convergence: ConvergenceCfg = field(default_factory=ConvergenceCfg)
-    out_dir: str = None
+    out_dir: str = None              # output.dir
+    trace: bool = False              # output.trace: keep the gate trace
 
 
 _SECTIONS = {
@@ -171,11 +172,17 @@ def _build_section(cls, raw, section):
 
 def config_from_dict(raw):
     raw = dict(raw or {})
-    out = raw.pop("output", {}) or {}
+    out = raw.pop("output", None) or {}
+    if not isinstance(out, dict):
+        raise ValueError(f"output must be a mapping, got {out!r}")
+    unknown = set(out) - {"dir", "trace"}
+    if unknown:
+        raise ValueError(f"unknown output option(s): {sorted(unknown)}")
     cfg = ExperimentConfig(
         name=str(raw.pop("name", "run")),
         seed=int(raw.pop("seed", 0)),
         out_dir=out.get("dir"),
+        trace=out.get("trace", False),
     )
     for section, cls in _SECTIONS.items():
         if section in raw:
@@ -278,6 +285,8 @@ def validate_config(cfg):
         errs.append("convergence window must be >= 2")
     if c.mode == "window" and c.rel_tol <= 0:
         errs.append("rel_tol must be positive")
+    if not isinstance(cfg.trace, bool):
+        errs.append(f"output.trace must be true or false, got {cfg.trace!r}")
     return errs
 
 
@@ -429,7 +438,7 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
         hubs = {(int(gi), int(gj)): dc for gi, gj, dc in cfg.topology.hubs}
         overlay = wansim.OverlayPlan(
             groups=[list(g) for g in cfg.topology.groups], hubs=hubs)
-    sim = wansim.Simulator(topology, overlay=overlay)
+    sim = wansim.Simulator(topology, overlay=overlay, trace=cfg.trace)
 
     # nodes
     lr_schedule = _lr_schedule(acfg.lr)

@@ -171,7 +171,8 @@ class SoftmaxModel:
         return float(np.mean(self.predict(params, X) == y))
 
     def touched(self, batch):
-        return np.arange(self.n_params)
+        """None: every batch reads the whole parameter vector."""
+        return None
 
     def clone(self):
         return self
@@ -493,7 +494,8 @@ class TinyMLP:
         return float(np.mean(self.predict(params, X, mode=mode) == y))
 
     def touched(self, batch):
-        return np.arange(self.n_params)
+        """None: every batch reads the whole parameter vector."""
+        return None
 
     def clone(self):
         """Copy with independent running statistics (weights stay external)."""

@@ -208,9 +208,12 @@ def clear_barrier_on_update(shard, source, clock, indexes):
 
 
 def gate_read(shard, read_indexes):
-    """Indices in the read set still barrier-blocked (empty array = allow)."""
+    """Indices in the read set still barrier-blocked (empty array = allow);
+    a read set of None reads every coordinate."""
     if not shard.barrier_waits:
         return np.empty(0, dtype=np.intp)
+    if read_indexes is None:
+        read_indexes = np.arange(shard.w.size)
     read_indexes = np.asarray(read_indexes, dtype=np.intp)
     blocked = np.zeros(read_indexes.size, dtype=bool)
     for row in shard.barrier_waits.values():

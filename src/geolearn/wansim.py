@@ -65,12 +65,22 @@ def barrier_bytes(n_indexes):
     return BARRIER_HEADER_BYTES + BARRIER_INDEX_BYTES * n_indexes
 
 
+def split_nbytes(byte_split):
+    """Total bytes of a byte split, after checking every kind in it."""
+    for kind in byte_split:
+        if kind not in BYTE_KINDS:
+            raise ValueError(f"unknown byte kind {kind!r}")
+    return sum(byte_split.values())
+
+
 @dataclass(slots=True)
 class Message:
     """One message on one link.
 
     byte_split is fixed once the message is built: nbytes, its total, is
-    computed at construction.
+    computed at construction. A sender that builds many copies of one split
+    (a broadcast) checks it once with split_nbytes and passes the total as
+    nbytes, so the copies skip the check.
     """
 
     kind: str                 # primary kind, decides the priority class
@@ -80,17 +90,15 @@ class Message:
     payload: object = None
     origin: str = None        # original producer (survives hub forwarding)
     forward: bool = False     # receiver should re-broadcast within its group
-    nbytes: int = field(init=False, repr=False, compare=False)
+    nbytes: int = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _PRIORITY:
             raise ValueError(f"unknown message kind {self.kind!r}")
         if self.origin is None:
             self.origin = self.src
-        for kind in self.byte_split:
-            if kind not in BYTE_KINDS:
-                raise ValueError(f"unknown byte kind {kind!r}")
-        self.nbytes = sum(self.byte_split.values())
+        if self.nbytes is None:
+            self.nbytes = split_nbytes(self.byte_split)
 
     @property
     def klass(self):
@@ -342,11 +350,20 @@ _DELIVER, _FREE, _WAKE = "deliver", "free", "wake"
 
 
 class Simulator:
-    """Event loop owning simulated time, channels, and the cost ledger."""
+    """Event loop owning simulated time, channels, and the cost ledger.
 
-    def __init__(self, topology, overlay=None):
+    trace turns on the gate trace: every gate check of a Gaia-family node
+    appends a row (time, node, gate, local clock, known value, true minimum
+    peer clock, allow) to gate_trace, and the node re-checks its gates on
+    every delivery. Without it gate_trace stays empty, no node reads another
+    node's state, and a blocked node re-checks only when what it waits for
+    has moved (see GaiaNode). Outputs are the same either way.
+    """
+
+    def __init__(self, topology, overlay=None, trace=False):
         self.topology = topology
         self.overlay = overlay
+        self.trace = trace
         self.now = 0.0
         self._heap = []
         self._seq = 0

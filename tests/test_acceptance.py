@@ -148,7 +148,7 @@ def _c03_cfg(mechanisms):
         algorithm=AlgoCfg(kind="gaia", batch_size=10, epochs=20, momentum=0.9,
                           lr={"eta0": 0.008}, t0=1e-3, ds=1,
                           barrier=mechanisms, mirror=mechanisms),
-        convergence=ConvergenceCfg(mode="none"))
+        convergence=ConvergenceCfg(mode="none"), trace=True)
 
 
 def _c03_run(mechanisms):

@@ -10,6 +10,7 @@ from geolearn.algos import (ArrayBatches, AspPolicy, DgcNode, FedAvgNode,
 from geolearn.data import (MinibatchStream, SkewSpec, gen_cluster_data,
                            partition_label_skew)
 from geolearn.numerics import StepDecay
+from geolearn.psync import BarrierMsg, apply_barrier
 from geolearn.rng import seed_stream
 from geolearn.models import SoftmaxModel
 
@@ -92,13 +93,14 @@ def test_dgc_select_nan_ranks_last_and_inf_first():
 # node integration on the live simulator
 
 
-def _mesh_sim(names):
+def _mesh_sim(names, trace=True):
     links = {}
     for s in names:
         for d in names:
             if s != d:
                 links[(s, d)] = wansim.LinkSpec(s, d, 1e7, 0.001)
-    return wansim.Simulator(wansim.Topology(dcs=list(names), links=links))
+    return wansim.Simulator(wansim.Topology(dcs=list(names), links=links),
+                            trace=trace)
 
 
 def _spawn(kind, names, seed=5, batch=10, per_class=30, features=3, classes=2,
@@ -226,3 +228,123 @@ def test_fedavg_single_node_rounds_without_traffic():
         assert a.stopped and not a.diverged, kind.__name__
         assert a.iters_done == 6, kind.__name__
         assert sim.ledger.sent_bytes() == 0, kind.__name__
+
+
+# ---------------------------------------------------------------------------
+# a blocked Gaia-family node re-checks only when what it waits for moves
+
+
+def _blocked_node(policy, local, trace, barrier=None):
+    """Node "a" of a 3-DC mesh whose peers b and c are still at clock 0,
+    set `local` clocks ahead (optionally under a barrier from b) and offered
+    its first start. Returns (sim, node, gate checks so far)."""
+    sim = _mesh_sim(["a", "b", "c"], trace=trace)
+    data = gen_cluster_data(2, 3, 30, spread=1.0, seed=5)
+    node = GaiaNode(
+        name="a", index=0, model=SoftmaxModel(3, 2),
+        batch_view=ArrayBatches(data.X, data.y),
+        stream=MinibatchStream(np.arange(60), 10, seed_stream(5, "stream", "a")),
+        lr_schedule=StepDecay(eta0=0.05), compute_s=0.001, max_iters=100,
+        w0=np.zeros(8), policy=policy, peers=["b", "c"])
+    sim.register("a", node)
+    node.shard.local_clock = local
+    if barrier is not None:
+        apply_barrier(node.shard, barrier)
+    checks = []
+    gates_allow = node._gates_allow
+
+    def counted(sim_):
+        checks.append(sim_.now)
+        return gates_allow(sim_)
+
+    node._gates_allow = counted
+    node.try_start(sim)
+    return sim, node, checks
+
+
+def _to_a(src, clock, origin=None, idx=None):
+    """A clock-only message to "a", or a sparse flush of idx when given."""
+    if idx is None:
+        return wansim.Message(
+            wansim.KIND_CLOCK, src, "a", {wansim.KIND_CLOCK: wansim.CLOCK_BYTES},
+            {"clock": clock, "idx": None, "vals": None, "dense": False}, origin)
+    idx = np.asarray(idx, dtype=np.intp)
+    return wansim.Message(
+        wansim.KIND_UPDATE, src, "a",
+        {wansim.KIND_UPDATE: wansim.sparse_update_bytes(idx.size),
+         wansim.KIND_CLOCK: wansim.CLOCK_BYTES},
+        {"clock": clock, "idx": idx, "vals": np.full(idx.size, 0.01),
+         "dense": False}, origin)
+
+
+@pytest.mark.parametrize("policy,slack", [
+    (SspPolicy(staleness=0), 0),
+    (SspPolicy(staleness=2), 2),
+    (AspPolicy(ds=0, barrier=False), 0),
+    (AspPolicy(ds=2, barrier=False), 2),
+])
+def test_clock_wait_rechecks_only_when_the_last_peer_crosses(policy, slack):
+    local = 5
+    need = local - slack
+    deliveries = [
+        # (message, the gate is re-run untraced, the node starts)
+        (_to_a("b", need - 1), False, False),      # below need
+        (_to_a("b", need), False, False),          # b crosses; c still short
+        (_to_a("b", need + 1), False, False),      # b already at need
+        (_to_a("b", need), False, False),          # stale duplicate
+        (_to_a("c", need + 3, origin="b"), False, False),  # forwarded b
+        (_to_a("c", need - 1), False, False),      # c still below need
+        (_to_a("b", need, origin="c"), True, True),        # forwarded c
+    ]
+    sim, node, checks = _blocked_node(policy, local, trace=False)
+    assert checks and not node._computing
+    assert (node._need, node._short) == (need, 2)
+    started = []
+    for msg, rechecks, starts in deliveries:
+        before = len(checks)
+        node.on_message(sim, msg)
+        assert (len(checks) > before) == rechecks, msg
+        assert node._computing == starts, msg
+        started.append(node._computing)
+    # a traced node checks on every delivery and starts at the same one
+    sim, node, checks = _blocked_node(policy, local, trace=True)
+    traced = []
+    for msg, _rechecks, _starts in deliveries:
+        node.on_message(sim, msg)
+        traced.append(node._computing)
+    assert traced == started
+    assert len(checks) == 1 + len(deliveries)
+    assert len(sim.gate_trace) == len(checks)
+
+
+def test_barrier_wait_rechecks_only_after_its_entries_clear():
+    barrier = BarrierMsg(source="b", clock=1, indexes=np.array([0, 3]))
+    policy = AspPolicy(ds=100)
+    deliveries = [
+        (_to_a("c", 1), False, False),                # clock only
+        (_to_a("c", 1, idx=[0]), False, False),       # c holds no barrier
+        (_to_a("b", 0, idx=[0, 3]), True, False),     # older flush from b
+        (_to_a("b", 1, idx=[0, 3]), True, True),      # the awaited flush
+    ]
+    sim, node, checks = _blocked_node(policy, 1, trace=False, barrier=barrier)
+    assert len(checks) == 1 and not node._computing
+    started = []
+    for msg, rechecks, starts in deliveries:
+        before = len(checks)
+        node.on_message(sim, msg)
+        assert (len(checks) > before) == rechecks, msg
+        assert node._computing == starts, msg
+        started.append(node._computing)
+    sim, node, checks = _blocked_node(policy, 1, trace=True, barrier=barrier)
+    traced = []
+    for msg, _rechecks, _starts in deliveries:
+        node.on_message(sim, msg)
+        traced.append(node._computing)
+    assert traced == started
+    assert len(checks) == 1 + len(deliveries)
+    # the dense read is blocked on both coordinates b's barrier names until
+    # the awaited flush clears them; with nothing outstanding the barrier
+    # gate is not consulted, so the last check leaves no barrier row
+    assert [row[4] for row in sim.gate_trace if row[2] == "barrier"] == [
+        2, 2, 2, 2]
+    assert node.shard.barrier_waits == {}

@@ -3,8 +3,10 @@
 Each config below is small (well under a second) and its sha256 digest of
 ``metrics.csv`` + NUL + ``summary.txt`` bytes lives in
 ``tests/golden/digests.json``; the sha256 of its gate trace (every gate
-check's row, as ``repr`` of a list of tuples) lives in
-``tests/golden/gate_traces.json``. A refactor or optimisation that claims
+check's row, as ``repr`` of a list of tuples, from a run with
+``output: {trace: true}``) lives in ``tests/golden/gate_traces.json``. The
+metrics and summary must not depend on tracing, so both runs of a config
+must match its digest. A refactor or optimisation that claims
 to change nothing must leave every pin as it is; a deliberate change of
 behaviour regenerates the files in the same change and says which pins
 moved and why. Regenerate both with::
@@ -122,9 +124,9 @@ CONFIGS = {
 }
 
 
-def run_digest(raw):
+def run_digest(raw, trace=False):
     """(digest, result) for one config: sha256 of metrics.csv NUL summary.txt."""
-    result = run_experiment(config_from_dict(raw))
+    result = run_experiment(config_from_dict(dict(raw, output={"trace": trace})))
     text = metrics_csv_text(result.rows) + "\0" + summary_text(result.summary)
     return hashlib.sha256(text.encode()).hexdigest(), result
 
@@ -147,24 +149,26 @@ def test_corpus_covers_every_config():
 
 
 @functools.lru_cache(maxsize=None)
-def _run(name):
-    return run_digest(CONFIGS[name])
+def _run(name, trace=False):
+    return run_digest(CONFIGS[name], trace)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_digest(name):
-    digest, _ = _run(name)
+    digest, result = _run(name)
     assert digest == _golden()[name]
+    assert result.sim.gate_trace == []
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_gate_trace(name):
-    _, result = _run(name)
+    digest, result = _run(name, trace=True)
     assert gate_trace_digest(result) == _golden(GATE_TRACES_PATH)[name]
+    assert digest == _golden()[name]
 
 
 def test_barrier_config_sends_barriers_that_block_reads():
-    _, result = run_digest(CONFIGS["gaia-mlp-barrier"])
+    _, result = _run("gaia-mlp-barrier", trace=True)
     assert sum(row["barrier_bytes"] for row in result.rows) > 0
     # (time, node, gate, local clock, blocked count, true min clock, allow)
     assert any(rec[2] == "barrier" and not rec[6]
@@ -190,7 +194,7 @@ if __name__ == "__main__":
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     digests, gate_traces = {}, {}
     for name, raw in sorted(CONFIGS.items()):
-        digests[name], result = run_digest(raw)
+        digests[name], result = run_digest(raw, trace=True)
         gate_traces[name] = gate_trace_digest(result)
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for path, pins in ((DIGESTS_PATH, digests),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from geolearn import cli, wansim
+from geolearn.algos import GaiaNode
 from geolearn.harness import (METRICS_HEADER, ConvergenceState,
                               ExperimentConfig, check_convergence,
                               config_from_dict, load_config, metrics_csv_text,
@@ -46,6 +47,8 @@ def test_config_from_dict_round_trip():
     assert cfg.algorithm.lr == {"eta0": 0.1, "milestones": [2, 5]}
     assert cfg.topology.dcs == ("virginia", "saopaulo", "tokyo")
     assert cfg.out_dir == "out/trial"
+    assert cfg.trace is False
+    assert config_from_dict({"output": {"trace": True}}).trace is True
 
 
 def test_config_rejects_unknown_keys():
@@ -53,6 +56,25 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"modle": {}})
     with pytest.raises(ValueError, match="unknown algorithm option"):
         config_from_dict({"algorithm": {"t_zero": 0.1}})
+
+
+@pytest.mark.parametrize("output,message", [
+    ({"dri": "runs/x"}, "unknown output option(s): ['dri']"),
+    ({"dir": "runs", "trace": True, "verbose": 1},
+     "unknown output option(s): ['verbose']"),
+    ("runs", "output must be a mapping, got 'runs'"),
+])
+def test_config_rejects_bad_output_section(output, message):
+    with pytest.raises(ValueError) as err:
+        config_from_dict({"output": output})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value", [1, "yes", 0, None])
+def test_validate_config_rejects_a_non_bool_trace(value):
+    cfg = config_from_dict({"output": {"trace": value}})
+    assert validate_config(cfg) == [
+        f"output.trace must be true or false, got {value!r}"]
 
 
 def test_load_config_yaml(tmp_path):
@@ -264,6 +286,72 @@ def test_run_experiment_flags_divergence():
     with np.errstate(all="ignore"):
         result = run_experiment(cfg)
     assert result.summary["diverged"] is True
+
+
+def _softmax_cfg(kind, nodes, trace=False, **algorithm):
+    return config_from_dict({
+        "seed": 3,
+        "model": {"kind": "softmax", "features": 10, "classes": 10},
+        "data": {"per_class": 40, "spread": 1.0, "test_per_class": 10},
+        "partition": {"nodes": nodes, "alpha": 0.5},
+        "algorithm": dict(algorithm, kind=kind, epochs=2, batch_size=10),
+        "convergence": {"mode": "none"},
+        "output": {"trace": trace},
+    })
+
+
+def _count_gate_checks(monkeypatch):
+    checks = []
+    gates_allow = GaiaNode._gates_allow
+
+    def counted(node, sim):
+        checks.append(node.name)
+        return gates_allow(node, sim)
+
+    monkeypatch.setattr(GaiaNode, "_gates_allow", counted)
+    return checks
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_untraced_bsp_checks_its_gate_about_twice_per_iteration(
+        monkeypatch, trace):
+    # one check after each step, and one more when the last peer's clock
+    # arrives; a traced run checks on every one of the ten deliveries
+    checks = _count_gate_checks(monkeypatch)
+    result = run_experiment(_softmax_cfg("bsp", 11, trace=trace))
+    iters = sum(node.iters_done for node in result.nodes)
+    assert iters == 11 * 2 * 4
+    per_iter = len(checks) / iters
+    if trace:
+        assert per_iter > 5
+        assert len(result.sim.gate_trace) == len(checks)
+    else:
+        assert per_iter <= 2.5
+
+
+def test_untraced_runs_never_read_peer_clocks(monkeypatch):
+    def oracle(node, sim):
+        raise AssertionError("peer state read in an untraced run")
+
+    monkeypatch.setattr(GaiaNode, "_true_min_peer_clock", oracle)
+    for cfg in (_softmax_cfg("ssp", 4, staleness=1),
+                _softmax_cfg("gaia", 4, t0=0.001),
+                config_from_dict({
+                    "seed": 11,
+                    "model": {"kind": "mlp", "features": 16, "classes": 4,
+                              "hidden": [64]},
+                    "data": {"per_class": 40, "test_per_class": 20},
+                    "partition": {"nodes": 5, "alpha": 0.5},
+                    "algorithm": {"kind": "gaia", "epochs": 3, "t0": 0.001},
+                    "topology": {"dcs": ["mumbai", "saopaulo", "sydney",
+                                         "seoul", "singapore"]},
+                    "convergence": {"mode": "none"}})):
+        result = run_experiment(cfg)
+        assert result.sim.trace is False
+        assert result.sim.gate_trace == []
+        assert result.extras["gate_trace"] == []
+    # the barrier run above does block on barriers
+    assert result.summary["barrier_bytes"] > 0
 
 
 def test_run_experiment_rejects_bad_config():

@@ -205,6 +205,7 @@ def test_barrier_arrays_match_dict_of_dicts(steps):
             oracle.clear(source, clock, list(oracle.waits))
         assert gate_read(shard, read).tolist() == oracle.gate(read)
         assert gate_read(shard, np.arange(_M)).tolist() == sorted(oracle.waits)
+        assert gate_read(shard, None).tolist() == sorted(oracle.waits)
         state = {
             (int(i), src): int(row[i])
             for src, row in shard.barrier_waits.items()

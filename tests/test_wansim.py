@@ -13,7 +13,7 @@ from geolearn.wansim import (CLOCK_BYTES, CostLedger, CostRates, GB,
                              default_bandwidth, default_costs,
                              dense_update_bytes, forward_hops,
                              load_bandwidth_csv, load_cost_csv,
-                             sparse_update_bytes)
+                             sparse_update_bytes, split_nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +41,21 @@ def test_message_defaults_and_validation():
                    byte_split={KIND_CLOCK: 24}).klass == "control"
     with pytest.raises(ValueError):
         Message(kind=KIND_UPDATE, src="a", dst="b", byte_split={"gossip": 8})
+
+
+def test_split_nbytes_checks_once_for_every_copy():
+    split = {KIND_UPDATE: 80, KIND_CLOCK: 24}
+    assert split_nbytes(split) == 104
+    with pytest.raises(ValueError, match="unknown byte kind 'gossip'"):
+        split_nbytes({"gossip": 8})
+    # a copy built with the checked total carries it as is
+    copy = Message(KIND_UPDATE, "a", "b", split, None, "a", False,
+                   split_nbytes(split))
+    assert copy.nbytes == 104
+    assert copy == Message(kind=KIND_UPDATE, src="a", dst="b",
+                           byte_split=split)
+    with pytest.raises(ValueError, match="unknown message kind"):
+        Message("gossip", "a", "b", split, nbytes=104)
 
 
 def test_linkspec_validation():
