@@ -343,11 +343,10 @@ class GaiaNode(_NodeBase):
         for clock, origin, _seq, idx, vals, dense in self.inbox:
             if dense:
                 self.shard.w = self.shard.w + vals
-                # a dense update touches everything the origin still blocks
-                row = waits.get(origin)
-                if row is None:
+                if origin not in waits:
                     continue
-                idx = np.flatnonzero(row >= 0)
+                # a dense update carries every coordinate
+                idx = np.arange(self.shard.w.size)
             else:
                 w = self.shard.w.copy()
                 w[idx] += vals
@@ -486,6 +485,7 @@ class GaiaNode(_NodeBase):
         # first-hop links only; hub forwarding is mechanical
         hops = wansim.broadcast_hops(sim.overlay, self.name, sim.topology.dcs)
         utilizations = []
+        barrier = None
         for dst, _fw in hops:
             link = sim.topology.link(self.name, dst)
             monitor = self.rate_monitors[dst]
@@ -494,16 +494,22 @@ class GaiaNode(_NodeBase):
                 monitor.observe(flush_nbytes, elapsed)
             self._last_flush_time[dst] = sim.now
             utilizations.append(monitor.rate / link.bandwidth)
-            if pol.barrier and monitor.warm and idx.size:
+            if not (pol.barrier and monitor.warm and idx.size
+                    and monitor.rate > link.bandwidth):
+                continue
+            if barrier is None:
+                # one announcement of this flush serves every saturated
+                # first hop; its copies share payload and byte split
                 barrier = psync.maybe_emit_barrier(
                     monitor.rate, link.bandwidth, idx,
                     self.name, self.shard.local_clock)
-                if barrier is not None:
-                    sim.send(wansim.Message(
-                        kind=wansim.KIND_BARRIER, src=self.name, dst=dst,
-                        byte_split={wansim.KIND_BARRIER:
-                                    wansim.barrier_bytes(len(barrier.indexes))},
-                        payload={"barrier": barrier}, origin=self.name))
+                barrier_split = {wansim.KIND_BARRIER:
+                                 wansim.barrier_bytes(len(barrier.indexes))}
+                barrier_nbytes = wansim.split_nbytes(barrier_split)
+                barrier_payload = {"barrier": barrier}
+            sim.send(wansim.Message(
+                wansim.KIND_BARRIER, self.name, dst, barrier_split,
+                barrier_payload, self.name, nbytes=barrier_nbytes))
         if idx.size:
             split = {
                 wansim.KIND_UPDATE: wansim.sparse_update_bytes(idx.size),

@@ -160,6 +160,8 @@ _SECTIONS = {
 
 
 def _build_section(cls, raw, section):
+    if not isinstance(raw, dict):
+        raise ValueError(f"{section} must be a mapping, got {raw!r}")
     known = {f.name for f in fields(cls)}
     unknown = set(raw) - known
     if unknown:
@@ -394,7 +396,7 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
                              reg=mcfg.reg)
         parts = partition_uniform(len(entries), k, seed)
         full_batch = np.arange(len(entries), dtype=np.intp)
-        train = test = None
+        test = None
         make_view = lambda: EntryBatches()
         extras["noise_floor"] = noise_floor
     else:
@@ -413,7 +415,6 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
                                                      seed))
         full_batch = (train.X, train.y)
         make_view = lambda: ArrayBatches(train.X, train.y)
-    extras["parts"] = parts
     w0 = base_model.init_params(seed_stream(seed, "model", "init"))
 
     # topology and cost table
@@ -620,9 +621,6 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
     if not sim.ledger.conservation_ok():
         raise RuntimeError("byte conservation violated: sent != delivered")
 
-    extras["rates"] = rates
-    extras["train"] = train
-    extras["test"] = test
     extras["gate_trace"] = sim.gate_trace
     extras["rounds_log"] = rounds_log
     if acfg.kind in ("gaia",):

@@ -7,8 +7,8 @@ The relaxed discipline implemented here rests on three mechanisms:
   keeps accumulating locally,
 * a selective barrier: when significant updates are produced faster than a
   link can drain them, the sender first ships just the coordinate indexes
-  (tiny, high priority) so receivers block reads of those coordinates until
-  the real values arrive,
+  of the flush (tiny, high priority). The barrier announces that flush, and
+  a receiver blocks reads of its coordinates until the flush lands,
 * mirror clocks: every node announces its iteration count; a node stops
   iterating when it would run more than `ds` clocks ahead of the slowest
   peer it has heard from.
@@ -34,7 +34,13 @@ EPS_WEIGHT = 1e-6
 def significance_scores(v, w):
     """Per-coordinate relative significance of accumulated updates v against
     the weights w they perturb: |v| / max(|w|, EPS_WEIGHT)."""
-    return np.abs(v) / np.maximum(np.abs(w), EPS_WEIGHT)
+    # two temporaries: each ufunc writes into a buffer the expression no
+    # longer needs, so the bits are those of the plain expression
+    denom = np.abs(w)
+    np.maximum(denom, EPS_WEIGHT, out=denom)
+    scores = np.abs(v)
+    np.divide(scores, denom, out=scores)
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +55,13 @@ class WeightShard:
     accumulated since the coordinate last cleared the significance filter.
     mirror_clocks holds the latest clock heard from each peer.
 
-    barrier_waits maps a source that has sent barriers to an int64 array
-    with one entry per coordinate: -1 when the coordinate is clear of that
-    source, otherwise the newest barrier clock whose flush from that source
-    has not arrived yet. A source's array exists only while at least one of
-    its entries is outstanding, so an empty dict means nothing is blocked.
-    Barrier clocks are non-negative.
+    barrier_waits holds the selective barriers received and not yet
+    released, as {source: {clock: indexes}}: one entry per announced flush
+    that has not landed, keyed by the flush's clock, holding the sorted
+    unique coordinates it will carry. A barrier is released when its flush
+    lands. A source is present only while it has an entry, so an empty dict
+    means nothing is blocked. The blocked coordinates are the union of the
+    entries' indexes.
     """
 
     w: np.ndarray
@@ -145,7 +152,8 @@ def threshold_decay(schedule, t_prev, event):
 
 @dataclass(frozen=True)
 class BarrierMsg:
-    """Indexes (sorted, unique intp array) of a flush still on its way."""
+    """Announcement of a flush still on its way: its clock and the indexes
+    (sorted, unique intp array) it will carry."""
 
     source: str
     clock: int
@@ -182,43 +190,57 @@ def maybe_emit_barrier(rate, bandwidth, pending_indexes, source, clock):
 
 
 def apply_barrier(shard, msg):
-    """Mark msg.indexes as read-blocked until the matching update lands."""
-    idx = np.asarray(msg.indexes, dtype=np.intp)
-    if idx.size == 0:
+    """Block reads of msg.indexes until the flush announced at msg.clock
+    lands. The indexes are stored as they are, without a copy."""
+    if len(msg.indexes) == 0:
         return
-    row = shard.barrier_waits.get(msg.source)
-    if row is None:
-        row = shard.barrier_waits[msg.source] = np.full(
-            shard.w.size, -1, dtype=np.int64)
-    # a repeated index writes the same value twice, so plain fancy
-    # assignment is exact
-    row[idx] = np.maximum(row[idx], msg.clock)
+    shard.barrier_waits.setdefault(msg.source, {})[msg.clock] = np.asarray(
+        msg.indexes, dtype=np.intp)
 
 
 def clear_barrier_on_update(shard, source, clock, indexes):
-    """Release barrier waits satisfied by an arrived update flush."""
-    row = shard.barrier_waits.get(source)
-    if row is None:
+    """Release every barrier of source announced at a clock <= clock, as
+    source's flush of that clock, carrying indexes, lands (a dense update
+    carries every coordinate).
+
+    A barrier names exactly its flush's indexes and leaves before it on the
+    same link, and one source's flushes land in clock order, so a flush
+    releases only its own barrier. Releasing one of an older clock, or one
+    naming a coordinate the flush does not carry, breaks that protocol and
+    raises RuntimeError. The flush normally carries the very array its
+    barrier named, which the check recognises by identity.
+    """
+    pending = shard.barrier_waits.get(source)
+    if pending is None:
         return
-    idx = np.asarray(indexes, dtype=np.intp)
-    # clear entries (-1) pass the test too and are rewritten unchanged
-    row[idx[row[idx] <= clock]] = -1
-    if row.max() < 0:
+    for announced_clock in [c for c in pending if c <= clock]:
+        announced = pending.pop(announced_clock)
+        if announced_clock != clock:
+            raise RuntimeError(
+                f"{source}'s flush at clock {clock} landed while its barrier "
+                f"at clock {announced_clock} still awaits its own flush")
+        if announced is not indexes and not np.isin(announced, indexes).all():
+            raise RuntimeError(
+                f"barrier of {source} at clock {clock} names coordinates "
+                f"its flush does not carry")
+    if not pending:
         del shard.barrier_waits[source]
 
 
 def gate_read(shard, read_indexes):
     """Indices in the read set still barrier-blocked (empty array = allow);
-    a read set of None reads every coordinate."""
+    a read set of None reads every coordinate. The blocked coordinates are
+    the union of the outstanding barriers' indexes."""
     if not shard.barrier_waits:
         return np.empty(0, dtype=np.intp)
+    blocked = np.zeros(shard.w.size, dtype=bool)
+    for pending in shard.barrier_waits.values():
+        for indexes in pending.values():
+            blocked[indexes] = True
     if read_indexes is None:
-        read_indexes = np.arange(shard.w.size)
+        return np.flatnonzero(blocked)
     read_indexes = np.asarray(read_indexes, dtype=np.intp)
-    blocked = np.zeros(read_indexes.size, dtype=bool)
-    for row in shard.barrier_waits.values():
-        blocked |= row[read_indexes] >= 0
-    return _sorted_unique(read_indexes[blocked])
+    return _sorted_unique(read_indexes[blocked[read_indexes]])
 
 
 # ---------------------------------------------------------------------------

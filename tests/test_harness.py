@@ -70,6 +70,14 @@ def test_config_rejects_bad_output_section(output, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("section,value", [
+    ("model", "abc"), ("model", 5), ("algorithm", ["bsp"])])
+def test_config_rejects_a_section_that_is_not_a_mapping(section, value):
+    with pytest.raises(ValueError) as err:
+        config_from_dict({section: value})
+    assert str(err.value) == f"{section} must be a mapping, got {value!r}"
+
+
 @pytest.mark.parametrize("value", [1, "yes", 0, None])
 def test_validate_config_rejects_a_non_bool_trace(value):
     cfg = config_from_dict({"output": {"trace": value}})

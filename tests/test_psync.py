@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +109,9 @@ def test_barrier_emitted_only_when_saturated():
 
 def test_barrier_block_and_release_cycle():
     shard = WeightShard.fresh(np.zeros(4))
+    # an announcement of nothing blocks nothing
+    apply_barrier(shard, BarrierMsg(source="b", clock=1, indexes=()))
+    assert shard.barrier_waits == {}
     apply_barrier(shard, BarrierMsg(source="b", clock=3, indexes=(0, 2)))
     np.testing.assert_array_equal(gate_read(shard, [0, 1]), [0])
     np.testing.assert_array_equal(gate_read(shard, [1, 3]), [])
@@ -126,7 +131,7 @@ def test_barrier_tracks_sources_independently():
     clear_barrier_on_update(shard, "b", 1, [0])
     # c's barrier still holds
     np.testing.assert_array_equal(gate_read(shard, [0]), [0])
-    clear_barrier_on_update(shard, "c", 5, [0])
+    clear_barrier_on_update(shard, "c", 4, [0])
     np.testing.assert_array_equal(gate_read(shard, [0]), [])
 
 
@@ -134,12 +139,46 @@ def test_barrier_keeps_newest_clock_per_source():
     shard = WeightShard.fresh(np.zeros(1))
     apply_barrier(shard, BarrierMsg(source="b", clock=5, indexes=(0,)))
     apply_barrier(shard, BarrierMsg(source="b", clock=2, indexes=(0,)))
-    assert shard.barrier_waits["b"][0] == 5
+    # flush 2 releases only its own barrier: 5 still blocks coordinate 0
+    clear_barrier_on_update(shard, "b", 2, [0])
+    np.testing.assert_array_equal(gate_read(shard, [0]), [0])
+    clear_barrier_on_update(shard, "b", 5, [0])
+    np.testing.assert_array_equal(gate_read(shard, [0]), [])
+    assert shard.barrier_waits == {}
+
+
+def test_flush_releasing_an_unannounced_barrier_raises():
+    # barrier 2's flush never landed, yet flush 3 arrives
+    shard = WeightShard.fresh(np.zeros(3))
+    apply_barrier(shard, BarrierMsg(source="b", clock=2, indexes=(0,)))
+    with pytest.raises(RuntimeError, match="still awaits"):
+        clear_barrier_on_update(shard, "b", 3, np.array([0]))
+    # barrier 3 named a coordinate its flush does not carry
+    shard = WeightShard.fresh(np.zeros(3))
+    apply_barrier(shard, BarrierMsg(source="b", clock=3, indexes=(0, 1)))
+    with pytest.raises(RuntimeError, match="does not carry"):
+        clear_barrier_on_update(shard, "b", 3, np.array([0]))
+
+
+def test_barrier_bookkeeping_is_independent_of_the_shard_size():
+    shard = WeightShard.fresh(np.zeros(2_000_000))
+    msg = maybe_emit_barrier(2.0, 1.0, np.arange(0, 2_000_000, 200_000),
+                             "b", 1)
+    assert msg.indexes.size == 10
+    tracemalloc.start()
+    try:
+        apply_barrier(shard, msg)
+        clear_barrier_on_update(shard, "b", 1, msg.indexes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert shard.barrier_waits == {}
+    assert peak < 64 * 1024
 
 
 class _DictBarriers:
     """The former dict-of-dicts barrier state ({coord: {source: clock}}),
-    kept as the oracle for the array-backed functions."""
+    kept as the oracle for the flush-keyed functions."""
 
     def __init__(self):
         self.waits = {}
@@ -167,55 +206,87 @@ class _DictBarriers:
 
 
 _M = 9
-_SOURCES = st.sampled_from(["a", "b", "c"])
-_CLOCKS = st.integers(0, 6)
-_INDEXES = st.lists(st.integers(0, _M - 1), max_size=12)
-_STEPS = st.one_of(
-    # a barrier from an unsorted, duplicated pending set
-    st.tuples(st.just("barrier"), _SOURCES, _CLOCKS,
-              _INDEXES.filter(len)),
-    # a sparse flush arriving: unique indexes, any order
-    st.tuples(st.just("update"), _SOURCES, _CLOCKS, st.sets(
-        st.integers(0, _M - 1)).map(sorted).flatmap(st.permutations)),
-    # a dense update: clears whatever the source still blocks
-    st.tuples(st.just("dense"), _SOURCES, _CLOCKS, st.just(())),
-)
+_SOURCES = ("a", "b", "c")
+# one source's flushes in clock order: (clock gap, pending indexes of a
+# barrier or None, carried indexes of an unannounced flush, dense). A
+# barrier's pending set may be unsorted and duplicated; a sparse flush it
+# announces carries the sorted unique set.
+_FLUSHES = st.lists(st.tuples(
+    st.integers(1, 3),
+    st.one_of(st.none(), st.lists(st.integers(0, _M - 1), min_size=1,
+                                  max_size=12)),
+    st.sets(st.integers(0, _M - 1)).map(sorted),
+    st.booleans(),
+), max_size=6)
 
 
-@given(st.lists(st.tuples(_STEPS, _INDEXES), max_size=30))
+@given(st.fixed_dictionaries({src: _FLUSHES for src in _SOURCES}), st.data())
 @settings(max_examples=300)
-def test_barrier_arrays_match_dict_of_dicts(steps):
+def test_barrier_arrays_match_dict_of_dicts(flushes, data):
+    """Protocol sequences: each source's flushes land in clock order, each
+    barrier arrives before the flush it announces (barriers of one source in
+    any order), sources interleave, and any read set is gated."""
     shard = WeightShard.fresh(np.zeros(_M))
     oracle = _DictBarriers()
-    for (kind, source, clock, indexes), read in steps:
+    plan = {}                    # source -> [(clock, pending, carried, dense)]
+    for source, seq in flushes.items():
+        clock, plan[source] = -1, []
+        for gap, pending, carried, dense in seq:
+            clock += gap
+            plan[source].append((clock, pending, carried, dense))
+    landed = {source: 0 for source in _SOURCES}
+    announced = {}               # (source, clock) -> BarrierMsg
+    outstanding = {}             # (source, clock) -> announced indexes
+    while True:
+        moves = []
+        for source, seq in plan.items():
+            for clock, pending, _carried, _dense in seq[landed[source]:]:
+                if pending is not None and (source, clock) not in announced:
+                    moves.append(("barrier", source, clock))
+            if landed[source] < len(seq):
+                clock, pending = seq[landed[source]][:2]
+                if pending is None or (source, clock) in announced:
+                    moves.append(("flush", source, clock))
+        if not moves:
+            break
+        kind, source, clock = data.draw(st.sampled_from(moves))
         if kind == "barrier":
-            msg = maybe_emit_barrier(2.0, 1.0, indexes, source, clock)
+            pending = next(p for c, p, _i, _d in plan[source] if c == clock)
+            msg = maybe_emit_barrier(2.0, 1.0, pending, source, clock)
             assert (msg.source, msg.clock) == (source, clock)
-            assert tuple(msg.indexes.tolist()) == oracle.emit(indexes)
+            assert tuple(msg.indexes.tolist()) == oracle.emit(pending)
             apply_barrier(shard, msg)
-            oracle.apply(source, clock, oracle.emit(indexes))
-        elif kind == "update":
-            clear_barrier_on_update(shard, source, clock,
-                                    np.array(indexes, dtype=np.intp))
-            oracle.clear(source, clock, indexes)
+            oracle.apply(source, clock, oracle.emit(pending))
+            announced[source, clock] = msg
+            outstanding[source, clock] = list(oracle.emit(pending))
         else:
-            row = shard.barrier_waits.get(source)
-            blocked = np.flatnonzero(row >= 0) if row is not None else ()
-            clear_barrier_on_update(shard, source, clock, blocked)
-            oracle.clear(source, clock, list(oracle.waits))
+            _clock, pending, carried, dense = plan[source][landed[source]]
+            landed[source] += 1
+            outstanding.pop((source, clock), None)
+            if dense:
+                clear_barrier_on_update(shard, source, clock, np.arange(_M))
+                oracle.clear(source, clock, list(oracle.waits))
+            else:
+                if pending is not None:
+                    # the flush carries what its barrier named: the very
+                    # array, or an equal one in any order
+                    carried = announced[source, clock].indexes
+                    if data.draw(st.booleans()):
+                        carried = np.array(data.draw(st.permutations(
+                            carried.tolist())), dtype=np.intp)
+                clear_barrier_on_update(shard, source, clock,
+                                        np.asarray(carried, dtype=np.intp))
+                oracle.clear(source, clock, list(carried))
+        read = data.draw(st.lists(st.integers(0, _M - 1), max_size=12))
         assert gate_read(shard, read).tolist() == oracle.gate(read)
         assert gate_read(shard, np.arange(_M)).tolist() == sorted(oracle.waits)
         assert gate_read(shard, None).tolist() == sorted(oracle.waits)
-        state = {
-            (int(i), src): int(row[i])
-            for src, row in shard.barrier_waits.items()
-            for i in np.flatnonzero(row >= 0)
-        }
-        assert state == {
-            (i, src): c for i, waits in oracle.waits.items()
-            for src, c in waits.items()
-        }
-        assert all(row.max() >= 0 for row in shard.barrier_waits.values())
+        assert {
+            (src, c): idx.tolist()
+            for src, pending in shard.barrier_waits.items()
+            for c, idx in pending.items()
+        } == outstanding
+        assert all(shard.barrier_waits.values())
 
 
 # ---------------------------------------------------------------------------
