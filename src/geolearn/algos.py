@@ -425,7 +425,7 @@ class GaiaNode(_NodeBase):
         batch = self.batch_view.make(self.stream.next_batch())
         loss, grad = self.model.loss_and_grad(self.shard.w, batch,
                                               update_stats=True)
-        eta = lr_at(self.lr_schedule, self.epochs_done, self.iters_done)
+        eta = lr_at(self.lr_schedule, self.epochs_done)
         w_next, m_next, update = momentum_step(self.shard.w, self.shard.momentum,
                                                grad, eta)
         self.shard.w = w_next
@@ -582,7 +582,7 @@ class FedAvgNode(_NodeBase):
     def _finish_iteration(self, sim):
         batch = self.batch_view.make(self.stream.next_batch())
         loss, grad = self.model.loss_and_grad(self.w, batch, update_stats=True)
-        eta = lr_at(self.lr_schedule, self.epochs_done, self.iters_done)
+        eta = lr_at(self.lr_schedule, self.epochs_done)
         self.w, self.momentum, _ = momentum_step(self.w, self.momentum, grad, eta)
         self.iters_done += 1
         self._steps_in_round += 1
@@ -668,7 +668,7 @@ class DgcNode(_NodeBase):
     def _finish_iteration(self, sim):
         batch = self.batch_view.make(self.stream.next_batch())
         loss, grad = self.model.loss_and_grad(self.w, batch, update_stats=True)
-        eta = lr_at(self.lr_schedule, self.epochs_done, self.iters_done)
+        eta = lr_at(self.lr_schedule, self.epochs_done)
         step_vec = clip_by_norm(-eta * grad, ClipConfig(self.clip))
         self.u = self.m * self.u + step_vec
         self.v = self.v + self.u

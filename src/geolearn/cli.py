@@ -12,76 +12,62 @@ import yaml
 from . import harness
 
 
-def _load(path):
-    cfg = harness.load_config(path)
-    return cfg
-
-
 def _override(cfg, param, value):
-    """Set a config field by 'section.field' or bare field name."""
-    if "." in param:
-        section, name = param.split(".", 1)
-        target = getattr(cfg, section, None)
-        if target is None:
-            raise SystemExit(f"unknown config section {section!r}")
-    else:
-        name = param
-        target = None
-        for section in ("algorithm", "model", "data", "partition",
-                        "topology", "scout", "convergence"):
-            candidate = getattr(cfg, section)
-            if any(f.name == name for f in fields(candidate)):
-                target = candidate
-                break
-        if target is None:
-            raise SystemExit(f"no config section has a field named {name!r}")
-    if not any(f.name == name for f in fields(target)):
-        raise SystemExit(f"{type(target).__name__} has no field {name!r}")
-    setattr(target, name, value)
+    """Set a config field by 'section.field', or by a field name that only
+    one section has."""
+    section, _, name = param.rpartition(".")
+    owners = [s for s, cls in harness._SECTIONS.items()
+              if name in {f.name for f in fields(cls)}]
+    if section and section not in harness._SECTIONS:
+        raise SystemExit(f"unknown config section {section!r}")
+    if section and section not in owners:
+        raise SystemExit(f"{section} has no field {name!r}")
+    if not section and len(owners) != 1:
+        raise SystemExit(f"config sections with a field named {name!r}: "
+                         f"{owners}; name one as section.field")
+    setattr(getattr(cfg, section or owners[0]), name, value)
     return cfg
 
 
-def _print_summary(summary):
-    sys.stdout.write(harness.summary_text(summary))
+def _invalid(cfg, where=""):
+    """Print every problem validate_config finds; true if there was one."""
+    errs = harness.validate_config(cfg)
+    for e in errs:
+        print(f"config error{where}: {e}", file=sys.stderr)
+    return bool(errs)
 
 
 def cmd_run(args):
-    cfg = _load(args.config)
+    cfg = harness.load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    errs = harness.validate_config(cfg)
-    if errs:
-        for e in errs:
-            print(f"config error: {e}", file=sys.stderr)
+    if _invalid(cfg):
         return 1
     result = harness.run_experiment(cfg)
-    out_dir = args.out or cfg.out_dir
+    out_dir = args.out or cfg.output.dir
     if out_dir:
         harness.save_run(result, out_dir)
         print(f"wrote {out_dir}/metrics.csv")
-    _print_summary(result.summary)
+    sys.stdout.write(harness.summary_text(result.summary))
     return 0
 
 
 def cmd_validate(args):
     try:
-        cfg = _load(args.config)
+        cfg = harness.load_config(args.config)
     except (ValueError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    errs = harness.validate_config(cfg)
-    if errs:
-        for e in errs:
-            print(f"config error: {e}", file=sys.stderr)
+    if _invalid(cfg):
         return 1
     print("ok")
     return 0
 
 
 def cmd_sweep(args):
-    base = _load(args.config)
+    base = harness.load_config(args.config)
     values = [yaml.safe_load(v) for v in args.values.split(",")]
-    out_root = args.out or base.out_dir or "sweep"
+    out_root = args.out or base.output.dir or "sweep"
     rows = []
     for value in values:
         cfg = copy.deepcopy(base)
@@ -89,11 +75,7 @@ def cmd_sweep(args):
         if args.seed is not None:
             cfg.seed = args.seed
         cfg.name = f"{base.name}-{args.param}-{value}"
-        errs = harness.validate_config(cfg)
-        if errs:
-            for e in errs:
-                print(f"config error at {args.param}={value}: {e}",
-                      file=sys.stderr)
+        if _invalid(cfg, f" at {args.param}={value}"):
             return 1
         result = harness.run_experiment(cfg)
         sub = os.path.join(out_root, f"{args.param.replace('.', '_')}={value}")

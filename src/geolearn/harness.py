@@ -15,10 +15,13 @@ accuracy empty for models that have none (factorization).
 """
 
 import csv
+import functools
 import io
 import math
+import numbers
+import operator
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 import yaml
@@ -33,7 +36,7 @@ from .data import (
     partition_label_skew, partition_uniform,
 )
 from .models import MFModel, SoftmaxModel, TinyMLP
-from .numerics import PolyDecay, StepDecay
+from .numerics import StepDecay
 from .psync import SoftCtl
 from .rng import seed_stream
 from .skewscout import ScoutConfig, ScoutController
@@ -48,99 +51,124 @@ METRICS_HEADER = (
 # configuration
 
 
+def _f(default, **rules):
+    """A config field: its default, which must be valid (a None default
+    makes None valid), and the rules validate_config checks beyond the
+    annotated type: ge/gt/le/lt bound a number or each element of a tuple;
+    choices lists the allowed values (noun names them in the message); of is
+    a tuple's element type; per_dc also allows a {dc: number} mapping;
+    schema is a dataclass whose fields, less skip, are a dict field's keys."""
+    return field(default=default, metadata=rules)
+
+
+# algorithm kind -> (the AlgoCfg field SkewScout tunes, its default grid);
+# None means the kind has no communication knob to tune
+KNOBS = {"gaia": ("t0", skewscout.GAIA_T0_GRID), "bsp": None, "ssp": None,
+         "fedavg": ("iter_local", skewscout.FEDAVG_ITER_GRID),
+         "dgc": ("e_warm", skewscout.DGC_EWARM_GRID)}
+
+
 @dataclass
 class ModelCfg:
-    kind: str = "softmax"            # mf | softmax | mlp
-    rows: int = 60                   # mf
-    cols: int = 40
-    rank: int = 5
-    reg: float = 0.0
-    features: int = 8                # classifiers
-    classes: int = 4
-    hidden: tuple = (16,)            # mlp hidden widths
-    norm: str = "none"               # none | batch | group
-    group_size: int = 2
+    kind: str = _f("softmax", choices=("mf", "softmax", "mlp"))
+    rows: int = _f(60, ge=1)         # mf
+    cols: int = _f(40, ge=1)
+    rank: int = _f(5, ge=1)
+    reg: float = _f(0.0, ge=0)
+    features: int = _f(8, ge=1)      # classifiers
+    classes: int = _f(4, ge=1)
+    hidden: tuple = _f((16,), of=int, ge=1)      # mlp hidden widths
+    norm: str = _f("none", choices=("none", "batch", "group"))
+    group_size: int = _f(2, ge=1)
 
 
 @dataclass
 class DataCfg:
-    kind: str = "blobs"              # mf | blobs
-    density: float = 0.3             # mf
-    noise_sigma: float = 0.1
-    gen_rank: int = 0                # 0 = use model rank
-    per_class: int = 200             # blobs
-    spread: float = 1.0
-    test_per_class: int = 50
+    kind: str = _f("blobs", choices=("mf", "blobs"))
+    density: float = _f(0.3, gt=0, le=1)         # mf
+    noise_sigma: float = _f(0.1, ge=0)
+    gen_rank: int = _f(0, ge=0)      # 0 = use model rank
+    per_class: int = _f(200, ge=1)   # blobs
+    spread: float = _f(1.0, ge=0)
+    test_per_class: int = _f(50, ge=1)
 
 
 @dataclass
 class PartitionCfg:
-    nodes: int = 2
-    alpha: float = 0.0
+    nodes: int = _f(2, ge=1)
+    alpha: float = _f(0.0, ge=0, le=1)
 
 
 @dataclass
 class AlgoCfg:
-    kind: str = "gaia"               # gaia | bsp | ssp | fedavg | dgc
-    batch_size: int = 20
-    epochs: int = 5
-    momentum: float = 0.9
-    lr: dict = field(default_factory=lambda: {"eta0": 0.05})
+    kind: str = _f("gaia", choices=tuple(KNOBS))
+    batch_size: int = _f(20, ge=1)
+    epochs: int = _f(5, ge=1)
+    momentum: float = _f(0.9, ge=0, lt=1)
+    # keys: the StepDecay fields (SoftCtl's for soft), checked by building one
+    lr: dict = field(default_factory=lambda: {"eta0": 0.05},
+                     metadata={"schema": StepDecay})
     # significance-filtered sync
-    t0: float = 0.01
-    ds: int = 1
-    decay: str = "lr"                # lr | invsqrt
-    barrier: bool = True
-    mirror: bool = True
-    soft: dict = None                # {target, adjust, floor} enables soft sharing
+    t0: float = _f(0.01, gt=0)
+    ds: int = _f(1, ge=0)
+    decay: str = _f("lr", choices=("lr", "invsqrt"))
+    barrier: bool = _f(True)
+    mirror: bool = _f(True)
+    soft: dict = _f(None, schema=SoftCtl, skip=("enabled",))  # soft sharing
     # bounded staleness
-    staleness: int = 1
+    staleness: int = _f(1, ge=0)
     # model averaging
-    iter_local: int = 20
-    client_fraction: float = 1.0
+    iter_local: int = _f(20, ge=1)
+    client_fraction: float = _f(1.0, gt=0, le=1)
     # sparse all-reduce
-    e_warm: int = 1
-    clip_norm: float = 5.0
+    e_warm: int = _f(1, ge=1)
+    clip_norm: float = _f(5.0, gt=0)
 
 
 @dataclass
 class TopoCfg:
-    dcs: tuple = ()                  # default: first K regions of the table
-    bandwidth_file: str = None
-    cost_file: str = None
-    latency_s: float = 0.05
-    compute_s: float = 0.001
-    groups: tuple = ()               # overlay groups, list of DC name lists
-    hubs: tuple = ()                 # [from_group, to_group, hub_dc] triples
+    dcs: tuple = _f((), of=str)      # default: first K regions of the table
+    bandwidth_file: str = _f(None)
+    cost_file: str = _f(None)
+    latency_s: float = _f(0.05, ge=0)
+    compute_s: float = _f(0.001, ge=0, per_dc=True)
+    groups: tuple = _f((), of=tuple)  # overlay groups, list of DC name lists
+    hubs: tuple = _f((), of=tuple)    # [from_group, to_group, hub_dc] triples
 
 
 @dataclass
 class ScoutCfgSection:
-    enabled: bool = False
-    mtp: int = 0                     # 0 = one local epoch
-    sigma_al: float = 5.0
-    lambda_al: float = 1.0
-    lambda_c: float = 1.0
-    probe_size: int = 256
-    tuner: str = "hill"
-    start_idx: int = 0
-    temperature: float = 1.0
-    temp_decay: float = 0.9
-    grid: tuple = ()                 # default: per-algorithm grid
+    enabled: bool = _f(False)
+    mtp: int = _f(0, ge=0)           # 0 = one local epoch
+    sigma_al: float = _f(5.0, ge=0)
+    lambda_al: float = _f(1.0, ge=0)
+    lambda_c: float = _f(1.0, ge=0)
+    probe_size: int = _f(256, ge=1)
+    tuner: str = _f("hill", choices=("hill", "stochastic", "anneal"), noun="tuner")
+    start_idx: int = _f(0, ge=0)
+    temperature: float = _f(1.0, ge=0)
+    temp_decay: float = _f(0.9, ge=0)
+    grid: tuple = _f((), of=float)   # default: per-algorithm grid
 
 
 @dataclass
 class ConvergenceCfg:
-    mode: str = "window"             # window | target | none
-    window: int = 10
-    rel_tol: float = 0.02
-    target: float = 0.0
+    mode: str = _f("window", choices=("window", "target", "none"))
+    window: int = _f(10, ge=2)
+    rel_tol: float = _f(0.02, gt=0)
+    target: float = _f(0.0)
+
+
+@dataclass
+class OutputCfg:
+    dir: str = _f(None)              # where `geolearn run` writes its files
+    trace: bool = _f(False)          # keep the gate trace
 
 
 @dataclass
 class ExperimentConfig:
-    name: str = "run"
-    seed: int = 0
+    name: str = _f("run")
+    seed: int = _f(0)
     model: ModelCfg = field(default_factory=ModelCfg)
     data: DataCfg = field(default_factory=DataCfg)
     partition: PartitionCfg = field(default_factory=PartitionCfg)
@@ -148,50 +176,30 @@ class ExperimentConfig:
     topology: TopoCfg = field(default_factory=TopoCfg)
     scout: ScoutCfgSection = field(default_factory=ScoutCfgSection)
     convergence: ConvergenceCfg = field(default_factory=ConvergenceCfg)
-    out_dir: str = None              # output.dir
-    trace: bool = False              # output.trace: keep the gate trace
+    output: OutputCfg = field(default_factory=OutputCfg)
 
 
-_SECTIONS = {
-    "model": ModelCfg, "data": DataCfg, "partition": PartitionCfg,
-    "algorithm": AlgoCfg, "topology": TopoCfg, "scout": ScoutCfgSection,
-    "convergence": ConvergenceCfg,
-}
+_SECTIONS = {f.name: f.type for f in fields(ExperimentConfig)
+             if is_dataclass(f.type)}
 
 
 def _build_section(cls, raw, section):
     if not isinstance(raw, dict):
         raise ValueError(f"{section} must be a mapping, got {raw!r}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(raw) - known
-    if unknown:
+    if unknown := set(raw) - {f.name for f in fields(cls)}:
         raise ValueError(f"unknown {section} option(s): {sorted(unknown)}")
-    kwargs = {
-        k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()
-    }
-    return cls(**kwargs)
+    return cls(**{k: tuple(v) if isinstance(v, list) else v
+                  for k, v in raw.items()})
 
 
 def config_from_dict(raw):
     raw = dict(raw or {})
-    out = raw.pop("output", None) or {}
-    if not isinstance(out, dict):
-        raise ValueError(f"output must be a mapping, got {out!r}")
-    unknown = set(out) - {"dir", "trace"}
-    if unknown:
-        raise ValueError(f"unknown output option(s): {sorted(unknown)}")
-    cfg = ExperimentConfig(
-        name=str(raw.pop("name", "run")),
-        seed=int(raw.pop("seed", 0)),
-        out_dir=out.get("dir"),
-        trace=out.get("trace", False),
-    )
+    if unknown := set(raw) - {f.name for f in fields(ExperimentConfig)}:
+        raise ValueError(f"unknown config section(s): {sorted(unknown)}")
     for section, cls in _SECTIONS.items():
         if section in raw:
-            setattr(cfg, section, _build_section(cls, raw.pop(section) or {}, section))
-    if raw:
-        raise ValueError(f"unknown config section(s): {sorted(raw)}")
-    return cfg
+            raw[section] = _build_section(cls, raw[section] or {}, section)
+    return ExperimentConfig(**raw)
 
 
 def load_config(path):
@@ -199,106 +207,146 @@ def load_config(path):
         return config_from_dict(yaml.safe_load(fh))
 
 
-# algorithm kind -> the grid SkewScout searches by default; an empty grid
-# means the kind has no communication knob to tune
-KNOB_GRIDS = {
-    "gaia": skewscout.GAIA_T0_GRID, "bsp": (), "ssp": (),
-    "fedavg": skewscout.FEDAVG_ITER_GRID, "dgc": skewscout.DGC_EWARM_GRID,
-}
+# annotation -> what a value must be, and the types that pass (a float field
+# takes an int, a tuple field a list as YAML gives, numbers numpy scalars)
+_TYPES = {bool: "true or false", int: "an integer", float: "a number",
+          str: "a string", tuple: "a list", dict: "a mapping"}
+_ACCEPT = {bool: bool, int: (int, numbers.Integral), float: (float, int, numbers.Real),
+           str: str, tuple: (list, tuple), dict: dict}
+_BOUNDS = {"ge": (">=", operator.ge), "gt": (">", operator.gt),
+           "le": ("<=", operator.le), "lt": ("<", operator.lt)}
+
+
+def _check(path, value, kind, rules):
+    """Problems of one value against its type and rules: type, then range."""
+    if rules.get("per_dc") and isinstance(value, dict):
+        return [e for dc, v in value.items()
+                for e in _check(f"{path}.{dc}", v, kind, {**rules, "per_dc": False})]
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, _ACCEPT[kind])):
+        return [f"{path} must be {_TYPES[kind]}, got {value!r}"]
+    if kind is tuple and rules.get("of"):
+        return [e for i, v in enumerate(value)
+                for e in _check(f"{path}[{i}]", v, rules["of"], {**rules, "of": None})]
+    if kind is dict:
+        return _check_schema(path, value, rules["schema"], rules.get("skip", ()))
+    if "choices" in rules and value not in rules["choices"]:
+        return [f"unknown {rules.get('noun', path.replace('.', ' '))} {value!r}"]
+    for k, (_, op) in _BOUNDS.items():
+        if k in rules and not op(value, rules[k]):
+            text = " and ".join(f"{sign} {rules[b]}"
+                                for b, (sign, _) in _BOUNDS.items() if b in rules)
+            return [f"{path} must be {text}, got {value!r}"]
+    return []
+
+
+def _check_schema(path, value, schema, skip):
+    """A mapping of `schema`'s fields: keys, values, then schema's own checks."""
+    known = {f.name: f for f in _fields(schema) if f.name not in skip}
+    if unknown := set(value) - set(known):
+        return [f"unknown {path} option(s): {sorted(unknown, key=str)}"]
+    if missing := [n for n, f in known.items()
+                   if f.default is MISSING and n not in value]:
+        return [f"{path} needs {', '.join(missing)}"]
+    errs = [e for n, v in value.items()
+            for e in _check(f"{path}.{n}", v, known[n].type, known[n].metadata)]
+    if not errs:
+        try:
+            schema(**value)
+        except ValueError as exc:
+            errs.append(f"{path}: {exc}")
+    return errs
+
+
+_fields = functools.cache(fields)    # called with classes only
+
+
+def _field_errors(obj, prefix=""):
+    """Type and range problems of every field of a config and its sections."""
+    errs = []
+    for f in _fields(type(obj)):
+        value = getattr(obj, f.name)
+        if f.name in _SECTIONS:
+            errs += _field_errors(value, f"{f.name}.")
+        elif value is not f.default:    # defaults are valid (tested)
+            errs += _check(prefix + f.name, value, f.type, f.metadata)
+    return errs
 
 
 def validate_config(cfg):
     """Collect human-readable problems; empty list means runnable."""
-    errs = []
-    m, d, p, a, s, c = (cfg.model, cfg.data, cfg.partition, cfg.algorithm,
-                        cfg.scout, cfg.convergence)
-    if m.kind not in ("mf", "softmax", "mlp"):
-        errs.append(f"unknown model kind {m.kind!r}")
-    if d.kind not in ("mf", "blobs"):
-        errs.append(f"unknown data kind {d.kind!r}")
+    return _check_config(cfg)[0]
+
+
+def _check_config(cfg):
+    """validate_config's problems, plus the (bandwidth, costs) tables read
+    on the way (None if a problem came first), so a run reads each once."""
+    errs = _field_errors(cfg)
+    if errs:    # the cross-field checks assume well-typed, in-range fields
+        return errs, None
+    m, d, p, a, s, t = (cfg.model, cfg.data, cfg.partition, cfg.algorithm,
+                        cfg.scout, cfg.topology)
     if m.kind == "mf" and d.kind != "mf":
         errs.append("factorization model needs data kind 'mf'")
-    if m.kind in ("softmax", "mlp") and d.kind != "blobs":
+    if m.kind != "mf" and d.kind != "blobs":
         errs.append(f"{m.kind} model needs data kind 'blobs'")
     if m.kind == "mlp" and not m.hidden:
         errs.append("mlp needs at least one hidden width")
     if m.kind == "mlp" and m.norm == "group":
-        for h in m.hidden:
-            if h % m.group_size:
-                errs.append(f"hidden width {h} not divisible by group size {m.group_size}")
-    if p.nodes < 1:
-        errs.append("partition.nodes must be >= 1")
-    if not 0.0 <= p.alpha <= 1.0:
-        errs.append(f"alpha must be in [0, 1], got {p.alpha}")
-    if a.kind not in KNOB_GRIDS:
-        errs.append(f"unknown algorithm kind {a.kind!r}")
-    if a.epochs < 1:
-        errs.append("epochs must be >= 1")
-    if a.batch_size < 1:
-        errs.append("batch_size must be >= 1")
-    if not 0.0 <= a.momentum < 1.0:
-        errs.append(f"momentum must be in [0, 1), got {a.momentum}")
-    if "eta0" not in a.lr:
-        errs.append("lr needs at least eta0")
-    if a.kind == "gaia":
-        if a.t0 <= 0:
-            errs.append("t0 must be positive")
-        if a.ds < 0:
-            errs.append("ds must be >= 0")
-        if a.decay not in ("lr", "invsqrt"):
-            errs.append(f"unknown threshold decay {a.decay!r}")
-        if a.soft:
-            floor = a.soft.get("floor", 1e-4)
-            if floor > a.t0:
-                errs.append(f"soft floor {floor} exceeds hard threshold t0 {a.t0}")
-            if a.soft.get("adjust", 2.0) <= 1.0:
-                errs.append("soft adjust factor must exceed 1")
-    if a.kind == "ssp" and a.staleness < 0:
-        errs.append("staleness must be >= 0")
-    if a.kind == "fedavg":
-        if a.iter_local < 1:
-            errs.append("iter_local must be >= 1")
-        if not 0.0 < a.client_fraction <= 1.0:
-            errs.append(f"client_fraction must be in (0, 1], got {a.client_fraction}")
-    if a.kind == "dgc":
-        if a.e_warm < 1:
-            errs.append("e_warm must be >= 1")
-        if a.clip_norm <= 0:
-            errs.append("clip_norm must be positive")
-    if s.enabled:
-        if a.kind in KNOB_GRIDS and not KNOB_GRIDS[a.kind]:
-            errs.append(f"{a.kind} has no communication knob to tune")
-        if s.tuner not in ("hill", "stochastic", "anneal"):
-            errs.append(f"unknown tuner {s.tuner!r}")
-        if s.mtp < 0:
-            errs.append("scout mtp must be >= 0")
-        grid = s.grid or KNOB_GRIDS.get(a.kind, ())
-        if grid and not 0 <= s.start_idx < len(grid):
+        errs += [f"hidden width {h} not divisible by group size {m.group_size}"
+                 for h in m.hidden if h % m.group_size]
+    if s.enabled and KNOBS[a.kind] is None:
+        errs.append(f"{a.kind} has no communication knob to tune")
+    elif s.enabled:
+        knob, grid = KNOBS[a.kind]
+        grid, spec = s.grid or grid, AlgoCfg.__dataclass_fields__[knob]
+        errs += [e for i, v in enumerate(grid)
+                 for e in _check(f"scout.grid[{i}]", v, spec.type, spec.metadata)]
+        if s.start_idx >= len(grid):
             errs.append(f"scout start_idx {s.start_idx} outside grid of {len(grid)}")
-    if cfg.topology.dcs and len(cfg.topology.dcs) != p.nodes:
-        errs.append(
-            f"{len(cfg.topology.dcs)} DCs named for {p.nodes} partitions")
-    if cfg.topology.latency_s is not None and not isinstance(cfg.topology.latency_s, dict):
-        if cfg.topology.latency_s < 0:
-            errs.append("latency_s must be >= 0")
-    if c.mode not in ("window", "target", "none"):
-        errs.append(f"unknown convergence mode {c.mode!r}")
-    if c.mode == "window" and c.window < 2:
-        errs.append("convergence window must be >= 2")
-    if c.mode == "window" and c.rel_tol <= 0:
-        errs.append("rel_tol must be positive")
-    if not isinstance(cfg.trace, bool):
-        errs.append(f"output.trace must be true or false, got {cfg.trace!r}")
-    return errs
-
-
-def _lr_schedule(lr):
-    if "power" in lr:
-        return PolyDecay(eta0=lr["eta0"], power=lr["power"],
-                         max_iter=lr["max_iter"])
-    return StepDecay(eta0=lr["eta0"],
-                     milestones=tuple(lr.get("milestones", ())),
-                     factor=lr.get("factor", 10.0))
+    # n samples (mf: observed entries, dealt uniformly); the skewed ones
+    # reach at most min(classes, nodes) label owners, and the uniform rest
+    # fills the emptiest partitions first
+    mf = m.kind == "mf"
+    n = int(round(d.density * m.rows * m.cols)) if mf else m.classes * d.per_class
+    n_skew = 0 if mf else int(round(p.alpha * n))
+    if (empty := p.nodes - min(m.classes, p.nodes, n_skew) - (n - n_skew)) > 0:
+        errs.append(f"{empty} of {p.nodes} partitions would be empty: {n} "
+                    f"samples, {n_skew} of them dealt by label")
+    if a.soft and (floor := SoftCtl(**a.soft).floor) > a.t0:
+        errs.append(f"soft floor {floor} exceeds hard threshold t0 {a.t0}")
+    try:
+        tables = ((wansim.load_bandwidth_csv(t.bandwidth_file) if t.bandwidth_file
+                   else wansim.default_bandwidth()),
+                  (wansim.load_cost_csv(t.cost_file) if t.cost_file
+                   else wansim.default_costs()))
+    except (OSError, ValueError) as exc:
+        return errs + [f"cannot read the topology tables: {exc}"], None
+    names, costs = tables[0][0], tables[1]
+    dcs = list(t.dcs) or names[:p.nodes]
+    if len(dcs) != p.nodes:
+        errs.append(f"{len(dcs)} DCs named for {p.nodes} partitions" if t.dcs
+                    else f"{p.nodes} partitions but {len(names)} DCs in the bandwidth table")
+    elif len(set(dcs)) < len(dcs):
+        errs.append(f"topology.dcs names a DC more than once: {dcs}")
+    if missing := [dc for dc in dcs if dc not in names]:
+        errs.append(f"DCs missing from the bandwidth table: {missing}")
+    elif missing := [dc for dc in dcs if dc not in costs]:
+        errs.append(f"DCs missing from the cost table: {missing}")
+    members = [dc for g in t.groups for dc in g]
+    if t.groups and sorted(members, key=repr) != sorted(dcs, key=repr):
+        errs.append(f"overlay groups {[list(g) for g in t.groups]} must hold "
+                    f"each DC of {dcs} exactly once")
+    n_groups = len(t.groups)
+    if bad := [list(h) for h in t.hubs if len(h) != 3
+               or not all(isinstance(i, int) and 0 <= i < n_groups for i in h[:2])
+               or h[2] not in t.groups[h[1]]]:
+        errs.append(f"hubs {bad} are not [from_group, to_group, hub_dc] with "
+                    f"group indexes below {n_groups} and hub_dc in to_group")
+    elif missing := [(i, j) for i in range(n_groups) for j in range(n_groups)
+                     if i != j and [i, j] not in [list(h[:2]) for h in t.hubs]]:
+        errs.append(f"overlay group pairs {missing} have no hub")
+    return errs, tables
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +362,6 @@ class ConvergenceState:
     history: list = field(default_factory=list)
     status: str = "running"
     at_time: float = None
-
-    @classmethod
-    def from_cfg(cls, c):
-        return cls(mode=c.mode, window=c.window, rel_tol=c.rel_tol,
-                   target=c.target)
 
 
 def check_convergence(state, value, sim_time):
@@ -377,7 +420,7 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
     objects; on_nodes(nodes, sim), if given, runs after wiring but before
     the first event, e.g. to attach extra per-iteration hooks.
     """
-    errs = validate_config(cfg)
+    errs, tables = _check_config(cfg)
     if errs:
         raise ValueError("bad config: " + "; ".join(errs))
     seed = cfg.seed
@@ -418,31 +461,26 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
     w0 = base_model.init_params(seed_stream(seed, "model", "init"))
 
     # topology and cost table
-    costs = (wansim.load_cost_csv(cfg.topology.cost_file)
-             if cfg.topology.cost_file else wansim.default_costs())
+    bandwidth, costs = tables
     if topology is None:
-        if cfg.topology.bandwidth_file:
-            bandwidth = wansim.load_bandwidth_csv(cfg.topology.bandwidth_file)
-        else:
-            bandwidth = wansim.default_bandwidth()
-        dcs = list(cfg.topology.dcs) if cfg.topology.dcs else bandwidth[0][:k]
+        dcs = list(cfg.topology.dcs) or bandwidth[0][:k]
         topology = wansim.build_topology(
             dcs, bandwidth=bandwidth, latency_s=cfg.topology.latency_s,
             compute_s=cfg.topology.compute_s)
     dcs = topology.dcs
     if len(dcs) != k:
         raise ValueError(f"topology has {len(dcs)} DCs for {k} partitions")
-    rates = {
-        dc: costs.get(dc) or wansim.CostRates(dc, 0.0, 0.0, 0.0) for dc in dcs
-    }
+    # a DC the cost table does not price leaves the cost unknown, not $0
+    rates = ({dc: costs[dc] for dc in dcs}
+             if all(dc in costs for dc in dcs) else None)
     if overlay is None and cfg.topology.groups:
         hubs = {(int(gi), int(gj)): dc for gi, gj, dc in cfg.topology.hubs}
         overlay = wansim.OverlayPlan(
             groups=[list(g) for g in cfg.topology.groups], hubs=hubs)
-    sim = wansim.Simulator(topology, overlay=overlay, trace=cfg.trace)
+    sim = wansim.Simulator(topology, overlay=overlay, trace=cfg.output.trace)
 
     # nodes
-    lr_schedule = _lr_schedule(acfg.lr)
+    lr_schedule = StepDecay(**acfg.lr)
     streams = [
         MinibatchStream(parts[i], min(acfg.batch_size, parts[i].size),
                         seed_stream(seed, "node", str(i), "batches"))
@@ -495,7 +533,7 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
 
     # evaluation and stopping
     rows = []
-    conv = ConvergenceState.from_cfg(cfg.convergence)
+    conv = ConvergenceState(**vars(cfg.convergence))
     prev_bytes = dict.fromkeys(wansim.BYTE_KINDS, 0)
     rounds_log = []
 
@@ -507,7 +545,7 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
         obj = _mean_objective(nodes, full_batch)
         acc = _mean_accuracy(nodes, test)
         sim_.ledger.machine_seconds = {dc: sim_.now for dc in dcs}
-        cost = wansim.account_cost(sim_.ledger, rates)
+        cost = wansim.account_cost(sim_.ledger, rates) if rates else None
         row = {"sim_time_s": sim_.now, "epoch": trigger.epochs_done,
                "objective": obj, "accuracy": acc, "cost_usd": cost}
         for kind in wansim.BYTE_KINDS:
@@ -524,7 +562,7 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
 
     scout = None
     if cfg.scout.enabled:
-        grid = list(cfg.scout.grid) or list(KNOB_GRIDS[acfg.kind])
+        grid = list(cfg.scout.grid) or list(KNOBS[acfg.kind][1])
         mtp = cfg.scout.mtp
         if mtp == 0:
             mtp = (max(1, round(bpe0 / acfg.iter_local))
@@ -554,13 +592,8 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
                 node.set_knob(theta)
 
         scout = ScoutController(
-            cfg=ScoutConfig(
-                mtp=mtp, sigma_al=cfg.scout.sigma_al,
-                lambda_al=cfg.scout.lambda_al, lambda_c=cfg.scout.lambda_c,
-                probe_size=cfg.scout.probe_size, tuner=cfg.scout.tuner,
-                start_idx=cfg.scout.start_idx,
-                temperature=cfg.scout.temperature,
-                temp_decay=cfg.scout.temp_decay),
+            cfg=ScoutConfig(**{f.name: getattr(cfg.scout, f.name)
+                               for f in fields(ScoutConfig)} | {"mtp": mtp}),
             grid=grid, nodes=nodes, evaluate=probe_metric,
             apply_theta=apply_theta,
             model_bytes=wansim.dense_update_bytes(w0.size),
@@ -594,7 +627,7 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
 
     # the queue is drained: book machine time at the final clock and settle
     sim.ledger.machine_seconds = {dc: sim.now for dc in dcs}
-    total_cost = wansim.account_cost(sim.ledger, rates)
+    total_cost = wansim.account_cost(sim.ledger, rates) if rates else None
     summary = {
         "name": cfg.name,
         "seed": seed,

@@ -27,20 +27,12 @@ class MomentumState:
 
 @dataclass
 class StepDecay:
-    """eta0 divided by `factor` once per milestone epoch passed."""
+    """eta0 divided by `factor` once per milestone epoch passed; the field
+    metadata bounds a config's `algorithm.lr` (see harness)."""
 
-    eta0: float
-    milestones: tuple = ()
-    factor: float = 10.0
-
-
-@dataclass
-class PolyDecay:
-    """eta0 * (1 - iteration/max_iter) ** power."""
-
-    eta0: float
-    power: float
-    max_iter: int
+    eta0: float = field(metadata={"gt": 0})
+    milestones: tuple = field(default=(), metadata={"of": int})
+    factor: float = field(default=10.0, metadata={"gt": 0})
 
 
 @dataclass
@@ -67,18 +59,10 @@ def momentum_step(w, state, grad, eta):
     return w_next, MomentumState(u=u_next, m=state.m), u_next
 
 
-def lr_at(schedule, epoch, iteration=0):
-    """Learning rate for a 0-indexed epoch / global iteration pair."""
-    if isinstance(schedule, StepDecay):
-        drops = sum(1 for ms in schedule.milestones if ms <= epoch)
-        return schedule.eta0 / schedule.factor ** drops
-    if isinstance(schedule, PolyDecay):
-        if iteration > schedule.max_iter:
-            raise ValueError(
-                f"iteration {iteration} past max_iter {schedule.max_iter}"
-            )
-        return schedule.eta0 * (1.0 - iteration / schedule.max_iter) ** schedule.power
-    raise TypeError(f"unknown schedule {type(schedule).__name__}")
+def lr_at(schedule, epoch):
+    """Learning rate of a StepDecay schedule at a 0-indexed epoch."""
+    drops = sum(1 for ms in schedule.milestones if ms <= epoch)
+    return schedule.eta0 / schedule.factor ** drops
 
 
 def clip_by_norm(grad, clip):

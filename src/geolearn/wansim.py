@@ -538,8 +538,9 @@ def build_topology(dc_names, bandwidth=None, latency_s=0.05,
                    compute_s=0.001):
     """Assemble a Topology for the named DCs from a bandwidth matrix.
 
-    bandwidth defaults to the packaged table. latency_s and compute_s may be
-    scalars or {dc_pair}/{dc} dicts. Prices stay in the cost table.
+    bandwidth defaults to the packaged table. latency_s is one latency for
+    every WAN link; compute_s is a scalar or a {dc: seconds} dict. Prices
+    stay in the cost table.
     """
     if bandwidth is None:
         names, matrix = default_bandwidth()
@@ -554,12 +555,11 @@ def build_topology(dc_names, bandwidth=None, latency_s=0.05,
         for dst in dc_names:
             if src == dst:
                 continue
-            lat = latency_s.get((src, dst)) if isinstance(latency_s, dict) else latency_s
             pair_bw.append(matrix[(src, dst)])
             links[(src, dst)] = LinkSpec(
                 src=src, dst=dst,
                 bandwidth=matrix[(src, dst)],
-                latency=lat,
+                latency=latency_s,
             )
     # intra-DC traffic is effectively local: free and far faster than any WAN hop
     lan_bw = 15.0 * (sum(pair_bw) / len(pair_bw)) if pair_bw else 1.0

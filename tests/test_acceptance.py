@@ -16,8 +16,8 @@ from geolearn.algos import warmup_sparsity
 from geolearn.data import (MinibatchStream, SkewSpec, gen_cluster_data,
                            partition_label_skew)
 from geolearn.harness import (AlgoCfg, ConvergenceCfg, DataCfg,
-                              ExperimentConfig, ModelCfg, PartitionCfg,
-                              ScoutCfgSection, metrics_csv_text,
+                              ExperimentConfig, ModelCfg, OutputCfg,
+                              PartitionCfg, ScoutCfgSection, metrics_csv_text,
                               run_experiment)
 from geolearn.models import (MFEntries, MFModel, SoftmaxModel, TinyMLP,
                              stat_divergence)
@@ -148,7 +148,7 @@ def _c03_cfg(mechanisms):
         algorithm=AlgoCfg(kind="gaia", batch_size=10, epochs=20, momentum=0.9,
                           lr={"eta0": 0.008}, t0=1e-3, ds=1,
                           barrier=mechanisms, mirror=mechanisms),
-        convergence=ConvergenceCfg(mode="none"), trace=True)
+        convergence=ConvergenceCfg(mode="none"), output=OutputCfg(trace=True))
 
 
 def _c03_run(mechanisms):

@@ -1,18 +1,33 @@
 import csv
+import importlib.util
 import io
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from geolearn import cli, wansim
+from geolearn import cli, harness, wansim
 from geolearn.algos import GaiaNode
+from geolearn.numerics import StepDecay
+from geolearn.psync import SoftCtl
 from geolearn.harness import (METRICS_HEADER, ConvergenceState,
                               ExperimentConfig, check_convergence,
                               config_from_dict, load_config, metrics_csv_text,
                               run_experiment, save_run, summary_text,
                               validate_config, _fmt)
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_demo(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "demos", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -24,7 +39,7 @@ def test_config_defaults():
     assert cfg.name == "run" and cfg.seed == 0
     assert cfg.model.kind == "softmax"
     assert cfg.algorithm.kind == "gaia"
-    assert cfg.out_dir is None
+    assert cfg.output.dir is None
     assert validate_config(cfg) == []
 
 
@@ -46,9 +61,9 @@ def test_config_from_dict_round_trip():
     assert cfg.algorithm.iter_local == 7
     assert cfg.algorithm.lr == {"eta0": 0.1, "milestones": [2, 5]}
     assert cfg.topology.dcs == ("virginia", "saopaulo", "tokyo")
-    assert cfg.out_dir == "out/trial"
-    assert cfg.trace is False
-    assert config_from_dict({"output": {"trace": True}}).trace is True
+    assert cfg.output.dir == "out/trial"
+    assert cfg.output.trace is False
+    assert config_from_dict({"output": {"trace": True}}).output.trace is True
 
 
 def test_config_rejects_unknown_keys():
@@ -117,11 +132,104 @@ def test_load_config_yaml(tmp_path):
     ({"topology": {"dcs": ["virginia"]}}, "DCs named for"),
     ({"convergence": {"mode": "hope"}}, "unknown convergence mode"),
     ({"convergence": {"window": 1}}, "window"),
+    # wrong types and out-of-range values, each caught by its field's rules
+    ({"algorithm": {"epochs": "3"}}, "algorithm.epochs must be an integer"),
+    ({"partition": {"alpha": "0.5"}}, "partition.alpha must be a number"),
+    ({"convergence": {"rel_tol": "x"}}, "convergence.rel_tol must be a number"),
+    ({"topology": {"latency_s": "fast"}}, "topology.latency_s must be a number"),
+    ({"algorithm": {"lr": {"eta0": 0.05, "milstones": [1]}}}, "milstones"),
+    ({"algorithm": {"barrier": "no"}}, "algorithm.barrier must be true or false"),
+    ({"seed": 2.7}, "seed must be an integer"),
+    ({"partition": {"nodes": True}}, "partition.nodes must be an integer"),
+    ({"model": {"features": 0}}, "model.features must be >= 1"),
+    ({"model": {"hidden": [0]}}, "model.hidden[0] must be >= 1"),
+    ({"algorithm": {"lr": {"eta0": 0.05, "power": 2}}}, "power"),
+    ({"algorithm": {"lr": {"eta0": -0.05}}}, "algorithm.lr.eta0 must be > 0"),
+    ({"algorithm": {"batch_size": 2.5}}, "algorithm.batch_size must be an integer"),
+    ({"data": {"per_class": 0}}, "data.per_class must be >= 1"),
+    ({"topology": {"compute_s": -1}}, "topology.compute_s must be >= 0"),
+    ({"algorithm": {"soft": {"targt": 0.5}}}, "targt"),
+    ({"scout": {"enabled": True, "grid": [0.1, "x"]}}, "scout.grid[1] must be a number"),
+    ({"model": {"norm": "layer"}}, "unknown model norm 'layer'"),
+    ({"topology": {"latency_s": {"virginia": 0.1}}},
+     "topology.latency_s must be a number"),
+    ({"topology": {"latency_s": None}}, "topology.latency_s must be a number"),
+    # cross-field checks
+    ({"topology": {"dcs": ["virginia", "atlantis"]}},
+     "missing from the bandwidth table: ['atlantis']"),
+    ({"topology": {"groups": [["virginia"]]}}, "exactly once"),
+    ({"topology": {"groups": [["virginia"], ["california"]],
+                   "hubs": [[0, 5, "virginia"]]}}, "[[0, 5, 'virginia']]"),
+    ({"partition": {"nodes": 12}}, "but 11 DCs in the bandwidth table"),
+    ({"partition": {"nodes": 5, "alpha": 1}}, "1 of 5 partitions would be empty"),
+    ({"model": {"kind": "mf", "rows": 2, "cols": 2}, "data": {"kind": "mf"},
+      "partition": {"nodes": 3}}, "2 of 3 partitions would be empty"),
+    ({"topology": {"dcs": ["virginia", "virginia"]}}, "more than once"),
 ])
 def test_validate_config_catches(patch, needle):
     cfg = config_from_dict(patch)
     errs = validate_config(cfg)
     assert any(needle in e for e in errs), errs
+    assert len(errs) == 1, errs
+
+
+def test_every_config_field_is_checked():
+    # a value of no field's type must be reported under the field's path, so
+    # a new field cannot skip validation; containers declare what they hold
+    probe = object()
+    for section, cls in [("", ExperimentConfig)] + list(harness._SECTIONS.items()):
+        for f in fields(cls):
+            if f.name in harness._SECTIONS:
+                continue
+            cfg = config_from_dict({})
+            setattr(getattr(cfg, section) if section else cfg, f.name, probe)
+            path = f"{section}.{f.name}" if section else f.name
+            assert validate_config(cfg) == [
+                f"{path} must be {harness._TYPES[f.type]}, got {probe!r}"]
+            assert f.type is not tuple or "of" in f.metadata, path
+            assert f.type is not dict or "schema" in f.metadata, path
+            # validate_config skips a field that still holds its default
+            default = getattr(cls(), f.name)
+            assert default is None or harness._check(
+                path, default, f.type, f.metadata) == [], path
+    for schema in (StepDecay, SoftCtl):
+        assert all(f.type in harness._TYPES for f in fields(schema)), schema
+
+
+def test_lr_and_soft_keys_are_the_schedule_and_control_fields():
+    assert validate_config(config_from_dict({"algorithm": {
+        "lr": {"eta0": 0.1, "milestones": [2], "factor": 5},
+        "soft": {"target": 0.5, "adjust": 3, "floor": 0.001}}})) == []
+    assert validate_config(config_from_dict({"algorithm": {
+        "soft": {"enabled": True}}})) == [
+            "unknown algorithm.soft option(s): ['enabled']"]
+    assert validate_config(config_from_dict({"algorithm": {
+        "soft": {"adjust": 1.0}}})) == [
+            "algorithm.soft: adjust factor must exceed 1, got 1.0"]
+
+
+def test_validate_config_names_dcs_missing_from_the_cost_table(tmp_path):
+    costs = tmp_path / "costs.csv"
+    costs.write_text("region,machine_rate_usd_per_hr,send_usd_per_gb,"
+                     "recv_usd_per_gb\nvirginia,0.9,0.02,0.01\n")
+    cfg = config_from_dict({"topology": {"cost_file": str(costs)}})
+    assert validate_config(cfg) == [
+        "DCs missing from the cost table: ['california']"]
+    cfg.topology.dcs = ("virginia", "oregon")
+    assert validate_config(cfg) == [
+        "DCs missing from the cost table: ['oregon']"]
+
+
+def test_a_topology_the_cost_table_does_not_price_has_no_cost():
+    demo = _load_demo("sync_mechanisms")
+    cfg = demo.gated_cfg(True)
+    cfg.algorithm.epochs = 2
+    result = run_experiment(cfg, topology=demo.lopsided_topology())
+    assert result.summary["total_bytes"] > 0
+    assert result.summary["cost_usd"] is None
+    assert [row["cost_usd"] for row in result.rows] == [None] * len(result.rows)
+    assert "\ncost_usd=\n" in summary_text(result.summary)
+    assert metrics_csv_text(result.rows).splitlines()[1].endswith(",")
 
 
 def test_unknown_algorithm_kind_with_the_scout_on_is_one_error():
@@ -420,6 +528,14 @@ def test_cli_validate_ok(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "ok"
 
 
+def test_cli_validate_rejects_a_string_for_a_bool(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text('algorithm: {barrier: "no"}\n')
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: algorithm.barrier must be true or false, got 'no'\n")
+
+
 def test_cli_validate_catches_errors(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("partition: {alpha: 3.0}\n")
@@ -486,3 +602,7 @@ def test_cli_override_resolution():
         cli._override(cfg, "model.no_such_field", 1)
     with pytest.raises(SystemExit):
         cli._override(cfg, "nosection.t0", 1)
+    with pytest.raises(SystemExit):         # model, data and algorithm
+        cli._override(cfg, "kind", "bsp")
+    cli._override(cfg, "output.dir", "runs/x")
+    assert cfg.output.dir == "runs/x"

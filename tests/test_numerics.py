@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from geolearn.numerics import (ClipConfig, MomentumState, PolyDecay,
+from geolearn.numerics import (ClipConfig, MomentumState,
                                StepDecay, clip_by_norm, grad_check, lr_at,
                                momentum_step)
 
@@ -45,15 +45,6 @@ def test_step_decay_oracle():
     sched = StepDecay(eta0=1.0, milestones=(2, 5), factor=10.0)
     assert [lr_at(sched, e) for e in (0, 1, 2, 4, 5, 9)] == [
         1.0, 1.0, 0.1, 0.1, 0.01, 0.01]
-
-
-def test_poly_decay_oracle():
-    sched = PolyDecay(eta0=2.0, power=2.0, max_iter=100)
-    assert lr_at(sched, 0, iteration=0) == 2.0
-    assert lr_at(sched, 0, iteration=50) == pytest.approx(0.5)
-    assert lr_at(sched, 0, iteration=100) == 0.0
-    with pytest.raises(ValueError):
-        lr_at(sched, 0, iteration=101)
 
 
 def test_clip_by_norm_oracle():
