@@ -82,6 +82,11 @@ CONFIGS = {
         "gaia-softmax-stall", {"kind": "softmax", "features": 6,
                                "classes": 7}, BLOBS, 3, 1.0,
         {"kind": "gaia", "epochs": 3, "batch_size": 10}),
+    # two lr drops: the threshold follows them, 0.01 -> 0.000625
+    "gaia-mlp-lr-drop": _cfg(
+        "gaia-mlp-lr-drop", MLP, BLOBS, 4, 0.5,
+        {"kind": "gaia", "epochs": 4, "t0": 0.01,
+         "lr": {"eta0": 0.05, "milestones": [1, 2], "factor": 4}}),
     "gaia-mf": _cfg(
         "gaia-mf", MF, MF_DATA, 3, 0.0,
         {"kind": "gaia", "epochs": 4, "t0": 0.02, "lr": {"eta0": 0.05}}),
