@@ -52,7 +52,7 @@ def main():
           % (on.summary["final_objective"], on.summary["epochs_done"]))
 
     decisions = Counter()
-    for _now, _name, kind, _local, _known, _true, allow in on.extras["gate_trace"]:
+    for _now, _name, kind, _local, _known, _true, allow in on.sim.gate_trace:
         decisions[(kind, "allow" if allow else "block")] += 1
     print("\ngate decisions with mechanisms on:")
     for (kind, verdict), n in sorted(decisions.items()):

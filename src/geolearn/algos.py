@@ -4,24 +4,23 @@ Three communication regimes over the same momentum-SGD inner loop:
 
 * GaiaNode: per-coordinate significance filtering with selective barriers
   and mirror clocks (the relaxed mode), or dense lockstep / bounded-stale
-  exchange as baselines, chosen by policy.
+  exchange as baselines, chosen by the algorithm kind.
 * FedAvgNode: rounds of local steps followed by a dense model average.
 * DgcNode: synchronized sparse all-reduce of top-k update coordinates with
   momentum correction and a warm-up sparsity ramp.
 
 Nodes are state machines driven by Simulator wake and delivery events: a
 node computes for its DC's configured compute time per minibatch, then
-exchanges according to its policy, and blocks whenever its gates say so.
+exchanges according to its algorithm, and blocks whenever its gates say so.
 A blocked node simply stays idle until a delivery changes its view.
 
 The message plumbing is shared in _NodeBase: it receives, forwards the
 copies an overlay hub must re-broadcast, broadcasts, and holds a node that
 waits for a round to complete. A node class supplies only its algorithm:
-_receive, _ready, _finish_iteration and set_knob.
+_receive, _ready, _local_step and set_knob.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,9 +28,9 @@ from . import psync, wansim
 from .data import MinibatchStream
 from .numerics import ClipConfig, MomentumState, clip_by_norm, lr_at, momentum_step
 from .psync import (
-    IterTick, LrDropped, SoftCtl, ThresholdSchedule,
-    WeightShard, accumulate_and_flush, apply_barrier, clear_barrier_on_update,
-    gate_read, mirror_clock_gate, ssp_gate, soft_threshold_adjust,
+    SoftCtl, WeightShard, accumulate_and_flush, apply_barrier,
+    clear_barrier_on_update, gate_read, mirror_clock_gate, ssp_gate,
+    soft_threshold_adjust,
 )
 
 WARMUP_SCHEDULE = (75.0, 93.75, 98.4375, 99.6, 99.9)
@@ -78,29 +77,6 @@ def dgc_select(v, sparsity_pct):
 
 
 # ---------------------------------------------------------------------------
-# policies
-
-
-@dataclass
-class SspPolicy:
-    """Dense exchange every iteration, bounded staleness; 0 is lockstep BSP."""
-
-    staleness: int = 1
-
-
-@dataclass
-class AspPolicy:
-    """Significance-filtered exchange with barriers and mirror clocks."""
-
-    t0: float = 0.01
-    ds: int = 1
-    decay_mode: str = "lr"              # "lr" | "invsqrt"
-    barrier: bool = True
-    mirror: bool = True
-    soft: SoftCtl = field(default_factory=SoftCtl)
-
-
-# ---------------------------------------------------------------------------
 # batch views
 
 
@@ -128,10 +104,11 @@ class _NodeBase:
 
     The base receives (travel payloads go to travel_sink, anything else to
     the subclass's _receive), forwards overlay copies a hub must
-    re-broadcast, broadcasts, and holds a node that is _awaiting a round.
-    A subclass supplies the algorithm: _receive, _ready (may the next step
-    start now?), _finish_iteration (one local step and its exchange),
-    weights and set_knob (the knob SkewScout tunes).
+    re-broadcast, broadcasts, computes each minibatch gradient, and holds a
+    node that is _awaiting a round. A subclass supplies the algorithm:
+    _receive, _ready (may the next step start now?), _local_step (apply one
+    gradient at a learning rate, and exchange), weights and set_knob (the
+    knob SkewScout tunes).
     """
 
     def __init__(self, name, index, model, batch_view, stream, lr_schedule,
@@ -227,6 +204,17 @@ class _NodeBase:
     def _ready(self, sim):
         return True
 
+    def _finish_iteration(self, sim):
+        """The next minibatch's gradient at the current weights and the
+        current local epoch's learning rate, handed to _local_step."""
+        # the minibatch stays referenced until the step returns: releasing
+        # it earlier reorders the heap's later large allocations, which made
+        # run set-up ~45% slower in the mlp-5dc benchmark
+        batch = self.batch_view.make(self.stream.next_batch())
+        _, grad = self.model.loss_and_grad(self.weights(), batch,
+                                           update_stats=True)
+        self._local_step(sim, grad, lr_at(self.lr_schedule, self.epochs_done))
+
     def _after_iteration(self, sim):
         if not np.all(np.isfinite(self.weights())):
             self.diverged = True
@@ -247,21 +235,28 @@ class _NodeBase:
     def _receive(self, sim, msg):
         raise NotImplementedError
 
-    def _finish_iteration(self, sim):
+    def _local_step(self, sim, grad, eta):
         raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
-# significance-filtered / dense-policy node
+# significance-filtered or dense exchange
 
 
 class GaiaNode(_NodeBase):
-    """One data center's worker+server pair under a sync policy.
+    """One data center's worker+server pair under the algorithm section
+    `algo` (harness.AlgoCfg).
 
-    The policy decides both what is emitted after each local step (a
-    significance-filtered slice of the accumulated update, or the whole
-    dense update) and what gates the next step (mirror clock + selective
-    barrier, or a staleness bound on known peer clocks).
+    Its kind decides both what is emitted after each local step (gaia: a
+    significance-filtered slice of the accumulated update; bsp and ssp: the
+    whole dense update) and what gates the next step (gaia: mirror clock +
+    selective barrier; bsp and ssp: a staleness bound on known peer clocks,
+    0 for bsp).
+
+    The hard significance threshold starts at algo.t0 and decays with the
+    learning rate (decay "lr": by the factor of each drop) or as
+    t0 / sqrt(t) on every iteration (decay "invsqrt"). Soft control
+    (psync.SoftCtl) runs exactly when algo.soft is set.
 
     A blocked node waits for something, and an untraced run re-checks its
     gates only when that has moved. Its local clock stands still while it
@@ -276,13 +271,13 @@ class GaiaNode(_NodeBase):
     """
 
     def __init__(self, name, index, model, batch_view, stream, lr_schedule,
-                 compute_s, max_iters, w0, policy, peers, momentum=0.9):
+                 compute_s, max_iters, w0, algo, peers, momentum=0.9):
         super().__init__(name, index, model, batch_view, stream, lr_schedule,
                          compute_s, max_iters, peers)
-        self.policy = policy
-        self._asp = isinstance(policy, AspPolicy)
-        if not self._asp:
-            self._staleness = policy.staleness
+        self.algo = algo
+        self._filtered = algo.kind == "gaia"
+        self._staleness = 0 if algo.kind == "bsp" else algo.staleness
+        self._soft = SoftCtl(**algo.soft) if algo.soft else None
         self._peer_shards = None   # (sim, nodes registered, peer shards)
         self.shard = WeightShard.fresh(w0, m=momentum, peers=self.peers)
         self.inbox = []            # (clock, origin, seq, idx, vals, dense)
@@ -290,10 +285,7 @@ class GaiaNode(_NodeBase):
         self._last_eta = None
         self._last_flush_time = {p: 0.0 for p in self.peers}
         self.rate_monitors = {p: wansim.RateMonitor() for p in self.peers}
-        if self._asp:
-            self.t_hard = policy.t0
-            self.t_soft = policy.t0
-            self.t_sched = ThresholdSchedule(t0=policy.t0, mode=policy.decay_mode)
+        self._t0 = self.t_hard = self.t_soft = algo.t0
         self.sig_counts = {}       # epoch -> [emitted, scored]
         # the wait of an untraced blocked node (see the class docstring);
         # _short is always the number of peers whose mirror clock is below
@@ -307,9 +299,8 @@ class GaiaNode(_NodeBase):
 
     def set_knob(self, theta):
         """Restart the significance threshold at theta."""
-        self.t_hard = theta
+        self._t0 = self.t_hard = theta
         self.t_soft = min(self.t_soft, theta)
-        self.t_sched = ThresholdSchedule(t0=theta, mode=self.policy.decay_mode)
 
     # -- receiving ---------------------------------------------------------
 
@@ -403,12 +394,12 @@ class GaiaNode(_NodeBase):
         return allow
 
     def _gates_allow(self, sim):
-        if self._asp:
-            pol = self.policy
-            if pol.mirror and self.peers and not self._clock_gate(
-                    sim, "mirror", mirror_clock_gate, pol.ds):
+        if self._filtered:
+            algo = self.algo
+            if algo.mirror and self.peers and not self._clock_gate(
+                    sim, "mirror", mirror_clock_gate, algo.ds):
                 return False
-            return not pol.barrier or self._barrier_gate(sim)
+            return not algo.barrier or self._barrier_gate(sim)
         return not self.peers or self._clock_gate(sim, "ssp", ssp_gate,
                                                    self._staleness)
 
@@ -421,19 +412,15 @@ class GaiaNode(_NodeBase):
 
     # -- the local step ----------------------------------------------------
 
-    def _finish_iteration(self, sim):
-        batch = self.batch_view.make(self.stream.next_batch())
-        loss, grad = self.model.loss_and_grad(self.shard.w, batch,
-                                              update_stats=True)
-        eta = lr_at(self.lr_schedule, self.epochs_done)
+    def _local_step(self, sim, grad, eta):
         w_next, m_next, update = momentum_step(self.shard.w, self.shard.momentum,
                                                grad, eta)
         self.shard.w = w_next
         self.shard.momentum = m_next
         self.iters_done += 1
         self.shard.local_clock += 1
-        if self._asp:
-            self._asp_exchange(sim, update, eta)
+        if self._filtered:
+            self._filtered_exchange(sim, update, eta)
         else:
             self._dense_exchange(sim, update)
         self._last_eta = eta
@@ -454,19 +441,19 @@ class GaiaNode(_NodeBase):
         }
         self._broadcast(sim, split, payload)
 
-    def _asp_exchange(self, sim, update, eta):
-        pol = self.policy
+    def _filtered_exchange(self, sim, update, eta):
+        algo = self.algo
         self.shard.v = self.shard.v + update
-        # threshold decay: coupled to lr drops, or 1/sqrt(t) on every tick
-        if pol.decay_mode == "lr" and self._last_eta is not None and eta < self._last_eta:
-            self.t_hard = psync.threshold_decay(
-                self.t_sched, self.t_hard, LrDropped(eta / self._last_eta))
+        # the hard threshold decays by the factor of an lr drop, or as
+        # t0 / sqrt(t) on every iteration; t_soft is capped at it only when
+        # it decays, since the soft floor may hold t_soft above it between
+        if algo.decay == "lr" and self._last_eta is not None and eta < self._last_eta:
+            self.t_hard = self.t_hard * (eta / self._last_eta)
             self.t_soft = min(self.t_soft, self.t_hard)
-        elif pol.decay_mode == "invsqrt":
-            self.t_hard = psync.threshold_decay(
-                self.t_sched, self.t_hard, IterTick(self.iters_done))
+        elif algo.decay == "invsqrt":
+            self.t_hard = self._t0 / np.sqrt(self.iters_done)
             self.t_soft = min(self.t_soft, self.t_hard)
-        t_eff = self.t_soft if pol.soft.enabled else self.t_hard
+        t_eff = self.t_soft if self._soft else self.t_hard
         idx, vals = accumulate_and_flush(self.shard, t_eff)
         epoch = (self.iters_done - 1) // self.batches_per_epoch
         counts = self.sig_counts.setdefault(epoch, [0, 0])
@@ -494,7 +481,7 @@ class GaiaNode(_NodeBase):
                 monitor.observe(flush_nbytes, elapsed)
             self._last_flush_time[dst] = sim.now
             utilizations.append(monitor.rate / link.bandwidth)
-            if not (pol.barrier and monitor.warm and idx.size
+            if not (algo.barrier and monitor.warm and idx.size
                     and monitor.rate > link.bandwidth):
                 continue
             if barrier is None:
@@ -518,13 +505,11 @@ class GaiaNode(_NodeBase):
             self._broadcast(sim, split, payload, hops)
         else:
             # nothing significant: the clock still has to move
-            self._broadcast(
-                sim, {wansim.KIND_CLOCK: wansim.CLOCK_BYTES},
-                {"clock": self.shard.local_clock, "idx": None,
-                 "vals": None, "dense": False}, hops)
-        if pol.soft.enabled and utilizations:
+            self._broadcast(sim, {wansim.KIND_CLOCK: wansim.CLOCK_BYTES},
+                            {"clock": self.shard.local_clock}, hops)
+        if self._soft and utilizations:
             self.t_soft = soft_threshold_adjust(
-                pol.soft, max(utilizations), self.t_soft, self.t_hard)
+                self._soft, max(utilizations), self.t_soft, self.t_hard)
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +564,7 @@ class FedAvgNode(_NodeBase):
             return self.members()
         return self.participants_fn(self.round)
 
-    def _finish_iteration(self, sim):
-        batch = self.batch_view.make(self.stream.next_batch())
-        loss, grad = self.model.loss_and_grad(self.w, batch, update_stats=True)
-        eta = lr_at(self.lr_schedule, self.epochs_done)
+    def _local_step(self, sim, grad, eta):
         self.w, self.momentum, _ = momentum_step(self.w, self.momentum, grad, eta)
         self.iters_done += 1
         self._steps_in_round += 1
@@ -665,10 +647,7 @@ class DgcNode(_NodeBase):
     def current_sparsity(self):
         return warmup_sparsity(self.epochs_done + 1, self.e_warm)
 
-    def _finish_iteration(self, sim):
-        batch = self.batch_view.make(self.stream.next_batch())
-        loss, grad = self.model.loss_and_grad(self.w, batch, update_stats=True)
-        eta = lr_at(self.lr_schedule, self.epochs_done)
+    def _local_step(self, sim, grad, eta):
         step_vec = clip_by_norm(-eta * grad, ClipConfig(self.clip))
         self.u = self.m * self.u + step_vec
         self.v = self.v + self.u

@@ -27,10 +27,7 @@ import numpy as np
 import yaml
 
 from . import skewscout, wansim
-from .algos import (
-    ArrayBatches, AspPolicy, DgcNode, EntryBatches, FedAvgNode, GaiaNode,
-    SspPolicy,
-)
+from .algos import ArrayBatches, DgcNode, EntryBatches, FedAvgNode, GaiaNode
 from .data import (
     MFDatasetSpec, MinibatchStream, SkewSpec, gen_cluster_data, gen_mf_data,
     partition_label_skew, partition_uniform,
@@ -39,7 +36,7 @@ from .models import MFModel, SoftmaxModel, TinyMLP
 from .numerics import StepDecay
 from .psync import SoftCtl
 from .rng import seed_stream
-from .skewscout import ScoutConfig, ScoutController
+from .skewscout import ScoutController
 
 METRICS_HEADER = (
     "sim_time_s", "epoch", "objective", "accuracy",
@@ -57,7 +54,7 @@ def _f(default, **rules):
     annotated type: ge/gt/le/lt bound a number or each element of a tuple;
     choices lists the allowed values (noun names them in the message); of is
     a tuple's element type; per_dc also allows a {dc: number} mapping;
-    schema is a dataclass whose fields, less skip, are a dict field's keys."""
+    schema is a dataclass whose fields are a dict field's keys."""
     return field(default=default, metadata=rules)
 
 
@@ -114,7 +111,7 @@ class AlgoCfg:
     decay: str = _f("lr", choices=("lr", "invsqrt"))
     barrier: bool = _f(True)
     mirror: bool = _f(True)
-    soft: dict = _f(None, schema=SoftCtl, skip=("enabled",))  # soft sharing
+    soft: dict = _f(None, schema=SoftCtl)    # soft sharing, on when set
     # bounded staleness
     staleness: int = _f(1, ge=0)
     # model averaging
@@ -229,7 +226,7 @@ def _check(path, value, kind, rules):
         return [e for i, v in enumerate(value)
                 for e in _check(f"{path}[{i}]", v, rules["of"], {**rules, "of": None})]
     if kind is dict:
-        return _check_schema(path, value, rules["schema"], rules.get("skip", ()))
+        return _check_schema(path, value, rules["schema"])
     if "choices" in rules and value not in rules["choices"]:
         return [f"unknown {rules.get('noun', path.replace('.', ' '))} {value!r}"]
     for k, (_, op) in _BOUNDS.items():
@@ -240,9 +237,9 @@ def _check(path, value, kind, rules):
     return []
 
 
-def _check_schema(path, value, schema, skip):
+def _check_schema(path, value, schema):
     """A mapping of `schema`'s fields: keys, values, then schema's own checks."""
-    known = {f.name: f for f in _fields(schema) if f.name not in skip}
+    known = {f.name: f for f in _fields(schema)}
     if unknown := set(value) - set(known):
         return [f"unknown {path} option(s): {sorted(unknown, key=str)}"]
     if missing := [n for n, f in known.items()
@@ -355,10 +352,9 @@ def _check_config(cfg):
 
 @dataclass
 class ConvergenceState:
-    mode: str = "window"
-    window: int = 10
-    rel_tol: float = 0.02
-    target: float = 0.0
+    """A run's evaluations so far, judged by its convergence section."""
+
+    cfg: ConvergenceCfg
     history: list = field(default_factory=list)
     status: str = "running"
     at_time: float = None
@@ -373,14 +369,15 @@ def check_convergence(state, value, sim_time):
         state.at_time = sim_time
         return state.status
     state.history.append(value)
-    if state.mode == "target":
-        if value <= state.target:
+    cfg = state.cfg
+    if cfg.mode == "target":
+        if value <= cfg.target:
             state.status = "converged"
             state.at_time = sim_time
-    elif state.mode == "window" and len(state.history) >= state.window:
-        tail = state.history[-state.window:]
+    elif cfg.mode == "window" and len(state.history) >= cfg.window:
+        tail = state.history[-cfg.window:]
         spread = max(tail) - min(tail)
-        if spread <= state.rel_tol * abs(float(np.mean(tail))):
+        if spread <= cfg.rel_tol * abs(float(np.mean(tail))):
             state.status = "converged"
             state.at_time = sim_time
     return state.status
@@ -487,8 +484,7 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
         for i in range(k)
     ]
     bpe0 = streams[0].batches_per_epoch
-    # the node class and its kind-specific arguments; one policy per run,
-    # shared by every node (nodes never mutate it)
+    # the node class and its kind-specific arguments
     if acfg.kind == "fedavg":
         max_rounds, participants_fn = math.inf, None
         if not cfg.scout.enabled:
@@ -509,14 +505,8 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
     elif acfg.kind == "dgc":
         node_cls, kind_kw = DgcNode, dict(e_warm=acfg.e_warm,
                                           clip_norm=acfg.clip_norm)
-    elif acfg.kind == "gaia":
-        soft = SoftCtl(enabled=True, **acfg.soft) if acfg.soft else SoftCtl()
-        node_cls, kind_kw = GaiaNode, dict(policy=AspPolicy(
-            t0=acfg.t0, ds=acfg.ds, decay_mode=acfg.decay,
-            barrier=acfg.barrier, mirror=acfg.mirror, soft=soft))
-    else:
-        staleness = 0 if acfg.kind == "bsp" else acfg.staleness
-        node_cls, kind_kw = GaiaNode, dict(policy=SspPolicy(staleness))
+    else:    # gaia, bsp and ssp; nodes never mutate the section
+        node_cls, kind_kw = GaiaNode, dict(algo=acfg)
 
     nodes = []
     for i, (dc, stream) in enumerate(zip(dcs, streams)):
@@ -533,7 +523,7 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
 
     # evaluation and stopping
     rows = []
-    conv = ConvergenceState(**vars(cfg.convergence))
+    conv = ConvergenceState(cfg.convergence)
     prev_bytes = dict.fromkeys(wansim.BYTE_KINDS, 0)
     rounds_log = []
 
@@ -541,11 +531,16 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
         for node in nodes:
             node.stopped = True
 
+    def cost_now():
+        """Book machine time at the simulator's clock; the cost so far, or
+        None when the cost table does not price every DC."""
+        sim.ledger.machine_seconds = {dc: sim.now for dc in dcs}
+        return wansim.account_cost(sim.ledger, rates) if rates else None
+
     def evaluate(trigger, sim_):
         obj = _mean_objective(nodes, full_batch)
         acc = _mean_accuracy(nodes, test)
-        sim_.ledger.machine_seconds = {dc: sim_.now for dc in dcs}
-        cost = wansim.account_cost(sim_.ledger, rates) if rates else None
+        cost = cost_now()
         row = {"sim_time_s": sim_.now, "epoch": trigger.epochs_done,
                "objective": obj, "accuracy": acc, "cost_usd": cost}
         for kind in wansim.BYTE_KINDS:
@@ -592,9 +587,7 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
                 node.set_knob(theta)
 
         scout = ScoutController(
-            cfg=ScoutConfig(**{f.name: getattr(cfg.scout, f.name)
-                               for f in fields(ScoutConfig)} | {"mtp": mtp}),
-            grid=grid, nodes=nodes, evaluate=probe_metric,
+            cfg.scout, mtp, grid=grid, nodes=nodes, evaluate=probe_metric,
             apply_theta=apply_theta,
             model_bytes=wansim.dense_update_bytes(w0.size),
             rng=seed_stream(seed, "scout", "tuner"), al_mode=al_mode)
@@ -625,9 +618,8 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
         sim.wake_at(0.0, node.name)
     sim.run()
 
-    # the queue is drained: book machine time at the final clock and settle
-    sim.ledger.machine_seconds = {dc: sim.now for dc in dcs}
-    total_cost = wansim.account_cost(sim.ledger, rates) if rates else None
+    # the queue is drained: settle at the final clock
+    total_cost = cost_now()
     summary = {
         "name": cfg.name,
         "seed": seed,
@@ -654,7 +646,6 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
     if not sim.ledger.conservation_ok():
         raise RuntimeError("byte conservation violated: sent != delivered")
 
-    extras["gate_trace"] = sim.gate_trace
     extras["rounds_log"] = rounds_log
     if acfg.kind in ("gaia",):
         extras["sig_counts"] = {n.name: n.sig_counts for n in nodes}

@@ -98,55 +98,6 @@ def accumulate_and_flush(shard, threshold):
 
 
 # ---------------------------------------------------------------------------
-# threshold decay
-
-
-@dataclass
-class ThresholdSchedule:
-    """Hard significance threshold over time.
-
-    mode "lr": the threshold scales by the same factor the learning rate
-    drops by (the default pairing with step schedules). mode "invsqrt":
-    T_t = t0 / sqrt(t) on every iteration tick, the form matching the
-    epsilon-convergence argument.
-    """
-
-    t0: float
-    mode: str = "lr"
-
-    def __post_init__(self):
-        if self.mode not in ("lr", "invsqrt"):
-            raise ValueError(f"unknown threshold decay mode {self.mode!r}")
-
-
-@dataclass
-class LrDropped:
-    ratio: float  # new_lr / old_lr
-
-
-@dataclass
-class IterTick:
-    t: int        # 1-indexed iteration count
-
-
-def threshold_decay(schedule, t_prev, event):
-    """Next hard threshold after a decay event."""
-    if isinstance(event, LrDropped):
-        if schedule.mode != "lr":
-            return t_prev
-        if not 0 < event.ratio <= 1:
-            raise ValueError(f"lr drop ratio must be in (0, 1], got {event.ratio}")
-        return t_prev * event.ratio
-    if isinstance(event, IterTick):
-        if schedule.mode != "invsqrt":
-            return t_prev
-        if event.t < 1:
-            raise ValueError("iteration tick must be >= 1")
-        return schedule.t0 / np.sqrt(event.t)
-    raise TypeError(f"unknown decay event {type(event).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # selective barrier
 
 
@@ -271,12 +222,11 @@ class SoftCtl:
 
     When utilization of the monitored link sits below `target`, the soft
     threshold is lowered (divided by `adjust`, floored); otherwise it is
-    raised back toward the hard threshold. Disabled control pins the soft
-    threshold to the hard one, which is the communication-cost-minimizing
+    raised back toward the hard threshold. Without soft control a node
+    filters at the hard threshold, which is the communication-cost-minimizing
     setting.
     """
 
-    enabled: bool = False
     target: float = 0.8
     adjust: float = 2.0
     floor: float = 1e-4
@@ -290,8 +240,6 @@ class SoftCtl:
 
 def soft_threshold_adjust(ctl, utilization, t_soft, t_hard):
     """Next soft threshold given measured link utilization in [0, 1]."""
-    if not ctl.enabled:
-        return t_hard
     if utilization < ctl.target:
         return max(ctl.floor, t_soft / ctl.adjust)
     return min(t_hard, t_soft * ctl.adjust)

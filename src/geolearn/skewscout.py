@@ -30,19 +30,6 @@ DGC_EWARM_GRID = (8, 4, 3, 2, 1)
 
 
 @dataclass
-class ScoutConfig:
-    mtp: int = 1                  # boundaries (iterations or rounds) per travel
-    sigma_al: float = 5.0         # tolerated accuracy loss, points
-    lambda_al: float = 1.0
-    lambda_c: float = 1.0
-    probe_size: int = 256
-    tuner: str = "hill"           # hill | stochastic | anneal
-    start_idx: int = 0
-    temperature: float = 1.0
-    temp_decay: float = 0.9
-
-
-@dataclass
 class TravelReport:
     boundary: int
     source: str
@@ -55,7 +42,8 @@ class TravelReport:
 
 
 def proxy_score(theta, al_points, c_bytes, cm_bytes, cfg):
-    """Accuracy-loss hinge plus normalized communication volume."""
+    """Accuracy-loss hinge plus normalized communication volume, weighed by
+    the scout section cfg (sigma_al, lambda_al, lambda_c)."""
     if cm_bytes <= 0:
         raise ValueError(f"model size must be positive, got {cm_bytes}")
     hinge = max(0.0, al_points - cfg.sigma_al)
@@ -118,15 +106,19 @@ def tuner_step(state, grid_size):
 class ScoutController:
     """Wires travels, scoring, and the tuner into a running experiment.
 
-    evaluate(w, stats, node_index) returns the probe metric at one node
-    (accuracy in points for classifiers, raw objective for factorization);
-    al_mode picks how two probe metrics combine into AL points. apply_theta
-    pushes a new grid value into the running nodes.
+    cfg is the scout section (harness.ScoutCfgSection), which sets the
+    score's weights and the tuner; mtp is the resolved travel period, in
+    boundaries (iterations or rounds) per travel. evaluate(w, stats,
+    node_index) returns the probe metric at one node (accuracy in points for
+    classifiers, raw objective for factorization); al_mode picks how two
+    probe metrics combine into AL points. apply_theta pushes a new grid
+    value into the running nodes.
     """
 
-    def __init__(self, cfg, grid, nodes, evaluate, apply_theta, model_bytes,
-                 rng, al_mode="points"):
+    def __init__(self, cfg, mtp, grid, nodes, evaluate, apply_theta,
+                 model_bytes, rng, al_mode="points"):
         self.cfg = cfg
+        self.mtp = mtp
         self.grid = list(grid)
         self.nodes = nodes
         self.evaluate = evaluate
@@ -153,7 +145,7 @@ class ScoutController:
     def on_boundary(self, node, sim):
         """Called from the trigger node's hook once per iteration/round."""
         self._boundary_count += 1
-        if self._boundary_count % self.cfg.mtp != 0:
+        if self._boundary_count % self.mtp != 0:
             return
         self.boundary += 1
         self._pending[self.boundary] = []

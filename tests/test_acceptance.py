@@ -164,10 +164,10 @@ def test_03_sync_mechanism_ablation():
     on_obj = on.summary["final_objective"]
     off_obj = off.summary["final_objective"]
     off_bad = off.summary["diverged"] or off_obj >= 1.10 * on_obj
-    mirror_rows = [t for t in on.extras["gate_trace"] if t[2] == "mirror"]
+    mirror_rows = [t for t in on.sim.gate_trace if t[2] == "mirror"]
     ds = 1
     gap_ok = all(t[3] - t[5] <= ds for t in mirror_rows if t[6])
-    some_blocked = any(not t[6] for t in on.extras["gate_trace"])
+    some_blocked = any(not t[6] for t in on.sim.gate_trace)
     ok = off_bad and gap_ok and some_blocked and len(mirror_rows) > 0
     _verdict(3, ok,
              f"unsynchronized objective {off_obj:.3f} vs synced {on_obj:.3f} "

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geolearn import wansim
-from geolearn.algos import (ArrayBatches, AspPolicy, DgcNode, FedAvgNode,
-                            GaiaNode, SspPolicy, dgc_select, warmup_sparsity)
+from geolearn.algos import (ArrayBatches, DgcNode, FedAvgNode, GaiaNode,
+                            dgc_select, warmup_sparsity)
 from geolearn.data import (MinibatchStream, SkewSpec, gen_cluster_data,
                            partition_label_skew)
-from geolearn.numerics import StepDecay
+from geolearn.harness import AlgoCfg
+from geolearn.numerics import StepDecay, lr_at
 from geolearn.psync import BarrierMsg, apply_barrier
 from geolearn.rng import seed_stream
 from geolearn.models import SoftmaxModel
@@ -128,7 +129,7 @@ def _spawn(kind, names, seed=5, batch=10, per_class=30, features=3, classes=2,
 
 def test_bsp_nodes_stay_in_lockstep():
     sim, (a, b) = _spawn(GaiaNode, ["a", "b"], max_iters=6,
-                         policy=SspPolicy(staleness=0))
+                         algo=AlgoCfg(kind="bsp"))
     gaps = []
     a.iter_hook = lambda n, s: gaps.append(abs(n.iters_done - b.iters_done))
     sim.run()
@@ -147,7 +148,7 @@ def test_bsp_nodes_stay_in_lockstep():
 
 def test_asp_huge_threshold_sends_clocks_only():
     sim, nodes = _spawn(GaiaNode, ["a", "b"], max_iters=4,
-                        policy=AspPolicy(t0=1e9, ds=1000))
+                        algo=AlgoCfg(kind="gaia", t0=1e9, ds=1000))
     sim.run()
     assert all(n.iters_done == 4 for n in nodes)
     assert sim.ledger.sent_bytes(wansim.KIND_UPDATE) == 0
@@ -162,7 +163,7 @@ def test_asp_huge_threshold_sends_clocks_only():
 
 def test_asp_tiny_threshold_emits_nearly_everything():
     sim, nodes = _spawn(GaiaNode, ["a", "b"], max_iters=4,
-                        policy=AspPolicy(t0=1e-12, ds=1000))
+                        algo=AlgoCfg(kind="gaia", t0=1e-12, ds=1000))
     sim.run()
     for n in nodes:
         emitted = sum(c[0] for c in n.sig_counts.values())
@@ -222,7 +223,8 @@ def test_fedavg_single_node_rounds_without_traffic():
     assert sim.ledger.sent_bytes() == 0
     # DGC and BSP on a lone DC take their general exchange path too: no
     # hop, and the full budget
-    for kind, node_kw in ((DgcNode, {}), (GaiaNode, {"policy": SspPolicy(staleness=0)})):
+    for kind, node_kw in ((DgcNode, {}),
+                          (GaiaNode, {"algo": AlgoCfg(kind="bsp")})):
         sim, (a,) = _spawn(kind, ["a"], max_iters=6, **node_kw)
         sim.run()
         assert a.stopped and not a.diverged, kind.__name__
@@ -230,23 +232,64 @@ def test_fedavg_single_node_rounds_without_traffic():
         assert sim.ledger.sent_bytes() == 0, kind.__name__
 
 
-# ---------------------------------------------------------------------------
-# a blocked Gaia-family node re-checks only when what it waits for moves
-
-
-def _blocked_node(policy, local, trace, barrier=None):
-    """Node "a" of a 3-DC mesh whose peers b and c are still at clock 0,
-    set `local` clocks ahead (optionally under a barrier from b) and offered
-    its first start. Returns (sim, node, gate checks so far)."""
-    sim = _mesh_sim(["a", "b", "c"], trace=trace)
+def _node_a(sim, algo, peers, lr_schedule=StepDecay(eta0=0.05), max_iters=100):
+    """Gaia-family node "a" on 60 samples (6 batches per epoch), registered."""
     data = gen_cluster_data(2, 3, 30, spread=1.0, seed=5)
     node = GaiaNode(
         name="a", index=0, model=SoftmaxModel(3, 2),
         batch_view=ArrayBatches(data.X, data.y),
         stream=MinibatchStream(np.arange(60), 10, seed_stream(5, "stream", "a")),
-        lr_schedule=StepDecay(eta0=0.05), compute_s=0.001, max_iters=100,
-        w0=np.zeros(8), policy=policy, peers=["b", "c"])
+        lr_schedule=lr_schedule, compute_s=0.001, max_iters=max_iters,
+        w0=np.zeros(8), algo=algo, peers=peers)
     sim.register("a", node)
+    return node
+
+
+def _hard_thresholds(decay, schedule, knob_at=None, theta=None):
+    """t_hard after each of a lone Gaia node's 12 iterations (t0 0.02);
+    set_knob(theta) runs after iteration knob_at."""
+    sim = _mesh_sim(["a"])
+    node = _node_a(sim, AlgoCfg(kind="gaia", t0=0.02, decay=decay), [],
+                   lr_schedule=schedule, max_iters=12)
+    seen = []
+
+    def hook(n, _sim):
+        seen.append(n.t_hard)
+        if n.iters_done == knob_at:
+            n.set_knob(theta)
+
+    node.iter_hook = hook
+    sim.wake_at(0.0, "a")
+    sim.run()
+    return seen
+
+
+def test_hard_threshold_follows_lr_drops_or_invsqrt_from_the_knob():
+    schedule = StepDecay(eta0=0.05, milestones=(1,), factor=4.0)
+    ratio = lr_at(schedule, 1) / lr_at(schedule, 0)
+    t0, theta = 0.02, 0.3
+    # the lr drops at the first step of epoch 1, iteration 7
+    assert _hard_thresholds("lr", schedule) == [t0] * 6 + [t0 * ratio] * 6
+    assert _hard_thresholds("lr", schedule, knob_at=3, theta=theta) == (
+        [t0] * 3 + [theta] * 3 + [theta * ratio] * 6)
+    # invsqrt ignores lr drops: t0 / sqrt(t) at iteration t
+    assert _hard_thresholds("invsqrt", schedule) == [
+        t0 / np.sqrt(t) for t in range(1, 13)]
+    assert _hard_thresholds("invsqrt", schedule, knob_at=3, theta=theta) == (
+        [t0 / np.sqrt(t) for t in range(1, 4)]
+        + [theta / np.sqrt(t) for t in range(4, 13)])
+
+
+# ---------------------------------------------------------------------------
+# a blocked Gaia-family node re-checks only when what it waits for moves
+
+
+def _blocked_node(algo, local, trace, barrier=None):
+    """Node "a" of a 3-DC mesh whose peers b and c are still at clock 0,
+    set `local` clocks ahead (optionally under a barrier from b) and offered
+    its first start. Returns (sim, node, gate checks so far)."""
+    sim = _mesh_sim(["a", "b", "c"], trace=trace)
+    node = _node_a(sim, algo, ["b", "c"])
     node.shard.local_clock = local
     if barrier is not None:
         apply_barrier(node.shard, barrier)
@@ -267,7 +310,7 @@ def _to_a(src, clock, origin=None, idx=None):
     if idx is None:
         return wansim.Message(
             wansim.KIND_CLOCK, src, "a", {wansim.KIND_CLOCK: wansim.CLOCK_BYTES},
-            {"clock": clock, "idx": None, "vals": None, "dense": False}, origin)
+            {"clock": clock}, origin)
     idx = np.asarray(idx, dtype=np.intp)
     return wansim.Message(
         wansim.KIND_UPDATE, src, "a",
@@ -278,10 +321,10 @@ def _to_a(src, clock, origin=None, idx=None):
 
 
 @pytest.mark.parametrize("policy,slack", [
-    (SspPolicy(staleness=0), 0),
-    (SspPolicy(staleness=2), 2),
-    (AspPolicy(ds=0, barrier=False), 0),
-    (AspPolicy(ds=2, barrier=False), 2),
+    (AlgoCfg(kind="bsp"), 0),
+    (AlgoCfg(kind="ssp", staleness=2), 2),
+    (AlgoCfg(kind="gaia", ds=0, barrier=False), 0),
+    (AlgoCfg(kind="gaia", ds=2, barrier=False), 2),
 ])
 def test_clock_wait_rechecks_only_when_the_last_peer_crosses(policy, slack):
     local = 5
@@ -319,14 +362,14 @@ def test_clock_wait_rechecks_only_when_the_last_peer_crosses(policy, slack):
 
 def test_barrier_wait_rechecks_only_after_its_entries_clear():
     barrier = BarrierMsg(source="b", clock=1, indexes=np.array([0, 3]))
-    policy = AspPolicy(ds=100)
+    algo = AlgoCfg(kind="gaia", ds=100)
     deliveries = [
         (_to_a("c", 1), False, False),                # clock only
         (_to_a("c", 1, idx=[0]), False, False),       # c holds no barrier
         (_to_a("b", 0, idx=[0, 3]), True, False),     # older flush from b
         (_to_a("b", 1, idx=[0, 3]), True, True),      # the awaited flush
     ]
-    sim, node, checks = _blocked_node(policy, 1, trace=False, barrier=barrier)
+    sim, node, checks = _blocked_node(algo, 1, trace=False, barrier=barrier)
     assert len(checks) == 1 and not node._computing
     started = []
     for msg, rechecks, starts in deliveries:
@@ -335,7 +378,7 @@ def test_barrier_wait_rechecks_only_after_its_entries_clear():
         assert (len(checks) > before) == rechecks, msg
         assert node._computing == starts, msg
         started.append(node._computing)
-    sim, node, checks = _blocked_node(policy, 1, trace=True, barrier=barrier)
+    sim, node, checks = _blocked_node(algo, 1, trace=True, barrier=barrier)
     traced = []
     for msg, _rechecks, _starts in deliveries:
         node.on_message(sim, msg)

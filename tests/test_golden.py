@@ -12,6 +12,9 @@ behaviour regenerates the files in the same change and says which pins
 moved and why. Regenerate both with::
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+which prints each pin it moves (config name, then ``digest`` or ``gate
+trace`` and the new value, or ``removed``), or ``no pin moved``.
 """
 
 import functools
@@ -202,8 +205,14 @@ if __name__ == "__main__":
         digests[name], result = run_digest(raw, trace=True)
         gate_traces[name] = gate_trace_digest(result)
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for path, pins in ((DIGESTS_PATH, digests),
-                       (GATE_TRACES_PATH, gate_traces)):
+    moved = []
+    for path, label, pins in ((DIGESTS_PATH, "digest", digests),
+                              (GATE_TRACES_PATH, "gate trace", gate_traces)):
+        before = _golden(path) if os.path.exists(path) else {}
+        moved += [f"{name} {label} {pins.get(name, 'removed')}"
+                  for name in sorted(set(before) | set(pins))
+                  if before.get(name) != pins.get(name)]
         with open(path, "w") as fh:
             json.dump(pins, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    print("\n".join(moved) or "no pin moved")

@@ -12,9 +12,10 @@ from geolearn import cli, harness, wansim
 from geolearn.algos import GaiaNode
 from geolearn.numerics import StepDecay
 from geolearn.psync import SoftCtl
-from geolearn.harness import (METRICS_HEADER, ConvergenceState,
-                              ExperimentConfig, check_convergence,
-                              config_from_dict, load_config, metrics_csv_text,
+from geolearn.harness import (METRICS_HEADER, ConvergenceCfg,
+                              ConvergenceState, ExperimentConfig,
+                              check_convergence, config_from_dict,
+                              load_config, metrics_csv_text,
                               run_experiment, save_run, summary_text,
                               validate_config, _fmt)
 
@@ -165,6 +166,7 @@ def test_load_config_yaml(tmp_path):
     ({"model": {"kind": "mf", "rows": 2, "cols": 2}, "data": {"kind": "mf"},
       "partition": {"nodes": 3}}, "2 of 3 partitions would be empty"),
     ({"topology": {"dcs": ["virginia", "virginia"]}}, "more than once"),
+    ({"algorithm": {"decay": "linear"}}, "unknown algorithm decay"),
 ])
 def test_validate_config_catches(patch, needle):
     cfg = config_from_dict(patch)
@@ -243,7 +245,7 @@ def test_unknown_algorithm_kind_with_the_scout_on_is_one_error():
 
 
 def test_convergence_target_mode():
-    state = ConvergenceState(mode="target", target=1.0)
+    state = ConvergenceState(ConvergenceCfg(mode="target", target=1.0))
     assert check_convergence(state, 3.0, 1.0) == "running"
     assert check_convergence(state, 0.9, 2.0) == "converged"
     assert state.at_time == 2.0
@@ -252,7 +254,8 @@ def test_convergence_target_mode():
 
 
 def test_convergence_window_mode():
-    state = ConvergenceState(mode="window", window=3, rel_tol=0.05)
+    state = ConvergenceState(ConvergenceCfg(mode="window", window=3,
+                                            rel_tol=0.05))
     for t, v in enumerate([10.0, 5.0, 4.0, 4.05, 3.98]):
         status = check_convergence(state, v, float(t))
     # last three values sit within 5% of their mean
@@ -261,7 +264,7 @@ def test_convergence_window_mode():
 
 
 def test_convergence_divergence_and_none_mode():
-    state = ConvergenceState(mode="none")
+    state = ConvergenceState(ConvergenceCfg(mode="none"))
     assert check_convergence(state, 1.0, 0.0) == "running"
     assert check_convergence(state, float("nan"), 1.0) == "diverged"
     assert state.at_time == 1.0
@@ -465,7 +468,6 @@ def test_untraced_runs_never_read_peer_clocks(monkeypatch):
         result = run_experiment(cfg)
         assert result.sim.trace is False
         assert result.sim.gate_trace == []
-        assert result.extras["gate_trace"] == []
     # the barrier run above does block on barriers
     assert result.summary["barrier_bytes"] > 0
 

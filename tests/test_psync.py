@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geolearn.psync import (BarrierMsg, IterTick, LrDropped,
-                            SoftCtl, ThresholdSchedule, WeightShard,
+from geolearn.psync import (BarrierMsg, SoftCtl, WeightShard,
                             accumulate_and_flush, apply_barrier,
                             clear_barrier_on_update, gate_read,
                             maybe_emit_barrier, mirror_clock_gate,
                             significance_scores, ssp_gate,
-                            soft_threshold_adjust, threshold_decay)
+                            soft_threshold_adjust)
 
 
 # ---------------------------------------------------------------------------
@@ -68,32 +67,6 @@ def test_flush_leaves_only_subthreshold_residue(vals, threshold):
     rebuilt = shard.v.copy()
     rebuilt[idx] += flushed
     np.testing.assert_allclose(rebuilt, vals)
-
-
-# ---------------------------------------------------------------------------
-# threshold decay
-
-
-def test_threshold_decay_follows_lr_drops():
-    sched = ThresholdSchedule(t0=0.02, mode="lr")
-    t = threshold_decay(sched, 0.02, LrDropped(ratio=0.1))
-    assert t == pytest.approx(0.002)
-    # invsqrt schedule ignores lr events
-    sched2 = ThresholdSchedule(t0=0.02, mode="invsqrt")
-    assert threshold_decay(sched2, 0.01, LrDropped(ratio=0.1)) == 0.01
-
-
-def test_threshold_decay_invsqrt_oracle():
-    sched = ThresholdSchedule(t0=0.1, mode="invsqrt")
-    assert threshold_decay(sched, 1.0, IterTick(t=4)) == pytest.approx(0.05)
-    assert threshold_decay(sched, 1.0, IterTick(t=1)) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        threshold_decay(sched, 1.0, IterTick(t=0))
-
-
-def test_threshold_schedule_validates_mode():
-    with pytest.raises(ValueError):
-        ThresholdSchedule(t0=0.1, mode="linear")
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +286,8 @@ def test_ssp_gate_oracle():
 # soft threshold control
 
 
-def test_soft_control_disabled_pins_to_hard():
-    ctl = SoftCtl(enabled=False)
-    assert soft_threshold_adjust(ctl, 0.1, 0.001, 0.02) == 0.02
-
-
 def test_soft_control_adjusts_with_headroom():
-    ctl = SoftCtl(enabled=True, target=0.8, adjust=2.0, floor=1e-4)
+    ctl = SoftCtl(target=0.8, adjust=2.0, floor=1e-4)
     # idle link: halve the soft threshold
     assert soft_threshold_adjust(ctl, 0.2, 0.01, 0.02) == pytest.approx(0.005)
     # floor holds
@@ -330,6 +298,6 @@ def test_soft_control_adjusts_with_headroom():
 
 def test_soft_control_validates_fields():
     with pytest.raises(ValueError):
-        SoftCtl(enabled=True, adjust=1.0)
+        SoftCtl(adjust=1.0)
     with pytest.raises(ValueError):
-        SoftCtl(enabled=True, target=0.0)
+        SoftCtl(target=0.0)

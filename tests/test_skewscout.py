@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from geolearn import wansim
+from geolearn.harness import ScoutCfgSection
 from geolearn.skewscout import (DGC_EWARM_GRID, FEDAVG_ITER_GRID,
-                                GAIA_T0_GRID, ScoutConfig, ScoutController,
-                                TunerState, proxy_score, tuner_step)
+                                GAIA_T0_GRID, ScoutController, TunerState,
+                                proxy_score, tuner_step)
 
 
 # ---------------------------------------------------------------------------
@@ -12,7 +13,7 @@ from geolearn.skewscout import (DGC_EWARM_GRID, FEDAVG_ITER_GRID,
 
 
 def test_proxy_score_oracle():
-    cfg = ScoutConfig(sigma_al=5.0, lambda_al=1.0, lambda_c=1.0)
+    cfg = ScoutCfgSection(sigma_al=5.0, lambda_al=1.0, lambda_c=1.0)
     # hinge: 8 points lost, 5 tolerated -> 3; plus 500/1000 model volumes
     assert proxy_score(0.1, 8.0, 500, 1000, cfg) == 3.5
     # below the tolerance the hinge contributes nothing
@@ -21,12 +22,12 @@ def test_proxy_score_oracle():
 
 
 def test_proxy_score_lambda_weighting():
-    cfg = ScoutConfig(sigma_al=5.0, lambda_al=2.0, lambda_c=0.5)
+    cfg = ScoutCfgSection(sigma_al=5.0, lambda_al=2.0, lambda_c=0.5)
     assert proxy_score(0.1, 8.0, 500, 1000, cfg) == 2.0 * 3.0 + 0.5 * 0.5
 
 
 def test_proxy_score_needs_positive_model_size():
-    cfg = ScoutConfig()
+    cfg = ScoutCfgSection()
     with pytest.raises(ValueError):
         proxy_score(0.1, 1.0, 10, 0, cfg)
 
@@ -145,9 +146,9 @@ def _ring_sim(names=("a", "b")):
 
 def _controller(sim, nodes, applied, metric_by_index, grid=(0.1, 0.2, 0.3),
                 mtp=1, al_mode="points"):
-    cfg = ScoutConfig(mtp=mtp, sigma_al=5.0, tuner="hill", start_idx=0)
+    cfg = ScoutCfgSection(sigma_al=5.0, tuner="hill", start_idx=0)
     return ScoutController(
-        cfg, grid, nodes,
+        cfg, mtp, grid, nodes,
         evaluate=lambda w, stats, i: metric_by_index[i],
         apply_theta=applied.append, model_bytes=240,
         rng=np.random.default_rng(0), al_mode=al_mode)
@@ -250,13 +251,13 @@ def test_travel_payload_snapshots_norm_stats():
     for n in nodes:
         sim.register(n.name, n)
     seen = []
-    cfg = ScoutConfig(mtp=1, tuner="hill", start_idx=0)
+    cfg = ScoutCfgSection(tuner="hill", start_idx=0)
 
     def evaluate(w, stats, i):
         seen.append(stats)
         return 1.0
 
-    ctl = ScoutController(cfg, (0.1, 0.2), nodes, evaluate=evaluate,
+    ctl = ScoutController(cfg, 1, (0.1, 0.2), nodes, evaluate=evaluate,
                           apply_theta=lambda theta: None, model_bytes=240,
                           rng=np.random.default_rng(0))
     ctl.on_boundary(nodes[0], sim)
