@@ -10,7 +10,7 @@ from geolearn.algos import (ArrayBatches, DgcNode, FedAvgNode, GaiaNode,
 from geolearn.data import (MinibatchStream, SkewSpec, gen_cluster_data,
                            partition_label_skew)
 from geolearn.harness import AlgoCfg
-from geolearn.numerics import StepDecay, lr_at
+from geolearn.numerics import StepDecay
 from geolearn.psync import BarrierMsg, apply_barrier
 from geolearn.rng import seed_stream
 from geolearn.models import SoftmaxModel
@@ -232,54 +232,6 @@ def test_fedavg_single_node_rounds_without_traffic():
         assert sim.ledger.sent_bytes() == 0, kind.__name__
 
 
-def _node_a(sim, algo, peers, lr_schedule=StepDecay(eta0=0.05), max_iters=100):
-    """Gaia-family node "a" on 60 samples (6 batches per epoch), registered."""
-    data = gen_cluster_data(2, 3, 30, spread=1.0, seed=5)
-    node = GaiaNode(
-        name="a", index=0, model=SoftmaxModel(3, 2),
-        batch_view=ArrayBatches(data.X, data.y),
-        stream=MinibatchStream(np.arange(60), 10, seed_stream(5, "stream", "a")),
-        lr_schedule=lr_schedule, compute_s=0.001, max_iters=max_iters,
-        w0=np.zeros(8), algo=algo, peers=peers)
-    sim.register("a", node)
-    return node
-
-
-def _hard_thresholds(decay, schedule, knob_at=None, theta=None):
-    """t_hard after each of a lone Gaia node's 12 iterations (t0 0.02);
-    set_knob(theta) runs after iteration knob_at."""
-    sim = _mesh_sim(["a"])
-    node = _node_a(sim, AlgoCfg(kind="gaia", t0=0.02, decay=decay), [],
-                   lr_schedule=schedule, max_iters=12)
-    seen = []
-
-    def hook(n, _sim):
-        seen.append(n.t_hard)
-        if n.iters_done == knob_at:
-            n.set_knob(theta)
-
-    node.iter_hook = hook
-    sim.wake_at(0.0, "a")
-    sim.run()
-    return seen
-
-
-def test_hard_threshold_follows_lr_drops_or_invsqrt_from_the_knob():
-    schedule = StepDecay(eta0=0.05, milestones=(1,), factor=4.0)
-    ratio = lr_at(schedule, 1) / lr_at(schedule, 0)
-    t0, theta = 0.02, 0.3
-    # the lr drops at the first step of epoch 1, iteration 7
-    assert _hard_thresholds("lr", schedule) == [t0] * 6 + [t0 * ratio] * 6
-    assert _hard_thresholds("lr", schedule, knob_at=3, theta=theta) == (
-        [t0] * 3 + [theta] * 3 + [theta * ratio] * 6)
-    # invsqrt ignores lr drops: t0 / sqrt(t) at iteration t
-    assert _hard_thresholds("invsqrt", schedule) == [
-        t0 / np.sqrt(t) for t in range(1, 13)]
-    assert _hard_thresholds("invsqrt", schedule, knob_at=3, theta=theta) == (
-        [t0 / np.sqrt(t) for t in range(1, 4)]
-        + [theta / np.sqrt(t) for t in range(4, 13)])
-
-
 # ---------------------------------------------------------------------------
 # a blocked Gaia-family node re-checks only when what it waits for moves
 
@@ -289,7 +241,14 @@ def _blocked_node(algo, local, trace, barrier=None):
     set `local` clocks ahead (optionally under a barrier from b) and offered
     its first start. Returns (sim, node, gate checks so far)."""
     sim = _mesh_sim(["a", "b", "c"], trace=trace)
-    node = _node_a(sim, algo, ["b", "c"])
+    data = gen_cluster_data(2, 3, 30, spread=1.0, seed=5)
+    node = GaiaNode(
+        name="a", index=0, model=SoftmaxModel(3, 2),
+        batch_view=ArrayBatches(data.X, data.y),
+        stream=MinibatchStream(np.arange(60), 10, seed_stream(5, "stream", "a")),
+        lr_schedule=StepDecay(eta0=0.05), compute_s=0.001, max_iters=100,
+        w0=np.zeros(8), algo=algo, peers=["b", "c"])
+    sim.register("a", node)
     node.shard.local_clock = local
     if barrier is not None:
         apply_barrier(node.shard, barrier)

@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geolearn import wansim
+from geolearn.algos import ArrayBatches, GaiaNode
+from geolearn.data import MinibatchStream, gen_cluster_data
+from geolearn.harness import AlgoCfg
+from geolearn.models import SoftmaxModel
+from geolearn.numerics import StepDecay, lr_at
 from geolearn.psync import (BarrierMsg, SoftCtl, WeightShard,
                             accumulate_and_flush, apply_barrier,
                             clear_barrier_on_update, gate_read,
                             maybe_emit_barrier, mirror_clock_gate,
                             significance_scores, ssp_gate,
                             soft_threshold_adjust)
+from geolearn.rng import seed_stream
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +74,58 @@ def test_flush_leaves_only_subthreshold_residue(vals, threshold):
     rebuilt = shard.v.copy()
     rebuilt[idx] += flushed
     np.testing.assert_allclose(rebuilt, vals)
+
+
+# ---------------------------------------------------------------------------
+# hard threshold decay
+
+
+def _hard_thresholds(decay, schedule, knob_at=None, theta=None):
+    """t_hard after each of a lone Gaia node's 12 iterations over 60 samples
+    in batches of 10 (t0 0.02); set_knob(theta) runs after iteration knob_at."""
+    sim = wansim.Simulator(wansim.Topology(dcs=["a"], links={}))
+    data = gen_cluster_data(2, 3, 30, spread=1.0, seed=5)
+    node = GaiaNode(
+        name="a", index=0, model=SoftmaxModel(3, 2),
+        batch_view=ArrayBatches(data.X, data.y),
+        stream=MinibatchStream(np.arange(60), 10, seed_stream(5, "stream", "a")),
+        lr_schedule=schedule, compute_s=0.001, max_iters=12, w0=np.zeros(8),
+        algo=AlgoCfg(kind="gaia", t0=0.02, decay=decay), peers=[])
+    sim.register("a", node)
+    seen = []
+
+    def hook(n, _sim):
+        seen.append(n.t_hard)
+        if n.iters_done == knob_at:
+            n.set_knob(theta)
+
+    node.iter_hook = hook
+    sim.wake_at(0.0, "a")
+    sim.run()
+    return seen
+
+
+_DROP = StepDecay(eta0=0.05, milestones=(1,), factor=4.0)
+
+
+def test_threshold_decay_follows_lr_drops():
+    ratio = lr_at(_DROP, 1) / lr_at(_DROP, 0)
+    t0, theta = 0.02, 0.3
+    # the lr drops at the first step of epoch 1, iteration 7
+    assert _hard_thresholds("lr", _DROP) == [t0] * 6 + [t0 * ratio] * 6
+    # a knob set moves the base that later drops scale
+    assert _hard_thresholds("lr", _DROP, knob_at=3, theta=theta) == (
+        [t0] * 3 + [theta] * 3 + [theta * ratio] * 6)
+
+
+def test_threshold_decay_invsqrt_oracle():
+    t0, theta = 0.02, 0.3
+    # invsqrt ignores lr drops: t0 / sqrt(t) at iteration t
+    assert _hard_thresholds("invsqrt", _DROP) == [
+        t0 / np.sqrt(t) for t in range(1, 13)]
+    assert _hard_thresholds("invsqrt", _DROP, knob_at=3, theta=theta) == (
+        [t0 / np.sqrt(t) for t in range(1, 4)]
+        + [theta / np.sqrt(t) for t in range(4, 13)])
 
 
 # ---------------------------------------------------------------------------
