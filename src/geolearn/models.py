@@ -7,12 +7,16 @@ Every model exposes the same protocol over a flat float64 parameter vector:
     objective(params, batch)      -> float, pure (no state mutation)
     loss_and_grad(params, batch, update_stats=False) -> (float, gradient)
 
+so the synchronization machinery never needs to know what it is training.
 update_stats only matters for models with running statistics (batch norm);
 the stateless models accept and ignore it.
 
-so the synchronization machinery never needs to know what it is training.
 Gradients are hand-derived and are expected to pass the central-difference
-oracle in numerics.grad_check below 1e-4.
+oracle in numerics.grad_check below 1e-4. Means, sums and maxima call
+np.add.reduce / np.maximum.reduce directly and divide by the count, the same
+arithmetic as numpy's mean/var/sum wrappers without their per-call cost, and
+evaluation works in place on arrays it owns: the outputs are bit-identical
+to the plain expressions.
 """
 
 from dataclasses import dataclass, field
@@ -116,6 +120,33 @@ class MFModel:
 # softmax regression
 
 
+def _softmax_xent(scores, y):
+    """(mean cross-entropy, class probabilities) of a batch's scores.
+
+    Overwrites scores (batch x classes, owned by the caller) with the
+    probabilities, which _xent_grad turns into the loss gradient in place.
+    """
+    n = scores.shape[0]
+    scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=1, keepdims=True)
+    loss = float(-(np.add.reduce(np.log(scores[np.arange(n), y])) / n))
+    return loss, scores
+
+
+def _xent_grad(probs, y):
+    """Turn _softmax_xent's probabilities into d(loss)/d(scores) in place."""
+    n = probs.shape[0]
+    probs[np.arange(n), y] -= 1.0
+    probs /= n
+
+
+def _hit_rate(pred, y):
+    """Share of predictions equal to their labels."""
+    hits = pred == y
+    return float(np.add.reduce(hits, dtype=np.float64) / hits.size)
+
+
 class SoftmaxModel:
     """Linear classifier with mean cross-entropy loss.
 
@@ -138,37 +169,27 @@ class SoftmaxModel:
 
     def logits(self, params, X):
         W, b = self._unpack(params)
-        return X @ W.T + b
-
-    def _forward(self, params, batch):
-        """(class probabilities, mean cross-entropy loss) of a batch."""
-        X, y = batch
-        scores = self.logits(params, X)
-        scores -= scores.max(axis=1, keepdims=True)
-        exp = np.exp(scores)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        loss = float(-np.mean(np.log(probs[np.arange(X.shape[0]), y])))
-        return probs, loss
+        scores = X @ W.T
+        scores += b
+        return scores
 
     def objective(self, params, batch):
-        return self._forward(params, batch)[1]
+        X, y = batch
+        return _softmax_xent(self.logits(params, X), y)[0]
 
     def loss_and_grad(self, params, batch, update_stats=False):
         X, y = batch
-        n = X.shape[0]
-        probs, loss = self._forward(params, batch)
-        dscores = probs
-        dscores[np.arange(n), y] -= 1.0
-        dscores /= n
+        loss, dscores = _softmax_xent(self.logits(params, X), y)
+        _xent_grad(dscores, y)
         dW = dscores.T @ X
-        db = dscores.sum(axis=0)
+        db = np.add.reduce(dscores, axis=0)
         return loss, np.concatenate([dW.ravel(), db])
 
     def predict(self, params, X):
-        return np.argmax(self.logits(params, X), axis=1)
+        return self.logits(params, X).argmax(axis=1)
 
     def accuracy(self, params, X, y):
-        return float(np.mean(self.predict(params, X) == y))
+        return _hit_rate(self.predict(params, X), y)
 
     def touched(self, batch):
         """None: every batch reads the whole parameter vector."""
@@ -245,7 +266,6 @@ class GroupNorm:
 class _NormCache:
     layer: object
     mode: str
-    x: np.ndarray
     xhat: np.ndarray
     inv_std: np.ndarray
 
@@ -257,73 +277,87 @@ def norm_forward(layer, x, mode, update_stats=None):
     mode the running statistics are updated unless update_stats=False. Train
     mode requires at least two samples for a meaningful batch variance.
     """
-    x = np.asarray(x, dtype=np.float64)
+    return _norm(layer, np.array(x, dtype=np.float64), mode, update_stats,
+                 keep=True)
+
+
+def _norm(layer, x, mode, update_stats, keep):
+    """norm_forward on a C-contiguous float64 x that the caller owns: x is
+    overwritten with xhat, and with y as well unless keep asks for the cache
+    (then y is a new array and the cache is returned, else None)."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    n, c = x.shape
     if isinstance(layer, BatchNorm):
-        if mode == "train":
-            if x.shape[0] < 2:
-                raise ValueError("batch normalization needs batch size >= 2 in train mode")
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            if update_stats is None or update_stats:
-                layer.running_mean = (1.0 - layer.rho) * layer.running_mean + layer.rho * mean
-                layer.running_var = (1.0 - layer.rho) * layer.running_var + layer.rho * var
-        else:
-            mean = layer.running_mean
-            var = layer.running_var
-        inv_std = 1.0 / np.sqrt(var + layer.eps)
-        xhat = (x - mean) * inv_std
-        y = layer.gamma * xhat + layer.beta
-        return y, _NormCache(layer, mode, x, xhat, inv_std)
-    if isinstance(layer, GroupNorm):
-        n, c = x.shape
+        if mode == "train" and n < 2:
+            raise ValueError("batch normalization needs batch size >= 2 in train mode")
+        # statistics per channel, over the batch (eval: the running ones)
+        xs, axis, count = x, 0, n
+        running = mode == "eval"
+        track = not running and (update_stats is None or update_stats)
+    elif isinstance(layer, GroupNorm):
         if c % layer.group_size != 0:
             raise ValueError(
                 f"channels {c} not divisible by group size {layer.group_size}"
             )
-        g = c // layer.group_size
-        xg = x.reshape(n, g, layer.group_size)
-        mean = xg.mean(axis=2, keepdims=True)
-        var = xg.var(axis=2, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + layer.eps)
-        xhat = ((xg - mean) * inv_std).reshape(n, c)
-        y = layer.gamma * xhat + layer.beta
-        return y, _NormCache(layer, mode, x, xhat, inv_std)
-    raise TypeError(f"unknown normalization layer {type(layer).__name__}")
+        # statistics per (sample, group), over the group's channels
+        count = layer.group_size
+        xs, axis = x.reshape(n, c // count, count), 2
+        running = track = False
+    else:
+        raise TypeError(f"unknown normalization layer {type(layer).__name__}")
+    if running:
+        xs -= layer.running_mean
+        var = layer.running_var
+    else:
+        # numpy's mean and var: sum / count of x, then of the squared
+        # deviations from that mean, which are also xhat's numerator
+        mean = np.add.reduce(xs, axis=axis, keepdims=True)
+        mean /= count
+        if track:
+            layer.running_mean = ((1.0 - layer.rho) * layer.running_mean
+                                  + layer.rho * mean[0])
+        xs -= mean
+        del mean          # batch x groups under group norm: free it first
+        var = np.add.reduce(np.square(xs), axis=axis, keepdims=True)
+        var /= count
+        if track:
+            layer.running_var = ((1.0 - layer.rho) * layer.running_var
+                                 + layer.rho * var[0])
+    inv_std = var + layer.eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xs *= inv_std
+    y = np.multiply(x, layer.gamma, out=None if keep else x)
+    y += layer.beta
+    return y, _NormCache(layer, mode, x, inv_std) if keep else None
 
 
 def norm_backward(layer, cache, dy):
     """Gradients (dx, dgamma, dbeta) for a cached norm_forward call."""
-    if cache.layer is not layer or dy.shape != cache.x.shape:
+    if cache.layer is not layer or dy.shape != cache.xhat.shape:
         raise ValueError("stale or mismatched normalization cache")
     dy = np.asarray(dy, dtype=np.float64)
-    dgamma = np.sum(dy * cache.xhat, axis=0)
-    dbeta = np.sum(dy, axis=0)
+    dgamma = np.add.reduce(dy * cache.xhat, axis=0)
+    dbeta = np.add.reduce(dy, axis=0)
     if isinstance(layer, BatchNorm):
         if cache.mode == "eval":
             dx = dy * layer.gamma * cache.inv_std
             return dx, dgamma, dbeta
-        n = cache.x.shape[0]
-        dxhat = dy * layer.gamma
-        dx = (cache.inv_std / n) * (
-            n * dxhat
-            - dxhat.sum(axis=0)
-            - cache.xhat * np.sum(dxhat * cache.xhat, axis=0)
-        )
-        return dx, dgamma, dbeta
-    # group norm: identical algebra per (sample, group) slab
-    n, c = cache.x.shape
-    gs = layer.group_size
-    g = c // gs
-    dxhat = (dy * layer.gamma).reshape(n, g, gs)
-    xhat = cache.xhat.reshape(n, g, gs)
-    dx = (cache.inv_std / gs) * (
-        gs * dxhat
-        - dxhat.sum(axis=2, keepdims=True)
-        - xhat * np.sum(dxhat * xhat, axis=2, keepdims=True)
+        count = dy.shape[0]
+        dxhat, xhat, axis = dy * layer.gamma, cache.xhat, 0
+    else:
+        # group norm: identical algebra per (sample, group) slab
+        n, c = dy.shape
+        count = layer.group_size
+        dxhat = (dy * layer.gamma).reshape(n, c // count, count)
+        xhat, axis = cache.xhat.reshape(dxhat.shape), 2
+    dx = (cache.inv_std / count) * (
+        count * dxhat
+        - np.add.reduce(dxhat, axis=axis, keepdims=True)
+        - xhat * np.add.reduce(dxhat * xhat, axis=axis, keepdims=True)
     )
-    return dx.reshape(n, c), dgamma, dbeta
+    return dx.reshape(dy.shape), dgamma, dbeta
 
 
 def stat_divergence(mu_a, mu_b):
@@ -412,71 +446,60 @@ class TinyMLP:
             )
         return GroupNorm(gamma=gamma, beta=beta, group_size=self.group_size)
 
-    def _forward(self, params, X, mode, update_stats):
+    def _forward(self, params, X, mode, update_stats, caches=None):
+        """Logits of X (batch x features).
+
+        Given a caches list, appends one (input, W, norm cache or None,
+        output) entry per layer for loss_and_grad's backward pass. Without
+        one, each layer overwrites the one array it owns (matmul output, bias,
+        norm, ReLU), so only the layer's input and output are alive.
+        """
         h = np.asarray(X, dtype=np.float64)
-        caches = []
-        for li in range(self.n_hidden):
-            W = params[self._slices["W"][li]].reshape(
-                self.layer_sizes[li], self.layer_sizes[li + 1])
-            b = params[self._slices["b"][li]]
-            z = h @ W + b
+        keep = caches is not None
+        sizes = self.layer_sizes
+        for li in range(self.n_hidden + 1):
+            W = params[self._slices["W"][li]].reshape(sizes[li], sizes[li + 1])
+            h_in = h if keep else None    # uncached, the last output dies here
+            h = h @ W
+            h += params[self._slices["b"][li]]
+            if li == self.n_hidden:
+                if keep:
+                    caches.append((h_in, W, None, None))
+                return h
+            ncache = None
             if self.norm != "none":
                 layer = self._norm_layer(params, li)
-                zn, ncache = norm_forward(layer, z, mode, update_stats=update_stats)
+                h, ncache = _norm(layer, h, mode, update_stats, keep)
                 if update_stats and self.norm == "batch" and mode == "train":
                     self.bn_stats[li]["mean"] = layer.running_mean
                     self.bn_stats[li]["var"] = layer.running_var
-            else:
-                layer, ncache, zn = None, None, z
-            a = np.maximum(zn, 0.0)
-            caches.append((h, W, z, layer, ncache, zn))
-            h = a
-        lo = self.n_hidden
-        W = params[self._slices["W"][lo]].reshape(
-            self.layer_sizes[lo], self.layer_sizes[lo + 1])
-        b = params[self._slices["b"][lo]]
-        logits = h @ W + b
-        return logits, h, W, caches
+            np.maximum(h, 0.0, out=h)
+            if keep:
+                caches.append((h_in, W, ncache, h))
 
     def objective(self, params, batch, mode="train"):
         X, y = batch
-        logits, _, _, _ = self._forward(params, X, mode, update_stats=False)
-        return self._ce(logits, y)[0]
-
-    @staticmethod
-    def _ce(logits, y):
-        n = logits.shape[0]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        loss = float(-np.mean(np.log(probs[np.arange(n), y])))
-        dlogits = probs
-        dlogits[np.arange(n), y] -= 1.0
-        dlogits /= n
-        return loss, dlogits
+        return _softmax_xent(self._forward(params, X, mode, False), y)[0]
 
     def loss_and_grad(self, params, batch, mode="train", update_stats=False):
         X, y = batch
-        logits, h_last, W_out, caches = self._forward(
-            params, X, mode, update_stats=update_stats)
-        loss, dlogits = self._ce(logits, y)
-        grad = np.zeros_like(params)
-        lo = self.n_hidden
-        grad[self._slices["W"][lo]] = (h_last.T @ dlogits).ravel()
-        grad[self._slices["b"][lo]] = dlogits.sum(axis=0)
-        dh = dlogits @ W_out.T
-        for li in range(self.n_hidden - 1, -1, -1):
-            h_in, W, z, layer, ncache, zn = caches[li]
-            dzn = dh * (zn > 0.0)
-            if self.norm != "none":
-                dz, dgamma, dbeta = norm_backward(layer, ncache, dzn)
-                grad[self._slices["gamma"][li]] = dgamma
-                grad[self._slices["beta"][li]] = dbeta
-            else:
-                dz = dzn
+        caches = []
+        loss, dz = _softmax_xent(
+            self._forward(params, X, mode, update_stats, caches), y)
+        _xent_grad(dz, y)
+        grad = np.empty_like(params)
+        for li in range(self.n_hidden, -1, -1):
+            h_in, W, ncache, a = caches[li]
+            if li < self.n_hidden:
+                dz *= a > 0.0          # a = max(x, 0) > 0 exactly where x > 0
+                if ncache is not None:
+                    dz, dgamma, dbeta = norm_backward(ncache.layer, ncache, dz)
+                    grad[self._slices["gamma"][li]] = dgamma
+                    grad[self._slices["beta"][li]] = dbeta
             grad[self._slices["W"][li]] = (h_in.T @ dz).ravel()
-            grad[self._slices["b"][li]] = dz.sum(axis=0)
-            dh = dz @ W.T
+            grad[self._slices["b"][li]] = np.add.reduce(dz, axis=0)
+            if li:
+                dz = dz @ W.T
         return loss, grad
 
     def first_layer_preact(self, params, X):
@@ -487,11 +510,10 @@ class TinyMLP:
         return np.asarray(X, dtype=np.float64) @ W + b
 
     def predict(self, params, X, mode="eval"):
-        logits, _, _, _ = self._forward(params, X, mode, update_stats=False)
-        return np.argmax(logits, axis=1)
+        return self._forward(params, X, mode, False).argmax(axis=1)
 
     def accuracy(self, params, X, y, mode="eval"):
-        return float(np.mean(self.predict(params, X, mode=mode) == y))
+        return _hit_rate(self.predict(params, X, mode=mode), y)
 
     def touched(self, batch):
         """None: every batch reads the whole parameter vector."""

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,13 +95,19 @@ def test_softmax_loss_invariant_to_logit_shift():
         model.objective(params, (X, y)), rel=1e-9)
 
 
-@settings(max_examples=40, deadline=None)
-@given(features=st.integers(1, 6), classes=st.integers(2, 5),
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("softmax", "none", "batch", "group")),
+       features=st.integers(1, 6), classes=st.integers(2, 5),
        n=st.integers(1, 12), seed=st.integers(0, 2**16),
        scale=st.sampled_from((1e-3, 1.0, 50.0)))
 def test_softmax_objective_is_the_training_loss_bit_for_bit(
-        features, classes, n, seed, scale):
-    model = SoftmaxModel(features, classes)
+        kind, features, classes, n, seed, scale):
+    # softmax regression, and the MLP under each norm in train mode
+    if kind == "softmax":
+        model = SoftmaxModel(features, classes)
+    else:
+        model = TinyMLP([features, 4, classes], norm=kind, group_size=2)
+        n = max(n, 2)                 # batch norm trains on >= 2 samples
     rng = np.random.default_rng(seed)
     params = rng.normal(scale=scale, size=model.n_params)
     batch = (rng.normal(size=(n, features)), rng.integers(0, classes, size=n))
@@ -195,7 +204,7 @@ def test_mlp_plain_forward_matches_manual():
     X = np.array([[2.0, 0.5]])
     h = np.maximum(X @ np.array([[1.0, 0.0], [0.0, 1.0]]) + [0.0, -1.0], 0.0)
     want = h @ np.array([[1.0, 1.0], [0.0, 1.0]])
-    got, _, _, _ = mlp._forward(params, X, "train", update_stats=False)
+    got = mlp._forward(params, X, "train", update_stats=False)
     np.testing.assert_allclose(got, want)
 
 
@@ -242,3 +251,269 @@ def test_mlp_gradients_survive_central_differences(norm):
     X = rng.normal(size=(8, 4))
     y = rng.integers(0, 3, size=8)
     assert grad_check(mlp, params, (X, y)) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# bit-identity oracle: the plain numpy expressions the models once used,
+# kept here as the reference their leaner arithmetic must match bit for bit
+
+
+def _ref_norm_forward(layer, x, mode, update_stats=None):
+    x = np.asarray(x, dtype=np.float64)
+    if isinstance(layer, BatchNorm):
+        if mode == "train":
+            mean = x.mean(axis=0)
+            var = x.var(axis=0)
+            if update_stats is None or update_stats:
+                layer.running_mean = (1.0 - layer.rho) * layer.running_mean + layer.rho * mean
+                layer.running_var = (1.0 - layer.rho) * layer.running_var + layer.rho * var
+        else:
+            mean = layer.running_mean
+            var = layer.running_var
+        inv_std = 1.0 / np.sqrt(var + layer.eps)
+        xhat = (x - mean) * inv_std
+        y = layer.gamma * xhat + layer.beta
+        return y, (mode, x, xhat, inv_std)
+    n, c = x.shape
+    g = c // layer.group_size
+    xg = x.reshape(n, g, layer.group_size)
+    mean = xg.mean(axis=2, keepdims=True)
+    var = xg.var(axis=2, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    xhat = ((xg - mean) * inv_std).reshape(n, c)
+    y = layer.gamma * xhat + layer.beta
+    return y, (mode, x, xhat, inv_std)
+
+
+def _ref_norm_backward(layer, cache, dy):
+    mode, x, cxhat, inv_std = cache
+    dgamma = np.sum(dy * cxhat, axis=0)
+    dbeta = np.sum(dy, axis=0)
+    if isinstance(layer, BatchNorm):
+        if mode == "eval":
+            return dy * layer.gamma * inv_std, dgamma, dbeta
+        n = x.shape[0]
+        dxhat = dy * layer.gamma
+        dx = (inv_std / n) * (
+            n * dxhat
+            - dxhat.sum(axis=0)
+            - cxhat * np.sum(dxhat * cxhat, axis=0)
+        )
+        return dx, dgamma, dbeta
+    n, c = x.shape
+    gs = layer.group_size
+    g = c // gs
+    dxhat = (dy * layer.gamma).reshape(n, g, gs)
+    xhat = cxhat.reshape(n, g, gs)
+    dx = (inv_std / gs) * (
+        gs * dxhat
+        - dxhat.sum(axis=2, keepdims=True)
+        - xhat * np.sum(dxhat * xhat, axis=2, keepdims=True)
+    )
+    return dx.reshape(n, c), dgamma, dbeta
+
+
+def _ref_mlp_forward(mlp, params, X, mode, update_stats):
+    h = np.asarray(X, dtype=np.float64)
+    caches = []
+    for li in range(mlp.n_hidden):
+        W = params[mlp._slices["W"][li]].reshape(
+            mlp.layer_sizes[li], mlp.layer_sizes[li + 1])
+        b = params[mlp._slices["b"][li]]
+        z = h @ W + b
+        if mlp.norm != "none":
+            layer = mlp._norm_layer(params, li)
+            zn, ncache = _ref_norm_forward(layer, z, mode, update_stats)
+            if update_stats and mlp.norm == "batch" and mode == "train":
+                mlp.bn_stats[li]["mean"] = layer.running_mean
+                mlp.bn_stats[li]["var"] = layer.running_var
+        else:
+            layer, ncache, zn = None, None, z
+        caches.append((h, W, layer, ncache, zn))
+        h = np.maximum(zn, 0.0)
+    lo = mlp.n_hidden
+    W = params[mlp._slices["W"][lo]].reshape(
+        mlp.layer_sizes[lo], mlp.layer_sizes[lo + 1])
+    b = params[mlp._slices["b"][lo]]
+    return h @ W + b, h, W, caches
+
+
+def _ref_ce(logits, y):
+    n = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(np.log(probs[np.arange(n), y])))
+    dlogits = probs
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    return loss, dlogits
+
+
+def _ref_mlp_loss_and_grad(mlp, params, batch, mode, update_stats):
+    X, y = batch
+    logits, h_last, W_out, caches = _ref_mlp_forward(
+        mlp, params, X, mode, update_stats)
+    loss, dlogits = _ref_ce(logits, y)
+    grad = np.zeros_like(params)
+    lo = mlp.n_hidden
+    grad[mlp._slices["W"][lo]] = (h_last.T @ dlogits).ravel()
+    grad[mlp._slices["b"][lo]] = dlogits.sum(axis=0)
+    dh = dlogits @ W_out.T
+    for li in range(mlp.n_hidden - 1, -1, -1):
+        h_in, W, layer, ncache, zn = caches[li]
+        dz = dh * (zn > 0.0)
+        if mlp.norm != "none":
+            dz, dgamma, dbeta = _ref_norm_backward(layer, ncache, dz)
+            grad[mlp._slices["gamma"][li]] = dgamma
+            grad[mlp._slices["beta"][li]] = dbeta
+        grad[mlp._slices["W"][li]] = (h_in.T @ dz).ravel()
+        grad[mlp._slices["b"][li]] = dz.sum(axis=0)
+        dh = dz @ W.T
+    return loss, grad
+
+
+def _ref_softmax_forward(model, params, batch):
+    X, y = batch
+    scores = model.logits(params, X)
+    scores -= scores.max(axis=1, keepdims=True)
+    exp = np.exp(scores)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(np.log(probs[np.arange(X.shape[0]), y])))
+    return probs, loss
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _stats_bits(mlp):
+    return [(_bits(s["mean"]), _bits(s["var"])) for s in mlp.bn_stats]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # log(0) at scale 50
+@settings(max_examples=150, deadline=None)
+@given(norm=st.sampled_from(("none", "batch", "group")),
+       mode=st.sampled_from(("train", "eval")), n=st.integers(2, 40),
+       widths=st.lists(st.integers(1, 9), min_size=3, max_size=5),
+       scale=st.sampled_from((1e-3, 1.0, 50.0)), seed=st.integers(0, 2**16))
+def test_mlp_matches_the_plain_expressions_bit_for_bit(
+        norm, mode, n, widths, scale, seed):
+    # widths: input, hidden..., classes; group norm groups by the gcd of
+    # the hidden widths, so group sizes from 1 to 9 all occur
+    group_size = math.gcd(*widths[1:-1])
+    mlp = TinyMLP(widths, norm=norm, group_size=group_size)
+    rng = np.random.default_rng(seed)
+    params = rng.normal(scale=scale, size=mlp.n_params)
+    for s in mlp.bn_stats:
+        s["mean"] = rng.normal(scale=scale, size=s["mean"].size)
+        s["var"] = rng.uniform(0.1, 2.0, size=s["var"].size) * scale
+    X = rng.normal(scale=scale, size=(n, widths[0]))
+    y = rng.integers(0, widths[-1], size=n)
+    ref = mlp.clone()
+
+    want = _ref_ce(_ref_mlp_forward(ref, params, X, mode, False)[0], y)[0]
+    assert _bits(mlp.objective(params, (X, y), mode=mode)) == _bits(want)
+    want = np.argmax(_ref_mlp_forward(ref, params, X, mode, False)[0], axis=1)
+    assert mlp.predict(params, X, mode=mode).tobytes() == want.tobytes()
+    assert mlp.accuracy(params, X, y, mode=mode) == float(np.mean(want == y))
+    assert _stats_bits(mlp) == _stats_bits(ref)
+
+    want_loss, want_grad = _ref_mlp_loss_and_grad(
+        ref, params, (X, y), mode, True)
+    loss, grad = mlp.loss_and_grad(params, (X, y), mode=mode,
+                                   update_stats=True)
+    assert _bits(loss) == _bits(want_loss)
+    assert grad.tobytes() == want_grad.tobytes()
+    assert _stats_bits(mlp) == _stats_bits(ref)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(features=st.integers(1, 9), classes=st.integers(1, 9),
+       n=st.integers(1, 40), scale=st.sampled_from((1e-3, 1.0, 50.0)),
+       seed=st.integers(0, 2**16))
+def test_softmax_matches_the_plain_expressions_bit_for_bit(
+        features, classes, n, scale, seed):
+    model = SoftmaxModel(features, classes)
+    rng = np.random.default_rng(seed)
+    params = rng.normal(scale=scale, size=model.n_params)
+    X = rng.normal(scale=scale, size=(n, features))
+    y = rng.integers(0, classes, size=n)
+    probs, want_loss = _ref_softmax_forward(model, params, (X, y))
+    probs[np.arange(n), y] -= 1.0
+    probs /= n
+    want_grad = np.concatenate([(probs.T @ X).ravel(), probs.sum(axis=0)])
+    assert _bits(model.objective(params, (X, y))) == _bits(want_loss)
+    loss, grad = model.loss_and_grad(params, (X, y))
+    assert _bits(loss) == _bits(want_loss)
+    assert grad.tobytes() == want_grad.tobytes()
+    want = np.argmax(model.logits(params, X), axis=1)
+    assert model.predict(params, X).tobytes() == want.tobytes()
+    assert model.accuracy(params, X, y) == float(np.mean(want == y))
+
+
+@pytest.mark.parametrize("kind", ["batch", "group"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_norm_layers_match_the_plain_expressions_bit_for_bit(kind, mode):
+    rng = seed_stream(31, "test", kind, mode)
+    x = rng.normal(3.0, 7.0, size=(13, 6))
+    dy = rng.normal(size=(13, 6))
+    if kind == "batch":
+        make = lambda: BatchNorm(gamma=np.linspace(0.5, 2.0, 6),
+                                 beta=np.linspace(-1.0, 1.0, 6),
+                                 running_mean=np.full(6, 2.5),
+                                 running_var=np.full(6, 30.0))
+    else:
+        make = lambda: GroupNorm(gamma=np.linspace(0.5, 2.0, 6),
+                                 beta=np.linspace(-1.0, 1.0, 6), group_size=3)
+    layer, ref = make(), make()
+    x_before = x.tobytes()
+    y, cache = norm_forward(layer, x, mode)
+    want_y, want_cache = _ref_norm_forward(ref, x, mode)
+    assert x.tobytes() == x_before
+    assert y.tobytes() == want_y.tobytes()
+    for got, want in zip(norm_backward(layer, cache, dy),
+                         _ref_norm_backward(ref, want_cache, dy)):
+        assert got.tobytes() == want.tobytes()
+    if kind == "batch":
+        assert _bits(layer.running_mean) == _bits(ref.running_mean)
+        assert _bits(layer.running_var) == _bits(ref.running_var)
+
+
+# ---------------------------------------------------------------------------
+# evaluation memory
+
+
+@pytest.mark.parametrize("norm", ["none", "batch", "group"])
+def test_mlp_evaluation_peak_memory_and_untouched_inputs(norm):
+    # a 1,100-row evaluation, the size of a harness epoch evaluation; each
+    # layer works in place, so at most 3 arrays of rows x width are alive
+    rows, width = 1100, 64
+    mlp = TinyMLP([32, width, width, 11], norm=norm)
+    rng = seed_stream(23, "test", norm)
+    params = mlp.init_params(rng)
+    for s in mlp.bn_stats:
+        s["mean"] = rng.normal(size=width)
+        s["var"] = rng.uniform(0.5, 2.0, size=width)
+    X = rng.normal(size=(rows, 32))
+    y = rng.integers(0, 11, size=rows)
+    limit = 3 * rows * width * 8
+    for evaluate in (lambda: mlp.objective(params, (X, y)),
+                     lambda: mlp.accuracy(params, X, y)):
+        evaluate()
+        tracemalloc.start()
+        try:
+            evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, (peak, limit)
+
+    before = (params.tobytes(), X.tobytes(), _stats_bits(mlp))
+    mlp.objective(params, (X, y))
+    mlp.objective(params, (X, y), mode="eval")
+    mlp.predict(params, X)
+    assert (params.tobytes(), X.tobytes(), _stats_bits(mlp)) == before
+    mlp.loss_and_grad(params, (X, y), update_stats=True)
+    assert (params.tobytes(), X.tobytes()) == before[:2]
