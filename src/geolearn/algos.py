@@ -445,8 +445,8 @@ class GaiaNode(_NodeBase):
         algo = self.algo
         self.shard.v = self.shard.v + update
         # the hard threshold decays by the factor of an lr drop, or as
-        # t0 / sqrt(t) on every iteration; t_soft is capped at it only when
-        # it decays, since the soft floor may hold t_soft above it between
+        # t0 / sqrt(t) on every iteration; t_soft is capped at it when it
+        # decays, and soft_threshold_adjust keeps it there in between
         if algo.decay == "lr" and self._last_eta is not None and eta < self._last_eta:
             self.t_hard = self.t_hard * (eta / self._last_eta)
             self.t_soft = min(self.t_soft, self.t_hard)

@@ -221,8 +221,9 @@ class SoftCtl:
     """Best-effort extra sharing when the link has headroom.
 
     When utilization of the monitored link sits below `target`, the soft
-    threshold is lowered (divided by `adjust`, floored); otherwise it is
-    raised back toward the hard threshold. Without soft control a node
+    threshold is lowered (divided by `adjust`, floored at `floor` or at the
+    hard threshold, whichever is lower); otherwise it is raised back toward
+    the hard threshold. Without soft control a node
     filters at the hard threshold, which is the communication-cost-minimizing
     setting.
     """
@@ -239,7 +240,12 @@ class SoftCtl:
 
 
 def soft_threshold_adjust(ctl, utilization, t_soft, t_hard):
-    """Next soft threshold given measured link utilization in [0, 1]."""
+    """Next soft threshold given measured link utilization in [0, 1].
+
+    Never above t_hard: once the hard threshold has decayed below the floor,
+    the floor gives way, since soft sharing may only send more than the hard
+    threshold would.
+    """
     if utilization < ctl.target:
-        return max(ctl.floor, t_soft / ctl.adjust)
+        return min(t_hard, max(ctl.floor, t_soft / ctl.adjust))
     return min(t_hard, t_soft * ctl.adjust)

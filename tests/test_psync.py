@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from geolearn import wansim
 from geolearn.algos import ArrayBatches, GaiaNode
 from geolearn.data import MinibatchStream, gen_cluster_data
-from geolearn.harness import AlgoCfg
+from geolearn.harness import AlgoCfg, config_from_dict, run_experiment
 from geolearn.models import SoftmaxModel
 from geolearn.numerics import StepDecay, lr_at
 from geolearn.psync import (BarrierMsg, SoftCtl, WeightShard,
@@ -353,6 +353,26 @@ def test_soft_control_adjusts_with_headroom():
     assert soft_threshold_adjust(ctl, 0.2, 1.5e-4, 0.02) == pytest.approx(1e-4)
     # saturated link: back toward hard, capped at hard
     assert soft_threshold_adjust(ctl, 0.95, 0.015, 0.02) == pytest.approx(0.02)
+    # a hard threshold decayed below the floor caps the floor too
+    assert soft_threshold_adjust(ctl, 0.2, 1e-4, 5e-5) == 5e-5
+
+
+def test_soft_threshold_never_exceeds_a_decayed_hard_threshold():
+    # the lr drop at epoch 1 takes t_hard from 1e-3 to 1e-4, below the
+    # soft floor of 5e-4: soft sharing must still filter at <= t_hard
+    result = run_experiment(config_from_dict({
+        "seed": 3,
+        "model": {"kind": "softmax", "features": 10, "classes": 10},
+        "data": {"per_class": 40, "spread": 1.0, "test_per_class": 10},
+        "partition": {"nodes": 3, "alpha": 0.5},
+        "algorithm": {"kind": "gaia", "epochs": 3, "batch_size": 10,
+                      "t0": 0.001, "soft": {"floor": 0.0005},
+                      "lr": {"eta0": 0.1, "milestones": [1], "factor": 10}},
+        "convergence": {"mode": "none"},
+    }))
+    for node in result.nodes:
+        assert node.t_hard == pytest.approx(1e-4)
+        assert node.t_soft <= node.t_hard
 
 
 def test_soft_control_validates_fields():
