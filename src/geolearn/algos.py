@@ -653,7 +653,7 @@ class DgcNode(_NodeBase):
         self.v = self.v + self.u
         sparsity = self.current_sparsity()
         idx = dgc_select(self.v, sparsity)
-        vals = self.v[idx].copy()
+        vals = self.v[idx]            # integer indexing copies: v is cleared next
         self.v[idx] = 0.0
         self.u[idx] = 0.0             # momentum correction
         self.last_emitted = (idx, vals)

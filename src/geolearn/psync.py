@@ -92,7 +92,7 @@ def accumulate_and_flush(shard, threshold):
         raise ValueError(f"negative threshold: {threshold}")
     scores = significance_scores(shard.v, shard.w)
     idx = np.nonzero(scores > threshold)[0]
-    values = shard.v[idx].copy()
+    values = shard.v[idx]             # integer indexing copies: v is cleared next
     shard.v[idx] = 0.0
     return idx, values
 
