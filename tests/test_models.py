@@ -95,6 +95,7 @@ def test_softmax_loss_invariant_to_logit_shift():
         model.objective(params, (X, y)), rel=1e-9)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # log(0) at scale 50
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(("softmax", "none", "batch", "group")),
        features=st.integers(1, 6), classes=st.integers(2, 5),
@@ -391,7 +392,7 @@ def _stats_bits(mlp):
     return [(_bits(s["mean"]), _bits(s["var"])) for s in mlp.bn_stats]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # log(0) at scale 50
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(norm=st.sampled_from(("none", "batch", "group")),
        mode=st.sampled_from(("train", "eval")), n=st.integers(2, 40),
@@ -459,14 +460,15 @@ def test_norm_layers_match_the_plain_expressions_bit_for_bit(kind, mode):
     rng = seed_stream(31, "test", kind, mode)
     x = rng.normal(3.0, 7.0, size=(13, 6))
     dy = rng.normal(size=(13, 6))
-    if kind == "batch":
-        make = lambda: BatchNorm(gamma=np.linspace(0.5, 2.0, 6),
-                                 beta=np.linspace(-1.0, 1.0, 6),
-                                 running_mean=np.full(6, 2.5),
-                                 running_var=np.full(6, 30.0))
-    else:
-        make = lambda: GroupNorm(gamma=np.linspace(0.5, 2.0, 6),
-                                 beta=np.linspace(-1.0, 1.0, 6), group_size=3)
+
+    def make():
+        gamma, beta = np.linspace(0.5, 2.0, 6), np.linspace(-1.0, 1.0, 6)
+        if kind == "batch":
+            return BatchNorm(gamma=gamma, beta=beta,
+                             running_mean=np.full(6, 2.5),
+                             running_var=np.full(6, 30.0))
+        return GroupNorm(gamma=gamma, beta=beta, group_size=3)
+
     layer, ref = make(), make()
     x_before = x.tobytes()
     y, cache = norm_forward(layer, x, mode)
