@@ -87,14 +87,28 @@ def gen_cluster_data(classes, features, per_class, spread, seed, tag="train"):
     return LabeledDataset(X=X, y=y, classes=classes)
 
 
-def _label_owner(label, classes, partitions):
+def _label_owner(labels, classes, partitions):
     # contiguous label blocks; the first (classes % partitions) partitions own
     # one extra label each, so remainders land on the lowest-index partitions
     base, extra = divmod(classes, partitions)
     boundary = (base + 1) * extra
-    if label < boundary:
-        return label // (base + 1)
-    return extra + (label - boundary) // base if base else partitions - 1
+    rest = extra + (labels - boundary) // base if base else partitions - 1
+    return np.where(labels < boundary, labels // (base + 1), rest)
+
+
+def _deal_uniform(counts, m):
+    """Owners of m samples dealt one at a time to the smallest partition,
+    ties to the lowest index, on top of the sizes counts. Partition p's free
+    slots sit at levels counts[p], counts[p] + 1, ...; the dealing takes
+    them in (level, partition) order, up to the level that holds all m."""
+    k = counts.size
+    s = np.sort(counts)
+    below = np.arange(1, k + 1) * s - np.cumsum(s)    # slots below s[j]
+    j = max(np.searchsorted(below, m) - 1, 0)    # m = 0 deals nothing
+    free = np.maximum(s[j] - (below[j] - m) // (j + 1) - counts, 0)
+    owner = np.repeat(np.arange(k), free)
+    level = np.arange(owner.size) - np.repeat(np.cumsum(free) - free - counts, free)
+    return np.sort(level * k + owner)[:m] % k
 
 
 def partition_label_skew(dataset, spec):
@@ -114,20 +128,16 @@ def partition_label_skew(dataset, spec):
         raise ValueError(f"alpha must be in [0, 1], got {spec.alpha}")
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= partitions <= {n}, got {k}")
-    rng = seed_stream(spec.seed, "partition")
-    order = rng.permutation(n)
+    order = seed_stream(spec.seed, "partition").permutation(n)
     n_skew = int(round(spec.alpha * n))
     skewed, uniform = order[:n_skew], order[n_skew:]
-    parts = [[] for _ in range(k)]
-    # label-owned fraction: stable sort keeps the seeded order within a label
-    skewed = skewed[np.argsort(dataset.y[skewed], kind="stable")]
-    for idx in skewed:
-        parts[_label_owner(int(dataset.y[idx]), dataset.classes, k)].append(int(idx))
-    # uniform remainder: deal to the currently smallest partition
-    for idx in uniform:
-        target = min(range(k), key=lambda p: (len(parts[p]), p))
-        parts[target].append(int(idx))
-    return [np.array(sorted(p), dtype=np.intp) for p in parts]
+    owner = np.empty(n, dtype=np.intp)
+    owner[skewed] = _label_owner(dataset.y[skewed], dataset.classes, k)
+    owner[uniform] = _deal_uniform(np.bincount(owner[skewed], minlength=k),
+                                   uniform.size)
+    # a stable sort of the owners lists each partition's indices ascending
+    members = np.argsort(owner, kind="stable")
+    return np.split(members, np.cumsum(np.bincount(owner, minlength=k))[:-1])
 
 
 def partition_uniform(n, partitions, seed):

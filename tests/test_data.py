@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from geolearn.data import (MFDatasetSpec, MinibatchStream, SkewSpec,
-                           gen_cluster_data, gen_mf_data,
+from geolearn.data import (LabeledDataset, MFDatasetSpec, MinibatchStream,
+                           SkewSpec, gen_cluster_data, gen_mf_data,
                            partition_label_skew, partition_uniform)
 from geolearn.rng import seed_stream
 
@@ -113,6 +113,64 @@ def test_partition_label_skew_properties(alpha, k, seed):
     # indices sorted, as documented
     for p in parts:
         assert np.all(np.diff(p) > 0) or p.size <= 1
+
+
+def _reference_label_skew(dataset, spec):
+    """The per-sample dealing loop partition_label_skew replaces."""
+    def label_owner(label, classes, partitions):
+        base, extra = divmod(classes, partitions)
+        boundary = (base + 1) * extra
+        if label < boundary:
+            return label // (base + 1)
+        return extra + (label - boundary) // base if base else partitions - 1
+
+    k = spec.partitions
+    n = len(dataset)
+    rng = seed_stream(spec.seed, "partition")
+    order = rng.permutation(n)
+    n_skew = int(round(spec.alpha * n))
+    skewed, uniform = order[:n_skew], order[n_skew:]
+    parts = [[] for _ in range(k)]
+    skewed = skewed[np.argsort(dataset.y[skewed], kind="stable")]
+    for idx in skewed:
+        parts[label_owner(int(dataset.y[idx]), dataset.classes, k)].append(int(idx))
+    for idx in uniform:
+        target = min(range(k), key=lambda p: (len(parts[p]), p))
+        parts[target].append(int(idx))
+    return [np.array(sorted(p), dtype=np.intp) for p in parts]
+
+
+@st.composite
+def _skew_cases(draw):
+    classes = draw(st.integers(1, 13))
+    per_class = draw(st.integers(1, 30))
+    # uneven splits: each class gets per_class plus its own extra
+    extra = draw(st.lists(st.integers(0, 30), min_size=classes,
+                          max_size=classes) | st.just([0] * classes))
+    sizes = [per_class + e for e in extra]
+    n = sum(sizes)
+    k = draw(st.integers(1, min(n, 16)))      # up to 3 more than classes
+    alpha = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return sizes, k, alpha, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_skew_cases())
+@example(([10] * 5, 11, 0.5, 7))       # more partitions than classes
+@example(([3, 40, 7], 3, 1.0, 1))      # n_skew = N
+@example(([3, 40, 7], 3, 0.0, 1))      # n_skew = 0
+@example(([200] * 10, 11, 0.5, 7))     # the softmax-11dc shape
+@settings(max_examples=300, deadline=None)
+def test_partition_label_skew_matches_reference_loop(case):
+    sizes, k, alpha, seed = case
+    y = np.repeat(np.arange(len(sizes)), sizes)
+    data = LabeledDataset(X=np.zeros((y.size, 1)), y=y, classes=len(sizes))
+    spec = SkewSpec(partitions=k, alpha=alpha, seed=seed)
+    got = partition_label_skew(data, spec)
+    want = _reference_label_skew(data, spec)
+    assert len(got) == len(want) == k
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.intp
+        np.testing.assert_array_equal(g, w)
 
 
 def test_partition_label_skew_validates_inputs():
