@@ -24,11 +24,13 @@ rate plus the receiving region's ingress rate.
 """
 
 import csv
+import functools
 import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -223,7 +225,7 @@ class CostLedger:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostRates:
     region: str
     machine_usd_per_hr: float
@@ -524,14 +526,19 @@ def load_cost_csv(path_or_file):
         return parse(fh)
 
 
+@functools.cache
 def default_bandwidth():
+    """(names tuple, read-only matrix) of the packaged table, parsed once."""
     with resources.files("geolearn").joinpath("data_files/wan_bandwidth.csv").open() as fh:
-        return load_bandwidth_csv(fh)
+        names, matrix = load_bandwidth_csv(fh)
+    return tuple(names), MappingProxyType(matrix)
 
 
+@functools.cache
 def default_costs():
+    """The packaged cost table, parsed once: read-only {region: CostRates}."""
     with resources.files("geolearn").joinpath("data_files/region_costs.csv").open() as fh:
-        return load_cost_csv(fh)
+        return MappingProxyType(load_cost_csv(fh))
 
 
 def build_topology(dc_names, bandwidth=None, latency_s=0.05,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import io
 import math
@@ -220,6 +221,42 @@ def test_validate_config_names_dcs_missing_from_the_cost_table(tmp_path):
     cfg.topology.dcs = ("virginia", "oregon")
     assert validate_config(cfg) == [
         "DCs missing from the cost table: ['oregon']"]
+
+
+def test_packaged_tables_are_parsed_once_per_process(monkeypatch, tmp_path):
+    parsed = []
+    for name in ("load_bandwidth_csv", "load_cost_csv"):
+        def counted(source, real=getattr(wansim, name), name=name):
+            parsed.append(name)
+            return real(source)
+        monkeypatch.setattr(wansim, name, counted)
+    wansim.default_bandwidth.cache_clear()
+    wansim.default_costs.cache_clear()
+    raw = {"model": {"kind": "softmax", "features": 3, "classes": 2},
+           "data": {"per_class": 10, "test_per_class": 5},
+           "partition": {"nodes": 2},
+           "algorithm": {"kind": "bsp", "epochs": 1, "batch_size": 5}}
+    first = run_experiment(config_from_dict(raw))
+    second = run_experiment(config_from_dict(raw))
+    assert parsed == ["load_bandwidth_csv", "load_cost_csv"]
+    assert first.summary == second.summary
+    names, matrix = wansim.default_bandwidth()
+    costs = wansim.default_costs()
+    assert isinstance(names, tuple)
+    with pytest.raises(TypeError):
+        matrix[("virginia", "california")] = 1.0
+    with pytest.raises(TypeError):
+        costs["virginia"] = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        costs["virginia"].send_usd_per_gb = 0.0
+    # a user's table is read on every run
+    table = tmp_path / "bandwidth.csv"
+    table.write_text(",virginia,california\nvirginia,,100\ncalifornia,100,\n")
+    raw["topology"] = {"bandwidth_file": str(table)}
+    del parsed[:]
+    run_experiment(config_from_dict(raw))
+    run_experiment(config_from_dict(raw))
+    assert parsed == ["load_bandwidth_csv", "load_bandwidth_csv"]
 
 
 def test_a_topology_the_cost_table_does_not_price_has_no_cost():
