@@ -537,9 +537,14 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
         sim.ledger.machine_seconds = {dc: sim.now for dc in dcs}
         return wansim.account_cost(sim.ledger, rates) if rates else None
 
+    # DGC's all-reduce leaves every replica at the trigger's step-t weights;
+    # batch-norm running stats stay per node, so those replicas still differ
+    one_model = acfg.kind == "dgc" and getattr(base_model, "norm", None) != "batch"
+
     def evaluate(trigger, sim_):
-        obj = _mean_objective(nodes, full_batch)
-        acc = _mean_accuracy(nodes, test)
+        evaluated = [trigger] if one_model else nodes
+        obj = _mean_objective(evaluated, full_batch)
+        acc = _mean_accuracy(evaluated, test)
         cost = cost_now()
         row = {"sim_time_s": sim_.now, "epoch": trigger.epochs_done,
                "objective": obj, "accuracy": acc, "cost_usd": cost}

@@ -259,6 +259,42 @@ def test_packaged_tables_are_parsed_once_per_process(monkeypatch, tmp_path):
     assert parsed == ["load_bandwidth_csv", "load_bandwidth_csv"]
 
 
+SOFTMAX_3 = {"kind": "softmax", "features": 4, "classes": 3}
+MLP_3 = {"kind": "mlp", "features": 4, "classes": 3, "hidden": [8]}
+
+
+@pytest.mark.parametrize("kind, model, per_boundary", [
+    ("dgc", SOFTMAX_3, 1),
+    ("dgc", MLP_3, 1),
+    ("dgc", dict(MLP_3, norm="batch"), 3),    # running stats are per node
+    ("dgc", dict(MLP_3, norm="group"), 1),
+    ("bsp", SOFTMAX_3, 3),
+    ("ssp", SOFTMAX_3, 3),
+    ("gaia", MLP_3, 3),
+    ("fedavg", SOFTMAX_3, 3),
+])
+def test_model_evaluations_per_boundary(kind, model, per_boundary):
+    calls = {"objective": 0, "accuracy": 0}
+
+    def count(nodes, sim):
+        # stateless models are shared by every node: wrap each one once
+        for model in {id(node.model): node.model for node in nodes}.values():
+            for name in calls:
+                def counted(*args, real=getattr(model, name), name=name):
+                    calls[name] += 1
+                    return real(*args)
+                setattr(model, name, counted)
+
+    cfg = config_from_dict({
+        "model": model, "data": {"per_class": 20, "test_per_class": 5},
+        "partition": {"nodes": 3, "alpha": 0.5},
+        "algorithm": {"kind": kind, "epochs": 2, "batch_size": 10,
+                      "iter_local": 1}})
+    result = run_experiment(cfg, on_nodes=count)
+    assert len(result.rows) >= 2
+    assert calls == dict.fromkeys(calls, per_boundary * len(result.rows))
+
+
 def test_a_topology_the_cost_table_does_not_price_has_no_cost():
     demo = _load_demo("sync_mechanisms")
     cfg = demo.gated_cfg(True)
