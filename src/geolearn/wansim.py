@@ -188,30 +188,12 @@ class CostLedger:
         self.delivered = {}   # (src, dst) -> {kind: bytes}
         self.machine_seconds = {}
 
-    @staticmethod
-    def _bump(table, key, split):
-        row = _ledger_row(table, key)
-        for kind, nbytes in split.items():
-            row[kind] += nbytes
-
-    def record_sent(self, src, dst, split):
-        self._bump(self.sent, (src, dst), split)
-
-    def record_delivered(self, src, dst, split):
-        self._bump(self.delivered, (src, dst), split)
-
     def record_machine_time(self, dc, seconds):
         self.machine_seconds[dc] = self.machine_seconds.get(dc, 0.0) + seconds
 
     def sent_bytes(self, kind=None):
         total = 0
         for row in self.sent.values():
-            total += row[kind] if kind else sum(row.values())
-        return total
-
-    def delivered_bytes(self, kind=None):
-        total = 0
-        for row in self.delivered.values():
             total += row[kind] if kind else sum(row.values())
         return total
 
@@ -460,10 +442,6 @@ class Simulator:
             else:
                 self._start_service(data, data.pop_next())
         return count
-
-    def pending(self):
-        """Events on the queue; free events never scheduled are not counted."""
-        return len(self._heap)
 
 
 # ---------------------------------------------------------------------------

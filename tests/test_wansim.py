@@ -5,14 +5,14 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geolearn.wansim import (CLOCK_BYTES, CostLedger, CostRates, GB,
-                             KIND_BARRIER, KIND_CLOCK, KIND_TRAVEL,
-                             KIND_UPDATE, LinkSpec, Message, OverlayPlan,
-                             RateMonitor, Simulator, Topology, account_cost,
-                             barrier_bytes, broadcast_hops, build_topology,
-                             default_bandwidth, default_costs,
-                             dense_update_bytes, forward_hops,
-                             load_bandwidth_csv, load_cost_csv,
+from geolearn.wansim import (BYTE_KINDS, CLOCK_BYTES, CostLedger,
+                             CostRates, GB, KIND_BARRIER, KIND_CLOCK,
+                             KIND_TRAVEL, KIND_UPDATE, LinkSpec, Message,
+                             OverlayPlan, RateMonitor, Simulator, Topology,
+                             account_cost, barrier_bytes, broadcast_hops,
+                             build_topology, default_bandwidth,
+                             default_costs, dense_update_bytes,
+                             forward_hops, load_bandwidth_csv, load_cost_csv,
                              sparse_update_bytes, split_nbytes)
 
 
@@ -157,9 +157,9 @@ def test_run_event_bound_and_pending():
     sim, sink = _one_link_sim()
     sim.wake_at(1.0, "b")
     sim.wake_at(2.0, "b")
-    assert sim.pending() == 2
+    assert len(sim._heap) == 2
     assert sim.run(max_events=1) == 1
-    assert sim.pending() == 1
+    assert len(sim._heap) == 1
     sim.run()
     assert sink.wakes == [1.0, 2.0]
 
@@ -171,7 +171,7 @@ def test_ledger_conservation_tracks_in_flight_bytes():
     assert sim.ledger.sent_bytes() == 300
     assert not sim.ledger.conservation_ok()
     sim.run()
-    assert sim.ledger.delivered_bytes() == 300
+    assert sim.ledger.delivered[("a", "b")][KIND_UPDATE] == 300
     assert sim.ledger.conservation_ok()
 
 
@@ -182,8 +182,9 @@ def test_ledger_splits_bytes_by_kind():
     sim.run()
     assert sim.ledger.sent_bytes(KIND_UPDATE) == 80
     assert sim.ledger.sent_bytes(KIND_BARRIER) == 20
-    assert sim.ledger.delivered_bytes(KIND_TRAVEL) == 0
     assert sim.ledger.sent_bytes() == 100
+    assert sim.ledger.delivered == {("a", "b"): {
+        KIND_UPDATE: 80, KIND_BARRIER: 20, KIND_CLOCK: 0, KIND_TRAVEL: 0}}
 
 
 @settings(max_examples=40, deadline=None)
@@ -196,16 +197,16 @@ def test_conservation_holds_for_any_traffic_mix(sizes):
                          byte_split={kind: nbytes}, payload=i))
     sim.run()
     assert sim.ledger.conservation_ok()
-    assert sim.ledger.delivered_bytes() == sum(sizes)
+    assert sum(sim.ledger.delivered[("a", "b")].values()) == sum(sizes)
     assert len(sink.inbox) == len(sizes)
 
 
 def test_free_event_is_scheduled_only_behind_a_waiting_message():
     sim, sink = _one_link_sim()
     sim.send(_update("first", 200))
-    assert sim.pending() == 1          # the delivery; nothing waits
+    assert len(sim._heap) == 1         # the delivery; nothing waits
     sim.send(_update("second", 100))
-    assert sim.pending() == 2          # now the link's free event too
+    assert len(sim._heap) == 2         # now the link's free event too
     # free, then first; nothing waits behind second, so no second free
     assert sim.run() == 3
     assert sink.inbox == [(2.5, "first"), (3.5, "second")]
@@ -213,6 +214,12 @@ def test_free_event_is_scheduled_only_behind_a_waiting_message():
 
 # ---------------------------------------------------------------------------
 # oracle: the event loop that schedules every free event
+
+
+def _book(table, msg):
+    row = table.setdefault((msg.src, msg.dst), dict.fromkeys(BYTE_KINDS, 0))
+    for kind, nbytes in msg.byte_split.items():
+        row[kind] += nbytes
 
 
 class _EagerSimulator:
@@ -234,7 +241,7 @@ class _EagerSimulator:
 
     def send(self, msg):
         channel = self.channels[(msg.src, msg.dst)]
-        self.ledger.record_sent(msg.src, msg.dst, msg.byte_split)
+        _book(self.ledger.sent, msg)
         channel[1 if msg.klass == "control" else 2].append(msg)
         if channel[4] is None:
             self._start_service(channel)
@@ -256,8 +263,7 @@ class _EagerSimulator:
                 data[4] = None
                 self._start_service(data)
             elif kind == "deliver":
-                self.ledger.record_delivered(data.src, data.dst,
-                                             data.byte_split)
+                _book(self.ledger.delivered, data)
                 self.nodes[data.dst].on_message(self, data)
             else:
                 self.nodes[data].on_wake(self)
@@ -356,10 +362,14 @@ def test_event_loop_matches_the_eager_free_event_oracle(initial, wakes,
 
 
 def test_account_cost_hand_oracle():
-    ledger = CostLedger()
+    topo = Topology(dcs=["east", "west"], links={
+        ("east", "west"): LinkSpec("east", "west", 1e9, 0.0)})
+    sim = Simulator(topo)
+    sim.send(Message(kind=KIND_UPDATE, src="east", dst="west",
+                     byte_split={KIND_UPDATE: int(2 * GB)}))
+    sim.run()
+    ledger = sim.ledger
     ledger.record_machine_time("east", 7200.0)        # 2 machine-hours
-    ledger.record_sent("east", "west", {KIND_UPDATE: int(2 * GB)})
-    ledger.record_delivered("east", "west", {KIND_UPDATE: int(2 * GB)})
     rates = {"east": CostRates("east", 1.0, 0.05, 0.0),
              "west": CostRates("west", 0.5, 0.0, 0.02)}
     # 2.0 machine + 2 GB * 0.05 egress + 2 GB * 0.02 ingress, in ledger order
