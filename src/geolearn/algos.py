@@ -14,10 +14,13 @@ node computes for its DC's configured compute time per minibatch, then
 exchanges according to its algorithm, and blocks whenever its gates say so.
 A blocked node simply stays idle until a delivery changes its view.
 
-The message plumbing is shared in _NodeBase: it receives, forwards the
-copies an overlay hub must re-broadcast, broadcasts, and holds a node that
-waits for a round to complete. A node class supplies only its algorithm:
-_receive, _ready, _local_step and set_knob.
+Every node reads the `algorithm` section (harness.AlgoCfg) and holds one
+replica in _NodeBase: the weights w, the velocity u and the momentum m.
+The message plumbing is shared there too: it receives, forwards the copies
+an overlay hub must re-broadcast, broadcasts, and gathers the shares of a
+synchronous round (a FedAvg average, a DGC step). A node class supplies
+only its algorithm: _ready, _local_step and set_knob, plus _receive (Gaia)
+or _try_complete (FedAvg and DGC).
 """
 
 import math
@@ -26,15 +29,13 @@ import numpy as np
 
 from . import psync, wansim
 from .data import MinibatchStream
-from .numerics import ClipConfig, MomentumState, clip_by_norm, lr_at, momentum_step
+from .numerics import clip_by_norm, lr_at, momentum_step
 from .psync import (
     SoftCtl, WeightShard, accumulate_and_flush, apply_barrier,
-    clear_barrier_on_update, gate_read, mirror_clock_gate, ssp_gate,
-    soft_threshold_adjust,
+    clear_barrier_on_update, gate_read, soft_threshold_adjust, ssp_gate,
 )
 
 WARMUP_SCHEDULE = (75.0, 93.75, 98.4375, 99.6, 99.9)
-DGC_CLIP_NORM = 5.0
 
 
 def warmup_sparsity(epoch, e_warm, schedule=WARMUP_SCHEDULE):
@@ -99,20 +100,28 @@ class EntryBatches:
 
 
 class _NodeBase:
-    """What every node shares: compute scheduling, counters, hooks, and the
-    message plumbing.
+    """What every node shares: the replica, compute scheduling, counters,
+    hooks, and the message plumbing.
 
-    The base receives (travel payloads go to travel_sink, anything else to
-    the subclass's _receive), forwards overlay copies a hub must
-    re-broadcast, broadcasts, computes each minibatch gradient, and holds a
-    node that is _awaiting a round. A subclass supplies the algorithm:
-    _receive, _ready (may the next step start now?), _local_step (apply one
-    gradient at a learning rate, and exchange), weights and set_knob (the
-    knob SkewScout tunes).
+    The replica is the float64 weights w, the velocity u and the momentum m
+    of the algorithm section `algo`, which is shared by every node and
+    never mutated. The base receives (travel payloads go to travel_sink,
+    anything else to _receive), forwards overlay copies a hub must
+    re-broadcast, broadcasts, and computes each minibatch gradient at w.
+
+    A synchronous round is gathered here: _share keeps this node's share of
+    a round, broadcasts it and holds the node (_awaiting); each peer's share
+    lands in _gathered, and _try_complete runs while the node is held.
+    _gather returns a round's shares once every member's has arrived.
+
+    A subclass supplies the algorithm: _ready (may the next step start
+    now?), _local_step (apply one gradient at a learning rate, and
+    exchange), set_knob (the knob SkewScout tunes), and either its own
+    _receive or _try_complete.
     """
 
     def __init__(self, name, index, model, batch_view, stream, lr_schedule,
-                 compute_s, max_iters, peers):
+                 compute_s, max_iters, w0, algo, peers):
         self.name = name
         self.index = index
         self.model = model
@@ -122,11 +131,17 @@ class _NodeBase:
         self.compute_s = compute_s
         self.max_iters = max_iters
         self.peers = list(peers)
+        self.algo = algo
+        self.w = np.array(w0, dtype=np.float64)
+        # calloc'd: its pages stay untouched until the first step replaces it
+        self.u = np.zeros(self.w.size)
+        self.m = float(algo.momentum)
         self.iters_done = 0
         self.stopped = False
         self.diverged = False
         self._computing = False
         self._awaiting = False        # held until a round's exchange completes
+        self._gathered = {}           # round -> {member: share}
         self._finish_at = None
         self.epoch_hook = None        # fn(node, sim) at each local epoch end
         self.iter_hook = None         # fn(node, sim) after every iteration
@@ -195,6 +210,31 @@ class _NodeBase:
             send(message(kind, name, dst, byte_split, payload, name,
                          needs_forward, nbytes))
 
+    def _share(self, sim, rnd, byte_split, share, kept=None):
+        """Keep this node's share of round rnd (kept, else the share it
+        sends), broadcast the share, and hold until the round completes."""
+        self._gathered.setdefault(rnd, {})[self.name] = (
+            share if kept is None else kept)
+        self._broadcast(sim, byte_split, {"round": rnd, "share": share})
+        self._awaiting = True
+        self._try_complete(sim)
+
+    def _receive(self, sim, msg):
+        p = msg.payload
+        self._gathered.setdefault(p["round"], {})[msg.origin] = p["share"]
+        if self._awaiting:
+            self._try_complete(sim)
+
+    def _gather(self, rnd, members):
+        """The shares of round rnd in member order, or None while one is
+        missing. A complete round is forgotten and the node released."""
+        have = self._gathered.get(rnd, {})
+        if any(m not in have for m in members):
+            return None
+        del self._gathered[rnd]
+        self._awaiting = False
+        return [have[m] for m in members]
+
     def try_start(self, sim):
         if self._computing or self.stopped or self._awaiting:
             return
@@ -211,12 +251,12 @@ class _NodeBase:
         # it earlier reorders the heap's later large allocations, which made
         # run set-up ~45% slower in the mlp-5dc benchmark
         batch = self.batch_view.make(self.stream.next_batch())
-        _, grad = self.model.loss_and_grad(self.weights(), batch,
+        _, grad = self.model.loss_and_grad(self.w, batch,
                                            update_stats=True)
         self._local_step(sim, grad, lr_at(self.lr_schedule, self.epochs_done))
 
     def _after_iteration(self, sim):
-        if not np.all(np.isfinite(self.weights())):
+        if not np.all(np.isfinite(self.w)):
             self.diverged = True
             self.stopped = True
         if self.iters_done % self.batches_per_epoch == 0 and self.epoch_hook:
@@ -226,13 +266,10 @@ class _NodeBase:
         if self.max_iters is not None and self.iters_done >= self.max_iters:
             self.stopped = True
 
-    def weights(self):
-        raise NotImplementedError
-
     def set_knob(self, theta):
         raise NotImplementedError
 
-    def _receive(self, sim, msg):
+    def _try_complete(self, sim):
         raise NotImplementedError
 
     def _local_step(self, sim, grad, eta):
@@ -244,8 +281,7 @@ class _NodeBase:
 
 
 class GaiaNode(_NodeBase):
-    """One data center's worker+server pair under the algorithm section
-    `algo` (harness.AlgoCfg).
+    """One data center's worker+server pair.
 
     Its kind decides both what is emitted after each local step (gaia: a
     significance-filtered slice of the accumulated update; bsp and ssp: the
@@ -271,16 +307,15 @@ class GaiaNode(_NodeBase):
     """
 
     def __init__(self, name, index, model, batch_view, stream, lr_schedule,
-                 compute_s, max_iters, w0, algo, peers, momentum=0.9):
+                 compute_s, max_iters, w0, algo, peers):
         super().__init__(name, index, model, batch_view, stream, lr_schedule,
-                         compute_s, max_iters, peers)
-        self.algo = algo
+                         compute_s, max_iters, w0, algo, peers)
         self._filtered = algo.kind == "gaia"
         self._staleness = 0 if algo.kind == "bsp" else algo.staleness
         self._soft = SoftCtl(**algo.soft) if algo.soft else None
         self._peer_shards = None   # (sim, nodes registered, peer shards)
-        self.shard = WeightShard.fresh(w0, m=momentum, peers=self.peers)
-        self.inbox = []            # (clock, origin, seq, idx, vals, dense)
+        self.shard = WeightShard.fresh(self.w, peers=self.peers)
+        self.inbox = []            # (clock, origin, seq, idx or None, vals)
         self._inbox_seq = 0
         self._last_eta = None
         self._last_flush_time = {p: 0.0 for p in self.peers}
@@ -293,9 +328,6 @@ class GaiaNode(_NodeBase):
         self._need = 0
         self._short = 0
         self._barrier_wait = False
-
-    def weights(self):
-        return self.shard.w
 
     def set_knob(self, theta):
         """Restart the significance threshold at theta."""
@@ -316,32 +348,33 @@ class GaiaNode(_NodeBase):
                         self._short -= 1
         if msg.kind == wansim.KIND_BARRIER:
             apply_barrier(self.shard, msg.payload["barrier"])
-        elif msg.kind == wansim.KIND_UPDATE and "idx" in (msg.payload or {}):
+        elif msg.kind == wansim.KIND_UPDATE:
             p = msg.payload
             self.inbox.append((p["clock"], msg.origin, self._inbox_seq,
-                               p["idx"], p["vals"], p["dense"]))
+                               p["idx"], p["vals"]))
             self._inbox_seq += 1
 
     def _drain_inbox(self):
         """Apply the inbox in (clock, origin, arrival) order; True when an
-        applied update came from a source with barrier entries."""
+        applied update came from a source with barrier entries. A record
+        without indexes (idx None) is a dense update."""
         if not self.inbox:
             return False
         if len(self.inbox) > 1:
             self.inbox.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
         waits = self.shard.barrier_waits
         cleared = False
-        for clock, origin, _seq, idx, vals, dense in self.inbox:
-            if dense:
-                self.shard.w = self.shard.w + vals
+        for clock, origin, _seq, idx, vals in self.inbox:
+            if idx is None:
+                self.w = self.w + vals
                 if origin not in waits:
                     continue
                 # a dense update carries every coordinate
-                idx = np.arange(self.shard.w.size)
+                idx = np.arange(self.w.size)
             else:
-                w = self.shard.w.copy()
+                w = self.w.copy()
                 w[idx] += vals
-                self.shard.w = w
+                self.w = w
             cleared = cleared or origin in waits
             clear_barrier_on_update(self.shard, origin, clock, idx)
         self.inbox.clear()
@@ -361,13 +394,14 @@ class GaiaNode(_NodeBase):
             return self.shard.local_clock
         return min([shard.local_clock for shard in shards])
 
-    def _clock_gate(self, sim, kind, gate, slack):
-        """A gate on the slowest known peer clock; an untraced block records
-        the clock every peer must reach and how many are still short of it."""
+    def _clock_gate(self, sim, kind, slack):
+        """A gate (mirror or ssp, by kind) on the slowest known peer clock;
+        an untraced block records the clock every peer must reach and how
+        many are still short of it."""
         local = self.shard.local_clock
         clocks = self.shard.mirror_clocks
         slowest = min(clocks.values())
-        allow = gate(local, slowest, slack)
+        allow = ssp_gate(local, slowest, slack)
         if sim.trace:
             sim.gate_trace.append((
                 sim.now, self.name, kind, local, slowest,
@@ -397,11 +431,10 @@ class GaiaNode(_NodeBase):
         if self._filtered:
             algo = self.algo
             if algo.mirror and self.peers and not self._clock_gate(
-                    sim, "mirror", mirror_clock_gate, algo.ds):
+                    sim, "mirror", algo.ds):
                 return False
             return not algo.barrier or self._barrier_gate(sim)
-        return not self.peers or self._clock_gate(sim, "ssp", ssp_gate,
-                                                   self._staleness)
+        return not self.peers or self._clock_gate(sim, "ssp", self._staleness)
 
     def _ready(self, sim):
         cleared = self._drain_inbox()
@@ -413,16 +446,13 @@ class GaiaNode(_NodeBase):
     # -- the local step ----------------------------------------------------
 
     def _local_step(self, sim, grad, eta):
-        w_next, m_next, update = momentum_step(self.shard.w, self.shard.momentum,
-                                               grad, eta)
-        self.shard.w = w_next
-        self.shard.momentum = m_next
+        self.w, self.u = momentum_step(self.w, self.u, self.m, grad, eta)
         self.iters_done += 1
         self.shard.local_clock += 1
         if self._filtered:
-            self._filtered_exchange(sim, update, eta)
+            self._filtered_exchange(sim, self.u, eta)
         else:
-            self._dense_exchange(sim, update)
+            self._dense_exchange(sim, self.u)
         self._last_eta = eta
         self._after_iteration(sim)
 
@@ -433,7 +463,6 @@ class GaiaNode(_NodeBase):
             "clock": self.shard.local_clock,
             "idx": None,
             "vals": update.copy(),
-            "dense": True,
         }
         split = {
             wansim.KIND_UPDATE: wansim.dense_update_bytes(update.size),
@@ -454,7 +483,7 @@ class GaiaNode(_NodeBase):
             self.t_hard = self._t0 / np.sqrt(self.iters_done)
             self.t_soft = min(self.t_soft, self.t_hard)
         t_eff = self.t_soft if self._soft else self.t_hard
-        idx, vals = accumulate_and_flush(self.shard, t_eff)
+        idx, vals = accumulate_and_flush(self.shard, self.w, t_eff)
         epoch = (self.iters_done - 1) // self.batches_per_epoch
         counts = self.sig_counts.setdefault(epoch, [0, 0])
         counts[0] += int(idx.size)
@@ -465,7 +494,6 @@ class GaiaNode(_NodeBase):
             "clock": self.shard.local_clock,
             "idx": idx,
             "vals": vals,
-            "dense": False,
         }
         flush_nbytes = wansim.sparse_update_bytes(idx.size) + wansim.CLOCK_BYTES
         # per-destination rate bookkeeping and barrier decisions use the
@@ -522,41 +550,29 @@ class FedAvgNode(_NodeBase):
     boundary until every participant's model for that round has arrived."""
 
     def __init__(self, name, index, model, batch_view, stream, lr_schedule,
-                 compute_s, max_rounds, w0, peers, iter_local, momentum=0.9,
-                 participants_fn=None):
+                 compute_s, max_rounds, w0, algo, peers, participants_fn=None):
         super().__init__(name, index, model, batch_view, stream, lr_schedule,
-                         compute_s, max_iters=None, peers=peers)
-        self.w = np.array(w0, dtype=np.float64)
-        self.momentum = MomentumState.zeros(self.w.size, m=momentum)
-        self.iter_local = int(iter_local)
+                         compute_s, max_iters=None, w0=w0, algo=algo,
+                         peers=peers)
+        self.iter_local = int(algo.iter_local)
         self.max_rounds = max_rounds
         self.round = 0
-        self._round_models = {}    # round -> {name: w}
         self._steps_in_round = 0
         # participants_fn(round) -> ordered participant name list
         self.participants_fn = participants_fn
         self.round_hook = None
         self.reconstructed = None
 
-    def weights(self):
-        return self.w
-
     def set_knob(self, theta):
         """Average every theta local steps from the next round on."""
         self.iter_local = int(theta)
-
-    def _receive(self, sim, msg):
-        p = msg.payload
-        self._round_models.setdefault(p["round"], {})[msg.origin] = p["w"]
-        if self._awaiting:
-            self._try_reduce(sim)
 
     def _ready(self, sim):
         if self.name in self._members_this_round():
             return True
         # sitting this round out: adopt the average once it is complete
         self._awaiting = True
-        self._try_reduce(sim)
+        self._try_complete(sim)
         return False
 
     def _members_this_round(self):
@@ -565,7 +581,7 @@ class FedAvgNode(_NodeBase):
         return self.participants_fn(self.round)
 
     def _local_step(self, sim, grad, eta):
-        self.w, self.momentum, _ = momentum_step(self.w, self.momentum, grad, eta)
+        self.w, self.u = momentum_step(self.w, self.u, self.m, grad, eta)
         self.iters_done += 1
         self._steps_in_round += 1
         self._after_iteration(sim)
@@ -573,35 +589,28 @@ class FedAvgNode(_NodeBase):
             return
         if self._steps_in_round >= self.iter_local:
             self._steps_in_round = 0
-            self._share_model(sim)
+            # two copies, the sent one made first: where the heap places
+            # later large arrays follows this order, and the mlp-5dc
+            # benchmark's timings were taken with it
+            self._share(
+                sim, self.round,
+                {wansim.KIND_UPDATE: wansim.dense_update_bytes(self.w.size)},
+                self.w.copy(), kept=self.w.copy())
 
-    def _share_model(self, sim):
-        payload = {"round": self.round, "w": self.w.copy()}
-        self._round_models.setdefault(self.round, {})[self.name] = self.w.copy()
-        self._broadcast(
-            sim, {wansim.KIND_UPDATE: wansim.dense_update_bytes(self.w.size)},
-            payload)
-        self._awaiting = True
-        self._try_reduce(sim)
-
-    def _try_reduce(self, sim):
-        members = self._members_this_round()
-        have = self._round_models.get(self.round, {})
-        if any(m not in have for m in members):
+    def _try_complete(self, sim):
+        members = sorted(self._members_this_round())
+        models = self._gather(self.round, members)
+        if models is None:
             return
-        stack = np.stack([have[m] for m in sorted(members)])
-        mean = stack.sum(axis=0) / len(members)
-        self.w = mean
-        self.reconstructed = {m: have[m] for m in sorted(members)}
-        del self._round_models[self.round]
+        stack = np.stack(models)
+        self.w = stack.sum(axis=0) / len(members)
+        self.reconstructed = dict(zip(members, models))
         self.round += 1
-        self._awaiting = False
         if self.round_hook:
             self.round_hook(self, sim)
         if self.round >= self.max_rounds:
             self.stopped = True
-        if not self.stopped:
-            self.try_start(sim)
+        self.try_start(sim)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +618,8 @@ class FedAvgNode(_NodeBase):
 
 
 class DgcNode(_NodeBase):
-    """Per-step synchronous exchange of top-k momentum-corrected residuals.
+    """Per-step synchronous exchange of top-k momentum-corrected residuals,
+    each step's update clipped to the section's clip_norm.
 
     Every node advances the same global weight vector by the sum of all
     emitted slices for a step, applied in node order, so replicas stay
@@ -617,38 +627,22 @@ class DgcNode(_NodeBase):
     """
 
     def __init__(self, name, index, model, batch_view, stream, lr_schedule,
-                 compute_s, max_iters, w0, peers, e_warm=1, momentum=0.9,
-                 clip_norm=DGC_CLIP_NORM):
+                 compute_s, max_iters, w0, algo, peers):
         super().__init__(name, index, model, batch_view, stream, lr_schedule,
-                         compute_s, max_iters, peers)
-        self.w = np.array(w0, dtype=np.float64)
-        self.u = np.zeros_like(self.w)
+                         compute_s, max_iters, w0, algo, peers)
         self.v = np.zeros_like(self.w)
-        self.m = momentum
-        self.e_warm = int(e_warm)
-        self.clip = clip_norm
-        self._step_slices = {}         # step -> {name: (idx, vals)}
+        self.e_warm = int(algo.e_warm)
         self.last_emitted = None
-
-    def weights(self):
-        return self.w
 
     def set_knob(self, theta):
         """Advance the warm-up ramp one stage every theta epochs."""
         self.e_warm = int(theta)
 
-    def _receive(self, sim, msg):
-        p = msg.payload
-        self._step_slices.setdefault(p["step"], {})[msg.origin] = (
-            p["idx"], p["vals"])
-        if self._awaiting:
-            self._try_apply(sim)
-
     def current_sparsity(self):
         return warmup_sparsity(self.epochs_done + 1, self.e_warm)
 
     def _local_step(self, sim, grad, eta):
-        step_vec = clip_by_norm(-eta * grad, ClipConfig(self.clip))
+        step_vec = clip_by_norm(-eta * grad, self.algo.clip_norm)
         self.u = self.m * self.u + step_vec
         self.v = self.v + self.u
         sparsity = self.current_sparsity()
@@ -657,27 +651,20 @@ class DgcNode(_NodeBase):
         self.v[idx] = 0.0
         self.u[idx] = 0.0             # momentum correction
         self.last_emitted = (idx, vals)
-        this_step = self.iters_done   # 0-indexed step being exchanged
-        self._step_slices.setdefault(this_step, {})[self.name] = (idx, vals)
-        self._broadcast(
-            sim, {wansim.KIND_UPDATE: wansim.sparse_update_bytes(idx.size)},
-            {"step": this_step, "idx": idx, "vals": vals})
-        self._awaiting = True
-        self._try_apply(sim)
+        # the step being exchanged, 0-indexed, is the round
+        self._share(
+            sim, self.iters_done,
+            {wansim.KIND_UPDATE: wansim.sparse_update_bytes(idx.size)},
+            self.last_emitted)
 
-    def _try_apply(self, sim):
-        have = self._step_slices.get(self.iters_done, {})
-        members = self.members()
-        if any(m not in have for m in members):
+    def _try_complete(self, sim):
+        slices = self._gather(self.iters_done, self.members())
+        if slices is None:
             return
         w = self.w.copy()
-        for m in members:
-            idx, vals = have[m]
+        for idx, vals in slices:
             w[idx] += vals
         self.w = w
-        del self._step_slices[self.iters_done]
         self.iters_done += 1
-        self._awaiting = False
         self._after_iteration(sim)
-        if not self.stopped:
-            self.try_start(sim)
+        self.try_start(sim)

@@ -399,14 +399,14 @@ class RunResult:
 
 
 def _mean_objective(nodes, full_batch):
-    return float(np.mean([node.model.objective(node.weights(), full_batch)
+    return float(np.mean([node.model.objective(node.w, full_batch)
                           for node in nodes]))
 
 
 def _mean_accuracy(nodes, test):
     if test is None:
         return None
-    return float(np.mean([node.model.accuracy(node.weights(), test.X, test.y)
+    return float(np.mean([node.model.accuracy(node.w, test.X, test.y)
                           for node in nodes]))
 
 
@@ -484,8 +484,11 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
         for i in range(k)
     ]
     bpe0 = streams[0].batches_per_epoch
-    # the node class and its kind-specific arguments
-    if acfg.kind == "fedavg":
+    # the node class and its kind-specific arguments; every node reads acfg
+    # and never mutates it
+    node_cls = {"fedavg": FedAvgNode, "dgc": DgcNode}.get(acfg.kind, GaiaNode)
+    kind_kw = {}
+    if node_cls is FedAvgNode:
         max_rounds, participants_fn = math.inf, None
         if not cfg.scout.enabled:
             # fixed round budget only when iter_local cannot change mid-run
@@ -499,14 +502,7 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
                 pick = rng.choice(len(names), size=n_pick, replace=False)
                 return sorted(names[int(i)] for i in pick)
 
-        node_cls, kind_kw = FedAvgNode, dict(
-            max_rounds=max_rounds, iter_local=acfg.iter_local,
-            participants_fn=participants_fn)
-    elif acfg.kind == "dgc":
-        node_cls, kind_kw = DgcNode, dict(e_warm=acfg.e_warm,
-                                          clip_norm=acfg.clip_norm)
-    else:    # gaia, bsp and ssp; nodes never mutate the section
-        node_cls, kind_kw = GaiaNode, dict(algo=acfg)
+        kind_kw = dict(max_rounds=max_rounds, participants_fn=participants_fn)
 
     nodes = []
     for i, (dc, stream) in enumerate(zip(dcs, streams)):
@@ -516,8 +512,7 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
             name=dc, index=i, model=base_model.clone(),
             batch_view=make_view(), stream=stream, lr_schedule=lr_schedule,
             compute_s=topology.compute_s.get(dc, 0.001),
-            peers=[d for d in dcs if d != dc], w0=w0, momentum=acfg.momentum,
-            **kind_kw)
+            peers=[d for d in dcs if d != dc], w0=w0, algo=acfg, **kind_kw)
         nodes.append(node)
         sim.register(dc, node)
 

@@ -2,27 +2,14 @@
 
 Momentum SGD, learning-rate schedules, gradient clipping, and a
 finite-difference gradient oracle. Everything operates on 1-D float64
-arrays and nothing mutates its inputs: optimizer state travels through
-return values so any number of simulated nodes can share these routines
-without aliasing.
+arrays and nothing mutates its inputs: a step returns new weight and
+velocity arrays, and the node that owns the replica keeps them.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass
-class MomentumState:
-    """Velocity vector plus coefficient for heavy-ball SGD."""
-
-    u: np.ndarray
-    m: float = 0.9
-
-    @classmethod
-    def zeros(cls, n, m=0.9):
-        return cls(u=np.zeros(n, dtype=np.float64), m=float(m))
 
 
 @dataclass
@@ -35,28 +22,23 @@ class StepDecay:
     factor: float = field(default=10.0, metadata={"gt": 0})
 
 
-@dataclass
-class ClipConfig:
-    max_norm: float
+def momentum_step(w, u, m, grad, eta):
+    """One heavy-ball step with velocity u and coefficient m.
 
-
-def momentum_step(w, state, grad, eta):
-    """One heavy-ball step.
-
-    u' = m * u - eta * grad, w' = w + u'. Returns (w', state', u') where u'
-    is the update actually applied, which callers accumulate for exchange.
+    u' = m * u - eta * grad, w' = w + u'. Returns (w', u'); u' is the update
+    actually applied, which callers accumulate for exchange.
     """
     w = np.asarray(w, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
-    if w.shape != grad.shape or w.shape != state.u.shape:
+    if w.shape != grad.shape or w.shape != u.shape:
         raise ValueError(
-            f"length mismatch: w{w.shape}, grad{grad.shape}, u{state.u.shape}"
+            f"length mismatch: w{w.shape}, grad{grad.shape}, u{u.shape}"
         )
     if eta < 0:
         raise ValueError(f"negative learning rate: {eta}")
-    u_next = state.m * state.u - eta * grad
+    u_next = m * u - eta * grad
     w_next = w + u_next
-    return w_next, MomentumState(u=u_next, m=state.m), u_next
+    return w_next, u_next
 
 
 def lr_at(schedule, epoch):
@@ -65,13 +47,13 @@ def lr_at(schedule, epoch):
     return schedule.eta0 / schedule.factor ** drops
 
 
-def clip_by_norm(grad, clip):
-    """Scale grad to L2 norm at most clip.max_norm; zero vectors pass through."""
+def clip_by_norm(grad, max_norm):
+    """Scale grad to L2 norm at most max_norm; zero vectors pass through."""
     grad = np.asarray(grad, dtype=np.float64)
     norm = float(np.linalg.norm(grad))
-    if norm == 0.0 or norm <= clip.max_norm:
+    if norm == 0.0 or norm <= max_norm:
         return grad.copy()
-    return grad * (clip.max_norm / norm)
+    return grad * (max_norm / norm)
 
 
 def grad_check(model, params, batch, delta=1e-5):

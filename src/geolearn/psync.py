@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import MomentumState
-
 EPS_WEIGHT = 1e-6
 
 
@@ -49,11 +47,12 @@ def significance_scores(v, w):
 
 @dataclass
 class WeightShard:
-    """One node's view of the shared parameter vector.
+    """One node's sync state around its replica (the weights and velocity
+    live on the node).
 
-    w is the live weight vector, momentum the local velocity, v the update
-    accumulated since the coordinate last cleared the significance filter.
-    mirror_clocks holds the latest clock heard from each peer.
+    v is the update accumulated since the coordinate last cleared the
+    significance filter, local_clock the node's iteration count, and
+    mirror_clocks the latest clock heard from each peer.
 
     barrier_waits holds the selective barriers received and not yet
     released, as {source: {clock: indexes}}: one entry per announced flush
@@ -64,33 +63,27 @@ class WeightShard:
     entries' indexes.
     """
 
-    w: np.ndarray
-    momentum: MomentumState
     v: np.ndarray
     local_clock: int = 0
     barrier_waits: dict = field(default_factory=dict)
     mirror_clocks: dict = field(default_factory=dict)
 
     @classmethod
-    def fresh(cls, w, m=0.9, peers=()):
-        w = np.array(w, dtype=np.float64)
-        return cls(
-            w=w,
-            momentum=MomentumState.zeros(w.size, m=m),
-            v=np.zeros_like(w),
-            mirror_clocks={p: 0 for p in peers},
-        )
+    def fresh(cls, w, peers=()):
+        """Nothing accumulated and every clock at 0 for float64 weights w."""
+        return cls(v=np.zeros_like(w), mirror_clocks={p: 0 for p in peers})
 
 
-def accumulate_and_flush(shard, threshold):
-    """Emit and clear every coordinate of v whose significance exceeds threshold.
+def accumulate_and_flush(shard, w, threshold):
+    """Emit and clear every coordinate of v whose significance against the
+    weights w exceeds threshold.
 
     Returns (indices, values) sorted by coordinate. Retained coordinates all
     score at or below the threshold afterwards, by construction.
     """
     if threshold < 0:
         raise ValueError(f"negative threshold: {threshold}")
-    scores = significance_scores(shard.v, shard.w)
+    scores = significance_scores(shard.v, w)
     idx = np.nonzero(scores > threshold)[0]
     values = shard.v[idx]             # integer indexing copies: v is cleared next
     shard.v[idx] = 0.0
@@ -184,7 +177,7 @@ def gate_read(shard, read_indexes):
     the union of the outstanding barriers' indexes."""
     if not shard.barrier_waits:
         return np.empty(0, dtype=np.intp)
-    blocked = np.zeros(shard.w.size, dtype=bool)
+    blocked = np.zeros(shard.v.size, dtype=bool)
     for pending in shard.barrier_waits.values():
         for indexes in pending.values():
             blocked[indexes] = True
@@ -198,15 +191,10 @@ def gate_read(shard, read_indexes):
 # progress gates
 
 
-def mirror_clock_gate(local_clock, min_remote_clock, ds):
-    """True (allow) unless the node would run more than ds clocks ahead."""
-    if ds < 0:
-        raise ValueError(f"negative clock slack: {ds}")
-    return local_clock - min_remote_clock <= ds
-
-
 def ssp_gate(worker_clock, slowest_clock, staleness):
-    """Bounded-staleness gate; staleness 0 is lockstep."""
+    """True (allow) unless the worker would run more than staleness clocks
+    ahead of the slowest; staleness 0 is lockstep. The mirror-clock gate is
+    this gate with the slack ds."""
     if staleness < 0:
         raise ValueError(f"negative staleness: {staleness}")
     return worker_clock - slowest_clock <= staleness

@@ -155,7 +155,7 @@ class ScoutController:
             tgt = dcs[(i + 1) % len(dcs)]
             if tgt == src_node.name:
                 continue
-            w = src_node.weights().copy()
+            w = src_node.w.copy()
             stats = getattr(src_node.model, "bn_stats", None)
             stats = [dict(mean=s["mean"].copy(), var=s["var"].copy())
                      for s in stats] if stats else None

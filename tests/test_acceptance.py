@@ -61,7 +61,7 @@ def _c01_run(kind, store=None):
         for node in nodes:
             frames = [] if store is None else store.setdefault(node.name, [])
             node.iter_hook = (
-                lambda fr: lambda n, s: fr.append(n.weights().copy()))(frames)
+                lambda fr: lambda n, s: fr.append(n.w.copy()))(frames)
     return run_experiment(_c01_cfg(kind), on_nodes=on_nodes)
 
 

@@ -9,7 +9,7 @@ from geolearn.algos import (ArrayBatches, DgcNode, FedAvgNode, GaiaNode,
                             dgc_select, warmup_sparsity)
 from geolearn.data import (MinibatchStream, SkewSpec, gen_cluster_data,
                            partition_label_skew)
-from geolearn.harness import AlgoCfg
+from geolearn.harness import AlgoCfg, config_from_dict, run_experiment
 from geolearn.numerics import StepDecay
 from geolearn.psync import BarrierMsg, apply_barrier
 from geolearn.rng import seed_stream
@@ -104,9 +104,10 @@ def _mesh_sim(names, trace=True):
                             trace=trace)
 
 
-def _spawn(kind, names, seed=5, batch=10, per_class=30, features=3, classes=2,
-           eta=0.05, **node_kw):
-    """Classifier nodes over a balanced split, registered and woken."""
+def _spawn(algo, names, budget, seed=5, batch=10, per_class=30, features=3,
+           classes=2, eta=0.05, participants_fn=None):
+    """Classifier nodes of the class algo.kind runs over a balanced split,
+    registered and woken. budget is max_rounds for FedAvg, else max_iters."""
     sim = _mesh_sim(names)
     data = gen_cluster_data(classes, features, per_class, spread=1.0, seed=seed)
     parts = partition_label_skew(data, SkewSpec(len(names), alpha=0.0, seed=seed))
@@ -118,8 +119,13 @@ def _spawn(kind, names, seed=5, batch=10, per_class=30, features=3, classes=2,
             name=name, index=i, model=SoftmaxModel(features, classes),
             batch_view=ArrayBatches(data.X, data.y), stream=stream,
             lr_schedule=StepDecay(eta0=eta), compute_s=0.001,
-            w0=w0, peers=[p for p in names if p != name])
-        node = kind(**common, **node_kw)
+            w0=w0, algo=algo, peers=[p for p in names if p != name])
+        if algo.kind == "fedavg":
+            node = FedAvgNode(**common, max_rounds=budget,
+                              participants_fn=participants_fn)
+        else:
+            node_cls = DgcNode if algo.kind == "dgc" else GaiaNode
+            node = node_cls(**common, max_iters=budget)
         nodes.append(node)
         sim.register(name, node)
     for name in names:
@@ -128,8 +134,7 @@ def _spawn(kind, names, seed=5, batch=10, per_class=30, features=3, classes=2,
 
 
 def test_bsp_nodes_stay_in_lockstep():
-    sim, (a, b) = _spawn(GaiaNode, ["a", "b"], max_iters=6,
-                         algo=AlgoCfg(kind="bsp"))
+    sim, (a, b) = _spawn(AlgoCfg(kind="bsp"), ["a", "b"], 6)
     gaps = []
     a.iter_hook = lambda n, s: gaps.append(abs(n.iters_done - b.iters_done))
     sim.run()
@@ -142,13 +147,12 @@ def test_bsp_nodes_stay_in_lockstep():
     # draining, both hold w0 plus all twelve updates, same set, either order
     a._drain_inbox()
     b._drain_inbox()
-    np.testing.assert_allclose(a.weights(), b.weights(), rtol=1e-9)
+    np.testing.assert_allclose(a.w, b.w, rtol=1e-9)
     assert sim.ledger.conservation_ok()
 
 
 def test_asp_huge_threshold_sends_clocks_only():
-    sim, nodes = _spawn(GaiaNode, ["a", "b"], max_iters=4,
-                        algo=AlgoCfg(kind="gaia", t0=1e9, ds=1000))
+    sim, nodes = _spawn(AlgoCfg(kind="gaia", t0=1e9, ds=1000), ["a", "b"], 4)
     sim.run()
     assert all(n.iters_done == 4 for n in nodes)
     assert sim.ledger.sent_bytes(wansim.KIND_UPDATE) == 0
@@ -158,12 +162,11 @@ def test_asp_huge_threshold_sends_clocks_only():
         emitted = sum(c[0] for c in n.sig_counts.values())
         scored = sum(c[1] for c in n.sig_counts.values())
         assert emitted == 0
-        assert scored == 4 * n.weights().size
+        assert scored == 4 * n.w.size
 
 
 def test_asp_tiny_threshold_emits_nearly_everything():
-    sim, nodes = _spawn(GaiaNode, ["a", "b"], max_iters=4,
-                        algo=AlgoCfg(kind="gaia", t0=1e-12, ds=1000))
+    sim, nodes = _spawn(AlgoCfg(kind="gaia", t0=1e-12, ds=1000), ["a", "b"], 4)
     sim.run()
     for n in nodes:
         emitted = sum(c[0] for c in n.sig_counts.values())
@@ -178,11 +181,11 @@ def test_dgc_replicas_are_bit_identical():
     sizes = {"a": [], "b": []}
 
     def hook(n, s):
-        frames[n.name].append(n.weights().copy())
+        frames[n.name].append(n.w.copy())
         sizes[n.name].append(n.last_emitted[0].size)
 
-    sim, nodes = _spawn(DgcNode, ["a", "b"], max_iters=4, per_class=20,
-                        e_warm=1)
+    sim, nodes = _spawn(AlgoCfg(kind="dgc", e_warm=1), ["a", "b"], 4,
+                        per_class=20)
     for n in nodes:
         n.iter_hook = hook
     sim.run()
@@ -198,9 +201,9 @@ def test_fedavg_sitting_out_adopts_the_round_average():
     rounds_log = {"a": [], "b": []}
 
     def hook(n, s):
-        rounds_log[n.name].append((n.round, n.weights().copy()))
+        rounds_log[n.name].append((n.round, n.w.copy()))
 
-    sim, (a, b) = _spawn(FedAvgNode, ["a", "b"], max_rounds=3, iter_local=2,
+    sim, (a, b) = _spawn(AlgoCfg(kind="fedavg", iter_local=2), ["a", "b"], 3,
                          participants_fn=lambda r: ["a"] if r == 0 else ["a", "b"])
     a.round_hook = hook
     b.round_hook = hook
@@ -215,7 +218,7 @@ def test_fedavg_sitting_out_adopts_the_round_average():
 
 
 def test_fedavg_single_node_rounds_without_traffic():
-    sim, (a,) = _spawn(FedAvgNode, ["a"], max_rounds=2, iter_local=3)
+    sim, (a,) = _spawn(AlgoCfg(kind="fedavg", iter_local=3), ["a"], 2)
     sim.run()
     assert a.round == 2 and a.stopped
     assert a.iters_done == 6
@@ -223,13 +226,48 @@ def test_fedavg_single_node_rounds_without_traffic():
     assert sim.ledger.sent_bytes() == 0
     # DGC and BSP on a lone DC take their general exchange path too: no
     # hop, and the full budget
-    for kind, node_kw in ((DgcNode, {}),
-                          (GaiaNode, {"algo": AlgoCfg(kind="bsp")})):
-        sim, (a,) = _spawn(kind, ["a"], max_iters=6, **node_kw)
+    for kind in ("dgc", "bsp"):
+        sim, (a,) = _spawn(AlgoCfg(kind=kind), ["a"], 6)
         sim.run()
-        assert a.stopped and not a.diverged, kind.__name__
-        assert a.iters_done == 6, kind.__name__
-        assert sim.ledger.sent_bytes() == 0, kind.__name__
+        assert a.stopped and not a.diverged, kind
+        assert a.iters_done == 6, kind
+        assert sim.ledger.sent_bytes() == 0, kind
+
+
+@pytest.mark.parametrize("kind", ["gaia", "bsp", "ssp", "fedavg", "dgc"])
+def test_the_algorithm_section_reaches_every_node_class(kind):
+    clip_norm = 1e-6
+    cfg = config_from_dict({
+        "model": {"kind": "softmax", "features": 3, "classes": 2},
+        "data": {"per_class": 20, "test_per_class": 5},
+        "partition": {"nodes": 3, "alpha": 0.5},
+        "algorithm": {"kind": kind, "epochs": 2, "batch_size": 10,
+                      "momentum": 0.5, "iter_local": 3, "e_warm": 2,
+                      "clip_norm": clip_norm}})
+    node_cls = {"fedavg": FedAvgNode, "dgc": DgcNode}.get(kind, GaiaNode)
+    first_slices = []
+
+    def keep_first_slice(node, sim):
+        if node.iters_done == 1:
+            first_slices.append(node.last_emitted[1])
+
+    def check(nodes, sim):
+        for n in nodes:
+            assert type(n) is node_cls
+            assert n.m == 0.5
+            if kind == "fedavg":
+                assert n.iter_local == 3
+            if kind == "dgc":
+                assert n.e_warm == 2
+                assert n.iter_hook is None
+                n.iter_hook = keep_first_slice
+
+    run_experiment(cfg, on_nodes=check)
+    if kind == "dgc":
+        # the first slice is part of one step, clipped to clip_norm
+        assert len(first_slices) == 3
+        for vals in first_slices:
+            assert vals.size and np.linalg.norm(vals) <= clip_norm
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +313,8 @@ def _to_a(src, clock, origin=None, idx=None):
         wansim.KIND_UPDATE, src, "a",
         {wansim.KIND_UPDATE: wansim.sparse_update_bytes(idx.size),
          wansim.KIND_CLOCK: wansim.CLOCK_BYTES},
-        {"clock": clock, "idx": idx, "vals": np.full(idx.size, 0.01),
-         "dense": False}, origin)
+        {"clock": clock, "idx": idx, "vals": np.full(idx.size, 0.01)},
+        origin)
 
 
 @pytest.mark.parametrize("policy,slack", [

@@ -4,41 +4,39 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from geolearn.numerics import (ClipConfig, MomentumState,
-                               StepDecay, clip_by_norm, grad_check, lr_at,
+from geolearn.numerics import (StepDecay, clip_by_norm, grad_check, lr_at,
                                momentum_step)
 
 
 def test_momentum_step_hand_oracle():
     # u' = 0.9*[0.5, -0.5] - 0.1*[0.2, -0.4] = [0.43, -0.41]; w' = w + u'
     w = np.array([1.0, 2.0])
-    state = MomentumState(u=np.array([0.5, -0.5]), m=0.9)
+    u = np.array([0.5, -0.5])
     grad = np.array([0.2, -0.4])
-    w2, state2, applied = momentum_step(w, state, grad, 0.1)
-    np.testing.assert_allclose(applied, [0.43, -0.41], rtol=0, atol=1e-15)
+    w2, u2 = momentum_step(w, u, 0.9, grad, 0.1)
+    np.testing.assert_allclose(u2, [0.43, -0.41], rtol=0, atol=1e-15)
     np.testing.assert_allclose(w2, [1.43, 1.59], rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(state2.u, applied)
     # inputs untouched
     np.testing.assert_array_equal(w, [1.0, 2.0])
-    np.testing.assert_array_equal(state.u, [0.5, -0.5])
+    np.testing.assert_array_equal(u, [0.5, -0.5])
 
 
 def test_momentum_step_rejects_mismatch_and_negative_lr():
-    state = MomentumState.zeros(2)
+    u = np.zeros(2)
     with pytest.raises(ValueError):
-        momentum_step(np.zeros(3), state, np.zeros(3), 0.1)
+        momentum_step(np.zeros(3), u, 0.9, np.zeros(3), 0.1)
     with pytest.raises(ValueError):
-        momentum_step(np.zeros(2), state, np.zeros(2), -0.1)
+        momentum_step(np.zeros(2), u, 0.9, np.zeros(2), -0.1)
 
 
 @given(st.floats(0.0, 0.99), st.integers(1, 30))
 def test_momentum_zero_grad_decays_geometrically(m, steps):
     # with grad = 0 the velocity is u0 * m^t exactly
-    state = MomentumState(u=np.array([1.0]), m=m)
+    u = np.array([1.0])
     w = np.zeros(1)
     for _ in range(steps):
-        w, state, _ = momentum_step(w, state, np.zeros(1), 0.5)
-    assert state.u[0] == pytest.approx(m ** steps, rel=1e-12, abs=1e-300)
+        w, u = momentum_step(w, u, m, np.zeros(1), 0.5)
+    assert u[0] == pytest.approx(m ** steps, rel=1e-12, abs=1e-300)
 
 
 def test_step_decay_oracle():
@@ -48,13 +46,13 @@ def test_step_decay_oracle():
 
 
 def test_clip_by_norm_oracle():
-    clipped = clip_by_norm(np.array([3.0, 4.0]), ClipConfig(2.5))
+    clipped = clip_by_norm(np.array([3.0, 4.0]), 2.5)
     np.testing.assert_allclose(clipped, [1.5, 2.0])
     small = np.array([0.1, -0.2])
-    out = clip_by_norm(small, ClipConfig(5.0))
+    out = clip_by_norm(small, 5.0)
     np.testing.assert_array_equal(out, small)
     assert out is not small  # always a copy
-    np.testing.assert_array_equal(clip_by_norm(np.zeros(3), ClipConfig(1.0)),
+    np.testing.assert_array_equal(clip_by_norm(np.zeros(3), 1.0),
                                   np.zeros(3))
 
 
@@ -62,7 +60,7 @@ def test_clip_by_norm_oracle():
        st.floats(1e-3, 1e3))
 def test_clip_by_norm_properties(vals, max_norm):
     g = np.array(vals)
-    out = clip_by_norm(g, ClipConfig(max_norm))
+    out = clip_by_norm(g, max_norm)
     assert np.linalg.norm(out) <= max_norm * (1 + 1e-12)
     # direction preserved: out is a nonnegative multiple of g
     if np.linalg.norm(g) > 0:

@@ -13,7 +13,7 @@ from geolearn.numerics import StepDecay, lr_at
 from geolearn.psync import (BarrierMsg, SoftCtl, WeightShard,
                             accumulate_and_flush, apply_barrier,
                             clear_barrier_on_update, gate_read,
-                            maybe_emit_barrier, mirror_clock_gate,
+                            maybe_emit_barrier,
                             significance_scores, ssp_gate,
                             soft_threshold_adjust)
 from geolearn.rng import seed_stream
@@ -48,7 +48,7 @@ def test_significance_scores_vectorized_matches_scalar():
 def test_accumulate_and_flush_oracle():
     shard = WeightShard.fresh(np.array([10.0, 10.0, 10.0]))
     shard.v[:] = [0.5, 2.0, -3.0]      # scores 0.05, 0.2, 0.3
-    idx, vals = accumulate_and_flush(shard, 0.1)
+    idx, vals = accumulate_and_flush(shard, np.array([10.0, 10.0, 10.0]), 0.1)
     np.testing.assert_array_equal(idx, [1, 2])
     np.testing.assert_array_equal(vals, [2.0, -3.0])
     np.testing.assert_array_equal(shard.v, [0.5, 0.0, 0.0])
@@ -56,7 +56,7 @@ def test_accumulate_and_flush_oracle():
 
 def test_accumulate_and_flush_rejects_negative_threshold():
     with pytest.raises(ValueError):
-        accumulate_and_flush(WeightShard.fresh(np.ones(2)), -0.1)
+        accumulate_and_flush(WeightShard.fresh(np.ones(2)), np.ones(2), -0.1)
 
 
 @given(st.lists(st.floats(-100, 100), min_size=1, max_size=12),
@@ -66,9 +66,9 @@ def test_flush_leaves_only_subthreshold_residue(vals, threshold):
     w = np.full(len(vals), 5.0)
     shard = WeightShard.fresh(w)
     shard.v[:] = vals
-    idx, flushed = accumulate_and_flush(shard, threshold)
+    idx, flushed = accumulate_and_flush(shard, w, threshold)
     # emitted values carried the accumulated update out exactly
-    residue = significance_scores(shard.v, shard.w)
+    residue = significance_scores(shard.v, w)
     assert np.all(residue <= threshold + 1e-12)
     # flushed + residue reconstructs the original accumulation
     rebuilt = shard.v.copy()
@@ -325,20 +325,18 @@ def test_barrier_arrays_match_dict_of_dicts(flushes, data):
 # progress gates
 
 
-def test_mirror_clock_gate_oracle():
-    assert mirror_clock_gate(5, 3, 2)
-    assert not mirror_clock_gate(6, 3, 2)
-    assert mirror_clock_gate(0, 0, 0)
-    with pytest.raises(ValueError):
-        mirror_clock_gate(1, 0, -1)
-
-
 def test_ssp_gate_oracle():
     assert ssp_gate(4, 4, 0)
     assert not ssp_gate(5, 4, 0)
     assert ssp_gate(7, 4, 3)
     with pytest.raises(ValueError):
         ssp_gate(1, 1, -2)
+    # the mirror-clock gate is the same gate with the slack ds
+    assert ssp_gate(5, 3, 2)
+    assert not ssp_gate(6, 3, 2)
+    assert ssp_gate(0, 0, 0)
+    with pytest.raises(ValueError):
+        ssp_gate(1, 0, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -123,12 +123,9 @@ class _StubNode:
     def __init__(self, name, index, w, model=None):
         self.name = name
         self.index = index
-        self._w = np.asarray(w, dtype=float)
+        self.w = np.asarray(w, dtype=float)
         self.model = model if model is not None else object()
         self.travel_sink = None
-
-    def weights(self):
-        return self._w
 
     def on_message(self, sim, msg):
         if msg.kind == wansim.KIND_TRAVEL:
