@@ -24,6 +24,7 @@ or _try_complete (FedAvg and DGC).
 """
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -210,11 +211,11 @@ class _NodeBase:
             send(message(kind, name, dst, byte_split, payload, name,
                          needs_forward, nbytes))
 
-    def _share(self, sim, rnd, byte_split, share, kept=None):
-        """Keep this node's share of round rnd (kept, else the share it
-        sends), broadcast the share, and hold until the round completes."""
-        self._gathered.setdefault(rnd, {})[self.name] = (
-            share if kept is None else kept)
+    def _share(self, sim, rnd, byte_split, share):
+        """Keep this node's share of round rnd, broadcast it, and hold until
+        the round completes. The kept and the sent share are one object,
+        which no receiver writes into."""
+        self._gathered.setdefault(rnd, {})[self.name] = share
         self._broadcast(sim, byte_split, {"round": rnd, "share": share})
         self._awaiting = True
         self._try_complete(sim)
@@ -294,9 +295,14 @@ class GaiaNode(_NodeBase):
     t0 / sqrt(t) on every iteration (decay "invsqrt"). Soft control
     (psync.SoftCtl) runs exactly when algo.soft is set.
 
+    The node's clock is iters_done. Each flush is one observation of its
+    production rate (one wansim.RateMonitor), which the barrier and soft
+    control compare with each first-hop link's bandwidth. An inbox record
+    is (clock, origin, idx, vals), idx None for a dense update.
+
     A blocked node waits for something, and an untraced run re-checks its
-    gates only when that has moved. Its local clock stands still while it
-    is blocked and mirror clocks only grow, so a clock gate (mirror or SSP)
+    gates only when that has moved. Its clock stands still while it is
+    blocked and mirror clocks only grow, so a clock gate (mirror or SSP)
     that needs every peer at _need or above stays shut while _short, the
     number of peers still below _need, is positive; _receive counts the
     peers that cross it. A barrier gate can open only when an update clears
@@ -313,13 +319,11 @@ class GaiaNode(_NodeBase):
         self._filtered = algo.kind == "gaia"
         self._staleness = 0 if algo.kind == "bsp" else algo.staleness
         self._soft = SoftCtl(**algo.soft) if algo.soft else None
-        self._peer_shards = None   # (sim, nodes registered, peer shards)
         self.shard = WeightShard.fresh(self.w, peers=self.peers)
-        self.inbox = []            # (clock, origin, seq, idx or None, vals)
-        self._inbox_seq = 0
+        self.inbox = []
         self._last_eta = None
-        self._last_flush_time = {p: 0.0 for p in self.peers}
-        self.rate_monitors = {p: wansim.RateMonitor() for p in self.peers}
+        self._last_flush_time = 0.0
+        self.rate_monitor = wansim.RateMonitor()
         self._t0 = self.t_hard = self.t_soft = algo.t0
         self.sig_counts = {}       # epoch -> [emitted, scored]
         # the wait of an untraced blocked node (see the class docstring);
@@ -350,31 +354,27 @@ class GaiaNode(_NodeBase):
             apply_barrier(self.shard, msg.payload["barrier"])
         elif msg.kind == wansim.KIND_UPDATE:
             p = msg.payload
-            self.inbox.append((p["clock"], msg.origin, self._inbox_seq,
-                               p["idx"], p["vals"]))
-            self._inbox_seq += 1
+            self.inbox.append((p["clock"], msg.origin, p["idx"], p["vals"]))
 
     def _drain_inbox(self):
         """Apply the inbox in (clock, origin, arrival) order; True when an
-        applied update came from a source with barrier entries. A record
-        without indexes (idx None) is a dense update."""
+        applied sparse update came from a source with barrier entries.
+        Dense updates come only from bsp and ssp nodes, which announce no
+        barriers."""
         if not self.inbox:
             return False
         if len(self.inbox) > 1:
-            self.inbox.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
+            # stable: records of one (clock, origin) keep their arrival order
+            self.inbox.sort(key=itemgetter(0, 1))
         waits = self.shard.barrier_waits
         cleared = False
-        for clock, origin, _seq, idx, vals in self.inbox:
+        for clock, origin, idx, vals in self.inbox:
             if idx is None:
                 self.w = self.w + vals
-                if origin not in waits:
-                    continue
-                # a dense update carries every coordinate
-                idx = np.arange(self.w.size)
-            else:
-                w = self.w.copy()
-                w[idx] += vals
-                self.w = w
+                continue
+            w = self.w.copy()
+            w[idx] += vals
+            self.w = w
             cleared = cleared or origin in waits
             clear_barrier_on_update(self.shard, origin, clock, idx)
         self.inbox.clear()
@@ -383,22 +383,15 @@ class GaiaNode(_NodeBase):
     # -- gating ------------------------------------------------------------
 
     def _true_min_peer_clock(self, sim):
-        # the registered peers' shards, resolved again only when the
-        # simulator or its set of registered nodes changes
-        view = self._peer_shards
-        if view is None or view[0] is not sim or view[1] != len(sim.nodes):
-            view = self._peer_shards = (sim, len(sim.nodes), [
-                sim.nodes[p].shard for p in self.peers if p in sim.nodes])
-        shards = view[2]
-        if not shards:
-            return self.shard.local_clock
-        return min([shard.local_clock for shard in shards])
+        """The registered peers' slowest clock, read for the gate trace."""
+        clocks = [sim.nodes[p].iters_done for p in self.peers if p in sim.nodes]
+        return min(clocks) if clocks else self.iters_done
 
     def _clock_gate(self, sim, kind, slack):
         """A gate (mirror or ssp, by kind) on the slowest known peer clock;
         an untraced block records the clock every peer must reach and how
         many are still short of it."""
-        local = self.shard.local_clock
+        local = self.iters_done
         clocks = self.shard.mirror_clocks
         slowest = min(clocks.values())
         allow = ssp_gate(local, slowest, slack)
@@ -419,7 +412,7 @@ class GaiaNode(_NodeBase):
         if sim.trace:
             n_blocked = gate_read(self.shard, read_set).size
             sim.gate_trace.append((
-                sim.now, self.name, "barrier", self.shard.local_clock,
+                sim.now, self.name, "barrier", self.iters_done,
                 n_blocked, self._true_min_peer_clock(sim), n_blocked == 0))
             return n_blocked == 0
         # a dense read (None) meets every outstanding entry
@@ -448,7 +441,6 @@ class GaiaNode(_NodeBase):
     def _local_step(self, sim, grad, eta):
         self.w, self.u = momentum_step(self.w, self.u, self.m, grad, eta)
         self.iters_done += 1
-        self.shard.local_clock += 1
         if self._filtered:
             self._filtered_exchange(sim, self.u, eta)
         else:
@@ -460,7 +452,7 @@ class GaiaNode(_NodeBase):
         if not self.peers:
             return
         payload = {
-            "clock": self.shard.local_clock,
+            "clock": self.iters_done,
             "idx": None,
             "vals": update.copy(),
         }
@@ -491,33 +483,33 @@ class GaiaNode(_NodeBase):
         if not self.peers:
             return
         payload = {
-            "clock": self.shard.local_clock,
+            "clock": self.iters_done,
             "idx": idx,
             "vals": vals,
         }
         flush_nbytes = wansim.sparse_update_bytes(idx.size) + wansim.CLOCK_BYTES
-        # per-destination rate bookkeeping and barrier decisions use the
-        # first-hop links only; hub forwarding is mechanical
+        monitor = self.rate_monitor
+        elapsed = sim.now - self._last_flush_time
+        if elapsed > 0:
+            monitor.observe(flush_nbytes, elapsed)
+        self._last_flush_time = sim.now
+        rate = monitor.rate
+        # the barrier decisions and the utilization compare the rate with
+        # the first-hop links only; hub forwarding is mechanical
         hops = wansim.broadcast_hops(sim.overlay, self.name, sim.topology.dcs)
         utilizations = []
         barrier = None
         for dst, _fw in hops:
             link = sim.topology.link(self.name, dst)
-            monitor = self.rate_monitors[dst]
-            elapsed = sim.now - self._last_flush_time[dst]
-            if elapsed > 0:
-                monitor.observe(flush_nbytes, elapsed)
-            self._last_flush_time[dst] = sim.now
-            utilizations.append(monitor.rate / link.bandwidth)
+            utilizations.append(rate / link.bandwidth)
             if not (algo.barrier and monitor.warm and idx.size
-                    and monitor.rate > link.bandwidth):
+                    and rate > link.bandwidth):
                 continue
             if barrier is None:
                 # one announcement of this flush serves every saturated
                 # first hop; its copies share payload and byte split
                 barrier = psync.maybe_emit_barrier(
-                    monitor.rate, link.bandwidth, idx,
-                    self.name, self.shard.local_clock)
+                    rate, link.bandwidth, idx, self.name, self.iters_done)
                 barrier_split = {wansim.KIND_BARRIER:
                                  wansim.barrier_bytes(len(barrier.indexes))}
                 barrier_nbytes = wansim.split_nbytes(barrier_split)
@@ -534,7 +526,7 @@ class GaiaNode(_NodeBase):
         else:
             # nothing significant: the clock still has to move
             self._broadcast(sim, {wansim.KIND_CLOCK: wansim.CLOCK_BYTES},
-                            {"clock": self.shard.local_clock}, hops)
+                            {"clock": self.iters_done}, hops)
         if self._soft and utilizations:
             self.t_soft = soft_threshold_adjust(
                 self._soft, max(utilizations), self.t_soft, self.t_hard)
@@ -589,13 +581,11 @@ class FedAvgNode(_NodeBase):
             return
         if self._steps_in_round >= self.iter_local:
             self._steps_in_round = 0
-            # two copies, the sent one made first: where the heap places
-            # later large arrays follows this order, and the mlp-5dc
-            # benchmark's timings were taken with it
+            # a copy: the share must not change with this node's later steps
             self._share(
                 sim, self.round,
                 {wansim.KIND_UPDATE: wansim.dense_update_bytes(self.w.size)},
-                self.w.copy(), kept=self.w.copy())
+                self.w.copy())
 
     def _try_complete(self, sim):
         members = sorted(self._members_this_round())

@@ -520,7 +520,6 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
     rows = []
     conv = ConvergenceState(cfg.convergence)
     prev_bytes = dict.fromkeys(wansim.BYTE_KINDS, 0)
-    rounds_log = []
 
     def stop_all():
         for node in nodes:
@@ -595,11 +594,6 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
     trigger = nodes[0]
     if acfg.kind == "fedavg":
         def round_hook(node, sim_):
-            rounds_log.append({
-                "round": node.round - 1,
-                "inputs": node.reconstructed,
-                "mean": node.w.copy(),
-            })
             evaluate(node, sim_)
             if scout is not None:
                 if node.epochs_done >= acfg.epochs:
@@ -646,7 +640,6 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
     if not sim.ledger.conservation_ok():
         raise RuntimeError("byte conservation violated: sent != delivered")
 
-    extras["rounds_log"] = rounds_log
     if acfg.kind in ("gaia",):
         extras["sig_counts"] = {n.name: n.sig_counts for n in nodes}
     return RunResult(cfg=cfg, rows=rows, summary=summary, nodes=nodes,

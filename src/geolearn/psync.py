@@ -47,12 +47,12 @@ def significance_scores(v, w):
 
 @dataclass
 class WeightShard:
-    """One node's sync state around its replica (the weights and velocity
-    live on the node).
+    """One node's sync state around its replica (the weights, the velocity
+    and the clock, which is the node's iters_done, live on the node).
 
     v is the update accumulated since the coordinate last cleared the
-    significance filter, local_clock the node's iteration count, and
-    mirror_clocks the latest clock heard from each peer.
+    significance filter, and mirror_clocks the latest clock heard from each
+    peer.
 
     barrier_waits holds the selective barriers received and not yet
     released, as {source: {clock: indexes}}: one entry per announced flush
@@ -64,7 +64,6 @@ class WeightShard:
     """
 
     v: np.ndarray
-    local_clock: int = 0
     barrier_waits: dict = field(default_factory=dict)
     mirror_clocks: dict = field(default_factory=dict)
 
@@ -123,9 +122,9 @@ def _sorted_unique(indexes):
 def maybe_emit_barrier(rate, bandwidth, pending_indexes, source, clock):
     """Barrier for the pending flush when the link cannot keep up.
 
-    rate is the smoothed significant-update production rate toward one link
-    (bytes/s) and bandwidth the link's capacity. Emits only when the link is
-    saturated and there is something pending.
+    rate is the sender's smoothed significant-update production rate
+    (bytes/s) and bandwidth the capacity of one of its links. Emits only
+    when that link is saturated and there is something pending.
     """
     if rate <= bandwidth or len(pending_indexes) == 0:
         return None
@@ -144,8 +143,7 @@ def apply_barrier(shard, msg):
 
 def clear_barrier_on_update(shard, source, clock, indexes):
     """Release every barrier of source announced at a clock <= clock, as
-    source's flush of that clock, carrying indexes, lands (a dense update
-    carries every coordinate).
+    source's flush of that clock, carrying indexes, lands.
 
     A barrier names exactly its flush's indexes and leaves before it on the
     same link, and one source's flushes land in clock order, so a flush

@@ -407,9 +407,9 @@ class Simulator:
         if channel.free_scheduled:
             heapq.heappush(self._heap, (busy_until, seq, _FREE, channel))
 
-    def run(self, max_events=None):
-        """Process events in (time, sequence) order until the queue drains
-        or max_events have been processed; returns the number processed.
+    def run(self):
+        """Process events in (time, sequence) order until the queue drains;
+        returns the number processed.
 
         Free events that were never scheduled (no message waited for the
         link) are not events and are not counted.
@@ -417,9 +417,8 @@ class Simulator:
         heap = self._heap
         nodes = self.nodes
         pop = heapq.heappop
-        limit = math.inf if max_events is None else max_events
         count = 0
-        while heap and count < limit:
+        while heap:
             time, seq, kind, data = pop(heap)
             self.now = time
             self._event_seq = seq

@@ -407,17 +407,28 @@ def _c09_cfg():
 
 
 def test_09_fedavg_exactness():
-    res = run_experiment(_c09_cfg())
+    log = []                  # (the round's input models, its mean)
+
+    def collect_rounds(nodes, sim):
+        trigger = nodes[0]
+        hook = trigger.round_hook
+
+        def logged(node, sim_):
+            log.append((node.reconstructed, node.w.copy()))
+            hook(node, sim_)
+
+        trigger.round_hook = logged
+
+    res = run_experiment(_c09_cfg(), on_nodes=collect_rounds)
     _register("09/run", (lambda: metrics_csv_text(
         run_experiment(_c09_cfg()).rows)), res)
-    log = res.extras["rounds_log"]
     assert len(log) == 50
     worst = 0.0
-    for entry in log:
-        stack = np.stack([entry["inputs"][m] for m in sorted(entry["inputs"])])
+    for inputs, mean in log:
+        stack = np.stack([inputs[m] for m in sorted(inputs)])
         expect = np.mean(stack, axis=0)
         scale = max(float(np.max(np.abs(expect))), 1e-30)
-        worst = max(worst, float(np.max(np.abs(entry["mean"] - expect))) / scale)
+        worst = max(worst, float(np.max(np.abs(mean - expect))) / scale)
     _verdict(9, worst <= 1e-12,
              f"50 rounds, worst relative deviation from the arithmetic "
              f"mean = {worst:.2e} (<= 1e-12)")

@@ -287,7 +287,7 @@ def _blocked_node(algo, local, trace, barrier=None):
         lr_schedule=StepDecay(eta0=0.05), compute_s=0.001, max_iters=100,
         w0=np.zeros(8), algo=algo, peers=["b", "c"])
     sim.register("a", node)
-    node.shard.local_clock = local
+    node.iters_done = local
     if barrier is not None:
         apply_barrier(node.shard, barrier)
     checks = []

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import math
 import os
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -428,12 +429,39 @@ def test_run_experiment_fedavg_rounds_account_exactly():
     result = run_experiment(cfg)
     # 2 epochs x 2 batches/epoch at 2 steps/round = 2 rounds, one row each
     assert len(result.rows) == 2
-    assert len(result.extras["rounds_log"]) == 2
+    assert result.nodes[0].round == 2
     # every byte is sent before the trigger's final reduce fires
     s = result.summary
     for kind in wansim.BYTE_KINDS:
         assert sum(r[f"{kind}_bytes"] for r in result.rows) == s[f"{kind}_bytes"]
     assert s["update_bytes"] > 0 and s["barrier_bytes"] == 0
+
+
+def _fedavg_mlp_cfg(epochs):
+    # 32*128 + 128 + 128*4 + 4 = 4,740 coordinates; 40 rows per node in
+    # batches of 10 at 2 steps per round make 2 rounds per epoch
+    return _small_cfg(
+        model={"kind": "mlp", "features": 32, "hidden": [128], "classes": 4},
+        data={"per_class": 30, "test_per_class": 10},
+        partition={"nodes": 3},
+        algorithm={"kind": "fedavg", "iter_local": 2, "epochs": epochs})
+
+
+def test_fedavg_memory_does_not_grow_with_rounds():
+    model_bytes = 4_740 * 8
+    # untraced warm-up: the packaged tables are parsed once per process
+    run_experiment(_fedavg_mlp_cfg(1))
+    peaks = []
+    for epochs in (5, 20):
+        tracemalloc.start()
+        try:
+            result = run_experiment(_fedavg_mlp_cfg(epochs))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.nodes[0].w.size * 8 == model_bytes
+        assert result.nodes[0].round == 2 * epochs
+    assert peaks[1] - peaks[0] < 3 * model_bytes, peaks
 
 
 def test_run_experiment_mf_has_blank_accuracy():

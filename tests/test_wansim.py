@@ -153,14 +153,13 @@ def test_wake_and_past_scheduling():
         sim.wake_at(1.0, "b")
 
 
-def test_run_event_bound_and_pending():
+def test_run_counts_events_until_the_heap_drains():
     sim, sink = _one_link_sim()
     sim.wake_at(1.0, "b")
     sim.wake_at(2.0, "b")
     assert len(sim._heap) == 2
-    assert sim.run(max_events=1) == 1
-    assert len(sim._heap) == 1
-    sim.run()
+    assert sim.run() == 2
+    assert sim._heap == []
     assert sink.wakes == [1.0, 2.0]
 
 
