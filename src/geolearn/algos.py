@@ -106,9 +106,12 @@ class _NodeBase:
 
     The replica is the float64 weights w, the velocity u and the momentum m
     of the algorithm section `algo`, which is shared by every node and
-    never mutated. The base receives (travel payloads go to travel_sink,
-    anything else to _receive), forwards overlay copies a hub must
-    re-broadcast, broadcasts, and computes each minibatch gradient at w.
+    never mutated. Steps and applied updates write into w and u in place,
+    so what a peer reads after the sender's next step (Gaia's dense payload,
+    a FedAvg share) is sent as a copy. The base receives (travel payloads
+    go to travel_sink, anything else to _receive), forwards overlay copies
+    a hub must re-broadcast, broadcasts, and computes each minibatch
+    gradient at w.
 
     A synchronous round is gathered here: _share keeps this node's share of
     a round, broadcasts it and holds the node (_awaiting); each peer's share
@@ -134,7 +137,8 @@ class _NodeBase:
         self.peers = list(peers)
         self.algo = algo
         self.w = np.array(w0, dtype=np.float64)
-        # calloc'd: its pages stay untouched until the first step replaces it
+        # calloc'd, so set-up touches none of its pages; the first step
+        # writes them, and every later step updates w and u in place
         self.u = np.zeros(self.w.size)
         self.m = float(algo.momentum)
         self.iters_done = 0
@@ -319,7 +323,8 @@ class GaiaNode(_NodeBase):
         self._filtered = algo.kind == "gaia"
         self._staleness = 0 if algo.kind == "bsp" else algo.staleness
         self._soft = SoftCtl(**algo.soft) if algo.soft else None
-        self.shard = WeightShard.fresh(self.w, peers=self.peers)
+        self.shard = WeightShard.fresh(self.w, peers=self.peers,
+                                       accumulate=self._filtered)
         self.inbox = []
         self._last_eta = None
         self._last_flush_time = 0.0
@@ -357,24 +362,23 @@ class GaiaNode(_NodeBase):
             self.inbox.append((p["clock"], msg.origin, p["idx"], p["vals"]))
 
     def _drain_inbox(self):
-        """Apply the inbox in (clock, origin, arrival) order; True when an
-        applied sparse update came from a source with barrier entries.
-        Dense updates come only from bsp and ssp nodes, which announce no
-        barriers."""
+        """Apply the inbox to w in place, in (clock, origin, arrival) order;
+        True when an applied sparse update came from a source with barrier
+        entries. Dense updates come only from bsp and ssp nodes, which
+        announce no barriers."""
         if not self.inbox:
             return False
         if len(self.inbox) > 1:
             # stable: records of one (clock, origin) keep their arrival order
             self.inbox.sort(key=itemgetter(0, 1))
+        w = self.w
         waits = self.shard.barrier_waits
         cleared = False
         for clock, origin, idx, vals in self.inbox:
             if idx is None:
-                self.w = self.w + vals
+                w += vals
                 continue
-            w = self.w.copy()
             w[idx] += vals
-            self.w = w
             cleared = cleared or origin in waits
             clear_barrier_on_update(self.shard, origin, clock, idx)
         self.inbox.clear()
@@ -439,7 +443,7 @@ class GaiaNode(_NodeBase):
     # -- the local step ----------------------------------------------------
 
     def _local_step(self, sim, grad, eta):
-        self.w, self.u = momentum_step(self.w, self.u, self.m, grad, eta)
+        momentum_step(self.w, self.u, self.m, grad, eta)
         self.iters_done += 1
         if self._filtered:
             self._filtered_exchange(sim, self.u, eta)
@@ -451,6 +455,7 @@ class GaiaNode(_NodeBase):
     def _dense_exchange(self, sim, update):
         if not self.peers:
             return
+        # a copy: peers apply it after this node's next step rewrites u
         payload = {
             "clock": self.iters_done,
             "idx": None,
@@ -464,7 +469,7 @@ class GaiaNode(_NodeBase):
 
     def _filtered_exchange(self, sim, update, eta):
         algo = self.algo
-        self.shard.v = self.shard.v + update
+        self.shard.v += update
         # the hard threshold decays by the factor of an lr drop, or as
         # t0 / sqrt(t) on every iteration; t_soft is capped at it when it
         # decays, and soft_threshold_adjust keeps it there in between
@@ -553,7 +558,6 @@ class FedAvgNode(_NodeBase):
         # participants_fn(round) -> ordered participant name list
         self.participants_fn = participants_fn
         self.round_hook = None
-        self.reconstructed = None
 
     def set_knob(self, theta):
         """Average every theta local steps from the next round on."""
@@ -573,7 +577,7 @@ class FedAvgNode(_NodeBase):
         return self.participants_fn(self.round)
 
     def _local_step(self, sim, grad, eta):
-        self.w, self.u = momentum_step(self.w, self.u, self.m, grad, eta)
+        momentum_step(self.w, self.u, self.m, grad, eta)
         self.iters_done += 1
         self._steps_in_round += 1
         self._after_iteration(sim)
@@ -594,7 +598,6 @@ class FedAvgNode(_NodeBase):
             return
         stack = np.stack(models)
         self.w = stack.sum(axis=0) / len(members)
-        self.reconstructed = dict(zip(members, models))
         self.round += 1
         if self.round_hook:
             self.round_hook(self, sim)
@@ -620,7 +623,7 @@ class DgcNode(_NodeBase):
                  compute_s, max_iters, w0, algo, peers):
         super().__init__(name, index, model, batch_view, stream, lr_schedule,
                          compute_s, max_iters, w0, algo, peers)
-        self.v = np.zeros_like(self.w)
+        self.v = np.zeros(self.w.size)   # calloc'd, like u
         self.e_warm = int(algo.e_warm)
         self.last_emitted = None
 
@@ -632,9 +635,12 @@ class DgcNode(_NodeBase):
         return warmup_sparsity(self.epochs_done + 1, self.e_warm)
 
     def _local_step(self, sim, grad, eta):
-        step_vec = clip_by_norm(-eta * grad, self.algo.clip_norm)
-        self.u = self.m * self.u + step_vec
-        self.v = self.v + self.u
+        grad *= -eta                  # the step -eta * grad, in grad's array
+        step_vec = clip_by_norm(grad, self.algo.clip_norm)
+        u = self.u
+        u *= self.m
+        u += step_vec
+        self.v += u
         sparsity = self.current_sparsity()
         idx = dgc_select(self.v, sparsity)
         vals = self.v[idx]            # integer indexing copies: v is cleared next
@@ -651,10 +657,9 @@ class DgcNode(_NodeBase):
         slices = self._gather(self.iters_done, self.members())
         if slices is None:
             return
-        w = self.w.copy()
+        w = self.w
         for idx, vals in slices:
             w[idx] += vals
-        self.w = w
         self.iters_done += 1
         self._after_iteration(sim)
         self.try_start(sim)

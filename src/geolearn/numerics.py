@@ -2,8 +2,10 @@
 
 Momentum SGD, learning-rate schedules, gradient clipping, and a
 finite-difference gradient oracle. Everything operates on 1-D float64
-arrays and nothing mutates its inputs: a step returns new weight and
-velocity arrays, and the node that owns the replica keeps them.
+arrays. The momentum step and the clip work in place: the step updates the
+replica's own weight and velocity arrays and overwrites the gradient, and
+the clip scales its input, so neither allocates an array of the model's
+size. Each in-place form rounds exactly as the expression it replaces.
 """
 
 import math
@@ -23,22 +25,22 @@ class StepDecay:
 
 
 def momentum_step(w, u, m, grad, eta):
-    """One heavy-ball step with velocity u and coefficient m.
+    """One heavy-ball step with velocity u and coefficient m, in place.
 
-    u' = m * u - eta * grad, w' = w + u'. Returns (w', u'); u' is the update
-    actually applied, which callers accumulate for exchange.
+    u <- m * u - eta * grad, then w <- w + u, each rounded as that
+    expression; u is then the update actually applied, which callers
+    accumulate for exchange. grad is overwritten with eta * grad.
     """
-    w = np.asarray(w, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
     if w.shape != grad.shape or w.shape != u.shape:
         raise ValueError(
             f"length mismatch: w{w.shape}, grad{grad.shape}, u{u.shape}"
         )
     if eta < 0:
         raise ValueError(f"negative learning rate: {eta}")
-    u_next = m * u - eta * grad
-    w_next = w + u_next
-    return w_next, u_next
+    u *= m
+    grad *= eta
+    u -= grad
+    w += u
 
 
 def lr_at(schedule, epoch):
@@ -48,12 +50,14 @@ def lr_at(schedule, epoch):
 
 
 def clip_by_norm(grad, max_norm):
-    """Scale grad to L2 norm at most max_norm; zero vectors pass through."""
+    """grad scaled in place to L2 norm at most max_norm, and returned; a
+    shorter or zero vector is returned as it is."""
     grad = np.asarray(grad, dtype=np.float64)
     norm = float(np.linalg.norm(grad))
     if norm == 0.0 or norm <= max_norm:
-        return grad.copy()
-    return grad * (max_norm / norm)
+        return grad
+    grad *= max_norm / norm
+    return grad
 
 
 def grad_check(model, params, batch, delta=1e-5):

@@ -51,8 +51,9 @@ class WeightShard:
     and the clock, which is the node's iters_done, live on the node).
 
     v is the update accumulated since the coordinate last cleared the
-    significance filter, and mirror_clocks the latest clock heard from each
-    peer.
+    significance filter, or None for a node of a dense kind (bsp, ssp),
+    which sends its whole update every step and accumulates nothing; and
+    mirror_clocks the latest clock heard from each peer.
 
     barrier_waits holds the selective barriers received and not yet
     released, as {source: {clock: indexes}}: one entry per announced flush
@@ -63,14 +64,16 @@ class WeightShard:
     entries' indexes.
     """
 
-    v: np.ndarray
+    v: np.ndarray | None
     barrier_waits: dict = field(default_factory=dict)
     mirror_clocks: dict = field(default_factory=dict)
 
     @classmethod
-    def fresh(cls, w, peers=()):
-        """Nothing accumulated and every clock at 0 for float64 weights w."""
-        return cls(v=np.zeros_like(w), mirror_clocks={p: 0 for p in peers})
+    def fresh(cls, w, peers=(), accumulate=True):
+        """Nothing accumulated and every clock at 0 for float64 weights w;
+        v is allocated (calloc'd) only when the node accumulates."""
+        v = np.zeros(np.shape(w)) if accumulate else None
+        return cls(v=v, mirror_clocks={p: 0 for p in peers})
 
 
 def accumulate_and_flush(shard, w, threshold):

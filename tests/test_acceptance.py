@@ -407,25 +407,33 @@ def _c09_cfg():
 
 
 def test_09_fedavg_exactness():
-    log = []                  # (the round's input models, its mean)
+    inputs = []               # each round's input models, in member order
+    means = []                # each round's mean
 
     def collect_rounds(nodes, sim):
         trigger = nodes[0]
-        hook = trigger.round_hook
+        gather, hook = trigger._gather, trigger.round_hook
+
+        def gathered(rnd, members):
+            models = gather(rnd, members)
+            if models is not None:
+                inputs.append([w.copy() for w in models])
+            return models
 
         def logged(node, sim_):
-            log.append((node.reconstructed, node.w.copy()))
+            means.append(node.w.copy())
             hook(node, sim_)
 
+        trigger._gather = gathered
         trigger.round_hook = logged
 
     res = run_experiment(_c09_cfg(), on_nodes=collect_rounds)
     _register("09/run", (lambda: metrics_csv_text(
         run_experiment(_c09_cfg()).rows)), res)
-    assert len(log) == 50
+    assert len(inputs) == len(means) == 50
     worst = 0.0
-    for inputs, mean in log:
-        stack = np.stack([inputs[m] for m in sorted(inputs)])
+    for models, mean in zip(inputs, means):
+        stack = np.stack(models)
         expect = np.mean(stack, axis=0)
         scale = max(float(np.max(np.abs(expect))), 1e-30)
         worst = max(worst, float(np.max(np.abs(mean - expect))) / scale)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from geolearn.harness import AlgoCfg, config_from_dict, run_experiment
 from geolearn.numerics import StepDecay
 from geolearn.psync import BarrierMsg, apply_barrier
 from geolearn.rng import seed_stream
-from geolearn.models import SoftmaxModel
+from geolearn.models import SoftmaxModel, TinyMLP
 
 
 # ---------------------------------------------------------------------------
@@ -105,18 +106,24 @@ def _mesh_sim(names, trace=True):
 
 
 def _spawn(algo, names, budget, seed=5, batch=10, per_class=30, features=3,
-           classes=2, eta=0.05, participants_fn=None):
+           classes=2, eta=0.05, participants_fn=None, model=None):
     """Classifier nodes of the class algo.kind runs over a balanced split,
-    registered and woken. budget is max_rounds for FedAvg, else max_iters."""
+    registered and woken. budget is max_rounds for FedAvg, else max_iters.
+    Each node clones model, which starts at its init_params; without one,
+    a softmax model started at zero."""
     sim = _mesh_sim(names)
     data = gen_cluster_data(classes, features, per_class, spread=1.0, seed=seed)
     parts = partition_label_skew(data, SkewSpec(len(names), alpha=0.0, seed=seed))
-    w0 = np.zeros(SoftmaxModel(features, classes).n_params)
+    if model is None:
+        model = SoftmaxModel(features, classes)
+        w0 = np.zeros(model.n_params)
+    else:
+        w0 = model.init_params(seed_stream(seed, "init"))
     nodes = []
     for i, name in enumerate(names):
         stream = MinibatchStream(parts[i], batch, seed_stream(seed, "stream", name))
         common = dict(
-            name=name, index=i, model=SoftmaxModel(features, classes),
+            name=name, index=i, model=model.clone(),
             batch_view=ArrayBatches(data.X, data.y), stream=stream,
             lr_schedule=StepDecay(eta0=eta), compute_s=0.001,
             w0=w0, algo=algo, peers=[p for p in names if p != name])
@@ -222,7 +229,6 @@ def test_fedavg_single_node_rounds_without_traffic():
     sim.run()
     assert a.round == 2 and a.stopped
     assert a.iters_done == 6
-    assert set(a.reconstructed) == {"a"}
     assert sim.ledger.sent_bytes() == 0
     # DGC and BSP on a lone DC take their general exchange path too: no
     # hop, and the full budget
@@ -232,6 +238,82 @@ def test_fedavg_single_node_rounds_without_traffic():
         assert a.stopped and not a.diverged, kind
         assert a.iters_done == 6, kind
         assert sim.ledger.sent_bytes() == 0, kind
+
+
+# ---------------------------------------------------------------------------
+# the replica is updated in place: what is sent is a copy, and a step
+# allocates little
+
+
+def _record_sends(sim, sender, key):
+    """Each payload[key] that sender sends, as (array, its bytes when sent,
+    whether it shared memory with the sender's w or u then)."""
+    sent = []
+    send, node = sim.send, sim.nodes[sender]
+
+    def recording(msg):
+        if msg.src == sender and msg.payload and msg.payload.get(key) is not None:
+            arr = msg.payload[key]
+            aliased = np.shares_memory(arr, node.w) or np.shares_memory(arr, node.u)
+            sent.append((arr, arr.tobytes(), aliased))
+        return send(msg)
+
+    sim.send = recording
+    return sent
+
+
+@pytest.mark.parametrize("algo,key", [
+    (AlgoCfg(kind="bsp"), "vals"),
+    (AlgoCfg(kind="fedavg", iter_local=1), "share"),
+])
+def test_sent_dense_updates_and_shares_are_copies(algo, key):
+    # peers read a dense update or a FedAvg share after the sender's later
+    # steps have rewritten its w and u in place
+    sim, (a, _b) = _spawn(algo, ["a", "b"], 6)
+    sent = _record_sends(sim, "a", key)
+    sim.run()
+    assert a.iters_done == 6 and len(sent) >= 5
+    for arr, raw, aliased in sent:
+        assert not aliased
+        assert arr.tobytes() == raw
+
+
+def _step_peaks(kind, steps=8):
+    """tracemalloc peak of each of node a's steps, in model vectors (M),
+    two DCs training mlp-5dc's MLP (32-256-256-11, M = 77,067) at batch 4."""
+    sim, (a, _b) = _spawn(AlgoCfg(kind=kind, iter_local=2), ["a", "b"], steps,
+                          batch=4, per_class=10, features=32, classes=11,
+                          model=TinyMLP([32, 256, 256, 11]))
+    nbytes = 8 * a.w.size
+    peaks = []
+    finish = a._finish_iteration
+
+    def measured(sim_):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        finish(sim_)
+        peaks.append((tracemalloc.get_traced_memory()[1] - before) / nbytes)
+
+    a._finish_iteration = measured
+    tracemalloc.start()
+    try:
+        sim.run()
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("kind,bound", [
+    ("bsp", 2.2),      # the gradient, the dense payload copy and the
+                       # divergence check's bool array (M / 8)
+    ("fedavg", 2.1),   # the gradient and, once a round, the share copy
+    ("gaia", 3.1),     # the gradient and two significance temporaries
+    ("dgc", 3.1),      # the gradient and dgc_select's key and partition
+])
+def test_steady_step_peak_memory(kind, bound):
+    peaks = _step_peaks(kind)
+    assert len(peaks) >= 8
+    assert max(peaks[2:]) <= bound, peaks
 
 
 @pytest.mark.parametrize("kind", ["gaia", "bsp", "ssp", "fedavg", "dgc"])

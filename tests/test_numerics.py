@@ -13,12 +13,26 @@ def test_momentum_step_hand_oracle():
     w = np.array([1.0, 2.0])
     u = np.array([0.5, -0.5])
     grad = np.array([0.2, -0.4])
-    w2, u2 = momentum_step(w, u, 0.9, grad, 0.1)
-    np.testing.assert_allclose(u2, [0.43, -0.41], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(w2, [1.43, 1.59], rtol=0, atol=1e-15)
-    # inputs untouched
-    np.testing.assert_array_equal(w, [1.0, 2.0])
-    np.testing.assert_array_equal(u, [0.5, -0.5])
+    assert momentum_step(w, u, 0.9, grad, 0.1) is None
+    # the step lands in the caller's arrays; grad now holds eta * grad
+    np.testing.assert_allclose(u, [0.43, -0.41], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w, [1.43, 1.59], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(grad, [0.02, -0.04], rtol=0, atol=1e-15)
+
+
+_finite = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+@given(st.lists(st.tuples(_finite, _finite, _finite), min_size=1,
+                max_size=16),
+       st.floats(0.0, 0.99), st.floats(0.0, 10.0))
+def test_momentum_step_in_place_matches_expressions_bitwise(rows, m, eta):
+    w, u, grad = (np.array(col) for col in zip(*rows))
+    u_expect = m * u - eta * grad
+    w_expect = w + u_expect
+    momentum_step(w, u, m, grad, eta)
+    assert u.tobytes() == u_expect.tobytes()
+    assert w.tobytes() == w_expect.tobytes()
 
 
 def test_momentum_step_rejects_mismatch_and_negative_lr():
@@ -35,7 +49,7 @@ def test_momentum_zero_grad_decays_geometrically(m, steps):
     u = np.array([1.0])
     w = np.zeros(1)
     for _ in range(steps):
-        w, u = momentum_step(w, u, m, np.zeros(1), 0.5)
+        momentum_step(w, u, m, np.zeros(1), 0.5)
     assert u[0] == pytest.approx(m ** steps, rel=1e-12, abs=1e-300)
 
 
@@ -50,8 +64,11 @@ def test_clip_by_norm_oracle():
     np.testing.assert_allclose(clipped, [1.5, 2.0])
     small = np.array([0.1, -0.2])
     out = clip_by_norm(small, 5.0)
-    np.testing.assert_array_equal(out, small)
-    assert out is not small  # always a copy
+    np.testing.assert_array_equal(out, [0.1, -0.2])
+    assert out is small  # short enough: returned as it is
+    long = np.array([6.0, 8.0])
+    assert clip_by_norm(long, 5.0) is long  # scaled in place
+    np.testing.assert_allclose(long, [3.0, 4.0])
     np.testing.assert_array_equal(clip_by_norm(np.zeros(3), 1.0),
                                   np.zeros(3))
 
@@ -60,7 +77,7 @@ def test_clip_by_norm_oracle():
        st.floats(1e-3, 1e3))
 def test_clip_by_norm_properties(vals, max_norm):
     g = np.array(vals)
-    out = clip_by_norm(g, max_norm)
+    out = clip_by_norm(g.copy(), max_norm)
     assert np.linalg.norm(out) <= max_norm * (1 + 1e-12)
     # direction preserved: out is a nonnegative multiple of g
     if np.linalg.norm(g) > 0:
