@@ -187,7 +187,8 @@ class _NodeBase:
                 self.travel_sink(self, sim, msg)
         else:
             self._receive(sim, msg)
-        self._maybe_forward(sim, msg)
+        if msg.forward:
+            self._forward_in_group(sim, msg)
         self.try_start(sim)
 
     # Copies of one message share its byte_split and payload dicts: the
@@ -195,9 +196,8 @@ class _NodeBase:
     # read payloads. The split is checked once, when it is first built, and
     # every copy carries its total.
 
-    def _maybe_forward(self, sim, msg):
-        if not msg.forward or sim.overlay is None:
-            return
+    def _forward_in_group(self, sim, msg):
+        """Re-broadcast a hub's inter-group copy within the hub's group."""
         for dst in wansim.forward_hops(sim.overlay, self.name, msg.origin):
             sim.send(wansim.Message(msg.kind, self.name, dst, msg.byte_split,
                                     msg.payload, msg.origin,
@@ -596,8 +596,13 @@ class FedAvgNode(_NodeBase):
         models = self._gather(self.round, members)
         if models is None:
             return
-        stack = np.stack(models)
-        self.w = stack.sum(axis=0) / len(members)
+        # the shares added in member order into a zeroed buffer: the
+        # additions of np.stack(models).sum(axis=0), without the stack
+        w = np.zeros(self.w.size)
+        for share in models:
+            w += share
+        w /= len(members)
+        self.w = w
         self.round += 1
         if self.round_hook:
             self.round_hook(self, sim)

@@ -14,9 +14,12 @@ the stateless models accept and ignore it.
 Gradients are hand-derived and are expected to pass the central-difference
 oracle in numerics.grad_check below 1e-4. Means, sums and maxima call
 np.add.reduce / np.maximum.reduce directly and divide by the count, the same
-arithmetic as numpy's mean/var/sum wrappers without their per-call cost, and
-evaluation works in place on arrays it owns: the outputs are bit-identical
-to the plain expressions.
+arithmetic as numpy's mean/var/sum wrappers without their per-call cost.
+Evaluation works in place on arrays it owns, and the classifiers' objective
+holds its scores class-major (classes x rows): each reduction over classes
+is then a few calls over whole rows, not one call per short row, and its
+sums add the classes in numpy's pairwise order. Every output is
+bit-identical to the plain expressions.
 """
 
 from dataclasses import dataclass, field
@@ -134,6 +137,56 @@ def _softmax_xent(scores, y):
     return loss, scores
 
 
+def _class_sum(S):
+    """Row sums of the scores x (rows x classes, C-contiguous) from their
+    class-major copy S = x.T (owned and overwritten): np.add.reduce(x,
+    axis=1) bit for bit, left in S[0].
+
+    numpy's pairwise_sum adds fewer than 8 classes in order. Up to 128 it
+    keeps eight running sums (classes i, i+8, ...), folds them as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the classes past the last
+    multiple of 8. Above 128 it splits at a multiple of 8 near the middle
+    and adds the two halves' sums.
+    """
+    C = S.shape[0]
+    if C > 128:
+        half = C // 2 - (C // 2) % 8
+        tot = _class_sum(S[:half])
+        tot += _class_sum(S[half:])
+    else:
+        rest = 1
+        if C >= 8:
+            rest = C - C % 8
+            for i in range(8, rest, 8):
+                S[:8] += S[i:i + 8]
+            for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6),
+                         (0, 4)):
+                S[a] += S[b]
+        tot = S[0]
+        for c in range(rest, C):
+            tot += S[c]
+    # numpy adds the sum to a 0.0 initial value, which only turns -0.0 into
+    # 0.0: done to each half as well, it changes no final sum
+    tot += 0.0
+    return tot
+
+
+def _xent_loss(S, y):
+    """_softmax_xent's loss for class-major scores S (classes x rows, owned
+    and overwritten), bit for bit.
+
+    Only the true classes' probabilities are divided by their row sums: the
+    same quotients as dividing every probability, at n divisions instead
+    of n x classes.
+    """
+    n = S.shape[1]
+    S -= np.maximum.reduce(S, axis=0)
+    np.exp(S, out=S)
+    p = S[y, np.arange(n)]
+    p /= _class_sum(S)
+    return float(-(np.add.reduce(np.log(p)) / n))
+
+
 def _xent_grad(probs, y):
     """Turn _softmax_xent's probabilities into d(loss)/d(scores) in place."""
     n = probs.shape[0]
@@ -174,8 +227,12 @@ class SoftmaxModel:
         return scores
 
     def objective(self, params, batch):
+        # logits()'s product, copied class-major, then its bias
         X, y = batch
-        return _softmax_xent(self.logits(params, X), y)[0]
+        W, b = self._unpack(params)
+        S = (X @ W.T).T.copy()
+        S += b[:, None]
+        return _xent_loss(S, y)
 
     def loss_and_grad(self, params, batch, update_stats=False):
         X, y = batch
@@ -479,7 +536,7 @@ class TinyMLP:
 
     def objective(self, params, batch, mode="train"):
         X, y = batch
-        return _softmax_xent(self._forward(params, X, mode, False), y)[0]
+        return _xent_loss(self._forward(params, X, mode, False).T.copy(), y)
 
     def loss_and_grad(self, params, batch, mode="train", update_stats=False):
         X, y = batch

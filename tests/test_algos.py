@@ -316,6 +316,62 @@ def test_steady_step_peak_memory(kind, bound):
     assert max(peaks[2:]) <= bound, peaks
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # inf - inf
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 12), size=st.integers(2, 40),
+       seed=st.integers(0, 2**16))
+def test_fedavg_round_average_is_the_stacked_sum_bit_for_bit(k, size, seed):
+    # shares over 32 decades, so the order of the additions shows in the
+    # rounding, with signed zeros, +-inf and NaN; size starts at 2 because
+    # numpy sums a one-coordinate stack pairwise, and no model has one
+    rng = np.random.default_rng(seed)
+    shares = []
+    for _ in range(k):
+        share = rng.normal(size=size) * 10.0 ** rng.integers(-16, 16, size)
+        special = rng.random(size) < 0.2
+        share[special] = rng.choice(
+            [0.0, -0.0, math.inf, -math.inf, math.nan], size=special.sum())
+        shares.append(share)
+    names = [f"n{i:02d}" for i in range(k)]
+    node = FedAvgNode(names[0], 0, None, None, None, None, 0.0, max_rounds=1,
+                      w0=np.zeros(size), algo=AlgoCfg(kind="fedavg"),
+                      peers=names[1:])
+    node._gathered[0] = dict(zip(names, shares))
+    node._try_complete(None)          # the last round: nothing starts
+    assert node.round == 1 and node.stopped
+    want = np.stack(shares).sum(axis=0) / k
+    assert node.w.tobytes() == want.tobytes()
+
+
+def test_fedavg_round_peak_memory():
+    # five DCs on mlp-5dc's MLP: a round's average is one new model vector
+    # (stacking the k shares to sum them held k + 1)
+    sim, nodes = _spawn(AlgoCfg(kind="fedavg", iter_local=2),
+                        ["a", "b", "c", "d", "e"], 3, batch=4, per_class=10,
+                        features=32, classes=11,
+                        model=TinyMLP([32, 256, 256, 11]))
+    a = nodes[0]
+    nbytes = 8 * a.w.size
+    peaks = []
+    complete = a._try_complete
+
+    def measured(sim_):
+        before, rnd = tracemalloc.get_traced_memory()[0], a.round
+        tracemalloc.reset_peak()
+        complete(sim_)
+        if a.round != rnd:
+            peaks.append((tracemalloc.get_traced_memory()[1] - before) / nbytes)
+
+    a._try_complete = measured
+    tracemalloc.start()
+    try:
+        sim.run()
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 3
+    assert max(peaks) <= 1.05, peaks
+
+
 @pytest.mark.parametrize("kind", ["gaia", "bsp", "ssp", "fedavg", "dgc"])
 def test_the_algorithm_section_reaches_every_node_class(kind):
     clip_norm = 1e-6

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geolearn.models import (BatchNorm, GroupNorm, MFEntries, MFModel,
-                             SoftmaxModel, TinyMLP, norm_backward,
+                             SoftmaxModel, TinyMLP, _class_sum, norm_backward,
                              norm_forward, stat_divergence)
 from geolearn.numerics import grad_check
 from geolearn.rng import seed_stream
@@ -95,12 +95,19 @@ def test_softmax_loss_invariant_to_logit_shift():
         model.objective(params, (X, y)), rel=1e-9)
 
 
+# class counts for every branch of numpy's pairwise sum over a row: in order
+# below 8, eight running sums and a tail up to 128, halves above 128
+CLASSES = st.one_of(st.integers(1, 7), st.sampled_from((8, 10, 11, 16, 17)),
+                    st.integers(8, 128), st.integers(129, 300))
+# 1e300 overflows the logits to +-inf, and inf - inf makes NaN rows
+SCALES = st.sampled_from((1e-3, 1.0, 50.0, 1e300))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # log(0) at scale 50
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(kind=st.sampled_from(("softmax", "none", "batch", "group")),
-       features=st.integers(1, 6), classes=st.integers(2, 5),
-       n=st.integers(1, 12), seed=st.integers(0, 2**16),
-       scale=st.sampled_from((1e-3, 1.0, 50.0)))
+       features=st.integers(1, 6), classes=CLASSES,
+       n=st.integers(1, 12), seed=st.integers(0, 2**16), scale=SCALES)
 def test_softmax_objective_is_the_training_loss_bit_for_bit(
         kind, features, classes, n, seed, scale):
     # softmax regression, and the MLP under each norm in train mode
@@ -114,7 +121,7 @@ def test_softmax_objective_is_the_training_loss_bit_for_bit(
     batch = (rng.normal(size=(n, features)), rng.integers(0, classes, size=n))
     loss = model.objective(params, batch)
     assert type(loss) is float
-    assert loss == model.loss_and_grad(params, batch)[0]
+    assert _bits(loss) == _bits(model.loss_and_grad(params, batch)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +437,9 @@ def test_mlp_matches_the_plain_expressions_bit_for_bit(
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=60, deadline=None)
-@given(features=st.integers(1, 9), classes=st.integers(1, 9),
-       n=st.integers(1, 40), scale=st.sampled_from((1e-3, 1.0, 50.0)),
-       seed=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+@given(features=st.integers(1, 9), classes=CLASSES, n=st.integers(1, 40),
+       scale=SCALES, seed=st.integers(0, 2**16))
 def test_softmax_matches_the_plain_expressions_bit_for_bit(
         features, classes, n, scale, seed):
     model = SoftmaxModel(features, classes)
@@ -452,6 +458,30 @@ def test_softmax_matches_the_plain_expressions_bit_for_bit(
     want = np.argmax(model.logits(params, X), axis=1)
     assert model.predict(params, X).tobytes() == want.tobytes()
     assert model.accuracy(params, X, y) == float(np.mean(want == y))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # inf - inf
+@settings(max_examples=150, deadline=None)
+@given(classes=CLASSES, rows=st.integers(1, 30), seed=st.integers(0, 2**16))
+def test_class_sum_is_numpys_row_sum_bit_for_bit(classes, rows, seed):
+    # finite values over 32 decades, so the order of the additions shows in
+    # the rounding, mixed with signed zeros, +-inf and NaN
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, classes)) * 10.0 ** rng.integers(
+        -16, 16, size=(rows, classes))
+    special = rng.random(size=x.shape) < 0.2
+    x[special] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan],
+                            size=special.sum())
+    if seed % 4 == 0:
+        x[:, :] = -0.0             # numpy's 0.0 start makes these sums 0.0
+    # the row-major reduction, as over a batch's scores (reducing the
+    # transposed view of S instead would add the classes in order)
+    got, want = _class_sum(x.T.copy()), np.add.reduce(x, axis=1)
+    # which of two NaN operands an addition returns follows the operand
+    # order of the compiled loop, so a NaN is compared as NaN, not by bits
+    assert (np.isnan(got) == np.isnan(want)).all()
+    nan = np.isnan(want)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["batch", "group"])
@@ -519,3 +549,31 @@ def test_mlp_evaluation_peak_memory_and_untouched_inputs(norm):
     assert (params.tobytes(), X.tobytes(), _stats_bits(mlp)) == before
     mlp.loss_and_grad(params, (X, y), update_stats=True)
     assert (params.tobytes(), X.tobytes()) == before[:2]
+
+
+def test_softmax_evaluation_peak_memory_and_untouched_inputs():
+    # the softmax-11dc training set: the objective holds two score arrays
+    # at most (the product and its class-major copy), then one array of
+    # scores and a few of rows, such as the true classes' probabilities
+    rows, classes = 2000, 10
+    model = SoftmaxModel(10, classes)
+    rng = seed_stream(29, "test")
+    params = model.init_params(rng)
+    X = rng.normal(size=(rows, 10))
+    y = rng.integers(0, classes, size=rows)
+    limit = 2 * rows * classes * 8 + rows * 8
+    for evaluate in (lambda: model.objective(params, (X, y)),
+                     lambda: model.accuracy(params, X, y)):
+        evaluate()
+        tracemalloc.start()
+        try:
+            evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, (peak, limit)
+
+    before = (params.tobytes(), X.tobytes(), y.tobytes())
+    model.objective(params, (X, y))
+    model.accuracy(params, X, y)
+    assert (params.tobytes(), X.tobytes(), y.tobytes()) == before
