@@ -19,7 +19,9 @@ Evaluation works in place on arrays it owns, and the classifiers' objective
 holds its scores class-major (classes x rows): each reduction over classes
 is then a few calls over whole rows, not one call per short row, and its
 sums add the classes in numpy's pairwise order. Every output is
-bit-identical to the plain expressions.
+bit-identical to the plain expressions, except that a NaN loss may carry
+another sign bit: numpy's maximum over a contiguous row may return a NaN
+of its own.
 """
 
 from dataclasses import dataclass, field
