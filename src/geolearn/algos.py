@@ -24,6 +24,7 @@ or _try_complete (FedAvg and DGC).
 """
 
 import math
+from bisect import bisect_right
 from operator import itemgetter
 
 import numpy as np
@@ -149,6 +150,8 @@ class _NodeBase:
         self._gathered = {}           # round -> {member: share}
         self._finish_at = None
         self.epoch_hook = None        # fn(node, sim) at each local epoch end
+        self._lockstep = False        # its rows wait for the boundary clock
+        self._row_clock = None        # the boundary clock of a waiting row
         self.iter_hook = None         # fn(node, sim) after every iteration
         self.travel_sink = None       # fn(node, sim, msg) for travel payloads
 
@@ -265,11 +268,20 @@ class _NodeBase:
             self.diverged = True
             self.stopped = True
         if self.iters_done % self.batches_per_epoch == 0 and self.epoch_hook:
-            self.epoch_hook(self, sim)
+            if self._lockstep:          # the row waits in _drain_inbox
+                self._row_clock = self.iters_done
+            else:
+                self.epoch_hook(self, sim)
         if self.iter_hook:
             self.iter_hook(self, sim)
         if self.max_iters is not None and self.iters_done >= self.max_iters:
             self.stopped = True
+
+    def settle(self, sim):
+        """Take a row still waiting when the run ends: a lockstep node stops
+        at its last boundary and drains no more."""
+        if self._row_clock is not None:
+            self._drain_inbox(sim, final=True)
 
     def set_knob(self, theta):
         raise NotImplementedError
@@ -314,6 +326,12 @@ class GaiaNode(_NodeBase):
     still drains the inbox, so updates land in the same order either way.
     A traced run (Simulator(trace=True)) checks on every delivery and
     records each check in sim.gate_trace.
+
+    A bsp node with peers is lockstep: its row at boundary clock t (the
+    epoch_hook call) describes the clock-t model, w holding exactly the
+    updates of clocks <= t. Right after its step t it holds none of its
+    peers' clock-t updates, so the row waits for _drain_inbox, and settle
+    takes one still waiting when the run ends.
     """
 
     def __init__(self, name, index, model, batch_view, stream, lr_schedule,
@@ -322,6 +340,7 @@ class GaiaNode(_NodeBase):
                          compute_s, max_iters, w0, algo, peers)
         self._filtered = algo.kind == "gaia"
         self._staleness = 0 if algo.kind == "bsp" else algo.staleness
+        self._lockstep = algo.kind == "bsp" and bool(self.peers)
         self._soft = SoftCtl(**algo.soft) if algo.soft else None
         self.shard = WeightShard.fresh(self.w, peers=self.peers,
                                        accumulate=self._filtered)
@@ -361,27 +380,39 @@ class GaiaNode(_NodeBase):
             p = msg.payload
             self.inbox.append((p["clock"], msg.origin, p["idx"], p["vals"]))
 
-    def _drain_inbox(self):
+    def _drain_inbox(self, sim, final=False):
         """Apply the inbox to w in place, in (clock, origin, arrival) order;
         True when an applied sparse update came from a source with barrier
         entries. Dense updates come only from bsp and ssp nodes, which
-        announce no barriers."""
-        if not self.inbox:
-            return False
-        if len(self.inbox) > 1:
+        announce no barriers.
+
+        While a row waits at clock t, later clocks stay in the inbox, for a
+        fast peer's clock-(t+1) update can land before the slowest clock-t
+        one. Once every peer's clock is t or more (or when final), the row
+        is taken and the rest applied."""
+        inbox = self.inbox
+        if len(inbox) > 1:
             # stable: records of one (clock, origin) keep their arrival order
-            self.inbox.sort(key=itemgetter(0, 1))
+            inbox.sort(key=itemgetter(0, 1))
+        t = self._row_clock
+        cut = len(inbox) if t is None else bisect_right(
+            inbox, t, key=itemgetter(0))
         w = self.w
         waits = self.shard.barrier_waits
         cleared = False
-        for clock, origin, idx, vals in self.inbox:
+        for clock, origin, idx, vals in inbox[:cut]:
             if idx is None:
                 w += vals
                 continue
             w[idx] += vals
             cleared = cleared or origin in waits
             clear_barrier_on_update(self.shard, origin, clock, idx)
-        self.inbox.clear()
+        del inbox[:cut]
+        if t is not None and (
+                final or min(self.shard.mirror_clocks.values()) >= t):
+            self._row_clock = None
+            self.epoch_hook(self, sim)
+            return self._drain_inbox(sim) or cleared
         return cleared
 
     # -- gating ------------------------------------------------------------
@@ -434,8 +465,9 @@ class GaiaNode(_NodeBase):
         return not self.peers or self._clock_gate(sim, "ssp", self._staleness)
 
     def _ready(self, sim):
-        cleared = self._drain_inbox()
-        if self._short or (self._barrier_wait and not cleared):
+        cleared = self._drain_inbox(sim)
+        # a row taken in the drain may have stopped the run
+        if self.stopped or self._short or (self._barrier_wait and not cleared):
             return False
         self._barrier_wait = False
         return self._gates_allow(sim)

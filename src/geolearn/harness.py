@@ -525,21 +525,17 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
         for node in nodes:
             node.stopped = True
 
-    def cost_now():
-        """Book machine time at the simulator's clock; the cost so far, or
-        None when the cost table does not price every DC."""
-        sim.ledger.machine_seconds = {dc: sim.now for dc in dcs}
-        return wansim.account_cost(sim.ledger, rates) if rates else None
-
-    # DGC's all-reduce leaves every replica at the trigger's step-t weights;
-    # batch-norm running stats stay per node, so those replicas still differ
-    one_model = acfg.kind == "dgc" and getattr(base_model, "norm", None) != "batch"
+    # a row describes the trigger's model when every replica holds the same
+    # updates: BSP's clock-t and DGC's step-t weights. Batch-norm running
+    # stats stay per node, so those replicas still differ
+    one_model = (acfg.kind in ("bsp", "dgc")
+                 and getattr(base_model, "norm", None) != "batch")
 
     def evaluate(trigger, sim_):
         evaluated = [trigger] if one_model else nodes
         obj = _mean_objective(evaluated, full_batch)
         acc = _mean_accuracy(evaluated, test)
-        cost = cost_now()
+        cost = _cost_now(sim_, rates)
         row = {"sim_time_s": sim_.now, "epoch": trigger.epochs_done,
                "objective": obj, "accuracy": acc, "cost_usd": cost}
         for kind in wansim.BYTE_KINDS:
@@ -611,15 +607,28 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
     for node in nodes:
         sim.wake_at(0.0, node.name)
     sim.run()
+    return _settle(cfg, sim, rates, nodes, rows, conv, scout, extras)
 
-    # the queue is drained: settle at the final clock
-    total_cost = cost_now()
+
+def _cost_now(sim, rates):
+    """Book machine time at the simulator's clock; the cost so far, or None
+    when the cost table does not price every DC."""
+    sim.ledger.machine_seconds = {dc: sim.now for dc in sim.topology.dcs}
+    return wansim.account_cost(sim.ledger, rates) if rates else None
+
+
+def _settle(cfg, sim, rates, nodes, rows, conv, scout, extras):
+    """The result of a run whose queue is drained, settled at the final
+    clock: the trigger's row still waiting at its last boundary, the cost,
+    the summary and the byte conservation check."""
+    trigger = nodes[0]
+    trigger.settle(sim)
     summary = {
         "name": cfg.name,
-        "seed": seed,
-        "algorithm": acfg.kind,
-        "nodes": k,
-        "model_coords": int(w0.size),
+        "seed": cfg.seed,
+        "algorithm": cfg.algorithm.kind,
+        "nodes": len(nodes),
+        "model_coords": int(trigger.w.size),
         "epochs_done": trigger.epochs_done,
         "sim_time_s": sim.now,
         "status": conv.status,
@@ -633,14 +642,13 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
     for kind in wansim.BYTE_KINDS:
         summary[f"{kind}_bytes"] = sim.ledger.sent_bytes(kind)
     summary["total_bytes"] = sim.ledger.sent_bytes()
-    summary["cost_usd"] = total_cost
+    summary["cost_usd"] = _cost_now(sim, rates)
     summary["travels"] = scout.n_travels if scout else 0
     if scout:
         summary["final_theta"] = scout.final_theta
     if not sim.ledger.conservation_ok():
         raise RuntimeError("byte conservation violated: sent != delivered")
-
-    if acfg.kind in ("gaia",):
+    if cfg.algorithm.kind == "gaia":
         extras["sig_counts"] = {n.name: n.sig_counts for n in nodes}
     return RunResult(cfg=cfg, rows=rows, summary=summary, nodes=nodes,
                      sim=sim, scout=scout, extras=extras)

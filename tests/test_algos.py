@@ -152,8 +152,8 @@ def test_bsp_nodes_stay_in_lockstep():
     assert blocked
     # a stopped node leaves the last peer update parked in its inbox; after
     # draining, both hold w0 plus all twelve updates, same set, either order
-    a._drain_inbox()
-    b._drain_inbox()
+    a._drain_inbox(sim)
+    b._drain_inbox(sim)
     np.testing.assert_allclose(a.w, b.w, rtol=1e-9)
     assert sim.ledger.conservation_ok()
 
