@@ -269,7 +269,7 @@ MLP_3 = {"kind": "mlp", "features": 4, "classes": 3, "hidden": [8]}
     ("dgc", MLP_3, 1),
     ("dgc", dict(MLP_3, norm="batch"), 3),    # running stats are per node
     ("dgc", dict(MLP_3, norm="group"), 1),
-    ("bsp", SOFTMAX_3, 3),
+    ("bsp", SOFTMAX_3, 1),                     # the clock-t replica
     ("ssp", SOFTMAX_3, 3),
     ("gaia", MLP_3, 3),
     ("fedavg", SOFTMAX_3, 3),
