@@ -278,8 +278,7 @@ class _NodeBase:
             self.stopped = True
 
     def settle(self, sim):
-        """Take a row still waiting when the run ends: a lockstep node stops
-        at its last boundary and drains no more."""
+        """Take a row still waiting when the run ends."""
         if self._row_clock is not None:
             self._drain_inbox(sim, final=True)
 
@@ -327,11 +326,10 @@ class GaiaNode(_NodeBase):
     A traced run (Simulator(trace=True)) checks on every delivery and
     records each check in sim.gate_trace.
 
-    A bsp node with peers is lockstep: its row at boundary clock t (the
-    epoch_hook call) describes the clock-t model, w holding exactly the
-    updates of clocks <= t. Right after its step t it holds none of its
-    peers' clock-t updates, so the row waits for _drain_inbox, and settle
-    takes one still waiting when the run ends.
+    A bsp node with peers is lockstep: its row (epoch_hook) at boundary
+    clock t describes w holding exactly the updates of clocks <= t, so the
+    row waits in _drain_inbox for every peer's clock-t update; settle takes
+    one still waiting when the run ends.
     """
 
     def __init__(self, name, index, model, batch_view, stream, lr_schedule,
@@ -386,10 +384,10 @@ class GaiaNode(_NodeBase):
         entries. Dense updates come only from bsp and ssp nodes, which
         announce no barriers.
 
-        While a row waits at clock t, later clocks stay in the inbox, for a
-        fast peer's clock-(t+1) update can land before the slowest clock-t
-        one. Once every peer's clock is t or more (or when final), the row
-        is taken and the rest applied."""
+        While a row waits at clock t, later clocks stay in the inbox (a fast
+        peer's may land before a slow peer's clock t) until every peer's
+        clock is t or more, or final; then the row is taken, and the rest
+        applied."""
         inbox = self.inbox
         if len(inbox) > 1:
             # stable: records of one (clock, origin) keep their arrival order

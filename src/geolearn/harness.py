@@ -398,18 +398,6 @@ class RunResult:
     extras: dict = field(default_factory=dict)
 
 
-def _mean_objective(nodes, full_batch):
-    return float(np.mean([node.model.objective(node.w, full_batch)
-                          for node in nodes]))
-
-
-def _mean_accuracy(nodes, test):
-    if test is None:
-        return None
-    return float(np.mean([node.model.accuracy(node.w, test.X, test.y)
-                          for node in nodes]))
-
-
 def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
     """Run one configured experiment to completion on the simulator.
 
@@ -525,16 +513,17 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
         for node in nodes:
             node.stopped = True
 
-    # a row describes the trigger's model when every replica holds the same
-    # updates: BSP's clock-t and DGC's step-t weights. Batch-norm running
-    # stats stay per node, so those replicas still differ
+    # a BSP or DGC row describes the trigger's clock-t or step-t weights;
+    # batch-norm running stats stay per node, so those replicas still differ
     one_model = (acfg.kind in ("bsp", "dgc")
                  and getattr(base_model, "norm", None) != "batch")
 
     def evaluate(trigger, sim_):
         evaluated = [trigger] if one_model else nodes
-        obj = _mean_objective(evaluated, full_batch)
-        acc = _mean_accuracy(evaluated, test)
+        obj = float(np.mean([n.model.objective(n.w, full_batch)
+                             for n in evaluated]))
+        acc = None if test is None else float(np.mean(
+            [n.model.accuracy(n.w, test.X, test.y) for n in evaluated]))
         cost = _cost_now(sim_, rates)
         row = {"sim_time_s": sim_.now, "epoch": trigger.epochs_done,
                "objective": obj, "accuracy": acc, "cost_usd": cost}
@@ -618,9 +607,8 @@ def _cost_now(sim, rates):
 
 
 def _settle(cfg, sim, rates, nodes, rows, conv, scout, extras):
-    """The result of a run whose queue is drained, settled at the final
-    clock: the trigger's row still waiting at its last boundary, the cost,
-    the summary and the byte conservation check."""
+    """A drained run settled at the final clock: the trigger's row still
+    waiting, the cost, the summary and the byte conservation check."""
     trigger = nodes[0]
     trigger.settle(sim)
     summary = {

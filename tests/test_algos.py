@@ -158,6 +158,75 @@ def test_bsp_nodes_stay_in_lockstep():
     assert sim.ledger.conservation_ok()
 
 
+def _race_topology():
+    # s's updates reach t half a second late, so p's clock-(c+1) update
+    # lands at t before s's clock-c one (at 0.022 s for c = 1)
+    names = ["t", "p", "s"]
+    links = {(a, b): wansim.LinkSpec(a, b, 1e9,
+                                     0.5 if (a, b) == ("s", "t") else 0.001)
+             for a in names for b in names}
+    return wansim.Topology(dcs=names, links=links,
+                           compute_s=dict.fromkeys(names, 0.01))
+
+
+def _race_run(model, lockstep=True):
+    """A 3-DC BSP run with one batch per epoch, so that every step is a
+    boundary. Each row logs the trigger's clock, the (clock, origin) records
+    it has applied (received and no longer in its inbox) and those it holds.
+    lockstep=False takes each row right after the step, with nothing held."""
+    cfg = config_from_dict({
+        "model": model, "data": {"per_class": 15, "test_per_class": 5},
+        "partition": {"nodes": 3, "alpha": 0.0},
+        "algorithm": {"kind": "bsp", "epochs": 4, "batch_size": 20},
+        "convergence": {"mode": "none"}})
+    rows = []
+
+    def on_nodes(nodes, sim):
+        trigger, received = nodes[0], []
+        receive, evaluate = trigger._receive, trigger.epoch_hook
+        trigger._lockstep = lockstep
+
+        def logged_receive(sim_, msg):
+            received.append((msg.payload["clock"], msg.origin))
+            receive(sim_, msg)
+
+        def logged_evaluate(node, sim_):
+            held = {(clock, origin) for clock, origin, _, _ in node.inbox}
+            rows.append((node.iters_done, set(received) - held, held))
+            evaluate(node, sim_)
+
+        trigger._receive, trigger.epoch_hook = logged_receive, logged_evaluate
+
+    result = run_experiment(cfg, topology=_race_topology(), on_nodes=on_nodes)
+    assert [n.stream.batches_per_epoch for n in result.nodes] == [1, 1, 1]
+    return result, rows
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "softmax", "features": 3, "classes": 4},
+    {"kind": "mlp", "features": 3, "classes": 4, "hidden": [5]},
+])
+def test_bsp_row_holds_exactly_the_updates_of_its_clock(model):
+    result, rows = _race_run(model)
+    assert [t for t, _, _ in rows] == [1, 2, 3, 4]
+    for t, applied, _ in rows:
+        assert applied == {(c, o) for c in range(1, t + 1) for o in "ps"}
+    # the race happened: p's next update waited in the inbox for the row
+    assert rows[0][2] == {(2, "p")}
+    # taking each row right after the step mixes clocks: row 1 holds no
+    # peer update, row 2 already holds p's clock-2 update but not s's
+    unheld, step_rows = _race_run(model, lockstep=False)
+    assert step_rows[0][1] == set()
+    assert step_rows[1][1] == {(1, "p"), (1, "s"), (2, "p")}
+    # Holding p's clock-2 update back adds it to t's w after s's clock-1
+    # update instead of before, and float addition does not associate: the
+    # trajectory is a rounding apart from the unheld order's, not the same
+    # bits (peer s's final weights, for both models)
+    a, b = result.nodes[2].w, unheld.nodes[2].w
+    np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+    assert a.tobytes() != b.tobytes()
+
+
 def test_asp_huge_threshold_sends_clocks_only():
     sim, nodes = _spawn(AlgoCfg(kind="gaia", t0=1e9, ds=1000), ["a", "b"], 4)
     sim.run()

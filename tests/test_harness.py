@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import math
@@ -273,6 +274,9 @@ MLP_3 = {"kind": "mlp", "features": 4, "classes": 3, "hidden": [8]}
     ("ssp", SOFTMAX_3, 3),
     ("gaia", MLP_3, 3),
     ("fedavg", SOFTMAX_3, 3),
+    ("bsp", MLP_3, 1),
+    ("bsp", dict(MLP_3, norm="group"), 1),
+    ("bsp", dict(MLP_3, norm="batch"), 3),    # the mean over replicas
 ])
 def test_model_evaluations_per_boundary(kind, model, per_boundary):
     calls = {"objective": 0, "accuracy": 0}
@@ -294,6 +298,30 @@ def test_model_evaluations_per_boundary(kind, model, per_boundary):
     result = run_experiment(cfg, on_nodes=count)
     assert len(result.rows) >= 2
     assert calls == dict.fromkeys(calls, per_boundary * len(result.rows))
+
+
+@pytest.mark.parametrize("model, digest", [
+    (SOFTMAX_3,
+     "dd7876bcb7ba079f7b782b5dc4520e45ed154f8c6332dec22c043ec999f4525a"),
+    (MLP_3,
+     "30648441d30a30b08b5a8b2b0087d09ab00196bc1e854708e36e74cf925e884c"),
+])
+def test_solo_bsp_takes_each_row_at_its_step(model, digest):
+    # a lone node has no peer update to wait for: its row is taken right
+    # after the boundary step, and the metrics and summary bytes are the
+    # ones pinned before BSP rows waited for the clock-t model
+    cfg = config_from_dict({
+        "model": model, "data": {"per_class": 20, "test_per_class": 5},
+        "partition": {"nodes": 1},
+        "algorithm": {"kind": "bsp", "epochs": 3, "batch_size": 10},
+        "convergence": {"mode": "none"}})
+    steps = []
+    result = run_experiment(cfg, on_nodes=lambda nodes, sim: setattr(
+        nodes[0], "iter_hook", lambda node, sim_: steps.append(sim_.now)))
+    bpe = result.nodes[0].batches_per_epoch
+    assert [row["sim_time_s"] for row in result.rows] == steps[bpe - 1::bpe]
+    text = metrics_csv_text(result.rows) + "\0" + summary_text(result.summary)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_a_topology_the_cost_table_does_not_price_has_no_cost():
@@ -491,6 +519,36 @@ def test_run_experiment_early_stop_on_target():
     assert s["converged"] and s["status"] == "converged"
     assert s["time_to_convergence_s"] == result.rows[0]["sim_time_s"]
     assert s["epochs_done"] == 1
+
+
+def test_a_row_that_stops_the_run_starts_no_further_step():
+    # BSP takes its row inside an inbox drain, just before the gate check
+    cfg = _small_cfg(partition={"nodes": 3}, algorithm={"epochs": 5},
+                     convergence={"mode": "target", "target": 1e9},
+                     output={"trace": True})
+    result = run_experiment(cfg)
+    assert len(result.rows) == 1 and result.summary["status"] == "converged"
+    # each step the trigger starts passes one open gate, and it is stopped
+    # before it checks the gate again (peers may be mid-step when it stops)
+    trigger = result.nodes[0]
+    opened = [row for row in result.sim.gate_trace
+              if row[1] == trigger.name and row[6]]
+    assert len(opened) == trigger.iters_done == trigger.batches_per_epoch
+
+
+def test_a_row_still_waiting_when_the_queue_drains_is_taken_there():
+    # 7 classes over 3 DCs at full skew: the trigger has 3 batches per
+    # epoch and its peers 2, so no peer ever sends the clock-3 update its
+    # only row waits for
+    cfg = _small_cfg(
+        model={"classes": 7}, data={"per_class": 10, "test_per_class": 5},
+        partition={"nodes": 3, "alpha": 1.0}, algorithm={"epochs": 1})
+    result = run_experiment(cfg)
+    trigger = result.nodes[0]
+    assert [n.max_iters for n in result.nodes] == [3, 2, 2]
+    assert [row["epoch"] for row in result.rows] == [1]
+    assert result.rows[0]["sim_time_s"] == result.summary["sim_time_s"]
+    assert trigger.inbox == [] and trigger._row_clock is None
 
 
 def test_run_experiment_flags_divergence():
