@@ -150,7 +150,7 @@ class _NodeBase:
         self._gathered = {}           # round -> {member: share}
         self._finish_at = None
         self.epoch_hook = None        # fn(node, sim) at each local epoch end
-        self._lockstep = False        # its rows wait for the boundary clock
+        self._lockstep = False        # rows wait for the peers' boundary clock
         self._row_clock = None        # the boundary clock of a waiting row
         self.iter_hook = None         # fn(node, sim) after every iteration
         self.travel_sink = None       # fn(node, sim, msg) for travel payloads
@@ -384,10 +384,10 @@ class GaiaNode(_NodeBase):
         entries. Dense updates come only from bsp and ssp nodes, which
         announce no barriers.
 
-        While a row waits at clock t, later clocks stay in the inbox (a fast
-        peer's may land before a slow peer's clock t) until every peer's
-        clock is t or more, or final; then the row is taken, and the rest
-        applied."""
+        While a row waits at clock t, records of later clocks stay in the
+        inbox, for a fast peer's clock-(t+1) update may land before a slow
+        peer's clock-t one. Once every peer's clock is t or more (or when
+        final), the row is taken and the rest applied."""
         inbox = self.inbox
         if len(inbox) > 1:
             # stable: records of one (clock, origin) keep their arrival order
