@@ -112,7 +112,9 @@ class _NodeBase:
     a FedAvg share) is sent as a copy. The base receives (travel payloads
     go to travel_sink, anything else to _receive), forwards overlay copies
     a hub must re-broadcast, broadcasts, and computes each minibatch
-    gradient at w.
+    gradient at w. A broadcast or a hub's forward is one sim.send of one
+    message with the hops sim.hops built once, and each link delivers it to
+    its receiving node; receivers share the message and only read it.
 
     A synchronous round is gathered here: _share keeps this node's share of
     a round, broadcasts it and holds the node (_awaiting); each peer's share
@@ -194,29 +196,18 @@ class _NodeBase:
             self._forward_in_group(sim, msg)
         self.try_start(sim)
 
-    # Copies of one message share its byte_split and payload dicts: the
-    # simulator and the ledger only read byte_split, and receivers only
-    # read payloads. The split is checked once, when it is first built, and
-    # every copy carries its total.
-
     def _forward_in_group(self, sim, msg):
         """Re-broadcast a hub's inter-group copy within the hub's group."""
-        for dst in wansim.forward_hops(sim.overlay, self.name, msg.origin):
-            sim.send(wansim.Message(msg.kind, self.name, dst, msg.byte_split,
-                                    msg.payload, msg.origin,
-                                    nbytes=msg.nbytes))
+        sim.send(wansim.Message(msg.kind, self.name, None, msg.byte_split,
+                                msg.payload, msg.origin, nbytes=msg.nbytes),
+                 sim.hops(self.name, msg.origin))
 
-    def _broadcast(self, sim, byte_split, payload, hops=None):
-        """Send one copy per first hop; hops defaults to broadcast_hops."""
+    def _broadcast(self, sim, byte_split, payload):
+        """Offer one copy per first hop, in one send."""
         kind = (wansim.KIND_UPDATE if wansim.KIND_UPDATE in byte_split
                 else wansim.KIND_CLOCK)
-        name, send, message = self.name, sim.send, wansim.Message
-        nbytes = wansim.split_nbytes(byte_split)
-        if hops is None:
-            hops = wansim.broadcast_hops(sim.overlay, name, sim.topology.dcs)
-        for dst, needs_forward in hops:
-            send(message(kind, name, dst, byte_split, payload, name,
-                         needs_forward, nbytes))
+        sim.send(wansim.Message(kind, self.name, None, byte_split, payload),
+                 sim.hops(self.name, self.name))
 
     def _share(self, sim, rnd, byte_split, share):
         """Keep this node's share of round rnd, broadcast it, and hold until
@@ -322,9 +313,10 @@ class GaiaNode(_NodeBase):
     number of peers still below _need, is positive; _receive counts the
     peers that cross it. A barrier gate can open only when an update clears
     barrier entries, so it is re-checked only after one has. Every delivery
-    still drains the inbox, so updates land in the same order either way.
-    A traced run (Simulator(trace=True)) checks on every delivery and
-    records each check in sim.gate_trace.
+    still drains the inbox (an update it would drain alone lands in
+    _receive), so updates land in the same order either way. A traced run
+    (Simulator(trace=True)) checks on every delivery and records each check
+    in sim.gate_trace.
 
     A bsp node with peers is lockstep: its row (epoch_hook) at boundary
     clock t describes w holding exactly the updates of clocks <= t, so the
@@ -375,8 +367,15 @@ class GaiaNode(_NodeBase):
         if msg.kind == wansim.KIND_BARRIER:
             apply_barrier(self.shard, msg.payload["barrier"])
         elif msg.kind == wansim.KIND_UPDATE:
-            p = msg.payload
-            self.inbox.append((p["clock"], msg.origin, p["idx"], p["vals"]))
+            p, origin = msg.payload, msg.origin
+            # a lone update clearing no barrier lands now, as the drain would
+            if (self.inbox or self._row_clock is not None or self._computing
+                    or self.stopped or origin in self.shard.barrier_waits):
+                self.inbox.append((p["clock"], origin, p["idx"], p["vals"]))
+            elif p["idx"] is None:
+                self.w += p["vals"]
+            else:
+                self.w[p["idx"]] += p["vals"]
 
     def _drain_inbox(self, sim, final=False):
         """Apply the inbox to w in place, in (clock, origin, arrival) order;
@@ -463,7 +462,8 @@ class GaiaNode(_NodeBase):
         return not self.peers or self._clock_gate(sim, "ssp", self._staleness)
 
     def _ready(self, sim):
-        cleared = self._drain_inbox(sim)
+        cleared = ((self.inbox or self._row_clock is not None)
+                   and self._drain_inbox(sim))
         # a row taken in the drain may have stopped the run
         if self.stopped or self._short or (self._barrier_wait and not cleared):
             return False
@@ -531,40 +531,34 @@ class GaiaNode(_NodeBase):
         rate = monitor.rate
         # the barrier decisions and the utilization compare the rate with
         # the first-hop links only; hub forwarding is mechanical
-        hops = wansim.broadcast_hops(sim.overlay, self.name, sim.topology.dcs)
-        utilizations = []
-        barrier = None
-        for dst, _fw in hops:
-            link = sim.topology.link(self.name, dst)
-            utilizations.append(rate / link.bandwidth)
-            if not (algo.barrier and monitor.warm and idx.size
-                    and rate > link.bandwidth):
-                continue
-            if barrier is None:
-                # one announcement of this flush serves every saturated
-                # first hop; its copies share payload and byte split
-                barrier = psync.maybe_emit_barrier(
-                    rate, link.bandwidth, idx, self.name, self.iters_done)
-                barrier_split = {wansim.KIND_BARRIER:
-                                 wansim.barrier_bytes(len(barrier.indexes))}
-                barrier_nbytes = wansim.split_nbytes(barrier_split)
-                barrier_payload = {"barrier": barrier}
+        hops = sim.hops(self.name, self.name)
+        saturated = algo.barrier and monitor.warm and idx.size and [
+            (channel, False) for channel, _fw in hops
+            if rate > channel.bandwidth]
+        if saturated:
+            # one announcement of this flush serves every saturated first
+            # hop, announced at the first one's bandwidth
+            barrier = psync.maybe_emit_barrier(
+                rate, saturated[0][0].bandwidth, idx, self.name,
+                self.iters_done)
             sim.send(wansim.Message(
-                wansim.KIND_BARRIER, self.name, dst, barrier_split,
-                barrier_payload, self.name, nbytes=barrier_nbytes))
+                wansim.KIND_BARRIER, self.name, None,
+                {wansim.KIND_BARRIER: wansim.barrier_bytes(
+                    len(barrier.indexes))}, {"barrier": barrier}), saturated)
         if idx.size:
             split = {
                 wansim.KIND_UPDATE: wansim.sparse_update_bytes(idx.size),
                 wansim.KIND_CLOCK: wansim.CLOCK_BYTES,
             }
-            self._broadcast(sim, split, payload, hops)
+            self._broadcast(sim, split, payload)
         else:
             # nothing significant: the clock still has to move
             self._broadcast(sim, {wansim.KIND_CLOCK: wansim.CLOCK_BYTES},
-                            {"clock": self.iters_done}, hops)
-        if self._soft and utilizations:
+                            {"clock": self.iters_done})
+        if self._soft and hops:
+            utilization = max(rate / channel.bandwidth for channel, _fw in hops)
             self.t_soft = soft_threshold_adjust(
-                self._soft, max(utilizations), self.t_soft, self.t_hard)
+                self._soft, utilization, self.t_soft, self.t_hard)
 
 
 # ---------------------------------------------------------------------------

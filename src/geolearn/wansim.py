@@ -4,7 +4,8 @@ Links are single-server queues: a message offered to a busy link waits, a
 control-class message (barriers, clocks) is always dequeued before any
 queued data-class message, and nothing preempts a transmission already in
 flight. Delivery time for a message that starts service at s is
-s + bytes/bandwidth + latency.
+s + bytes/bandwidth + latency. A broadcast is offered once, with the hops
+Simulator.hops builds once per source, and each link delivers to its node.
 
 Determinism: the event queue is a heap keyed by (time, insertion sequence),
 so ties resolve in insertion order and identical runs replay identically.
@@ -28,7 +29,7 @@ import functools
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from types import MappingProxyType
 
@@ -77,12 +78,11 @@ def split_nbytes(byte_split):
 
 @dataclass(slots=True)
 class Message:
-    """One message on one link.
+    """One message on one link, or a broadcast (dst None) on each hop it is
+    sent with (see Simulator.send); a broadcast's receivers share it.
 
     byte_split is fixed once the message is built: nbytes, its total, is
-    computed at construction. A sender that builds many copies of one split
-    (a broadcast) checks it once with split_nbytes and passes the total as
-    nbytes, so the copies skip the check.
+    computed at construction (a forwarded copy passes it, skipping the check).
     """
 
     kind: str                 # primary kind, decides the priority class
@@ -130,15 +130,17 @@ class _Channel:
     first: deliveries on one link land in service order, because latency is
     constant, busy_until never decreases and ties resolve by sequence.
     sent and delivered are this link's ledger rows, made at its first send
-    and first delivery.
+    and first delivery. node is the receiver, found at the first delivery;
+    while its DC has none, what arrives is metered, then dropped.
     """
 
-    __slots__ = ("key", "bandwidth", "latency", "control", "data",
+    __slots__ = ("key", "node", "bandwidth", "latency", "control", "data",
                  "in_flight", "busy_until", "free_seq", "free_scheduled",
                  "sent", "delivered")
 
     def __init__(self, spec):
         self.key = (spec.src, spec.dst)
+        self.node = None
         self.bandwidth = spec.bandwidth
         self.latency = spec.latency
         self.control = deque()
@@ -334,7 +336,8 @@ _DELIVER, _FREE, _WAKE = "deliver", "free", "wake"
 
 
 class Simulator:
-    """Event loop owning simulated time, channels, and the cost ledger.
+    """Event loop owning simulated time, channels, and the cost ledger; a
+    broadcast is one send with its hops().
 
     trace turns on the gate trace: every gate check of a Gaia-family node
     appends a row (time, node, gate, local clock, known value, true minimum
@@ -356,6 +359,7 @@ class Simulator:
         self.channels = {
             key: _Channel(spec) for key, spec in topology.links.items()
         }
+        self._hops = {}           # (src, origin) -> [(channel, needs_forward)]
         self.ledger = CostLedger()
         self.gate_trace = []
 
@@ -368,30 +372,50 @@ class Simulator:
         heapq.heappush(self._heap, (time, self._seq, _WAKE, name))
         self._seq += 1
 
-    def send(self, msg):
-        """Offer a message to its link; service starts as soon as possible."""
-        channel = self.channels.get((msg.src, msg.dst))
-        if channel is None:
-            raise KeyError(f"no link configured from {msg.src} to {msg.dst}")
-        row = channel.sent
-        if row is None:
-            row = channel.sent = _ledger_row(self.ledger.sent, channel.key)
-        for kind, nbytes in msg.byte_split.items():
-            row[kind] += nbytes
-        # busy while the link's free event still lies ahead of this one
-        busy_until = channel.busy_until
-        if busy_until < self.now or (busy_until == self.now
-                                     and channel.free_seq < self._event_seq):
-            self._start_service(channel, msg)
-            return
-        if msg.klass == CONTROL:
-            channel.control.append(msg)
-        else:
-            channel.data.append(msg)
-        if not channel.free_scheduled:
-            channel.free_scheduled = True
-            heapq.heappush(self._heap,
-                           (busy_until, channel.free_seq, _FREE, channel))
+    def _channel(self, src, dst):
+        self.topology.link(src, dst)          # a missing link raises here
+        return self.channels[(src, dst)]
+
+    def hops(self, src, origin):
+        """(channel, needs_forward) of each copy src sends of origin's
+        broadcast, built once per pair: broadcast_hops from the origin, a
+        hub's forward_hops from src."""
+        key = (src, origin)
+        if key not in self._hops:
+            pairs = (broadcast_hops(self.overlay, src, self.topology.dcs)
+                     if src == origin else
+                     [(d, False) for d in forward_hops(self.overlay, src, origin)])
+            self._hops[key] = [(self._channel(src, d), fw) for d, fw in pairs]
+        return self._hops[key]
+
+    def send(self, msg, hops=None):
+        """Offer msg to its link, or to each of hops (as from hops()) in the
+        same loop; service starts as soon as possible. The hops share msg,
+        and those whose needs_forward is not msg.forward share one copy."""
+        if hops is None:
+            hops = ((self._channel(msg.src, msg.dst), msg.forward),)
+        copies = {msg.forward: msg}
+        control = msg.klass == CONTROL
+        for channel, forward in hops:
+            copy = copies.get(forward)
+            if copy is None:
+                copy = copies[forward] = replace(msg, forward=forward)
+            row = channel.sent
+            if row is None:
+                row = channel.sent = _ledger_row(self.ledger.sent, channel.key)
+            for kind, nbytes in msg.byte_split.items():
+                row[kind] += nbytes
+            # busy while the link's free event still lies ahead of this one
+            busy_until = channel.busy_until
+            if busy_until < self.now or (busy_until == self.now and
+                                         channel.free_seq < self._event_seq):
+                self._start_service(channel, copy)
+                continue
+            (channel.control if control else channel.data).append(copy)
+            if not channel.free_scheduled:
+                channel.free_scheduled = True
+                heapq.heappush(self._heap,
+                               (busy_until, channel.free_seq, _FREE, channel))
 
     def _start_service(self, channel, msg):
         # the link is free by now, so service starts now
@@ -431,7 +455,9 @@ class Simulator:
                         self.ledger.delivered, data.key)
                 for k, nbytes in msg.byte_split.items():
                     row[k] += nbytes
-                node = nodes.get(msg.dst)
+                node = data.node
+                if node is None:
+                    node = data.node = nodes.get(data.key[1])
                 if node is not None:
                     node.on_message(self, msg)
             elif kind is _WAKE:

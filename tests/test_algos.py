@@ -315,17 +315,18 @@ def test_fedavg_single_node_rounds_without_traffic():
 
 
 def _record_sends(sim, sender, key):
-    """Each payload[key] that sender sends, as (array, its bytes when sent,
-    whether it shared memory with the sender's w or u then)."""
+    """Each payload[key] that sender sends, once per copy, as (array, its
+    bytes when sent, whether it shared memory with the sender's w or u
+    then)."""
     sent = []
     send, node = sim.send, sim.nodes[sender]
 
-    def recording(msg):
+    def recording(msg, hops=None):
         if msg.src == sender and msg.payload and msg.payload.get(key) is not None:
             arr = msg.payload[key]
             aliased = np.shares_memory(arr, node.w) or np.shares_memory(arr, node.u)
-            sent.append((arr, arr.tobytes(), aliased))
-        return send(msg)
+            sent.extend([(arr, arr.tobytes(), aliased)] * len(hops or [msg]))
+        return send(msg, hops)
 
     sim.send = recording
     return sent

@@ -440,6 +440,82 @@ def test_overlay_reaches_every_dc_exactly_once():
         assert sorted(reached) == sorted(set(dcs) - {source})
 
 
+@st.composite
+def _overlays(draw):
+    """DC names and a random overlay plan over them, or None (no overlay)."""
+    n = draw(st.integers(2, 6))
+    dcs = [f"dc{i}" for i in range(n)]
+    if draw(st.booleans()):
+        return dcs, None
+    order = draw(st.permutations(dcs))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), unique=True,
+                                max_size=n - 1)))
+    groups = [list(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+    hubs = {(gi, gj): draw(st.sampled_from(groups[gj]))
+            for gi in range(len(groups)) for gj in range(len(groups))
+            if gi != gj}
+    return dcs, OverlayPlan(groups=groups, hubs=hubs)
+
+
+class _HopLog:
+    """Logs (receiver, origin, forward) of every delivery; forwards nothing."""
+
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def on_message(self, sim, msg):
+        self.log.append((self.name, msg.origin, msg.forward))
+
+
+@settings(max_examples=100, deadline=None)
+@given(overlay=_overlays(),
+       split=st.dictionaries(st.sampled_from(BYTE_KINDS),
+                             st.integers(0, 300), min_size=1))
+def test_cached_hops_match_broadcast_and_forward_hops(overlay, split):
+    dcs, plan = overlay
+    links = {(a, b): LinkSpec(a, b, 100.0, 0.25) for a in dcs for b in dcs}
+    sim = Simulator(Topology(dcs=dcs, links=links), overlay=plan)
+    log = []
+    for dc in dcs[1:]:           # dcs[0] has no node: its copies are dropped
+        sim.register(dc, _HopLog(dc, log))
+    expected_log, expected_rows = [], {}
+    for src in dcs:
+        first = broadcast_hops(plan, src, dcs)
+        hops = sim.hops(src, src)
+        assert [(ch.key, fw) for ch, fw in hops] == [
+            ((src, dst), fw) for dst, fw in first]
+        assert sim.hops(src, src) is hops           # built once
+        for hub in [dst for dst, fw in first if fw]:
+            assert [(ch.key, fw) for ch, fw in sim.hops(hub, src)] == [
+                ((hub, dst), False) for dst in forward_hops(plan, hub, src)]
+        # one broadcast: one copy per first hop, flagged as the hop says
+        sim.send(Message(next(iter(split)), src, None, split), hops)
+        expected_log += [(dst, src, fw) for dst, fw in first if dst != dcs[0]]
+        expected_rows.update({(src, dst): {k: split.get(k, 0)
+                                           for k in BYTE_KINDS}
+                              for dst, _ in first})
+    assert sim.run() == len(expected_rows)
+    assert sorted(log) == sorted(expected_log)
+    # both sides of the ledger hold each first hop's split once, every kind
+    assert sim.ledger.sent == expected_rows
+    assert sim.ledger.delivered == expected_rows
+
+
+def test_a_message_to_a_dc_without_a_node_is_metered_then_dropped():
+    sim, sink = _one_link_sim()
+    del sim.nodes["b"]
+    sim.send(_update("lost", 100))
+    assert sim.run() == 1
+    assert sim.ledger.sent == sim.ledger.delivered == {
+        ("a", "b"): {**dict.fromkeys(BYTE_KINDS, 0), KIND_UPDATE: 100}}
+    assert sink.inbox == []
+    # a node registered later receives what follows
+    sim.register("b", sink)
+    sim.send(_update("kept", 100))
+    sim.run()
+    assert sink.inbox == [(3.0, "kept")]
+
+
 # ---------------------------------------------------------------------------
 # external file formats
 
