@@ -93,6 +93,12 @@ CONFIGS = {
     "gaia-mf": _cfg(
         "gaia-mf", MF, MF_DATA, 3, 0.0,
         {"kind": "gaia", "epochs": 4, "t0": 0.02, "lr": {"eta0": 0.05}}),
+    # SkewScout on a factorization model: the objective probe metric and
+    # the relative-gap accuracy loss
+    "gaia-mf-scout": _cfg(
+        "gaia-mf-scout", MF, MF_DATA, 3, 0.0,
+        {"kind": "gaia", "epochs": 4, "t0": 0.02, "lr": {"eta0": 0.05}},
+        scout={"enabled": True, "tuner": "hill"}),
     "gaia-scout": _cfg(
         "gaia-scout", MLP_BN, BLOBS, 3, 1.0,
         {"kind": "gaia", "epochs": 3},
