@@ -19,8 +19,8 @@ replica in _NodeBase: the weights w, the velocity u and the momentum m.
 The message plumbing is shared there too: it receives, forwards the copies
 an overlay hub must re-broadcast, broadcasts, and gathers the shares of a
 synchronous round (a FedAvg average, a DGC step). A node class supplies
-only its algorithm: _ready, _local_step and set_knob, plus _receive (Gaia)
-or _try_complete (FedAvg and DGC).
+its algorithm and declares the policies a run reads off it (_NodeBase).
+NODE_CLASSES maps each algorithm kind to the class that runs it.
 """
 
 import math
@@ -36,6 +36,8 @@ from .psync import (
     SoftCtl, WeightShard, accumulate_and_flush, apply_barrier,
     clear_barrier_on_update, gate_read, soft_threshold_adjust, ssp_gate,
 )
+from .rng import seed_stream
+from .skewscout import DGC_EWARM_GRID, FEDAVG_ITER_GRID, GAIA_T0_GRID
 
 WARMUP_SCHEDULE = (75.0, 93.75, 98.4375, 99.6, 99.9)
 
@@ -124,8 +126,16 @@ class _NodeBase:
     A subclass supplies the algorithm: _ready (may the next step start
     now?), _local_step (apply one gradient at a learning rate, and
     exchange), set_knob (the knob SkewScout tunes), and either its own
-    _receive or _try_complete.
+    _receive or _try_complete. It declares the policies a run reads off
+    it: _knobs, _budgets, _per_round, _row_alone and _extras (below).
     """
+
+    # the kinds the class runs -> (the AlgoCfg field SkewScout tunes, its
+    # default grid), or None when the kind has no knob
+    _knobs = {}
+    _per_round = False    # rows and boundaries per round, not epoch and step
+    _row_alone = False    # a row evaluates the trigger alone, not every node
+    _extras = ()          # node attributes RunResult.extras holds per node
 
     def __init__(self, name, index, model, batch_view, stream, lr_schedule,
                  compute_s, max_iters, w0, algo, peers):
@@ -273,14 +283,11 @@ class _NodeBase:
         if self._row_clock is not None:
             self._drain_inbox(sim, final=True)
 
-    def set_knob(self, theta):
-        raise NotImplementedError
-
-    def _try_complete(self, sim):
-        raise NotImplementedError
-
-    def _local_step(self, sim, grad, eta):
-        raise NotImplementedError
+    @classmethod
+    def _budgets(cls, algo, streams, dcs, seed, scouted):
+        """Each node's budget: epochs x its own batches per epoch."""
+        return [{"max_iters": algo.epochs * s.batches_per_epoch}
+                for s in streams]
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +331,15 @@ class GaiaNode(_NodeBase):
     one still waiting when the run ends.
     """
 
-    def __init__(self, name, index, model, batch_view, stream, lr_schedule,
-                 compute_s, max_iters, w0, algo, peers):
-        super().__init__(name, index, model, batch_view, stream, lr_schedule,
-                         compute_s, max_iters, w0, algo, peers)
+    _knobs = {"gaia": ("t0", GAIA_T0_GRID), "bsp": None, "ssp": None}
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        algo = self.algo
         self._filtered = algo.kind == "gaia"
         self._staleness = 0 if algo.kind == "bsp" else algo.staleness
-        self._lockstep = algo.kind == "bsp" and bool(self.peers)
+        self._lockstep = self._row_alone = (algo.kind == "bsp"
+                                            and bool(self.peers))
         self._soft = SoftCtl(**algo.soft) if algo.soft else None
         self.shard = WeightShard.fresh(self.w, peers=self.peers,
                                        accumulate=self._filtered)
@@ -340,6 +349,7 @@ class GaiaNode(_NodeBase):
         self.rate_monitor = wansim.RateMonitor()
         self._t0 = self.t_hard = self.t_soft = algo.t0
         self.sig_counts = {}       # epoch -> [emitted, scored]
+        self._extras = ("sig_counts",) if self._filtered else ()
         # the wait of an untraced blocked node (see the class docstring);
         # _short is always the number of peers whose mirror clock is below
         # _need
@@ -570,12 +580,12 @@ class FedAvgNode(_NodeBase):
     iter_local steps. Rounds are synchronous: a node holds at the round
     boundary until every participant's model for that round has arrived."""
 
-    def __init__(self, name, index, model, batch_view, stream, lr_schedule,
-                 compute_s, max_rounds, w0, algo, peers, participants_fn=None):
-        super().__init__(name, index, model, batch_view, stream, lr_schedule,
-                         compute_s, max_iters=None, w0=w0, algo=algo,
-                         peers=peers)
-        self.iter_local = int(algo.iter_local)
+    _knobs = {"fedavg": ("iter_local", FEDAVG_ITER_GRID)}
+    _per_round = True
+
+    def __init__(self, *args, max_rounds, participants_fn=None, **kwargs):
+        super().__init__(*args, max_iters=None, **kwargs)
+        self.iter_local = int(self.algo.iter_local)
         self.max_rounds = max_rounds
         self.round = 0
         self._steps_in_round = 0
@@ -586,6 +596,26 @@ class FedAvgNode(_NodeBase):
     def set_knob(self, theta):
         """Average every theta local steps from the next round on."""
         self.iter_local = int(theta)
+
+    @classmethod
+    def _budgets(cls, algo, streams, dcs, seed, scouted):
+        """Every node's: the trigger's epochs in rounds, unbounded when
+        SkewScout may change iter_local mid-run (the trigger's round_hook
+        ends the run), and each round's seeded pick of participants."""
+        max_rounds = math.inf if scouted else math.ceil(
+            algo.epochs * streams[0].batches_per_epoch / algo.iter_local)
+        participants_fn = None
+        if algo.client_fraction < 1.0:
+            names = sorted(dcs)
+            n_pick = max(1, int(round(algo.client_fraction * len(dcs))))
+
+            def participants_fn(rnd):
+                rng = seed_stream(seed, "fedavg", "round", str(rnd))
+                pick = rng.choice(len(names), size=n_pick, replace=False)
+                return sorted(names[int(i)] for i in pick)
+
+        return [dict(max_rounds=max_rounds,
+                     participants_fn=participants_fn)] * len(streams)
 
     def _ready(self, sim):
         if self.name in self._members_this_round():
@@ -648,12 +678,13 @@ class DgcNode(_NodeBase):
     bit-identical. Sparsity follows the warm-up ramp by local epoch.
     """
 
-    def __init__(self, name, index, model, batch_view, stream, lr_schedule,
-                 compute_s, max_iters, w0, algo, peers):
-        super().__init__(name, index, model, batch_view, stream, lr_schedule,
-                         compute_s, max_iters, w0, algo, peers)
+    _knobs = {"dgc": ("e_warm", DGC_EWARM_GRID)}
+    _row_alone = True             # every replica is the step-t model
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.v = np.zeros(self.w.size)   # calloc'd, like u
-        self.e_warm = int(algo.e_warm)
+        self.e_warm = int(self.algo.e_warm)
         self.last_emitted = None
 
     def set_knob(self, theta):
@@ -692,3 +723,8 @@ class DgcNode(_NodeBase):
         self.iters_done += 1
         self._after_iteration(sim)
         self.try_start(sim)
+
+
+# algorithm kind -> the node class that runs it
+NODE_CLASSES = {kind: cls for cls in (GaiaNode, FedAvgNode, DgcNode)
+                for kind in cls._knobs}

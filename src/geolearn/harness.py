@@ -1,10 +1,12 @@
 """Experiment orchestration: config in, metrics and a summary out.
 
 A config names a model, a dataset, a partitioning, an algorithm, a WAN
-topology, and optional adaptive tuning; run_experiment wires them onto the
-simulator, evaluates at the trigger node's epoch (or round) boundaries, and
-returns every artifact a caller could want to inspect. Runs are functions
-of the config alone: the same config produces byte-identical metrics.
+topology, and optional adaptive tuning. run_experiment takes four steps:
+build the data (the model kind decides it), build the simulator and the
+nodes (the node class of the algorithm kind declares its policies), run,
+and settle. Rows are taken at the trigger node's epoch (or round)
+boundaries. Runs are functions of the config alone: the same config
+produces byte-identical metrics.
 
 The metrics CSV schema is fixed:
 
@@ -21,13 +23,14 @@ import math
 import numbers
 import operator
 import os
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 import yaml
 
-from . import skewscout, wansim
-from .algos import ArrayBatches, DgcNode, EntryBatches, FedAvgNode, GaiaNode
+from . import wansim
+from .algos import NODE_CLASSES, ArrayBatches, EntryBatches
 from .data import (
     MFDatasetSpec, MinibatchStream, SkewSpec, gen_cluster_data, gen_mf_data,
     partition_label_skew, partition_uniform,
@@ -56,13 +59,6 @@ def _f(default, **rules):
     a tuple's element type; per_dc also allows a {dc: number} mapping;
     schema is a dataclass whose fields are a dict field's keys."""
     return field(default=default, metadata=rules)
-
-
-# algorithm kind -> (the AlgoCfg field SkewScout tunes, its default grid);
-# None means the kind has no communication knob to tune
-KNOBS = {"gaia": ("t0", skewscout.GAIA_T0_GRID), "bsp": None, "ssp": None,
-         "fedavg": ("iter_local", skewscout.FEDAVG_ITER_GRID),
-         "dgc": ("e_warm", skewscout.DGC_EWARM_GRID)}
 
 
 @dataclass
@@ -98,7 +94,7 @@ class PartitionCfg:
 
 @dataclass
 class AlgoCfg:
-    kind: str = _f("gaia", choices=tuple(KNOBS))
+    kind: str = _f("gaia", choices=tuple(NODE_CLASSES))
     batch_size: int = _f(20, ge=1)
     epochs: int = _f(5, ge=1)
     momentum: float = _f(0.9, ge=0, lt=1)
@@ -128,7 +124,7 @@ class TopoCfg:
     bandwidth_file: str = _f(None)
     cost_file: str = _f(None)
     latency_s: float = _f(0.05, ge=0)
-    compute_s: float = _f(0.001, ge=0, per_dc=True)
+    compute_s: float = _f(wansim.COMPUTE_S, ge=0, per_dc=True)
     groups: tuple = _f((), of=tuple)  # overlay groups, list of DC name lists
     hubs: tuple = _f((), of=tuple)    # [from_group, to_group, hub_dc] triples
 
@@ -277,10 +273,11 @@ def validate_config(cfg):
 
 def _check_config(cfg):
     """validate_config's problems, plus the (bandwidth, costs) tables read
-    on the way (None if a problem came first), so a run reads each once."""
+    on the way and the resolved DC names (None if a problem came first), so
+    a run reads and resolves each once."""
     errs = _field_errors(cfg)
     if errs:    # the cross-field checks assume well-typed, in-range fields
-        return errs, None
+        return errs, None, None
     m, d, p, a, s, t = (cfg.model, cfg.data, cfg.partition, cfg.algorithm,
                         cfg.scout, cfg.topology)
     if m.kind == "mf" and d.kind != "mf":
@@ -292,10 +289,11 @@ def _check_config(cfg):
     if m.kind == "mlp" and m.norm == "group":
         errs += [f"hidden width {h} not divisible by group size {m.group_size}"
                  for h in m.hidden if h % m.group_size]
-    if s.enabled and KNOBS[a.kind] is None:
+    knob = NODE_CLASSES[a.kind]._knobs[a.kind]
+    if s.enabled and knob is None:
         errs.append(f"{a.kind} has no communication knob to tune")
     elif s.enabled:
-        knob, grid = KNOBS[a.kind]
+        knob, grid = knob
         grid, spec = s.grid or grid, AlgoCfg.__dataclass_fields__[knob]
         errs += [e for i, v in enumerate(grid)
                  for e in _check(f"scout.grid[{i}]", v, spec.type, spec.metadata)]
@@ -318,7 +316,7 @@ def _check_config(cfg):
                   (wansim.load_cost_csv(t.cost_file) if t.cost_file
                    else wansim.default_costs()))
     except (OSError, ValueError) as exc:
-        return errs + [f"cannot read the topology tables: {exc}"], None
+        return errs + [f"cannot read the topology tables: {exc}"], None, None
     names, costs = tables[0][0], tables[1]
     dcs = list(t.dcs) or names[:p.nodes]
     if len(dcs) != p.nodes:
@@ -343,7 +341,7 @@ def _check_config(cfg):
     elif missing := [(i, j) for i in range(n_groups) for j in range(n_groups)
                      if i != j and [i, j] not in [list(h[:2]) for h in t.hubs]]:
         errs.append(f"overlay group pairs {missing} have no hub")
-    return errs, tables
+    return errs, tables, dcs
 
 
 # ---------------------------------------------------------------------------
@@ -398,35 +396,58 @@ class RunResult:
     extras: dict = field(default_factory=dict)
 
 
-def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
-    """Run one configured experiment to completion on the simulator.
+# what the model kind decides, in run_experiment's first step
+_Data = namedtuple("_Data", "model w0 parts full_batch test make_view "
+                   "probes probe_metric relative_al extras")
 
-    topology/overlay override the config's WAN description with prebuilt
-    objects; on_nodes(nodes, sim), if given, runs after wiring but before
-    the first event, e.g. to attach extra per-iteration hooks.
+
+def run_experiment(cfg, topology=None, on_nodes=None):
+    """Run one configured experiment to completion on the simulator, in four
+    steps: _build_data, _build_nodes (and _hook_rows), sim.run, _settle.
+
+    A prebuilt topology overrides the config's DCs, links and compute
+    times; on_nodes(nodes, sim), if given, runs after wiring but before the
+    first event, e.g. to attach extra per-iteration hooks.
     """
-    errs, tables = _check_config(cfg)
+    errs, tables, dcs = _check_config(cfg)
+    k = cfg.partition.nodes
+    if topology is not None and len(topology.dcs) != k:
+        errs.append(f"topology has {len(topology.dcs)} DCs for {k} partitions")
     if errs:
         raise ValueError("bad config: " + "; ".join(errs))
-    seed = cfg.seed
-    k = cfg.partition.nodes
-    mcfg, dcfg, acfg = cfg.model, cfg.data, cfg.algorithm
+    data = _build_data(cfg)
+    sim, nodes, rates = _build_nodes(cfg, data, tables, dcs, topology)
+    rows, conv, scout = _hook_rows(cfg, data, sim, nodes, rates)
+    if on_nodes is not None:
+        on_nodes(nodes, sim)
+    for node in nodes:
+        sim.wake_at(0.0, node.name)
+    sim.run()
+    return _settle(cfg, sim, rates, nodes, rows, conv, scout, data.extras)
 
-    # data, model, partitions
-    extras = {}
+
+def _build_data(cfg):
+    """Step 1: the data, the model, its w0, the partitions, the full batch,
+    the batch view and SkewScout's probe metric, fn(w, bn stats, node
+    index): a factorization model's objective on the node's probe entries
+    (AL is its relative gap), or a classifier's accuracy in points. The
+    metric reads each node's probe indexes from probes, which _hook_rows
+    fills."""
+    mcfg, dcfg, seed = cfg.model, cfg.data, cfg.seed
+    k, extras, probes = cfg.partition.nodes, {}, []
     if mcfg.kind == "mf":
         spec = MFDatasetSpec(
             rows=mcfg.rows, cols=mcfg.cols,
             rank=dcfg.gen_rank or mcfg.rank,
             density=dcfg.density, noise_sigma=dcfg.noise_sigma, seed=seed)
-        entries, noise_floor = gen_mf_data(spec)
-        base_model = MFModel(mcfg.rows, mcfg.cols, mcfg.rank, entries,
-                             reg=mcfg.reg)
+        entries, extras["noise_floor"] = gen_mf_data(spec)
+        model = MFModel(mcfg.rows, mcfg.cols, mcfg.rank, entries, reg=mcfg.reg)
         parts = partition_uniform(len(entries), k, seed)
         full_batch = np.arange(len(entries), dtype=np.intp)
-        test = None
-        make_view = lambda: EntryBatches()
-        extras["noise_floor"] = noise_floor
+        test, make_view, relative_al = None, EntryBatches, True
+
+        def probe_metric(w, stats, i):
+            return model.objective(w, probes[i])
     else:
         train = gen_cluster_data(mcfg.classes, mcfg.features, dcfg.per_class,
                                  dcfg.spread, seed, tag="train")
@@ -434,77 +455,72 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
                                 dcfg.test_per_class, dcfg.spread, seed,
                                 tag="test")
         if mcfg.kind == "softmax":
-            base_model = SoftmaxModel(mcfg.features, mcfg.classes)
+            model = SoftmaxModel(mcfg.features, mcfg.classes)
         else:
             sizes = [mcfg.features] + list(mcfg.hidden) + [mcfg.classes]
-            base_model = TinyMLP(sizes, norm=mcfg.norm,
-                                 group_size=mcfg.group_size)
+            model = TinyMLP(sizes, norm=mcfg.norm, group_size=mcfg.group_size)
         parts = partition_label_skew(train, SkewSpec(k, cfg.partition.alpha,
                                                      seed))
         full_batch = (train.X, train.y)
         make_view = lambda: ArrayBatches(train.X, train.y)
-    w0 = base_model.init_params(seed_stream(seed, "model", "init"))
+        relative_al = False
 
-    # topology and cost table
+        def probe_metric(w, stats, i):
+            probe = model.clone()
+            if stats is not None:
+                probe.bn_stats = stats
+            return probe.accuracy(w, train.X[probes[i]],
+                                  train.y[probes[i]]) * 100.0
+    w0 = model.init_params(seed_stream(seed, "model", "init"))
+    return _Data(model, w0, parts, full_batch, test, make_view, probes,
+                 probe_metric, relative_al, extras)
+
+
+def _build_nodes(cfg, data, tables, dcs, topology):
+    """Step 2: the simulator on the configured (or the prebuilt) WAN, and
+    one node per partition, of the class that runs the algorithm kind and
+    with the budget it declares; also the cost table's rates, or None."""
+    acfg, tcfg, seed = cfg.algorithm, cfg.topology, cfg.seed
     bandwidth, costs = tables
     if topology is None:
-        dcs = list(cfg.topology.dcs) or bandwidth[0][:k]
         topology = wansim.build_topology(
-            dcs, bandwidth=bandwidth, latency_s=cfg.topology.latency_s,
-            compute_s=cfg.topology.compute_s)
+            dcs, bandwidth=bandwidth, latency_s=tcfg.latency_s,
+            compute_s=tcfg.compute_s)
     dcs = topology.dcs
-    if len(dcs) != k:
-        raise ValueError(f"topology has {len(dcs)} DCs for {k} partitions")
     # a DC the cost table does not price leaves the cost unknown, not $0
     rates = ({dc: costs[dc] for dc in dcs}
              if all(dc in costs for dc in dcs) else None)
-    if overlay is None and cfg.topology.groups:
-        hubs = {(int(gi), int(gj)): dc for gi, gj, dc in cfg.topology.hubs}
-        overlay = wansim.OverlayPlan(
-            groups=[list(g) for g in cfg.topology.groups], hubs=hubs)
+    hubs = {(int(gi), int(gj)): dc for gi, gj, dc in tcfg.hubs}
+    overlay = (wansim.OverlayPlan(groups=[list(g) for g in tcfg.groups],
+                                  hubs=hubs) if tcfg.groups else None)
     sim = wansim.Simulator(topology, overlay=overlay, trace=cfg.output.trace)
-
-    # nodes
     lr_schedule = StepDecay(**acfg.lr)
     streams = [
-        MinibatchStream(parts[i], min(acfg.batch_size, parts[i].size),
+        MinibatchStream(part, min(acfg.batch_size, part.size),
                         seed_stream(seed, "node", str(i), "batches"))
-        for i in range(k)
+        for i, part in enumerate(data.parts)
     ]
-    bpe0 = streams[0].batches_per_epoch
-    # the node class and its kind-specific arguments; every node reads acfg
-    # and never mutates it
-    node_cls = {"fedavg": FedAvgNode, "dgc": DgcNode}.get(acfg.kind, GaiaNode)
-    kind_kw = {}
-    if node_cls is FedAvgNode:
-        max_rounds, participants_fn = math.inf, None
-        if not cfg.scout.enabled:
-            # fixed round budget only when iter_local cannot change mid-run
-            max_rounds = math.ceil(acfg.epochs * bpe0 / acfg.iter_local)
-        if acfg.client_fraction < 1.0:
-            names = sorted(dcs)
-            n_pick = max(1, int(round(acfg.client_fraction * k)))
-
-            def participants_fn(rnd):
-                rng = seed_stream(seed, "fedavg", "round", str(rnd))
-                pick = rng.choice(len(names), size=n_pick, replace=False)
-                return sorted(names[int(i)] for i in pick)
-
-        kind_kw = dict(max_rounds=max_rounds, participants_fn=participants_fn)
-
+    # every node reads acfg and never mutates it
+    node_cls = NODE_CLASSES[acfg.kind]
+    budgets = node_cls._budgets(acfg, streams, dcs, seed, cfg.scout.enabled)
     nodes = []
     for i, (dc, stream) in enumerate(zip(dcs, streams)):
-        if node_cls is not FedAvgNode:
-            kind_kw["max_iters"] = acfg.epochs * stream.batches_per_epoch
         node = node_cls(
-            name=dc, index=i, model=base_model.clone(),
-            batch_view=make_view(), stream=stream, lr_schedule=lr_schedule,
-            compute_s=topology.compute_s.get(dc, 0.001),
-            peers=[d for d in dcs if d != dc], w0=w0, algo=acfg, **kind_kw)
+            name=dc, index=i, model=data.model.clone(),
+            batch_view=data.make_view(), stream=stream,
+            lr_schedule=lr_schedule,
+            compute_s=topology.compute_s.get(dc, wansim.COMPUTE_S),
+            peers=[d for d in dcs if d != dc], w0=data.w0, algo=acfg,
+            **budgets[i])
         nodes.append(node)
         sim.register(dc, node)
+    return sim, nodes, rates
 
-    # evaluation and stopping
+
+def _hook_rows(cfg, data, sim, nodes, rates):
+    """Step 2's hooks: the trigger's rows, of the replicas its class names,
+    and SkewScout on the knob and boundaries that class declares."""
+    acfg, trigger = cfg.algorithm, nodes[0]
     rows = []
     conv = ConvergenceState(cfg.convergence)
     prev_bytes = dict.fromkeys(wansim.BYTE_KINDS, 0)
@@ -513,13 +529,17 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
         for node in nodes:
             node.stopped = True
 
-    # a BSP or DGC row describes the trigger's clock-t or step-t weights;
-    # batch-norm running stats stay per node, so those replicas still differ
-    one_model = (acfg.kind in ("bsp", "dgc")
-                 and getattr(base_model, "norm", None) != "batch")
+    # batch-norm running stats stay per node, so replicas that share their
+    # weights still differ
+    per_node_stats = getattr(data.model, "norm", None) == "batch"
+    # the hooks close over these, not over data: the nodes and the hooks
+    # hold each other until a collection frees them, and w0 is freed when
+    # run_experiment returns
+    full_batch, test = data.full_batch, data.test
 
     def evaluate(trigger, sim_):
-        evaluated = [trigger] if one_model else nodes
+        evaluated = (nodes if per_node_stats or not trigger._row_alone
+                     else [trigger])
         obj = float(np.mean([n.model.objective(n.w, full_batch)
                              for n in evaluated]))
         acc = None if test is None else float(np.mean(
@@ -541,43 +561,28 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
 
     scout = None
     if cfg.scout.enabled:
-        grid = list(cfg.scout.grid) or list(KNOBS[acfg.kind][1])
-        mtp = cfg.scout.mtp
-        if mtp == 0:
-            mtp = (max(1, round(bpe0 / acfg.iter_local))
-                   if acfg.kind == "fedavg" else bpe0)
-        probe_rngs = [seed_stream(seed, "scout", "probe", str(i))
-                      for i in range(k)]
-        probes = [
-            rng.choice(parts[i], size=min(cfg.scout.probe_size, parts[i].size),
-                       replace=False)
-            for i, rng in enumerate(probe_rngs)
-        ]
-        if mcfg.kind == "mf":
-            def probe_metric(w, stats, i):
-                return base_model.objective(w, probes[i])
-            al_mode = "relgap"
-        else:
-            def probe_metric(w, stats, i):
-                model = base_model.clone()
-                if stats is not None:
-                    model.bn_stats = stats
-                return model.accuracy(w, train.X[probes[i]],
-                                      train.y[probes[i]]) * 100.0
-            al_mode = "points"
+        # drawn after the nodes, which keeps set-up's order of allocations
+        data.probes.extend(
+            seed_stream(cfg.seed, "scout", "probe", str(i)).choice(
+                part, size=min(cfg.scout.probe_size, part.size), replace=False)
+            for i, part in enumerate(data.parts))
 
         def apply_theta(theta):
             for node in nodes:
                 node.set_knob(theta)
 
+        # mtp 0: one local epoch of boundaries, each a round or an iteration
+        bpe = trigger.batches_per_epoch
         scout = ScoutController(
-            cfg.scout, mtp, grid=grid, nodes=nodes, evaluate=probe_metric,
-            apply_theta=apply_theta,
-            model_bytes=wansim.dense_update_bytes(w0.size),
-            rng=seed_stream(seed, "scout", "tuner"), al_mode=al_mode)
+            cfg.scout, cfg.scout.mtp or (max(1, round(bpe / acfg.iter_local))
+                                         if trigger._per_round else bpe),
+            grid=list(cfg.scout.grid) or list(trigger._knobs[acfg.kind][1]),
+            nodes=nodes, evaluate=data.probe_metric, apply_theta=apply_theta,
+            model_bytes=wansim.dense_update_bytes(data.w0.size),
+            rng=seed_stream(cfg.seed, "scout", "tuner"),
+            relative_al=data.relative_al)
 
-    trigger = nodes[0]
-    if acfg.kind == "fedavg":
+    if trigger._per_round:
         def round_hook(node, sim_):
             evaluate(node, sim_)
             if scout is not None:
@@ -590,13 +595,7 @@ def run_experiment(cfg, topology=None, overlay=None, on_nodes=None):
         trigger.epoch_hook = evaluate
         if scout is not None:
             trigger.iter_hook = scout.on_boundary
-
-    if on_nodes is not None:
-        on_nodes(nodes, sim)
-    for node in nodes:
-        sim.wake_at(0.0, node.name)
-    sim.run()
-    return _settle(cfg, sim, rates, nodes, rows, conv, scout, extras)
+    return rows, conv, scout
 
 
 def _cost_now(sim, rates):
@@ -636,8 +635,8 @@ def _settle(cfg, sim, rates, nodes, rows, conv, scout, extras):
         summary["final_theta"] = scout.final_theta
     if not sim.ledger.conservation_ok():
         raise RuntimeError("byte conservation violated: sent != delivered")
-    if cfg.algorithm.kind == "gaia":
-        extras["sig_counts"] = {n.name: n.sig_counts for n in nodes}
+    extras.update((a, {n.name: getattr(n, a) for n in nodes})
+                  for a in trigger._extras)
     return RunResult(cfg=cfg, rows=rows, summary=summary, nodes=nodes,
                      sim=sim, scout=scout, extras=extras)
 

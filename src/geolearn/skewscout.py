@@ -110,13 +110,14 @@ class ScoutController:
     score's weights and the tuner; mtp is the resolved travel period, in
     boundaries (iterations or rounds) per travel. evaluate(w, stats,
     node_index) returns the probe metric at one node (accuracy in points for
-    classifiers, raw objective for factorization); al_mode picks how two
-    probe metrics combine into AL points. apply_theta pushes a new grid
-    value into the running nodes.
+    classifiers, raw objective for factorization); AL points are the home
+    metric minus the remote one, or with relative_al the remote objective's
+    gap over the home one, in percent. apply_theta pushes a new grid value
+    into the running nodes.
     """
 
     def __init__(self, cfg, mtp, grid, nodes, evaluate, apply_theta,
-                 model_bytes, rng, al_mode="points"):
+                 model_bytes, rng, relative_al=False):
         self.cfg = cfg
         self.mtp = mtp
         self.grid = list(grid)
@@ -124,7 +125,7 @@ class ScoutController:
         self.evaluate = evaluate
         self.apply_theta = apply_theta
         self.model_bytes = model_bytes
-        self.al_mode = al_mode
+        self.relative_al = relative_al
         self.state = TunerState(
             idx=cfg.start_idx, kind=cfg.tuner,
             temperature=cfg.temperature, temp_decay=cfg.temp_decay, rng=rng)
@@ -174,10 +175,10 @@ class ScoutController:
     def _on_travel(self, node, sim, msg):
         p = msg.payload
         remote = self.evaluate(p["w"], p["stats"], node.index)
-        if self.al_mode == "points":
-            al = p["local"] - remote
-        else:  # relative objective gap, factorization-style (higher = worse)
+        if self.relative_al:
             al = (remote - p["local"]) / max(abs(p["local"]), 1e-12) * 100.0
+        else:
+            al = p["local"] - remote
         self.reports.append(TravelReport(
             boundary=p["boundary"], source=msg.origin, target=node.name,
             local_metric=p["local"], remote_metric=remote, al_points=al,

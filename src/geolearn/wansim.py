@@ -45,6 +45,7 @@ CLOCK_BYTES = 24
 CONTROL, DATA = "control", "data"
 GB = 1e9
 MBPS = 125_000.0             # bytes/second in one Mb/s, the bandwidth CSV unit
+COMPUTE_S = 0.001            # a DC's default seconds per minibatch
 
 KIND_UPDATE = "update"
 KIND_BARRIER = "barrier"
@@ -545,7 +546,7 @@ def default_costs():
 
 
 def build_topology(dc_names, bandwidth=None, latency_s=0.05,
-                   compute_s=0.001):
+                   compute_s=COMPUTE_S):
     """Assemble a Topology for the named DCs from a bandwidth matrix.
 
     bandwidth defaults to the packaged table. latency_s is one latency for
@@ -576,7 +577,7 @@ def build_topology(dc_names, bandwidth=None, latency_s=0.05,
     for dc in dc_names:
         links[(dc, dc)] = LinkSpec(src=dc, dst=dc, bandwidth=lan_bw, latency=0.0)
     comp = {
-        dc: compute_s.get(dc, 0.001) if isinstance(compute_s, dict) else compute_s
+        dc: compute_s.get(dc, COMPUTE_S) if isinstance(compute_s, dict) else compute_s
         for dc in dc_names
     }
     return Topology(dcs=list(dc_names), links=links, compute_s=comp)

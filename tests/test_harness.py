@@ -11,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from geolearn import cli, harness, wansim
+from geolearn import algos, cli, harness, wansim
 from geolearn.algos import GaiaNode
 from geolearn.numerics import StepDecay
 from geolearn.psync import SoftCtl
@@ -334,6 +334,53 @@ def test_a_topology_the_cost_table_does_not_price_has_no_cost():
     assert [row["cost_usd"] for row in result.rows] == [None] * len(result.rows)
     assert "\ncost_usd=\n" in summary_text(result.summary)
     assert metrics_csv_text(result.rows).splitlines()[1].endswith(",")
+
+
+def test_a_prebuilt_topology_with_the_wrong_dc_count_fails_before_the_data(
+        monkeypatch):
+    demo = _load_demo("sync_mechanisms")
+    cfg = demo.gated_cfg(True)
+    cfg.partition.nodes = 3
+    monkeypatch.setattr(harness, "gen_mf_data", None)  # never reached
+    with pytest.raises(ValueError, match="topology has 2 DCs for 3 partitions"):
+        run_experiment(cfg, topology=demo.lopsided_topology())
+
+
+# the node attribute each SkewScout knob (an AlgoCfg field) sets
+KNOB_ATTRS = {"t0": "t_hard", "iter_local": "iter_local", "e_warm": "e_warm"}
+
+
+@pytest.mark.parametrize(
+    "kind", {f.name: f for f in fields(harness.AlgoCfg)}["kind"].metadata["choices"])
+def test_every_kind_declares_its_policy(kind):
+    node_cls = algos.NODE_CLASSES[kind]
+    assert issubclass(node_cls, algos._NodeBase)
+    knob = node_cls._knobs[kind]
+    assert (knob is None) == (kind in ("bsp", "ssp"))
+    errs = validate_config(config_from_dict(
+        {"algorithm": {"kind": kind}, "scout": {"enabled": True}}))
+    assert any("no communication knob" in e for e in errs) == (knob is None)
+    seen = []
+
+    def check(nodes, sim):
+        for node in nodes:
+            assert type(node) is node_cls
+            assert (node.max_iters is None) == (kind == "fedavg")
+            if knob is not None:
+                field_name, grid = knob
+                attr = KNOB_ATTRS[field_name]
+                before = getattr(node, attr)
+                assert before == getattr(node.algo, field_name) != grid[0]
+                node.set_knob(grid[0])
+                assert getattr(node, attr) == grid[0]
+            seen.append(node.name)
+
+    run_experiment(config_from_dict({
+        "data": {"per_class": 10, "test_per_class": 5},
+        "partition": {"nodes": 2},
+        "algorithm": {"kind": kind, "epochs": 1, "batch_size": 10}}),
+        on_nodes=check)
+    assert len(seen) == 2
 
 
 def test_unknown_algorithm_kind_with_the_scout_on_is_one_error():

@@ -142,13 +142,13 @@ def _ring_sim(names=("a", "b")):
 
 
 def _controller(sim, nodes, applied, metric_by_index, grid=(0.1, 0.2, 0.3),
-                mtp=1, al_mode="points"):
+                mtp=1, relative_al=False):
     cfg = ScoutCfgSection(sigma_al=5.0, tuner="hill", start_idx=0)
     return ScoutController(
         cfg, mtp, grid, nodes,
         evaluate=lambda w, stats, i: metric_by_index[i],
         apply_theta=applied.append, model_bytes=240,
-        rng=np.random.default_rng(0), al_mode=al_mode)
+        rng=np.random.default_rng(0), relative_al=relative_al)
 
 
 def test_controller_travels_score_and_explore():
@@ -228,7 +228,7 @@ def test_relative_al_mode_measures_objective_gap():
     for n in nodes:
         sim.register(n.name, n)
     ctl = _controller(sim, nodes, [], metric_by_index={0: 2.0, 1: 3.0},
-                      al_mode="relative")
+                      relative_al=True)
     ctl.on_boundary(nodes[0], sim)
     sim.run()
     als = {(r.source, r.target): r.al_points for r in ctl.reports}
