@@ -285,7 +285,9 @@ class _NodeBase:
 
     @classmethod
     def _budgets(cls, algo, streams, dcs, seed, scouted):
-        """Each node's budget: epochs x its own batches per epoch."""
+        """Each node's budget arguments, in node order, given every node's
+        stream, the DC names, the run's seed and whether SkewScout is on:
+        max_iters, epochs x the node's own batches per epoch."""
         return [{"max_iters": algo.epochs * s.batches_per_epoch}
                 for s in streams]
 
