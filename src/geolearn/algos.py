@@ -57,10 +57,11 @@ def warmup_sparsity(epoch, e_warm, schedule=WARMUP_SCHEDULE):
     return schedule[stage - 1]
 
 
-def dgc_select(v, sparsity_pct):
+def dgc_select(v, sparsity_pct, scratch=None):
     """Indices to emit: the ceil((1-s)*M) largest |v|, ties to lowest index.
 
-    NaN ranks below every number. Returned sorted by index.
+    NaN ranks below every number. Returned sorted by index. The key is
+    ranked in scratch (an array the caller no longer needs) or a new one.
     """
     m = v.size
     k = math.ceil((1.0 - sparsity_pct / 100.0) * m)
@@ -68,15 +69,18 @@ def dgc_select(v, sparsity_pct):
         return np.empty(0, dtype=np.intp)
     if k >= m:
         return np.arange(m, dtype=np.intp)
-    # rank by -|v| ascending; partition, like sort, places NaN last
-    key = np.abs(v)
+    # rank by -|v| ascending; partition, like sort, places NaN last, and
+    # negation is exact, so -|v| < -kth exactly where |v| > kth
+    key = np.abs(v, out=scratch)
     np.negative(key, out=key)
-    kth = np.partition(key, k - 1)[k - 1]
+    key.partition(k - 1)
+    kth = -key[k - 1]
+    key = np.abs(v, out=key)
     if kth != kth:            # NaN: every number ranks above it
         tied = np.isnan(key)
         above = ~tied
     else:
-        above, tied = key < kth, key == kth
+        above, tied = key > kth, key == kth
     above[tied.nonzero()[0][:k - np.count_nonzero(above)]] = True
     return above.nonzero()[0]
 
@@ -127,7 +131,9 @@ class _NodeBase:
     now?), _local_step (apply one gradient at a learning rate, and
     exchange), set_knob (the knob SkewScout tunes), and either its own
     _receive or _try_complete. It declares the policies a run reads off
-    it: _knobs, _budgets, _per_round, _row_alone and _extras (below).
+    it: _knobs, _budgets, _spacing, _per_round, _row_alone and _extras.
+    The gradient is the step's one model-sized array; once applied it is
+    scratch, which a sparse exchange ranks or scores its update in.
     """
 
     # the kinds the class runs -> (the AlgoCfg field SkewScout tunes, its
@@ -148,6 +154,7 @@ class _NodeBase:
         self.compute_s = compute_s
         self.max_iters = max_iters
         self.peers = list(peers)
+        self.members = sorted([name, *peers])     # the exchange, in name order
         self.algo = algo
         self.w = np.array(w0, dtype=np.float64)
         # calloc'd, so set-up touches none of its pages; the first step
@@ -174,10 +181,6 @@ class _NodeBase:
     @property
     def epochs_done(self):
         return self.iters_done // self.batches_per_epoch
-
-    def members(self):
-        """Every node in the exchange, this one included, in name order."""
-        return sorted([self.name] + self.peers)
 
     def _begin_compute(self, sim):
         self._computing = True
@@ -290,6 +293,11 @@ class _NodeBase:
         max_iters, epochs x the node's own batches per epoch."""
         return [{"max_iters": algo.epochs * s.batches_per_epoch}
                 for s in streams]
+
+    @classmethod
+    def _spacing(cls, algo, bpe):
+        """SkewScout's default boundary spacing: a local epoch of steps."""
+        return bpe
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +495,8 @@ class GaiaNode(_NodeBase):
     def _local_step(self, sim, grad, eta):
         momentum_step(self.w, self.u, self.m, grad, eta)
         self.iters_done += 1
-        if self._filtered:
-            self._filtered_exchange(sim, self.u, eta)
+        if self._filtered:     # grad is spent: the filter scores in it
+            self._filtered_exchange(sim, self.u, eta, grad)
         else:
             self._dense_exchange(sim, self.u)
         self._last_eta = eta
@@ -509,7 +517,7 @@ class GaiaNode(_NodeBase):
         }
         self._broadcast(sim, split, payload)
 
-    def _filtered_exchange(self, sim, update, eta):
+    def _filtered_exchange(self, sim, update, eta, scratch):
         algo = self.algo
         self.shard.v += update
         # the hard threshold decays by the factor of an lr drop, or as
@@ -522,7 +530,7 @@ class GaiaNode(_NodeBase):
             self.t_hard = self._t0 / np.sqrt(self.iters_done)
             self.t_soft = min(self.t_soft, self.t_hard)
         t_eff = self.t_soft if self._soft else self.t_hard
-        idx, vals = accumulate_and_flush(self.shard, self.w, t_eff)
+        idx, vals = accumulate_and_flush(self.shard, self.w, t_eff, scratch)
         epoch = (self.iters_done - 1) // self.batches_per_epoch
         counts = self.sig_counts.setdefault(epoch, [0, 0])
         counts[0] += int(idx.size)
@@ -591,8 +599,9 @@ class FedAvgNode(_NodeBase):
         self.max_rounds = max_rounds
         self.round = 0
         self._steps_in_round = 0
-        # participants_fn(round) -> ordered participant name list
+        # participants_fn(round) -> participant names, called once a round
         self.participants_fn = participants_fn
+        self._picked = (None, self.members)   # (round, its sorted pick)
         self.round_hook = None
 
     def set_knob(self, theta):
@@ -619,6 +628,11 @@ class FedAvgNode(_NodeBase):
         return [dict(max_rounds=max_rounds,
                      participants_fn=participants_fn)] * len(streams)
 
+    @classmethod
+    def _spacing(cls, algo, bpe):
+        """A local epoch of rounds, at least one."""
+        return max(1, round(bpe / algo.iter_local))
+
     def _ready(self, sim):
         if self.name in self._members_this_round():
             return True
@@ -628,9 +642,10 @@ class FedAvgNode(_NodeBase):
         return False
 
     def _members_this_round(self):
-        if self.participants_fn is None:
-            return self.members()
-        return self.participants_fn(self.round)
+        fn = self.participants_fn
+        if fn and self._picked[0] != self.round:
+            self._picked = (self.round, sorted(fn(self.round)))
+        return self._picked[1]
 
     def _local_step(self, sim, grad, eta):
         momentum_step(self.w, self.u, self.m, grad, eta)
@@ -648,7 +663,7 @@ class FedAvgNode(_NodeBase):
                 self.w.copy())
 
     def _try_complete(self, sim):
-        members = sorted(self._members_this_round())
+        members = self._members_this_round()
         models = self._gather(self.round, members)
         if models is None:
             return
@@ -703,8 +718,7 @@ class DgcNode(_NodeBase):
         u *= self.m
         u += step_vec
         self.v += u
-        sparsity = self.current_sparsity()
-        idx = dgc_select(self.v, sparsity)
+        idx = dgc_select(self.v, self.current_sparsity(), grad)   # grad is spent
         vals = self.v[idx]            # integer indexing copies: v is cleared next
         self.v[idx] = 0.0
         self.u[idx] = 0.0             # momentum correction
@@ -716,7 +730,7 @@ class DgcNode(_NodeBase):
             self.last_emitted)
 
     def _try_complete(self, sim):
-        slices = self._gather(self.iters_done, self.members())
+        slices = self._gather(self.iters_done, self.members)
         if slices is None:
             return
         w = self.w

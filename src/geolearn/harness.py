@@ -571,11 +571,8 @@ def _hook_rows(cfg, data, sim, nodes, rates):
             for node in nodes:
                 node.set_knob(theta)
 
-        # mtp 0: one local epoch of boundaries, each a round or an iteration
-        bpe = trigger.batches_per_epoch
         scout = ScoutController(
-            cfg.scout, cfg.scout.mtp or (max(1, round(bpe / acfg.iter_local))
-                                         if trigger._per_round else bpe),
+            cfg.scout, cfg.scout.mtp or trigger._spacing(acfg, trigger.batches_per_epoch),
             grid=list(cfg.scout.grid) or list(trigger._knobs[acfg.kind][1]),
             nodes=nodes, evaluate=data.probe_metric, apply_theta=apply_theta,
             model_bytes=wansim.dense_update_bytes(data.w0.size),

@@ -555,7 +555,7 @@ class TinyMLP:
                     dz, dgamma, dbeta = norm_backward(ncache.layer, ncache, dz)
                     grad[self._slices["gamma"][li]] = dgamma
                     grad[self._slices["beta"][li]] = dbeta
-            grad[self._slices["W"][li]] = (h_in.T @ dz).ravel()
+            np.matmul(h_in.T, dz, out=grad[self._slices["W"][li]].reshape(W.shape))
             grad[self._slices["b"][li]] = np.add.reduce(dz, axis=0)
             if li:
                 dz = dz @ W.T

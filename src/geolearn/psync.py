@@ -29,16 +29,15 @@ EPS_WEIGHT = 1e-6
 # significance
 
 
-def significance_scores(v, w):
+def significance_scores(v, w, out=None):
     """Per-coordinate relative significance of accumulated updates v against
-    the weights w they perturb: |v| / max(|w|, EPS_WEIGHT)."""
-    # two temporaries: each ufunc writes into a buffer the expression no
-    # longer needs, so the bits are those of the plain expression
-    denom = np.abs(w)
-    np.maximum(denom, EPS_WEIGHT, out=denom)
-    scores = np.abs(v)
-    np.divide(scores, denom, out=scores)
-    return scores
+    the weights w they perturb: |v| / d with d = max(|w|, EPS_WEIGHT),
+    computed as |v / d| (the same bits, as d > 0, but for the sign of the
+    NaN inf / inf makes) in out, an array the caller no longer needs, or new."""
+    d = np.abs(w, out=out)
+    np.maximum(d, EPS_WEIGHT, out=d)
+    np.divide(v, d, out=d)
+    return np.abs(d, out=d)
 
 
 # ---------------------------------------------------------------------------
@@ -76,16 +75,16 @@ class WeightShard:
         return cls(v=v, mirror_clocks={p: 0 for p in peers})
 
 
-def accumulate_and_flush(shard, w, threshold):
+def accumulate_and_flush(shard, w, threshold, scratch=None):
     """Emit and clear every coordinate of v whose significance against the
-    weights w exceeds threshold.
+    weights w, scored in scratch when given, exceeds threshold.
 
     Returns (indices, values) sorted by coordinate. Retained coordinates all
     score at or below the threshold afterwards, by construction.
     """
     if threshold < 0:
         raise ValueError(f"negative threshold: {threshold}")
-    scores = significance_scores(shard.v, w)
+    scores = significance_scores(shard.v, w, scratch)
     idx = np.nonzero(scores > threshold)[0]
     values = shard.v[idx]             # integer indexing copies: v is cleared next
     shard.v[idx] = 0.0

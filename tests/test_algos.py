@@ -1,13 +1,14 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geolearn import wansim
-from geolearn.algos import (ArrayBatches, DgcNode, FedAvgNode, GaiaNode,
-                            dgc_select, warmup_sparsity)
+from geolearn.algos import (WARMUP_SCHEDULE, ArrayBatches, DgcNode,
+                            FedAvgNode, GaiaNode, dgc_select, warmup_sparsity)
 from geolearn.data import (MinibatchStream, SkewSpec, gen_cluster_data,
                            partition_label_skew)
 from geolearn.harness import AlgoCfg, config_from_dict, run_experiment
@@ -73,15 +74,19 @@ _TIE_PRONE = st.sampled_from(
 
 
 @given(st.lists(st.one_of(_TIE_PRONE, st.floats()), min_size=1, max_size=40),
-       st.one_of(st.sampled_from([0.0, 50.0, 75.0, 99.9, 100.0]),
+       st.one_of(st.sampled_from((0.0, 50.0, 100.0) + WARMUP_SCHEDULE),
                  st.floats(0.0, 100.0)))
 @settings(max_examples=400)
 def test_dgc_select_matches_full_sort(vals, sparsity):
     v = np.array(vals, dtype=np.float64)
-    got = dgc_select(v, sparsity)
+    v0 = v.tobytes()
     want = _dgc_select_by_lexsort(v, sparsity)
-    assert got.dtype == want.dtype
-    np.testing.assert_array_equal(got, want)
+    # ranked in a new array, or in a scratch array the caller hands over
+    for scratch in (None, np.full(v.size, 3.0)):
+        got = dgc_select(v, sparsity, scratch)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert v.tobytes() == v0
 
 
 def test_dgc_select_nan_ranks_last_and_inf_first():
@@ -293,6 +298,22 @@ def test_fedavg_sitting_out_adopts_the_round_average():
     assert wa.tobytes() == wb.tobytes()
 
 
+def test_fedavg_picks_its_participants_once_per_node_per_round():
+    calls = Counter()
+    sim, nodes = _spawn(AlgoCfg(kind="fedavg", iter_local=2),
+                        ["a", "b", "c"], 4)
+    for node in nodes:
+        def pick(rnd, name=node.name):
+            calls[name, rnd] += 1
+            return ["c", "a"] if rnd % 2 else ["b", "a"]
+        node.participants_fn = pick
+    sim.run()
+    assert all(n.round == 4 and n.stopped for n in nodes)
+    assert calls == {(n, r): 1 for n in "abc" for r in range(4)}
+    # b sat out rounds 1 and 3, c rounds 0 and 2
+    assert [n.iters_done for n in nodes] == [8, 4, 4]
+
+
 def test_fedavg_single_node_rounds_without_traffic():
     sim, (a,) = _spawn(AlgoCfg(kind="fedavg", iter_local=3), ["a"], 2)
     sim.run()
@@ -377,8 +398,10 @@ def _step_peaks(kind, steps=8):
     ("bsp", 2.2),      # the gradient, the dense payload copy and the
                        # divergence check's bool array (M / 8)
     ("fedavg", 2.1),   # the gradient and, once a round, the share copy
-    ("gaia", 3.1),     # the gradient and two significance temporaries
-    ("dgc", 3.1),      # the gradient and dgc_select's key and partition
+    ("gaia", 2.1),     # the gradient, which the filter scores in, and the
+                       # flush's indexes and values
+    ("dgc", 1.6),      # the gradient, which dgc_select ranks in, and the
+                       # top quarter's indexes and values (M / 2)
 ])
 def test_steady_step_peak_memory(kind, bound):
     peaks = _step_peaks(kind)
@@ -476,6 +499,14 @@ def test_the_algorithm_section_reaches_every_node_class(kind):
         assert len(first_slices) == 3
         for vals in first_slices:
             assert vals.size and np.linalg.norm(vals) <= clip_norm
+
+
+def test_scout_spacing_is_a_local_epoch_of_boundaries():
+    # a boundary is a step, or a FedAvg round of iter_local steps
+    assert GaiaNode._spacing(AlgoCfg(kind="gaia"), 12) == 12
+    assert DgcNode._spacing(AlgoCfg(kind="dgc"), 12) == 12
+    assert FedAvgNode._spacing(AlgoCfg(kind="fedavg", iter_local=5), 12) == 2
+    assert FedAvgNode._spacing(AlgoCfg(kind="fedavg", iter_local=30), 12) == 1
 
 
 # ---------------------------------------------------------------------------

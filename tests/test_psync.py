@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from geolearn.data import MinibatchStream, gen_cluster_data
 from geolearn.harness import AlgoCfg, config_from_dict, run_experiment
 from geolearn.models import SoftmaxModel
 from geolearn.numerics import StepDecay, lr_at
-from geolearn.psync import (BarrierMsg, SoftCtl, WeightShard,
+from geolearn.psync import (EPS_WEIGHT, BarrierMsg, SoftCtl, WeightShard,
                             accumulate_and_flush, apply_barrier,
                             clear_barrier_on_update, gate_read,
                             maybe_emit_barrier,
@@ -39,6 +40,59 @@ def test_significance_scores_vectorized_matches_scalar():
     # |v| / |w|; a zero weight falls back to the epsilon denominator
     np.testing.assert_allclose(significance_scores(v, w),
                                [0.05, 0.05, 0.0, 0.5, 1e-3 / 1e-6])
+
+
+# signed zeros, infinities, NaN, subnormals, and weights at, below and
+# above EPS_WEIGHT
+_SPECIAL = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+     2.2e-308, 1e-7, -1e-7, EPS_WEIGHT, -EPS_WEIGHT, 1e300])
+_PAIRS = st.lists(st.tuples(st.one_of(_SPECIAL, st.floats()),
+                            st.one_of(_SPECIAL, st.floats())),
+                  min_size=1, max_size=40)
+
+
+def _columns(pairs):
+    v, w = (np.array(col, dtype=np.float64) for col in zip(*pairs))
+    return v, w
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # inf / inf
+@given(_PAIRS)
+@settings(max_examples=300)
+def test_significance_scores_in_scratch_are_the_expression_bit_for_bit(pairs):
+    v, w = _columns(pairs)
+    v0, w0 = v.tobytes(), w.tobytes()
+    want = np.abs(v) / np.maximum(np.abs(w), EPS_WEIGHT)
+    buf = np.full(v.size, 7.0)
+    got = significance_scores(v, w, out=buf)
+    assert got is buf
+    # inf / inf makes a NaN whose sign bit may differ between the forms;
+    # every other score, NaN included, has the expression's bits
+    both_inf = np.isinf(v) & np.isinf(w)
+    for scores in (got, significance_scores(v, w)):
+        assert np.isnan(scores[both_inf]).all()
+        assert scores[~both_inf].tobytes() == want[~both_inf].tobytes()
+    assert v.tobytes() == v0 and w.tobytes() == w0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # inf / inf
+@given(_PAIRS, st.floats(0.0, 1e9))
+@settings(max_examples=200)
+def test_accumulate_and_flush_in_scratch_clears_the_same_coordinates(
+        pairs, threshold):
+    v, w = _columns(pairs)
+    w0 = w.tobytes()
+    plain, scratched = WeightShard.fresh(w), WeightShard.fresh(w)
+    plain.v[:] = v
+    scratched.v[:] = v
+    idx, vals = accumulate_and_flush(plain, w, threshold)
+    sidx, svals = accumulate_and_flush(scratched, w, threshold,
+                                       np.empty(v.size))
+    assert sidx.tolist() == idx.tolist()
+    assert svals.tobytes() == vals.tobytes()
+    assert scratched.v.tobytes() == plain.v.tobytes()
+    assert w.tobytes() == w0
 
 
 # ---------------------------------------------------------------------------
