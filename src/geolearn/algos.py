@@ -30,7 +30,6 @@ from operator import itemgetter
 import numpy as np
 
 from . import psync, wansim
-from .data import MinibatchStream
 from .numerics import clip_by_norm, lr_at, momentum_step
 from .psync import (
     SoftCtl, WeightShard, accumulate_and_flush, apply_barrier,
@@ -318,10 +317,13 @@ class GaiaNode(_NodeBase):
     t0 / sqrt(t) on every iteration (decay "invsqrt"). Soft control
     (psync.SoftCtl) runs exactly when algo.soft is set.
 
-    The node's clock is iters_done. Each flush is one observation of its
-    production rate (one wansim.RateMonitor), which the barrier and soft
-    control compare with each first-hop link's bandwidth. An inbox record
-    is (clock, origin, idx, vals), idx None for a dense update.
+    The node's clock is iters_done. Its production rate, _rate, is the
+    bytes/s of each flush (payload and clock) over the time since the last
+    one, smoothed with weight 0.5 on the newest, and None before the first.
+    A non-empty flush announces a barrier (its own idx) on every first hop
+    the rate exceeds, and soft control compares the rate with each first
+    hop's bandwidth. An inbox record is (clock, origin, idx, vals), idx
+    None for a dense update.
 
     A blocked node waits for something, and an untraced run re-checks its
     gates only when that has moved. Its clock stands still while it is
@@ -356,7 +358,7 @@ class GaiaNode(_NodeBase):
         self.inbox = []
         self._last_eta = None
         self._last_flush_time = 0.0
-        self.rate_monitor = wansim.RateMonitor()
+        self._rate = None
         self._t0 = self.t_hard = self.t_soft = algo.t0
         self.sig_counts = {}       # epoch -> [emitted, scored]
         self._extras = ("sig_counts",) if self._filtered else ()
@@ -495,21 +497,24 @@ class GaiaNode(_NodeBase):
     def _local_step(self, sim, grad, eta):
         momentum_step(self.w, self.u, self.m, grad, eta)
         self.iters_done += 1
-        if self._filtered:     # grad is spent: the filter scores in it
+        # grad is spent: the filter scores in it, or it carries u's copy
+        if self._filtered:
             self._filtered_exchange(sim, self.u, eta, grad)
         else:
-            self._dense_exchange(sim, self.u)
+            self._dense_exchange(sim, self.u, grad)
         self._last_eta = eta
         self._after_iteration(sim)
 
-    def _dense_exchange(self, sim, update):
+    def _dense_exchange(self, sim, update, scratch):
         if not self.peers:
             return
-        # a copy: peers apply it after this node's next step rewrites u
+        # a copy in scratch: peers apply it after this node's next step
+        # rewrites u
+        np.copyto(scratch, update)
         payload = {
             "clock": self.iters_done,
             "idx": None,
-            "vals": update.copy(),
+            "vals": scratch,
         }
         split = {
             wansim.KIND_UPDATE: wansim.dense_update_bytes(update.size),
@@ -543,28 +548,28 @@ class GaiaNode(_NodeBase):
             "vals": vals,
         }
         flush_nbytes = wansim.sparse_update_bytes(idx.size) + wansim.CLOCK_BYTES
-        monitor = self.rate_monitor
         elapsed = sim.now - self._last_flush_time
         if elapsed > 0:
-            monitor.observe(flush_nbytes, elapsed)
+            inst = flush_nbytes / elapsed
+            self._rate = inst if self._rate is None else (
+                (1.0 - 0.5) * self._rate + 0.5 * inst)
         self._last_flush_time = sim.now
-        rate = monitor.rate
+        # before the first observation, 0: below every (positive) bandwidth
+        rate = self._rate or 0.0
         # the barrier decisions and the utilization compare the rate with
         # the first-hop links only; hub forwarding is mechanical
         hops = sim.hops(self.name, self.name)
-        saturated = algo.barrier and monitor.warm and idx.size and [
+        saturated = algo.barrier and idx.size and [
             (channel, False) for channel, _fw in hops
             if rate > channel.bandwidth]
         if saturated:
-            # one announcement of this flush serves every saturated first
-            # hop, announced at the first one's bandwidth
-            barrier = psync.maybe_emit_barrier(
-                rate, saturated[0][0].bandwidth, idx, self.name,
-                self.iters_done)
+            # one announcement of this flush, naming its own idx, serves
+            # every saturated first hop
             sim.send(wansim.Message(
                 wansim.KIND_BARRIER, self.name, None,
-                {wansim.KIND_BARRIER: wansim.barrier_bytes(
-                    len(barrier.indexes))}, {"barrier": barrier}), saturated)
+                {wansim.KIND_BARRIER: wansim.barrier_bytes(idx.size)},
+                {"barrier": psync.BarrierMsg(self.name, self.iters_done,
+                                             idx)}), saturated)
         if idx.size:
             split = {
                 wansim.KIND_UPDATE: wansim.sparse_update_bytes(idx.size),

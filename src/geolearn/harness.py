@@ -80,7 +80,6 @@ class DataCfg:
     kind: str = _f("blobs", choices=("mf", "blobs"))
     density: float = _f(0.3, gt=0, le=1)         # mf
     noise_sigma: float = _f(0.1, ge=0)
-    gen_rank: int = _f(0, ge=0)      # 0 = use model rank
     per_class: int = _f(200, ge=1)   # blobs
     spread: float = _f(1.0, ge=0)
     test_per_class: int = _f(50, ge=1)
@@ -437,8 +436,7 @@ def _build_data(cfg):
     k, extras, probes = cfg.partition.nodes, {}, []
     if mcfg.kind == "mf":
         spec = MFDatasetSpec(
-            rows=mcfg.rows, cols=mcfg.cols,
-            rank=dcfg.gen_rank or mcfg.rank,
+            rows=mcfg.rows, cols=mcfg.cols, rank=mcfg.rank,
             density=dcfg.density, noise_sigma=dcfg.noise_sigma, seed=seed)
         entries, extras["noise_floor"] = gen_mf_data(spec)
         model = MFModel(mcfg.rows, mcfg.cols, mcfg.rank, entries, reg=mcfg.reg)
@@ -491,9 +489,7 @@ def _build_nodes(cfg, data, tables, dcs, topology):
     rates = ({dc: costs[dc] for dc in dcs}
              if all(dc in costs for dc in dcs) else None)
     hubs = {(int(gi), int(gj)): dc for gi, gj, dc in tcfg.hubs}
-    overlay = (wansim.OverlayPlan(groups=[list(g) for g in tcfg.groups],
-                                  hubs=hubs) if tcfg.groups else None)
-    sim = wansim.Simulator(topology, overlay=overlay, trace=cfg.output.trace)
+    sim = wansim.Simulator(topology, tcfg.groups, hubs, cfg.output.trace)
     lr_schedule = StepDecay(**acfg.lr)
     streams = [
         MinibatchStream(part, min(acfg.batch_size, part.size),

@@ -105,38 +105,10 @@ class BarrierMsg:
     indexes: np.ndarray
 
 
-def _sorted_unique(indexes):
-    """indexes as a sorted, duplicate-free intp array.
-
-    A strictly increasing input (every flush) is returned as is; anything
-    else is sorted and deduplicated by comparing neighbours.
-    """
-    indexes = np.asarray(indexes, dtype=np.intp)
-    if np.all(indexes[1:] > indexes[:-1]):
-        return indexes
-    indexes = np.sort(indexes)
-    keep = np.empty(indexes.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(indexes[1:], indexes[:-1], out=keep[1:])
-    return indexes[keep]
-
-
-def maybe_emit_barrier(rate, bandwidth, pending_indexes, source, clock):
-    """Barrier for the pending flush when the link cannot keep up.
-
-    rate is the sender's smoothed significant-update production rate
-    (bytes/s) and bandwidth the capacity of one of its links. Emits only
-    when that link is saturated and there is something pending.
-    """
-    if rate <= bandwidth or len(pending_indexes) == 0:
-        return None
-    return BarrierMsg(source=source, clock=clock,
-                      indexes=_sorted_unique(pending_indexes))
-
-
 def apply_barrier(shard, msg):
-    """Block reads of msg.indexes until the flush announced at msg.clock
-    lands. The indexes are stored as they are, without a copy."""
+    """Block reads of msg.indexes (sorted and unique, as every flush's)
+    until the flush announced at msg.clock lands. The indexes are stored as
+    they are, without a copy."""
     if len(msg.indexes) == 0:
         return
     shard.barrier_waits.setdefault(msg.source, {})[msg.clock] = np.asarray(
@@ -172,9 +144,10 @@ def clear_barrier_on_update(shard, source, clock, indexes):
 
 
 def gate_read(shard, read_indexes):
-    """Indices in the read set still barrier-blocked (empty array = allow);
-    a read set of None reads every coordinate. The blocked coordinates are
-    the union of the outstanding barriers' indexes."""
+    """Indices in the read set still barrier-blocked (empty array = allow),
+    sorted and unique as the read set must be (a model's touched indexes
+    are); a read set of None reads every coordinate. The blocked
+    coordinates are the union of the outstanding barriers' indexes."""
     if not shard.barrier_waits:
         return np.empty(0, dtype=np.intp)
     blocked = np.zeros(shard.v.size, dtype=bool)
@@ -184,7 +157,7 @@ def gate_read(shard, read_indexes):
     if read_indexes is None:
         return np.flatnonzero(blocked)
     read_indexes = np.asarray(read_indexes, dtype=np.intp)
-    return _sorted_unique(read_indexes[blocked[read_indexes]])
+    return read_indexes[blocked[read_indexes]]
 
 
 # ---------------------------------------------------------------------------

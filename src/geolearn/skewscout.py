@@ -41,7 +41,7 @@ class TravelReport:
     sim_time: float
 
 
-def proxy_score(theta, al_points, c_bytes, cm_bytes, cfg):
+def proxy_score(al_points, c_bytes, cm_bytes, cfg):
     """Accuracy-loss hinge plus normalized communication volume, weighed by
     the scout section cfg (sigma_al, lambda_al, lambda_c)."""
     if cm_bytes <= 0:
@@ -198,8 +198,7 @@ class ScoutController:
                          (wansim.KIND_UPDATE, wansim.KIND_BARRIER, wansim.KIND_CLOCK))
         c_bytes = algo_bytes - self._bytes_mark
         self._bytes_mark = algo_bytes
-        score = proxy_score(self.grid[self.state.idx], al, c_bytes,
-                            self.model_bytes, self.cfg)
+        score = proxy_score(al, c_bytes, self.model_bytes, self.cfg)
         self.state.memo[self.state.idx] = score
         prev = self.state.idx
         self.state.idx = tuner_step(self.state, len(self.grid))

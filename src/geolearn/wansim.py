@@ -33,8 +33,6 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from types import MappingProxyType
 
-import numpy as np
-
 # wire-format byte accounting (documented constants, not tunables)
 SPARSE_ENTRY_BYTES = 12      # 4-byte index + 8-byte value
 DENSE_VALUE_BYTES = 8
@@ -237,98 +235,6 @@ def account_cost(ledger, rates):
     return total
 
 
-class RateMonitor:
-    """Exponentially smoothed bytes/second, one observation per clock."""
-
-    ALPHA = 0.5               # weight of the newest observation
-
-    def __init__(self):
-        self._rate = None
-
-    def observe(self, nbytes, dt):
-        if dt <= 0:
-            raise ValueError(f"observation window must be positive, got {dt}")
-        inst = nbytes / dt
-        if self._rate is None:
-            self._rate = inst
-        else:
-            self._rate = (1.0 - self.ALPHA) * self._rate + self.ALPHA * inst
-
-    @property
-    def warm(self):
-        return self._rate is not None
-
-    @property
-    def rate(self):
-        return self._rate if self._rate is not None else 0.0
-
-
-# ---------------------------------------------------------------------------
-# overlay routing
-
-
-@dataclass
-class OverlayPlan:
-    """Hub-and-group broadcast structure.
-
-    groups partition the data centers; hubs maps (from_group, to_group)
-    index pairs to the member of to_group that receives on behalf of its
-    group and re-broadcasts locally.
-    """
-
-    groups: list
-    hubs: dict
-
-    def __post_init__(self):
-        seen = {}
-        for gi, group in enumerate(self.groups):
-            for dc in group:
-                if dc in seen:
-                    raise ValueError(f"{dc} appears in more than one group")
-                seen[dc] = gi
-        self._group_of = seen
-        for (gi, gj), hub in self.hubs.items():
-            if hub not in self.groups[gj]:
-                raise ValueError(
-                    f"hub {hub} for group pair ({gi},{gj}) is not in group {gj}")
-
-    def group_of(self, dc):
-        try:
-            return self._group_of[dc]
-        except KeyError:
-            raise ValueError(f"{dc} belongs to no overlay group")
-
-    def hub_for(self, from_group, to_group):
-        try:
-            return self.hubs[(from_group, to_group)]
-        except KeyError:
-            raise ValueError(f"no hub configured for group pair ({from_group},{to_group})")
-
-
-def broadcast_hops(plan, source, dcs):
-    """First-hop targets for a broadcast from source.
-
-    Returns a list of (dst, needs_forward). With no plan the broadcast is
-    direct to every other DC; with a plan the source reaches in-group peers
-    directly and one hub per remote group, and each hub re-broadcasts within
-    its own group (see forward_hops). Every DC receives exactly one copy.
-    """
-    if plan is None:
-        return [(dst, False) for dst in dcs if dst != source]
-    gi = plan.group_of(source)
-    hops = [(dst, False) for dst in plan.groups[gi] if dst != source]
-    for gj in range(len(plan.groups)):
-        if gj != gi:
-            hops.append((plan.hub_for(gi, gj), True))
-    return hops
-
-
-def forward_hops(plan, hub, origin):
-    """In-group targets a hub re-broadcasts an inter-group copy to."""
-    gj = plan.group_of(hub)
-    return [dst for dst in plan.groups[gj] if dst != hub and dst != origin]
-
-
 # ---------------------------------------------------------------------------
 # the simulator
 
@@ -340,6 +246,14 @@ class Simulator:
     """Event loop owning simulated time, channels, and the cost ledger; a
     broadcast is one send with its hops().
 
+    Routing: groups partition the DCs (by default one group of every DC),
+    and hubs maps a (from_group, to_group) index pair to the member of
+    to_group that receives on behalf of its group. The config check
+    (harness) guarantees each DC one group and each pair a hub inside its
+    to_group. A broadcast reaches the origin's group directly and each
+    other group through its hub, flagged to forward, which re-sends to its
+    group but itself and the origin: every DC receives exactly one copy.
+
     trace turns on the gate trace: every gate check of a Gaia-family node
     appends a row (time, node, gate, local clock, known value, true minimum
     peer clock, allow) to gate_trace, and the node re-checks its gates on
@@ -348,9 +262,12 @@ class Simulator:
     has moved (see GaiaNode). Outputs are the same either way.
     """
 
-    def __init__(self, topology, overlay=None, trace=False):
+    def __init__(self, topology, groups=(), hubs=None, trace=False):
         self.topology = topology
-        self.overlay = overlay
+        self.groups = groups or (topology.dcs,)
+        self._group_of = {dc: gi for gi, group in enumerate(self.groups)
+                          for dc in group}
+        self.hubs = hubs or {}
         self.trace = trace
         self.now = 0.0
         self._heap = []
@@ -379,15 +296,20 @@ class Simulator:
 
     def hops(self, src, origin):
         """(channel, needs_forward) of each copy src sends of origin's
-        broadcast, built once per pair: broadcast_hops from the origin, a
-        hub's forward_hops from src."""
+        broadcast, built once per pair: src's group but src and origin,
+        then, from the origin, the hub of every other group."""
         key = (src, origin)
-        if key not in self._hops:
-            pairs = (broadcast_hops(self.overlay, src, self.topology.dcs)
-                     if src == origin else
-                     [(d, False) for d in forward_hops(self.overlay, src, origin)])
-            self._hops[key] = [(self._channel(src, d), fw) for d, fw in pairs]
-        return self._hops[key]
+        hops = self._hops.get(key)
+        if hops is None:
+            gi = self._group_of[src]
+            pairs = [(d, False) for d in self.groups[gi]
+                     if d != src and d != origin]
+            if src == origin:
+                pairs += [(self.hubs[gi, gj], True)
+                          for gj in range(len(self.groups)) if gj != gi]
+            hops = self._hops[key] = [(self._channel(src, d), fw)
+                                      for d, fw in pairs]
+        return hops
 
     def send(self, msg, hops=None):
         """Offer msg to its link, or to each of hops (as from hops()) in the
@@ -549,6 +471,7 @@ def build_topology(dc_names, bandwidth=None, latency_s=0.05,
                    compute_s=COMPUTE_S):
     """Assemble a Topology for the named DCs from a bandwidth matrix.
 
+    Links join each ordered pair of distinct DCs; no node sends to its own.
     bandwidth defaults to the packaged table. latency_s is one latency for
     every WAN link; compute_s is a scalar or a {dc: seconds} dict. Prices
     stay in the cost table.
@@ -561,21 +484,15 @@ def build_topology(dc_names, bandwidth=None, latency_s=0.05,
     if missing:
         raise ValueError(f"data centers missing from bandwidth matrix: {missing}")
     links = {}
-    pair_bw = []
     for src in dc_names:
         for dst in dc_names:
             if src == dst:
                 continue
-            pair_bw.append(matrix[(src, dst)])
             links[(src, dst)] = LinkSpec(
                 src=src, dst=dst,
                 bandwidth=matrix[(src, dst)],
                 latency=latency_s,
             )
-    # intra-DC traffic is effectively local: free and far faster than any WAN hop
-    lan_bw = 15.0 * (sum(pair_bw) / len(pair_bw)) if pair_bw else 1.0
-    for dc in dc_names:
-        links[(dc, dc)] = LinkSpec(src=dc, dst=dc, bandwidth=lan_bw, latency=0.0)
     comp = {
         dc: compute_s.get(dc, COMPUTE_S) if isinstance(compute_s, dict) else compute_s
         for dc in dc_names

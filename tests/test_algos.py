@@ -257,6 +257,66 @@ def test_asp_tiny_threshold_emits_nearly_everything():
         assert emitted / scored >= 0.9
 
 
+def _sends_of(sim, sender):
+    """(time, message, receiving DCs) of every send sender makes."""
+    sent = []
+    send = sim.send
+
+    def recording(msg, hops=None):
+        if msg.src == sender:
+            dsts = [msg.dst] if hops is None else [c.key[1] for c, _ in hops]
+            sent.append((sim.now, msg, dsts))
+        return send(msg, hops)
+
+    sim.send = recording
+    return sent
+
+
+def test_gaia_flush_announces_its_own_indexes_on_saturated_hops():
+    algo = AlgoCfg(kind="gaia", t0=1e-3, ds=1000)
+    sim, _nodes = _spawn(algo, ["a", "b", "c"], 6)
+    # a flushes tens of kB/s: far above a 1 kB/s link, far below 10 MB/s
+    sim.channels["a", "c"].bandwidth = 1e3
+    sent = _sends_of(sim, "a")
+    sim.run()
+    barriers = [i for i, (_t, msg, _d) in enumerate(sent)
+                if msg.kind == wansim.KIND_BARRIER]
+    assert barriers
+    for i in barriers:
+        _t, msg, dsts = sent[i]
+        _t, flush, _d = sent[i + 1]
+        barrier = msg.payload["barrier"]
+        assert dsts == ["c"]                  # the saturated first hop only
+        assert (barrier.source, barrier.clock) == ("a", flush.payload["clock"])
+        # the flush's own array, which clear_barrier_on_update recognises
+        # by identity when the flush lands
+        assert barrier.indexes is flush.payload["idx"]
+        assert barrier.indexes.size > 0
+        assert msg.nbytes == wansim.barrier_bytes(barrier.indexes.size)
+    # an empty flush announces nothing, however slow the link
+    sim, _nodes = _spawn(AlgoCfg(kind="gaia", t0=1e9, ds=1000), ["a", "c"], 6)
+    sim.channels["a", "c"].bandwidth = 1e3
+    sim.run()
+    assert sim.ledger.sent_bytes(wansim.KIND_BARRIER) == 0
+
+
+def test_gaia_rate_smooths_each_flush_with_weight_one_half():
+    sim, (a, _b) = _spawn(AlgoCfg(kind="gaia", t0=0.05, ds=1000),
+                          ["a", "b"], 8)
+    assert a._rate is None
+    sent = _sends_of(sim, "a")
+    sim.run()
+    # a flush's bytes (its payload and clock) over the time since the last
+    rate, last = None, 0.0
+    for t, msg, _dsts in sent:
+        if t > last:
+            inst = msg.nbytes / (t - last)
+            rate = inst if rate is None else 0.5 * rate + 0.5 * inst
+        last = t
+    assert len({msg.nbytes for _t, msg, _d in sent}) > 1
+    assert a._rate == rate
+
+
 def test_dgc_replicas_are_bit_identical():
     frames = {"a": [], "b": []}
     sizes = {"a": [], "b": []}
@@ -395,8 +455,8 @@ def _step_peaks(kind, steps=8):
 
 
 @pytest.mark.parametrize("kind,bound", [
-    ("bsp", 2.2),      # the gradient, the dense payload copy and the
-                       # divergence check's bool array (M / 8)
+    ("bsp", 1.2),      # the gradient, which carries the dense payload, and
+    ("ssp", 1.2),      # the divergence check's bool array (M / 8)
     ("fedavg", 2.1),   # the gradient and, once a round, the share copy
     ("gaia", 2.1),     # the gradient, which the filter scores in, and the
                        # flush's indexes and values

@@ -170,6 +170,17 @@ def test_load_config_yaml(tmp_path):
       "partition": {"nodes": 3}}, "2 of 3 partitions would be empty"),
     ({"topology": {"dcs": ["virginia", "virginia"]}}, "more than once"),
     ({"algorithm": {"decay": "linear"}}, "unknown algorithm decay"),
+    # what Simulator.hops relies on: each DC in one group, every hub in its
+    # to_group, a hub for every group pair
+    ({"topology": {"groups": [["virginia", "california"], ["virginia"]],
+                   "hubs": [[0, 1, "virginia"], [1, 0, "california"]]}},
+     "exactly once"),
+    ({"topology": {"groups": [["virginia"], ["california"]],
+                   "hubs": [[0, 1, "virginia"], [1, 0, "virginia"]]}},
+     "hubs [[0, 1, 'virginia']] are not"),
+    ({"topology": {"groups": [["virginia"], ["california"]],
+                   "hubs": [[0, 1, "california"]]}},
+     "group pairs [(1, 0)] have no hub"),
 ])
 def test_validate_config_catches(patch, needle):
     cfg = config_from_dict(patch)

@@ -51,6 +51,34 @@ def test_mf_touched_oracle():
                                   [0, 1, 2, 3])
 
 
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6),
+                       st.integers(1, 4)), data=st.data())
+def test_mf_touched_is_strictly_increasing(shape, data):
+    # the barrier gate reads touched as a sorted, unique read set
+    rows, cols, rank = shape
+    n = data.draw(st.integers(1, 12))
+    cells = st.lists(st.integers(0, rows - 1), min_size=n, max_size=n)
+    entries = MFEntries(
+        row=np.array(data.draw(cells), dtype=np.intp),
+        col=np.array(data.draw(st.lists(st.integers(0, cols - 1),
+                                        min_size=n, max_size=n)),
+                     dtype=np.intp),
+        val=np.zeros(n))
+    model = MFModel(rows, cols, rank, entries)
+    batch = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=20)),
+                     dtype=np.intp)
+    touched = model.touched(batch)
+    assert touched.dtype == np.intp
+    assert np.all(touched[1:] > touched[:-1])
+    # exactly the coordinates the batch's gradient may move
+    rows_read = {int(r) for r in entries.row[batch]}
+    cols_read = {int(c) for c in entries.col[batch]}
+    assert touched.tolist() == sorted(
+        [r * rank + k for r in rows_read for k in range(rank)]
+        + [rows * rank + k * cols + c for k in range(rank) for c in cols_read])
+
+
 def test_mf_rejects_out_of_range_batch():
     with pytest.raises(IndexError):
         _tiny_mf().loss_and_grad(np.zeros(4), np.array([2]))

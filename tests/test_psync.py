@@ -14,7 +14,6 @@ from geolearn.numerics import StepDecay, lr_at
 from geolearn.psync import (EPS_WEIGHT, BarrierMsg, SoftCtl, WeightShard,
                             accumulate_and_flush, apply_barrier,
                             clear_barrier_on_update, gate_read,
-                            maybe_emit_barrier,
                             significance_scores, ssp_gate,
                             soft_threshold_adjust)
 from geolearn.rng import seed_stream
@@ -186,13 +185,6 @@ def test_threshold_decay_invsqrt_oracle():
 # selective barrier
 
 
-def test_barrier_emitted_only_when_saturated():
-    assert maybe_emit_barrier(100.0, 200.0, [1, 2], "a", 5) is None
-    assert maybe_emit_barrier(300.0, 200.0, [], "a", 5) is None
-    msg = maybe_emit_barrier(300.0, 200.0, [3, 1, 3], "a", 5)
-    assert (msg.source, msg.clock, list(msg.indexes)) == ("a", 5, [1, 3])
-
-
 def test_barrier_block_and_release_cycle():
     shard = WeightShard.fresh(np.zeros(4))
     # an announcement of nothing blocks nothing
@@ -248,8 +240,7 @@ def test_flush_releasing_an_unannounced_barrier_raises():
 
 def test_barrier_bookkeeping_is_independent_of_the_shard_size():
     shard = WeightShard.fresh(np.zeros(2_000_000))
-    msg = maybe_emit_barrier(2.0, 1.0, np.arange(0, 2_000_000, 200_000),
-                             "b", 1)
+    msg = BarrierMsg("b", 1, np.arange(0, 2_000_000, 200_000))
     assert msg.indexes.size == 10
     tracemalloc.start()
     try:
@@ -294,16 +285,17 @@ class _DictBarriers:
 _M = 9
 _SOURCES = ("a", "b", "c")
 # one source's flushes in clock order: (clock gap, pending indexes of a
-# barrier or None, carried indexes of an unannounced flush, dense). A
-# barrier's pending set may be unsorted and duplicated; a sparse flush it
-# announces carries the sorted unique set.
+# barrier or None, carried indexes of an unannounced flush, dense). Index
+# sets are sorted and unique, as a flush's np.nonzero indexes are.
 _FLUSHES = st.lists(st.tuples(
     st.integers(1, 3),
-    st.one_of(st.none(), st.lists(st.integers(0, _M - 1), min_size=1,
-                                  max_size=12)),
+    st.one_of(st.none(), st.sets(st.integers(0, _M - 1),
+                                 min_size=1).map(sorted)),
     st.sets(st.integers(0, _M - 1)).map(sorted),
     st.booleans(),
 ), max_size=6)
+# a read set, sorted and unique as MFModel.touched makes it
+_READS = st.sets(st.integers(0, _M - 1)).map(sorted)
 
 
 @given(st.fixed_dictionaries({src: _FLUSHES for src in _SOURCES}), st.data())
@@ -338,9 +330,8 @@ def test_barrier_arrays_match_dict_of_dicts(flushes, data):
         kind, source, clock = data.draw(st.sampled_from(moves))
         if kind == "barrier":
             pending = next(p for c, p, _i, _d in plan[source] if c == clock)
-            msg = maybe_emit_barrier(2.0, 1.0, pending, source, clock)
-            assert (msg.source, msg.clock) == (source, clock)
-            assert tuple(msg.indexes.tolist()) == oracle.emit(pending)
+            msg = BarrierMsg(source, clock,
+                             np.array(oracle.emit(pending), dtype=np.intp))
             apply_barrier(shard, msg)
             oracle.apply(source, clock, oracle.emit(pending))
             announced[source, clock] = msg
@@ -363,7 +354,7 @@ def test_barrier_arrays_match_dict_of_dicts(flushes, data):
                 clear_barrier_on_update(shard, source, clock,
                                         np.asarray(carried, dtype=np.intp))
                 oracle.clear(source, clock, list(carried))
-        read = data.draw(st.lists(st.integers(0, _M - 1), max_size=12))
+        read = data.draw(_READS)
         assert gate_read(shard, read).tolist() == oracle.gate(read)
         assert gate_read(shard, np.arange(_M)).tolist() == sorted(oracle.waits)
         assert gate_read(shard, None).tolist() == sorted(oracle.waits)

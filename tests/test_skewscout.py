@@ -15,21 +15,21 @@ from geolearn.skewscout import (DGC_EWARM_GRID, FEDAVG_ITER_GRID,
 def test_proxy_score_oracle():
     cfg = ScoutCfgSection(sigma_al=5.0, lambda_al=1.0, lambda_c=1.0)
     # hinge: 8 points lost, 5 tolerated -> 3; plus 500/1000 model volumes
-    assert proxy_score(0.1, 8.0, 500, 1000, cfg) == 3.5
+    assert proxy_score(8.0, 500, 1000, cfg) == 3.5
     # below the tolerance the hinge contributes nothing
-    assert proxy_score(0.1, 2.0, 500, 1000, cfg) == 0.5
-    assert proxy_score(0.1, -40.0, 0, 1000, cfg) == 0.0
+    assert proxy_score(2.0, 500, 1000, cfg) == 0.5
+    assert proxy_score(-40.0, 0, 1000, cfg) == 0.0
 
 
 def test_proxy_score_lambda_weighting():
     cfg = ScoutCfgSection(sigma_al=5.0, lambda_al=2.0, lambda_c=0.5)
-    assert proxy_score(0.1, 8.0, 500, 1000, cfg) == 2.0 * 3.0 + 0.5 * 0.5
+    assert proxy_score(8.0, 500, 1000, cfg) == 2.0 * 3.0 + 0.5 * 0.5
 
 
 def test_proxy_score_needs_positive_model_size():
     cfg = ScoutCfgSection()
     with pytest.raises(ValueError):
-        proxy_score(0.1, 1.0, 10, 0, cfg)
+        proxy_score(1.0, 10, 0, cfg)
 
 
 def test_knob_grids_run_dense_to_sparse():

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 from geolearn.wansim import (BYTE_KINDS, CLOCK_BYTES, CostLedger,
                              CostRates, GB, KIND_BARRIER, KIND_CLOCK,
                              KIND_TRAVEL, KIND_UPDATE, LinkSpec, Message,
-                             OverlayPlan, RateMonitor, Simulator, Topology,
-                             account_cost, barrier_bytes, broadcast_hops,
-                             build_topology, default_bandwidth,
-                             default_costs, dense_update_bytes,
-                             forward_hops, load_bandwidth_csv, load_cost_csv,
-                             sparse_update_bytes, split_nbytes)
+                             Simulator, Topology, account_cost,
+                             barrier_bytes, build_topology,
+                             default_bandwidth, default_costs,
+                             dense_update_bytes, load_bandwidth_csv,
+                             load_cost_csv, sparse_update_bytes,
+                             split_nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -377,76 +377,42 @@ def test_account_cost_hand_oracle():
     assert account_cost(ledger, rates) == pytest.approx(2.14)
 
 
-def test_rate_monitor_smoothing_oracle():
-    mon = RateMonitor()
-    assert not mon.warm
-    assert mon.rate == 0.0
-    mon.observe(100, 1.0)
-    assert mon.rate == 100.0            # first observation seeds the average
-    mon.observe(200, 1.0)
-    assert mon.rate == 150.0            # 0.5*100 + 0.5*200
-    mon.observe(50, 0.5)
-    assert mon.rate == 125.0            # 0.5*150 + 0.5*100
-    assert mon.warm
-    with pytest.raises(ValueError):
-        mon.observe(10, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # overlay routing
 
 
-def _plan():
-    return OverlayPlan(groups=[["a", "b"], ["c", "d"]],
-                       hubs={(0, 1): "c", (1, 0): "a"})
+def _mesh(dcs):
+    return Topology(dcs=dcs, links={(a, b): LinkSpec(a, b, 100.0, 0.25)
+                                    for a in dcs for b in dcs if a != b})
 
 
-def test_overlay_plan_validation():
-    with pytest.raises(ValueError):
-        OverlayPlan(groups=[["a"], ["a"]], hubs={})
-    with pytest.raises(ValueError):
-        OverlayPlan(groups=[["a"], ["b"]], hubs={(0, 1): "a"})
-    plan = _plan()
-    assert plan.group_of("d") == 1
-    with pytest.raises(ValueError):
-        plan.group_of("z")
-    with pytest.raises(ValueError):
-        plan.hub_for(1, 1)
-
-
-def test_broadcast_without_plan_is_direct():
-    hops = broadcast_hops(None, "a", ["a", "b", "c"])
-    assert hops == [("b", False), ("c", False)]
+def _keys(hops):
+    return [(channel.key[1], forward) for channel, forward in hops]
 
 
 def test_broadcast_and_forward_hops_oracle():
-    plan = _plan()
-    # in-group peer direct, one flagged copy to the remote group's hub
-    assert broadcast_hops(plan, "a", ["a", "b", "c", "d"]) == [("b", False), ("c", True)]
-    assert broadcast_hops(plan, "d", ["a", "b", "c", "d"]) == [("c", False), ("a", True)]
-    assert forward_hops(plan, "c", origin="a") == ["d"]
-    assert forward_hops(plan, "a", origin="d") == ["b"]
-
-
-def test_overlay_reaches_every_dc_exactly_once():
-    plan = _plan()
     dcs = ["a", "b", "c", "d"]
-    for source in dcs:
-        reached = []
-        for dst, needs_forward in broadcast_hops(plan, source, dcs):
-            reached.append(dst)
-            if needs_forward:
-                reached.extend(forward_hops(plan, dst, origin=source))
-        assert sorted(reached) == sorted(set(dcs) - {source})
+    # without groups a broadcast goes straight to every other DC
+    assert _keys(Simulator(_mesh(dcs)).hops("b", "b")) == [
+        ("a", False), ("c", False), ("d", False)]
+    sim = Simulator(_mesh(dcs), groups=(("a", "b"), ("c", "d")),
+                    hubs={(0, 1): "c", (1, 0): "a"})
+    # in-group peer direct, one flagged copy to the remote group's hub
+    assert _keys(sim.hops("a", "a")) == [("b", False), ("c", True)]
+    assert _keys(sim.hops("d", "d")) == [("c", False), ("a", True)]
+    # a hub forwards to its group but itself and the origin
+    assert _keys(sim.hops("c", "a")) == [("d", False)]
+    assert _keys(sim.hops("a", "d")) == [("b", False)]
 
 
 @st.composite
 def _overlays(draw):
-    """DC names and a random overlay plan over them, or None (no overlay)."""
+    """DC names and random overlay groups and hubs over them, or no groups
+    (()) and no hubs (None)."""
     n = draw(st.integers(2, 6))
     dcs = [f"dc{i}" for i in range(n)]
     if draw(st.booleans()):
-        return dcs, None
+        return dcs, (), None
     order = draw(st.permutations(dcs))
     cuts = sorted(draw(st.lists(st.integers(1, n - 1), unique=True,
                                 max_size=n - 1)))
@@ -454,7 +420,34 @@ def _overlays(draw):
     hubs = {(gi, gj): draw(st.sampled_from(groups[gj]))
             for gi in range(len(groups)) for gj in range(len(groups))
             if gi != gj}
-    return dcs, OverlayPlan(groups=groups, hubs=hubs)
+    return dcs, groups, hubs
+
+
+@settings(max_examples=100, deadline=None)
+@given(overlay=_overlays())
+def test_overlay_reaches_every_dc_exactly_once(overlay):
+    dcs, groups, hubs = overlay
+    sim = Simulator(_mesh(dcs), groups, hubs)
+    group_of = {dc: gi for gi, group in enumerate(groups or [dcs])
+                for dc in group}
+    for src in dcs:
+        hops = sim.hops(src, src)
+        assert sim.hops(src, src) is hops           # built once
+        reached = []
+        for channel, forward in hops:
+            dst = channel.key[1]
+            reached.append(dst)
+            # only the copy to another group's hub is flagged to forward
+            assert forward == (group_of[dst] != group_of[src])
+            if forward:
+                assert dst == hubs[group_of[src], group_of[dst]]
+                fwd = sim.hops(dst, src)
+                assert sim.hops(dst, src) is fwd
+                assert all(ch.key[0] == dst and not fw for ch, fw in fwd)
+                reached += [ch.key[1] for ch, _ in fwd]
+        # the origin's own group first, then one hub per other group
+        assert [fw for _, fw in hops] == sorted(fw for _, fw in hops)
+        assert sorted(reached) == sorted(set(dcs) - {src})
 
 
 class _HopLog:
@@ -471,29 +464,21 @@ class _HopLog:
 @given(overlay=_overlays(),
        split=st.dictionaries(st.sampled_from(BYTE_KINDS),
                              st.integers(0, 300), min_size=1))
-def test_cached_hops_match_broadcast_and_forward_hops(overlay, split):
-    dcs, plan = overlay
-    links = {(a, b): LinkSpec(a, b, 100.0, 0.25) for a in dcs for b in dcs}
-    sim = Simulator(Topology(dcs=dcs, links=links), overlay=plan)
+def test_a_broadcast_is_sent_once_on_each_of_its_hops(overlay, split):
+    dcs, groups, hubs = overlay
+    sim = Simulator(_mesh(dcs), groups, hubs)
     log = []
     for dc in dcs[1:]:           # dcs[0] has no node: its copies are dropped
         sim.register(dc, _HopLog(dc, log))
     expected_log, expected_rows = [], {}
     for src in dcs:
-        first = broadcast_hops(plan, src, dcs)
         hops = sim.hops(src, src)
-        assert [(ch.key, fw) for ch, fw in hops] == [
-            ((src, dst), fw) for dst, fw in first]
-        assert sim.hops(src, src) is hops           # built once
-        for hub in [dst for dst, fw in first if fw]:
-            assert [(ch.key, fw) for ch, fw in sim.hops(hub, src)] == [
-                ((hub, dst), False) for dst in forward_hops(plan, hub, src)]
         # one broadcast: one copy per first hop, flagged as the hop says
         sim.send(Message(next(iter(split)), src, None, split), hops)
-        expected_log += [(dst, src, fw) for dst, fw in first if dst != dcs[0]]
-        expected_rows.update({(src, dst): {k: split.get(k, 0)
-                                           for k in BYTE_KINDS}
-                              for dst, _ in first})
+        expected_log += [(ch.key[1], src, fw) for ch, fw in hops
+                         if ch.key[1] != dcs[0]]
+        expected_rows.update({ch.key: {k: split.get(k, 0) for k in BYTE_KINDS}
+                              for ch, _ in hops})
     assert sim.run() == len(expected_rows)
     assert sorted(log) == sorted(expected_log)
     # both sides of the ledger hold each first hop's split once, every kind
@@ -560,10 +545,9 @@ def test_build_topology_wiring():
     wan = topo.link("virginia", "saopaulo")
     assert wan.bandwidth == 140 * 125_000.0
     assert wan.latency == 0.05
-    # intra-DC links are 15x the mean WAN bandwidth
-    lan = topo.link("virginia", "virginia")
-    assert lan.bandwidth == 15.0 * 140 * 125_000.0
-    assert lan.latency == 0.0
+    # no node sends to its own DC, so no DC links to itself
+    assert sorted(topo.links) == [("saopaulo", "virginia"),
+                                  ("virginia", "saopaulo")]
     assert topo.compute_s == {"virginia": 0.001, "saopaulo": 0.001}
 
 
