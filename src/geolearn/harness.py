@@ -412,6 +412,10 @@ def run_experiment(cfg, topology=None, on_nodes=None):
     k = cfg.partition.nodes
     if topology is not None and len(topology.dcs) != k:
         errs.append(f"topology has {len(topology.dcs)} DCs for {k} partitions")
+    elif topology is not None and cfg.topology.groups and set(
+            topology.dcs) != set(dcs):
+        errs.append(f"overlay groups name {list(dcs)}, not the topology's "
+                    f"DCs {topology.dcs}")
     if errs:
         raise ValueError("bad config: " + "; ".join(errs))
     data = _build_data(cfg)

@@ -357,6 +357,18 @@ def test_a_prebuilt_topology_with_the_wrong_dc_count_fails_before_the_data(
         run_experiment(cfg, topology=demo.lopsided_topology())
 
 
+def test_a_prebuilt_topology_outside_the_overlay_groups_fails_before_the_data(
+        monkeypatch):
+    # Simulator.hops routes by the groups, so they must name its DCs
+    demo = _load_demo("sync_mechanisms")
+    cfg = demo.gated_cfg(True)
+    cfg.topology.groups = (("virginia",), ("california",))
+    cfg.topology.hubs = ((0, 1, "california"), (1, 0, "virginia"))
+    monkeypatch.setattr(harness, "gen_mf_data", None)  # never reached
+    with pytest.raises(ValueError, match="not the topology's DCs"):
+        run_experiment(cfg, topology=demo.lopsided_topology())
+
+
 # the node attribute each SkewScout knob (an AlgoCfg field) sets
 KNOB_ATTRS = {"t0": "t_hard", "iter_local": "iter_local", "e_warm": "e_warm"}
 
