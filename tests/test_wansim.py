@@ -390,11 +390,15 @@ def _keys(hops):
     return [(channel.key[1], forward) for channel, forward in hops]
 
 
+def test_broadcast_without_plan_is_direct():
+    # without groups a broadcast goes straight to every other DC, unflagged
+    sim = Simulator(_mesh(["a", "b", "c"]))
+    assert _keys(sim.hops("a", "a")) == [("b", False), ("c", False)]
+    assert _keys(sim.hops("b", "b")) == [("a", False), ("c", False)]
+
+
 def test_broadcast_and_forward_hops_oracle():
     dcs = ["a", "b", "c", "d"]
-    # without groups a broadcast goes straight to every other DC
-    assert _keys(Simulator(_mesh(dcs)).hops("b", "b")) == [
-        ("a", False), ("c", False), ("d", False)]
     sim = Simulator(_mesh(dcs), groups=(("a", "b"), ("c", "d")),
                     hubs={(0, 1): "c", (1, 0): "a"})
     # in-group peer direct, one flagged copy to the remote group's hub
