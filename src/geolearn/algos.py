@@ -15,7 +15,9 @@ exchanges according to its algorithm, and blocks whenever its gates say so.
 A blocked node simply stays idle until a delivery changes its view.
 
 Every node reads the `algorithm` section (harness.AlgoCfg) and holds one
-replica in _NodeBase: the weights w, the velocity u and the momentum m.
+replica in _NodeBase: the weights w, the velocity u and the momentum m. A
+DGC run's nodes share their weights: each step's global model is written
+once, into one of two buffers (StepModels).
 The message plumbing is shared there too: it receives, forwards the copies
 an overlay hub must re-broadcast, broadcasts, and gathers the shares of a
 synchronous round (a FedAvg average, a DGC step). A node class supplies
@@ -114,17 +116,22 @@ class _NodeBase:
     of the algorithm section `algo`, which is shared by every node and
     never mutated. Steps and applied updates write into w and u in place,
     so what a peer reads after the sender's next step (Gaia's dense payload,
-    a FedAvg share) is sent as a copy. The base receives (travel payloads
-    go to travel_sink, anything else to _receive), forwards overlay copies
-    a hub must re-broadcast, broadcasts, and computes each minibatch
-    gradient at w. A broadcast or a hub's forward is one sim.send of one
-    message with the hops sim.hops built once, and each link delivers it to
-    its receiving node; receivers share the message and only read it.
+    a FedAvg share) is sent as a copy. A DGC node's w is one of the two
+    model buffers its run's nodes share (StepModels), so callers treat
+    node.w as read-only: hooks and peers read it, and copy what they keep.
+    The base receives (travel payloads go to travel_sink, anything else to
+    _receive), forwards overlay copies a hub must re-broadcast, broadcasts,
+    and computes each minibatch gradient at w. A broadcast or a hub's
+    forward is one sim.send of one message with the hops sim.hops built
+    once, and each link delivers it to its receiving node; receivers share
+    the message and only read it.
 
     A synchronous round is gathered here: _share keeps this node's share of
     a round, broadcasts it and holds the node (_awaiting); each peer's share
     lands in _gathered, and _try_complete runs while the node is held.
-    _gather returns a round's shares once every member's has arrived.
+    _gather returns a round's shares once every member's has arrived; a
+    round's shares come only from its members, so it counts them before it
+    looks any up.
 
     A subclass supplies the algorithm: _ready (may the next step start
     now?), _local_step (apply one gradient at a learning rate, and
@@ -155,7 +162,7 @@ class _NodeBase:
         self.peers = list(peers)
         self.members = sorted([name, *peers])     # the exchange, in name order
         self.algo = algo
-        self.w = np.array(w0, dtype=np.float64)
+        self.w = self._replica(w0)
         # calloc'd, so set-up touches none of its pages; the first step
         # writes them, and every later step updates w and u in place
         self.u = np.zeros(self.w.size)
@@ -236,11 +243,16 @@ class _NodeBase:
         if self._awaiting:
             self._try_complete(sim)
 
+    def _replica(self, w0):
+        """The node's weights at the start: its own copy of w0."""
+        return np.array(w0, dtype=np.float64)
+
     def _gather(self, rnd, members):
         """The shares of round rnd in member order, or None while one is
         missing. A complete round is forgotten and the node released."""
-        have = self._gathered.get(rnd, {})
-        if any(m not in have for m in members):
+        have = self._gathered.get(rnd)
+        # only members share a round, so a full count is a complete round
+        if have is None or len(have) < len(members):
             return None
         del self._gathered[rnd]
         self._awaiting = False
@@ -286,10 +298,11 @@ class _NodeBase:
             self._drain_inbox(sim, final=True)
 
     @classmethod
-    def _budgets(cls, algo, streams, dcs, seed, scouted):
-        """Each node's budget arguments, in node order, given every node's
-        stream, the DC names, the run's seed and whether SkewScout is on:
-        max_iters, epochs x the node's own batches per epoch."""
+    def _budgets(cls, algo, streams, dcs, seed, scouted, w0):
+        """Each node's budget and run-wide arguments, in node order, given
+        every node's stream, the DC names, the run's seed, whether SkewScout
+        is on and the initial weights: max_iters, epochs x the node's own
+        batches per epoch."""
         return [{"max_iters": algo.epochs * s.batches_per_epoch}
                 for s in streams]
 
@@ -614,12 +627,13 @@ class FedAvgNode(_NodeBase):
         self.iter_local = int(theta)
 
     @classmethod
-    def _budgets(cls, algo, streams, dcs, seed, scouted):
-        """Every node's: the trigger's epochs in rounds, unbounded when
-        SkewScout may change iter_local mid-run (the trigger's round_hook
-        ends the run), and each round's seeded pick of participants."""
-        max_rounds = math.inf if scouted else math.ceil(
-            algo.epochs * streams[0].batches_per_epoch / algo.iter_local)
+    def _budgets(cls, algo, streams, dcs, seed, scouted, w0):
+        """Every node's: each round's seeded pick of participants, and the
+        trigger's epochs in rounds. Under SkewScout, which may change
+        iter_local mid-run, the trigger's round_hook ends the run once the
+        trigger has trained its epochs, N steps; every round the trigger
+        joins is one step or more, so no node completes the round of the
+        trigger's (N+1)-th share, and the cap is one round past it."""
         participants_fn = None
         if algo.client_fraction < 1.0:
             names = sorted(dcs)
@@ -630,6 +644,15 @@ class FedAvgNode(_NodeBase):
                 pick = rng.choice(len(names), size=n_pick, replace=False)
                 return sorted(names[int(i)] for i in pick)
 
+        n_steps = algo.epochs * streams[0].batches_per_epoch
+        if not scouted:
+            max_rounds = math.ceil(n_steps / algo.iter_local)
+        else:
+            max_rounds = shares = 0
+            while shares <= n_steps:
+                shares += (participants_fn is None
+                           or dcs[0] in participants_fn(max_rounds))
+                max_rounds += 1
         return [dict(max_rounds=max_rounds,
                      participants_fn=participants_fn)] * len(streams)
 
@@ -691,19 +714,39 @@ class FedAvgNode(_NodeBase):
 # sparse synchronized all-reduce
 
 
+class StepModels:
+    """A DGC run's global model, one per step, in two buffers that the run's
+    nodes share: step t's model is bufs[t % 2], and newest is the latest
+    step written.
+
+    The first node to complete step t writes step t+1's model over step
+    t-1's. A node shares step t only after it has completed step t-1, so by
+    then every node holds step t's model, and no node reads step t-1's;
+    a peer still waiting at step t keeps reading step t's.
+    """
+
+    def __init__(self, w0):
+        self.bufs = (np.array(w0, dtype=np.float64), np.empty(len(w0)))
+        self.newest = 0
+
+
 class DgcNode(_NodeBase):
     """Per-step synchronous exchange of top-k momentum-corrected residuals,
     each step's update clipped to the section's clip_norm.
 
-    Every node advances the same global weight vector by the sum of all
-    emitted slices for a step, applied in node order, so replicas stay
-    bit-identical. Sparsity follows the warm-up ramp by local epoch.
+    A step's global model is the last one plus the sum of all emitted
+    slices, applied in node order. The run's nodes share it (steps, a
+    StepModels): the first node to complete a step computes it once, and
+    every node binds w to it, so the replicas' weights are one array at
+    each step and node.w is read-only to every caller. Sparsity follows
+    the warm-up ramp by local epoch.
     """
 
     _knobs = {"dgc": ("e_warm", DGC_EWARM_GRID)}
     _row_alone = True             # every replica is the step-t model
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, steps, **kwargs):
+        self._steps = steps
         super().__init__(*args, **kwargs)
         self.v = np.zeros(self.w.size)   # calloc'd, like u
         self.e_warm = int(self.algo.e_warm)
@@ -712,6 +755,16 @@ class DgcNode(_NodeBase):
     def set_knob(self, theta):
         """Advance the warm-up ramp one stage every theta epochs."""
         self.e_warm = int(theta)
+
+    @classmethod
+    def _budgets(cls, algo, streams, dcs, seed, scouted, w0):
+        """max_iters as in _NodeBase, and the run's one StepModels."""
+        steps = StepModels(w0)
+        budgets = super()._budgets(algo, streams, dcs, seed, scouted, w0)
+        return [dict(b, steps=steps) for b in budgets]
+
+    def _replica(self, w0):
+        return self._steps.bufs[0]
 
     def current_sparsity(self):
         return warmup_sparsity(self.epochs_done + 1, self.e_warm)
@@ -735,12 +788,18 @@ class DgcNode(_NodeBase):
             self.last_emitted)
 
     def _try_complete(self, sim):
-        slices = self._gather(self.iters_done, self.members)
+        t = self.iters_done
+        slices = self._gather(t, self.members)
         if slices is None:
             return
-        w = self.w
-        for idx, vals in slices:
-            w[idx] += vals
+        steps = self._steps
+        w = steps.bufs[(t + 1) % 2]
+        if steps.newest == t:         # the first node to complete step t
+            np.copyto(w, self.w)
+            for idx, vals in slices:
+                w[idx] += vals
+            steps.newest = t + 1
+        self.w = w
         self.iters_done += 1
         self._after_iteration(sim)
         self.try_start(sim)

@@ -502,7 +502,8 @@ def _build_nodes(cfg, data, tables, dcs, topology):
     ]
     # every node reads acfg and never mutates it
     node_cls = NODE_CLASSES[acfg.kind]
-    budgets = node_cls._budgets(acfg, streams, dcs, seed, cfg.scout.enabled)
+    budgets = node_cls._budgets(acfg, streams, dcs, seed, cfg.scout.enabled,
+                                data.w0)
     nodes = []
     for i, (dc, stream) in enumerate(zip(dcs, streams)):
         node = node_cls(

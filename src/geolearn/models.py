@@ -24,7 +24,7 @@ another sign bit: numpy's maximum over a contiguous row may return a NaN
 of its own.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

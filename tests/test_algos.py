@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from geolearn import wansim
 from geolearn.algos import (WARMUP_SCHEDULE, ArrayBatches, DgcNode,
-                            FedAvgNode, GaiaNode, dgc_select, warmup_sparsity)
+                            FedAvgNode, GaiaNode, StepModels, dgc_select,
+                            warmup_sparsity)
 from geolearn.data import (MinibatchStream, SkewSpec, gen_cluster_data,
                            partition_label_skew)
 from geolearn.harness import AlgoCfg, config_from_dict, run_experiment
@@ -111,11 +113,12 @@ def _mesh_sim(names, trace=True):
 
 
 def _spawn(algo, names, budget, seed=5, batch=10, per_class=30, features=3,
-           classes=2, eta=0.05, participants_fn=None, model=None):
+           classes=2, eta=0.05, participants_fn=None, model=None,
+           dgc_cls=DgcNode):
     """Classifier nodes of the class algo.kind runs over a balanced split,
     registered and woken. budget is max_rounds for FedAvg, else max_iters.
     Each node clones model, which starts at its init_params; without one,
-    a softmax model started at zero."""
+    a softmax model started at zero. DGC nodes share one StepModels."""
     sim = _mesh_sim(names)
     data = gen_cluster_data(classes, features, per_class, spread=1.0, seed=seed)
     parts = partition_label_skew(data, SkewSpec(len(names), alpha=0.0, seed=seed))
@@ -124,7 +127,7 @@ def _spawn(algo, names, budget, seed=5, batch=10, per_class=30, features=3,
         w0 = np.zeros(model.n_params)
     else:
         w0 = model.init_params(seed_stream(seed, "init"))
-    nodes = []
+    nodes, steps = [], StepModels(w0)
     for i, name in enumerate(names):
         stream = MinibatchStream(parts[i], batch, seed_stream(seed, "stream", name))
         common = dict(
@@ -135,9 +138,10 @@ def _spawn(algo, names, budget, seed=5, batch=10, per_class=30, features=3,
         if algo.kind == "fedavg":
             node = FedAvgNode(**common, max_rounds=budget,
                               participants_fn=participants_fn)
+        elif algo.kind == "dgc":
+            node = dgc_cls(**common, max_iters=budget, steps=steps)
         else:
-            node_cls = DgcNode if algo.kind == "dgc" else GaiaNode
-            node = node_cls(**common, max_iters=budget)
+            node = GaiaNode(**common, max_iters=budget)
         nodes.append(node)
         sim.register(name, node)
     for name in names:
@@ -338,6 +342,185 @@ def test_dgc_replicas_are_bit_identical():
     assert sizes["b"] == [2, 2, 1, 1]
 
 
+class _PerReplicaDgc(DgcNode):
+    """The loop reference: DGC with a private replica per node, to which
+    each node applies every slice of a step in member order."""
+
+    def _replica(self, w0):
+        return np.array(w0, dtype=np.float64)
+
+    def _try_complete(self, sim):
+        slices = self._gather(self.iters_done, self.members)
+        if slices is None:
+            return
+        for idx, vals in slices:
+            self.w[idx] += vals
+        self.iters_done += 1
+        self._after_iteration(sim)
+        self.try_start(sim)
+
+
+def _dgc_on_a_slow_link(dgc_cls, reads):
+    """A 4-DC DGC run in which c's shares reach a after ~20 compute times,
+    so a completes each step well after its peers, which meanwhile share
+    the next one. reads(node, when) is called at every node's iter_hook and
+    before and after every delivery to a node held at its step."""
+    sim, nodes = _spawn(AlgoCfg(kind="dgc", e_warm=1), ["a", "b", "c", "d"],
+                        8, per_class=20, features=4, classes=3,
+                        dgc_cls=dgc_cls)
+    sim.channels["c", "a"].bandwidth = 2e3
+    for node in nodes:
+        node.iter_hook = lambda n, s: reads(n, "step")
+        on_message = node.on_message
+
+        def delivered(sim_, msg, node=node, on_message=on_message):
+            held = node._awaiting
+            if held:
+                reads(node, "held")
+            on_message(sim_, msg)
+            if held:
+                reads(node, "delivered")
+
+        node.on_message = delivered
+    sim.run()
+    assert all(n.stopped and n.iters_done == 8 for n in nodes)
+    return nodes
+
+
+def test_dgc_shared_models_match_the_per_replica_reference():
+    # the reference: every replica's weights at each of its steps
+    ref = {}
+
+    def record(node, when):
+        ref.setdefault(node.iters_done, set()).add(node.w.tobytes())
+
+    _dgc_on_a_slow_link(_PerReplicaDgc, record)
+    assert sorted(ref) == list(range(9))
+    assert all(len(seen) == 1 for seen in ref.values())   # bit-identical
+    # the shared buffers: what every node reads at its own step, also while
+    # a peer has already written the next one
+    reads, ahead = Counter(), Counter()
+
+    def check(node, when):
+        assert {node.w.tobytes()} == ref[node.iters_done], (node.name, when)
+        reads[when] += 1
+        ahead[when] += node._steps.newest > node.iters_done
+
+    steps = _dgc_on_a_slow_link(DgcNode, check)[0]._steps
+    assert steps.newest == 8
+    assert reads["step"] == 4 * 8 and reads["held"] == reads["delivered"]
+    # some reads fell while a peer had already written the next step
+    assert ahead["held"] > 0 and ahead["delivered"] > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_dgc_run_holds_two_weight_arrays_for_any_k(k):
+    cfg = config_from_dict({
+        "model": {"kind": "softmax", "features": 3, "classes": 2},
+        "data": {"per_class": 20, "test_per_class": 5},
+        "partition": {"nodes": k, "alpha": 0.0},
+        "algorithm": {"kind": "dgc", "epochs": 2, "batch_size": 10},
+        "convergence": {"mode": "none"}})
+    arrays = {}
+
+    def held(nodes):
+        arrays.update((id(n.w), n.w) for n in nodes)
+
+    def wire(nodes, sim):
+        held(nodes)
+        assert len(arrays) == 1
+        for n in nodes:
+            n.iter_hook = lambda n_, s_: held(nodes)
+
+    result = run_experiment(cfg, on_nodes=wire)
+    steps = result.nodes[0]._steps
+    assert all(n._steps is steps and n.stopped for n in result.nodes)
+    assert len(arrays) == 2
+    assert all(any(a is b for b in steps.bufs) for a in arrays.values())
+
+
+def _share_msg(origin, rnd, share):
+    return wansim.Message(wansim.KIND_UPDATE, origin, None,
+                          {wansim.KIND_UPDATE: 8}, {"round": rnd,
+                                                    "share": share})
+
+
+@pytest.mark.parametrize("kind", ["dgc", "fedavg"])
+def test_a_round_completes_on_its_last_share_in_any_order(kind):
+    names = ["a", "b", "c", "d", "e"]
+    algo = AlgoCfg(kind=kind, client_fraction=0.6)
+    sim, nodes = _spawn(algo, names, 4)
+    node, rnd = nodes[0], 3
+    if kind == "fedavg":
+        # the run's seeded pick, 3 of the 5 DCs, in a round a sits out
+        fn = FedAvgNode._budgets(algo, [n.stream for n in nodes], names, 5,
+                                 False, node.w)[0]["participants_fn"]
+        rnd = next(r for r in range(rnd, 100) if "a" not in fn(r))
+        node.participants_fn, node.round = fn, rnd
+        members = node._members_this_round()
+        assert len(members) == 3
+    else:
+        members = node.members
+    shares = {m: object() for m in members}
+    for order in itertools.permutations(members):
+        node._gathered = {}
+        # the next round's shares land first and count for nothing here
+        for m in members:
+            node._receive(sim, _share_msg(m, rnd + 1, None))
+        for i, m in enumerate(order, 1):
+            node._awaiting = False      # the delivery only stores the share
+            node._receive(sim, _share_msg(m, rnd, shares[m]))
+            node._awaiting = True
+            got = node._gather(rnd, members)
+            if i < len(order):
+                assert got is None and node._awaiting
+            else:
+                assert got == [shares[m] for m in members]
+                assert not node._awaiting
+                assert list(node._gathered) == [rnd + 1]
+
+
+def _scouted_fedavg(client_fraction, wired):
+    """A scouted FedAvg run whose trigger's round_hook is kept or dropped;
+    a run past 200 rounds fails instead of running on."""
+    cfg = config_from_dict({
+        "seed": 11,
+        "model": {"kind": "mlp", "features": 6, "classes": 6,
+                  "hidden": [12, 12], "norm": "batch"},
+        "data": {"per_class": 40, "spread": 1.0, "test_per_class": 20},
+        "partition": {"nodes": 3, "alpha": 1.0},
+        "algorithm": {"kind": "fedavg", "epochs": 2, "iter_local": 2,
+                      "client_fraction": client_fraction},
+        "convergence": {"mode": "none"},
+        "scout": {"enabled": True}})
+
+    def bounded(node, sim):
+        assert node.round <= 200, "the run does not end"
+
+    def wire(nodes, sim):
+        for n in nodes:
+            n.iter_hook = bounded
+        if not wired:
+            nodes[0].round_hook = None
+
+    return run_experiment(cfg, on_nodes=wire)
+
+
+@pytest.mark.parametrize("client_fraction", [1.0, 0.7])
+def test_scouted_fedavg_ends_without_its_round_hook(client_fraction):
+    result = _scouted_fedavg(client_fraction, wired=False)
+    trigger = result.nodes[0]
+    cap = trigger.max_rounds
+    if client_fraction == 1.0:
+        assert cap == 2 * trigger.batches_per_epoch + 1
+    assert all(n.stopped and n.round == cap for n in result.nodes)
+    assert result.rows == []
+    # the hook ends a wired run before any node reaches the cap
+    result = _scouted_fedavg(client_fraction, wired=True)
+    assert result.rows and result.nodes[0].epochs_done >= 2
+    assert all(n.stopped and n.round < n.max_rounds for n in result.nodes)
+
+
 def test_fedavg_sitting_out_adopts_the_round_average():
     rounds_log = {"a": [], "b": []}
 
@@ -496,12 +679,12 @@ def test_fedavg_round_average_is_the_stacked_sum_bit_for_bit(k, size, seed):
     assert node.w.tobytes() == want.tobytes()
 
 
-def test_fedavg_round_peak_memory():
-    # five DCs on mlp-5dc's MLP: a round's average is one new model vector
-    # (stacking the k shares to sum them held k + 1)
-    sim, nodes = _spawn(AlgoCfg(kind="fedavg", iter_local=2),
-                        ["a", "b", "c", "d", "e"], 3, batch=4, per_class=10,
-                        features=32, classes=11,
+def _completion_peaks(algo, budget, progress):
+    """tracemalloc peak of each of node a's round or step completions, in
+    model vectors (M), five DCs training mlp-5dc's MLP at batch 4;
+    progress(node) tells a completion from a call that waits on."""
+    sim, nodes = _spawn(algo, ["a", "b", "c", "d", "e"], budget, batch=4,
+                        per_class=10, features=32, classes=11,
                         model=TinyMLP([32, 256, 256, 11]))
     a = nodes[0]
     nbytes = 8 * a.w.size
@@ -509,10 +692,10 @@ def test_fedavg_round_peak_memory():
     complete = a._try_complete
 
     def measured(sim_):
-        before, rnd = tracemalloc.get_traced_memory()[0], a.round
+        before, done = tracemalloc.get_traced_memory()[0], progress(a)
         tracemalloc.reset_peak()
         complete(sim_)
-        if a.round != rnd:
+        if progress(a) != done:
             peaks.append((tracemalloc.get_traced_memory()[1] - before) / nbytes)
 
     a._try_complete = measured
@@ -521,8 +704,25 @@ def test_fedavg_round_peak_memory():
         sim.run()
     finally:
         tracemalloc.stop()
+    return peaks
+
+
+def test_fedavg_round_peak_memory():
+    # a round's average is one new model vector (stacking the k shares to
+    # sum them held k + 1)
+    peaks = _completion_peaks(AlgoCfg(kind="fedavg", iter_local=2), 3,
+                              lambda n: n.round)
     assert len(peaks) == 3
     assert max(peaks) <= 1.05, peaks
+
+
+def test_dgc_step_completion_allocates_no_model_vector():
+    # the first node to complete a step writes it into the shared buffer
+    # it no longer needs, and the others bind to it: what is left is the
+    # divergence check's bool array (M / 8)
+    peaks = _completion_peaks(AlgoCfg(kind="dgc"), 6, lambda n: n.iters_done)
+    assert len(peaks) == 6
+    assert max(peaks) <= 0.2, peaks
 
 
 @pytest.mark.parametrize("kind", ["gaia", "bsp", "ssp", "fedavg", "dgc"])

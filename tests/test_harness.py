@@ -3,7 +3,6 @@ import dataclasses
 import hashlib
 import importlib.util
 import io
-import math
 import os
 import tracemalloc
 from dataclasses import fields
