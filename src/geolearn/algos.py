@@ -16,8 +16,9 @@ A blocked node simply stays idle until a delivery changes its view.
 
 Every node reads the `algorithm` section (harness.AlgoCfg) and holds one
 replica in _NodeBase: the weights w, the velocity u and the momentum m. A
-DGC run's nodes share their weights: each step's global model is written
-once, into one of two buffers (StepModels).
+model that several replicas share is computed and checked once per run: a
+DGC step's global model, written into one of two buffers (StepModels), and
+a FedAvg round's average (RoundModel).
 The message plumbing is shared there too: it receives, forwards the copies
 an overlay hub must re-broadcast, broadcasts, and gathers the shares of a
 synchronous round (a FedAvg average, a DGC step). A node class supplies
@@ -116,8 +117,11 @@ class _NodeBase:
     of the algorithm section `algo`, which is shared by every node and
     never mutated. Steps and applied updates write into w and u in place,
     so what a peer reads after the sender's next step (Gaia's dense payload,
-    a FedAvg share) is sent as a copy. A DGC node's w is one of the two
-    model buffers its run's nodes share (StepModels), so callers treat
+    a FedAvg share) is sent as a copy. A model that several replicas share
+    is computed once per run: a DGC node's w is one of the two model
+    buffers its run's nodes share (StepModels), and a FedAvg node that
+    completes a round binds w to the round's average (RoundModel), which
+    stays shared and read-only until its next step. So callers treat
     node.w as read-only: hooks and peers read it, and copy what they keep.
     The base receives (travel payloads go to travel_sink, anything else to
     _receive), forwards overlay copies a hub must re-broadcast, broadcasts,
@@ -278,8 +282,12 @@ class _NodeBase:
                                            update_stats=True)
         self._local_step(sim, grad, lr_at(self.lr_schedule, self.epochs_done))
 
-    def _after_iteration(self, sim):
-        if not np.all(np.isfinite(self.w)):
+    def _after_iteration(self, sim, finite=None):
+        """The divergence check (unless the caller knows whether w is
+        finite), the hooks and the budget, after an iteration."""
+        if finite is None:
+            finite = np.all(np.isfinite(self.w))
+        if not finite:
             self.diverged = True
             self.stopped = True
         if self.iters_done % self.batches_per_epoch == 0 and self.epoch_hook:
@@ -603,20 +611,43 @@ class GaiaNode(_NodeBase):
 # federated averaging
 
 
+class RoundModel:
+    """A FedAvg run's newest round average, shared by the nodes that
+    complete that round: w averages round rnd (-1 before any round).
+
+    The first node to complete round r computes it. A node that completes
+    an older round, one it sat out while the holder moved on, computes its
+    own. No node writes into an average: a node's next step writes its new
+    weights into its own spent gradient.
+    """
+
+    def __init__(self):
+        self.rnd = -1
+        self.w = None
+
+
 class FedAvgNode(_NodeBase):
     """Local momentum SGD punctuated by a dense model average every
     iter_local steps. Rounds are synchronous: a node holds at the round
-    boundary until every participant's model for that round has arrived."""
+    boundary until every participant's model for that round has arrived.
+
+    The run's nodes share each round's average (rounds, a RoundModel): a
+    node that completes a round binds w to it, and w stays shared and
+    read-only until the node's next step writes w + u into the step's
+    spent gradient, which is the node's own w from then on."""
 
     _knobs = {"fedavg": ("iter_local", FEDAVG_ITER_GRID)}
     _per_round = True
 
-    def __init__(self, *args, max_rounds, participants_fn=None, **kwargs):
+    def __init__(self, *args, max_rounds, rounds, participants_fn=None,
+                 **kwargs):
         super().__init__(*args, max_iters=None, **kwargs)
         self.iter_local = int(self.algo.iter_local)
         self.max_rounds = max_rounds
         self.round = 0
         self._steps_in_round = 0
+        self._rounds = rounds
+        self._adopted = False         # w is a round's average, not its own
         # participants_fn(round) -> participant names, called once a round
         self.participants_fn = participants_fn
         self._picked = (None, self.members)   # (round, its sorted pick)
@@ -628,12 +659,13 @@ class FedAvgNode(_NodeBase):
 
     @classmethod
     def _budgets(cls, algo, streams, dcs, seed, scouted, w0):
-        """Every node's: each round's seeded pick of participants, and the
-        trigger's epochs in rounds. Under SkewScout, which may change
-        iter_local mid-run, the trigger's round_hook ends the run once the
-        trigger has trained its epochs, N steps; every round the trigger
-        joins is one step or more, so no node completes the round of the
-        trigger's (N+1)-th share, and the cap is one round past it."""
+        """Every node's: each round's seeded pick of participants, the
+        run's one RoundModel, and the trigger's epochs in rounds. Under
+        SkewScout, which may change iter_local mid-run, the trigger's
+        round_hook ends the run once the trigger has trained its epochs, N
+        steps; every round the trigger joins is one step or more, so no
+        node completes the round of the trigger's (N+1)-th share, and the
+        cap is one round past it."""
         participants_fn = None
         if algo.client_fraction < 1.0:
             names = sorted(dcs)
@@ -653,7 +685,7 @@ class FedAvgNode(_NodeBase):
                 shares += (participants_fn is None
                            or dcs[0] in participants_fn(max_rounds))
                 max_rounds += 1
-        return [dict(max_rounds=max_rounds,
+        return [dict(max_rounds=max_rounds, rounds=RoundModel(),
                      participants_fn=participants_fn)] * len(streams)
 
     @classmethod
@@ -676,7 +708,13 @@ class FedAvgNode(_NodeBase):
         return self._picked[1]
 
     def _local_step(self, sim, grad, eta):
-        momentum_step(self.w, self.u, self.m, grad, eta)
+        if self._adopted:
+            # w + u goes into the spent gradient: the bits of the in-place
+            # step, without writing the shared average
+            momentum_step(self.w, self.u, self.m, grad, eta, out=grad)
+            self.w, self._adopted = grad, False
+        else:
+            momentum_step(self.w, self.u, self.m, grad, eta)
         self.iters_done += 1
         self._steps_in_round += 1
         self._after_iteration(sim)
@@ -695,13 +733,19 @@ class FedAvgNode(_NodeBase):
         models = self._gather(self.round, members)
         if models is None:
             return
-        # the shares added in member order into a zeroed buffer: the
-        # additions of np.stack(models).sum(axis=0), without the stack
-        w = np.zeros(self.w.size)
-        for share in models:
-            w += share
-        w /= len(members)
-        self.w = w
+        held = self._rounds
+        if held.rnd == self.round:
+            w = held.w
+        else:
+            # the shares added in member order into a zeroed buffer: the
+            # additions of np.stack(models).sum(axis=0), without the stack
+            w = np.zeros(self.w.size)
+            for share in models:
+                w += share
+            w /= len(members)
+            if held.rnd < self.round:     # the first node to complete it
+                held.rnd, held.w = self.round, w
+        self.w, self._adopted = w, True
         self.round += 1
         if self.round_hook:
             self.round_hook(self, sim)
@@ -716,18 +760,22 @@ class FedAvgNode(_NodeBase):
 
 class StepModels:
     """A DGC run's global model, one per step, in two buffers that the run's
-    nodes share: step t's model is bufs[t % 2], and newest is the latest
-    step written.
+    nodes share: step t's model is bufs[t % 2], newest is the latest step
+    written, and finite whether its model is finite.
 
     The first node to complete step t writes step t+1's model over step
-    t-1's. A node shares step t only after it has completed step t-1, so by
-    then every node holds step t's model, and no node reads step t-1's;
-    a peer still waiting at step t keeps reading step t's.
+    t-1's and checks it for divergence once. A node shares step t only
+    after it has completed step t-1, so by then every node holds step t's
+    model, and no node reads step t-1's; a peer still waiting at step t
+    keeps reading step t's. No node completes step t+1 before every node
+    has completed step t, so a node completing a step reads the newest
+    step's finite.
     """
 
     def __init__(self, w0):
         self.bufs = (np.array(w0, dtype=np.float64), np.empty(len(w0)))
         self.newest = 0
+        self.finite = True
 
 
 class DgcNode(_NodeBase):
@@ -736,10 +784,10 @@ class DgcNode(_NodeBase):
 
     A step's global model is the last one plus the sum of all emitted
     slices, applied in node order. The run's nodes share it (steps, a
-    StepModels): the first node to complete a step computes it once, and
-    every node binds w to it, so the replicas' weights are one array at
-    each step and node.w is read-only to every caller. Sparsity follows
-    the warm-up ramp by local epoch.
+    StepModels): the first node to complete a step computes it and checks
+    it for divergence once, and every node binds w to it, so the replicas'
+    weights are one array at each step and node.w is read-only to every
+    caller. Sparsity follows the warm-up ramp by local epoch.
     """
 
     _knobs = {"dgc": ("e_warm", DGC_EWARM_GRID)}
@@ -799,9 +847,10 @@ class DgcNode(_NodeBase):
             for idx, vals in slices:
                 w[idx] += vals
             steps.newest = t + 1
+            steps.finite = bool(np.all(np.isfinite(w)))
         self.w = w
         self.iters_done += 1
-        self._after_iteration(sim)
+        self._after_iteration(sim, steps.finite)
         self.try_start(sim)
 
 

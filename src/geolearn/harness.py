@@ -538,13 +538,20 @@ def _hook_rows(cfg, data, sim, nodes, rates):
     # run_experiment returns
     full_batch, test = data.full_batch, data.test
 
+    def accuracy(n):
+        return n.model.accuracy(n.w, test.X, test.y)
+
     def evaluate(trigger, sim_):
         evaluated = (nodes if per_node_stats or not trigger._row_alone
                      else [trigger])
-        obj = float(np.mean([n.model.objective(n.w, full_batch)
-                             for n in evaluated]))
+        # replicas that share their weights array share its training-mode
+        # objective, which reads no running statistics, and its accuracy
+        # unless batch norm's running statistics enter it
+        obj = float(np.mean(_per_weights(
+            evaluated, lambda n: n.model.objective(n.w, full_batch))))
         acc = None if test is None else float(np.mean(
-            [n.model.accuracy(n.w, test.X, test.y) for n in evaluated]))
+            [accuracy(n) for n in evaluated] if per_node_stats
+            else _per_weights(evaluated, accuracy)))
         cost = _cost_now(sim_, rates)
         row = {"sim_time_s": sim_.now, "epoch": trigger.epochs_done,
                "objective": obj, "accuracy": acc, "cost_usd": cost}
@@ -594,6 +601,16 @@ def _hook_rows(cfg, data, sim, nodes, rates):
         if scout is not None:
             trigger.iter_hook = scout.on_boundary
     return rows, conv, scout
+
+
+def _per_weights(nodes, fn):
+    """[fn(n) for n in nodes], with fn called once per distinct weights
+    array."""
+    done = {}
+    for n in nodes:
+        if id(n.w) not in done:
+            done[id(n.w)] = fn(n)
+    return [done[id(n.w)] for n in nodes]
 
 
 def _cost_now(sim, rates):

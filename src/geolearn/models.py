@@ -282,17 +282,6 @@ class BatchNorm:
     rho: float = RUNNING_RHO
     eps: float = EPS_NORM
 
-    @classmethod
-    def create(cls, channels, rho=RUNNING_RHO, eps=EPS_NORM):
-        return cls(
-            gamma=np.ones(channels),
-            beta=np.zeros(channels),
-            running_mean=np.zeros(channels),
-            running_var=np.ones(channels),
-            rho=rho,
-            eps=eps,
-        )
-
 
 @dataclass
 class GroupNorm:
@@ -307,19 +296,6 @@ class GroupNorm:
     group_size: int
     eps: float = EPS_NORM
 
-    @classmethod
-    def create(cls, channels, group_size, eps=EPS_NORM):
-        if channels % group_size != 0:
-            raise ValueError(
-                f"channels {channels} not divisible by group size {group_size}"
-            )
-        return cls(
-            gamma=np.ones(channels),
-            beta=np.zeros(channels),
-            group_size=group_size,
-            eps=eps,
-        )
-
 
 @dataclass
 class _NormCache:
@@ -329,21 +305,15 @@ class _NormCache:
     inv_std: np.ndarray
 
 
-def norm_forward(layer, x, mode, update_stats=None):
-    """Run a normalization layer on x (batch x channels).
-
-    Returns (y, cache); the cache feeds norm_backward. For BatchNorm in train
-    mode the running statistics are updated unless update_stats=False. Train
-    mode requires at least two samples for a meaningful batch variance.
-    """
-    return _norm(layer, np.array(x, dtype=np.float64), mode, update_stats,
-                 keep=True)
-
-
 def _norm(layer, x, mode, update_stats, keep):
-    """norm_forward on a C-contiguous float64 x that the caller owns: x is
-    overwritten with xhat, and with y as well unless keep asks for the cache
-    (then y is a new array and the cache is returned, else None)."""
+    """Run a normalization layer on a C-contiguous float64 x (batch x
+    channels) that the caller owns; (y, cache), the cache for norm_backward
+    or None.
+
+    x is overwritten with xhat, and with y as well unless keep asks for the
+    cache (then y is a new array). For BatchNorm in train mode the running
+    statistics are updated unless update_stats is False. Train mode
+    requires at least two samples for a meaningful batch variance."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     n, c = x.shape
@@ -393,7 +363,7 @@ def _norm(layer, x, mode, update_stats, keep):
 
 
 def norm_backward(layer, cache, dy):
-    """Gradients (dx, dgamma, dbeta) for a cached norm_forward call."""
+    """Gradients (dx, dgamma, dbeta) for a cached _norm call."""
     if cache.layer is not layer or dy.shape != cache.xhat.shape:
         raise ValueError("stale or mismatched normalization cache")
     dy = np.asarray(dy, dtype=np.float64)

@@ -24,23 +24,30 @@ class StepDecay:
     factor: float = field(default=10.0, metadata={"gt": 0})
 
 
-def momentum_step(w, u, m, grad, eta):
+def momentum_step(w, u, m, grad, eta, out=None):
     """One heavy-ball step with velocity u and coefficient m, in place.
 
     u <- m * u - eta * grad, then w <- w + u, each rounded as that
     expression; u is then the update actually applied, which callers
-    accumulate for exchange. grad is overwritten with eta * grad.
+    accumulate for exchange. grad is overwritten with eta * grad. Given
+    out, w + u is written there and w is left as it is; out may be grad,
+    which is spent by then.
     """
-    if w.shape != grad.shape or w.shape != u.shape:
+    if w.shape != grad.shape or w.shape != u.shape or (
+            out is not None and w.shape != out.shape):
         raise ValueError(
-            f"length mismatch: w{w.shape}, grad{grad.shape}, u{u.shape}"
+            f"length mismatch: w{w.shape}, grad{grad.shape}, u{u.shape}, "
+            f"out{getattr(out, 'shape', None)}"
         )
     if eta < 0:
         raise ValueError(f"negative learning rate: {eta}")
     u *= m
     grad *= eta
     u -= grad
-    w += u
+    if out is None:
+        w += u
+    else:
+        np.add(w, u, out=out)
 
 
 def lr_at(schedule, epoch):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from geolearn import wansim
 from geolearn.algos import (WARMUP_SCHEDULE, ArrayBatches, DgcNode,
-                            FedAvgNode, GaiaNode, StepModels, dgc_select,
-                            warmup_sparsity)
+                            FedAvgNode, GaiaNode, RoundModel, StepModels,
+                            dgc_select, warmup_sparsity)
 from geolearn.data import (MinibatchStream, SkewSpec, gen_cluster_data,
                            partition_label_skew)
 from geolearn.harness import AlgoCfg, config_from_dict, run_experiment
@@ -114,11 +114,12 @@ def _mesh_sim(names, trace=True):
 
 def _spawn(algo, names, budget, seed=5, batch=10, per_class=30, features=3,
            classes=2, eta=0.05, participants_fn=None, model=None,
-           dgc_cls=DgcNode):
+           dgc_cls=DgcNode, fedavg_cls=FedAvgNode):
     """Classifier nodes of the class algo.kind runs over a balanced split,
     registered and woken. budget is max_rounds for FedAvg, else max_iters.
     Each node clones model, which starts at its init_params; without one,
-    a softmax model started at zero. DGC nodes share one StepModels."""
+    a softmax model started at zero. DGC nodes share one StepModels, and
+    FedAvg nodes one RoundModel."""
     sim = _mesh_sim(names)
     data = gen_cluster_data(classes, features, per_class, spread=1.0, seed=seed)
     parts = partition_label_skew(data, SkewSpec(len(names), alpha=0.0, seed=seed))
@@ -127,7 +128,7 @@ def _spawn(algo, names, budget, seed=5, batch=10, per_class=30, features=3,
         w0 = np.zeros(model.n_params)
     else:
         w0 = model.init_params(seed_stream(seed, "init"))
-    nodes, steps = [], StepModels(w0)
+    nodes, steps, rounds = [], StepModels(w0), RoundModel()
     for i, name in enumerate(names):
         stream = MinibatchStream(parts[i], batch, seed_stream(seed, "stream", name))
         common = dict(
@@ -136,7 +137,7 @@ def _spawn(algo, names, budget, seed=5, batch=10, per_class=30, features=3,
             lr_schedule=StepDecay(eta0=eta), compute_s=0.001,
             w0=w0, algo=algo, peers=[p for p in names if p != name])
         if algo.kind == "fedavg":
-            node = FedAvgNode(**common, max_rounds=budget,
+            node = fedavg_cls(**common, max_rounds=budget, rounds=rounds,
                               participants_fn=participants_fn)
         elif algo.kind == "dgc":
             node = dgc_cls(**common, max_iters=budget, steps=steps)
@@ -413,6 +414,48 @@ def test_dgc_shared_models_match_the_per_replica_reference():
     assert ahead["held"] > 0 and ahead["delivered"] > 0
 
 
+def test_dgc_checks_each_step_model_for_divergence_once(monkeypatch):
+    isfinite, calls = np.isfinite, Counter()
+
+    def counted(*args, **kwargs):
+        calls["isfinite"] += 1
+        return isfinite(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    for cls, per_step in ((_PerReplicaDgc, 4), (DgcNode, 1)):
+        calls.clear()
+        _dgc_on_a_slow_link(cls, lambda node, when: None)
+        # 4 nodes, 8 global steps: the reference scans each step model
+        # once per node, the shared check once
+        assert calls["isfinite"] == per_step * 8, cls
+
+
+def _poisoned_dgc(dgc_cls, step):
+    """A 3-DC DGC run in which b's share of the given step carries an inf,
+    so every step model from the next one on is not finite."""
+    sim, nodes = _spawn(AlgoCfg(kind="dgc", e_warm=1), ["a", "b", "c"], 8,
+                        per_class=20, dgc_cls=dgc_cls)
+    b = nodes[1]
+    share = b._share
+
+    def poisoned(sim_, rnd, byte_split, emitted):
+        if rnd == step:
+            emitted[1][0] = np.inf
+        share(sim_, rnd, byte_split, emitted)
+
+    b._share = poisoned
+    sim.run()
+    return [(n.diverged, n.stopped, n.iters_done) for n in nodes]
+
+
+def test_a_non_finite_dgc_step_model_stops_every_node_at_that_step():
+    # the per-node check of the per-replica reference, and the one check of
+    # the shared step model that every node reads
+    want = _poisoned_dgc(_PerReplicaDgc, 3)
+    assert want == [(True, True, 4)] * 3
+    assert _poisoned_dgc(DgcNode, 3) == want
+
+
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_dgc_run_holds_two_weight_arrays_for_any_k(k):
     cfg = config_from_dict({
@@ -519,6 +562,84 @@ def test_scouted_fedavg_ends_without_its_round_hook(client_fraction):
     result = _scouted_fedavg(client_fraction, wired=True)
     assert result.rows and result.nodes[0].epochs_done >= 2
     assert all(n.stopped and n.round < n.max_rounds for n in result.nodes)
+
+
+class _PerReplicaFedAvg(FedAvgNode):
+    """The loop reference: FedAvg with a private replica per node, which
+    averages every round it completes by the stacked sum and steps in
+    place."""
+
+    def _try_complete(self, sim):
+        models = self._gather(self.round, self._members_this_round())
+        if models is None:
+            return
+        self.w = np.stack(models).sum(axis=0) / len(models)
+        self.round += 1
+        if self.round_hook:
+            self.round_hook(self, sim)
+        if self.round >= self.max_rounds:
+            self.stopped = True
+        self.try_start(sim)
+
+
+def _fedavg_on_a_slow_link(fedavg_cls, client_fraction, reads):
+    """A 5-DC FedAvg run of 8 rounds in which every share reaches a after
+    ~60 compute times, so a completes each round well after its peers; at
+    client_fraction 0.6 (the run's seeded pick of 3), they complete the
+    rounds a sits out without it. reads(nodes, node, when) is called at
+    every node's round_hook and iter_hook."""
+    names = ["a", "b", "c", "d", "e"]
+    algo = AlgoCfg(kind="fedavg", iter_local=2,
+                   client_fraction=client_fraction)
+    sim, nodes = _spawn(algo, names, 8, per_class=20, features=4, classes=3,
+                        fedavg_cls=fedavg_cls)
+    if client_fraction < 1.0:
+        fn = FedAvgNode._budgets(algo, [n.stream for n in nodes], names, 5,
+                                 False, None)[0]["participants_fn"]
+        for node in nodes:
+            node.participants_fn = fn
+    for src in names[1:]:
+        sim.channels[src, "a"].bandwidth = 2e3
+    for node in nodes:
+        node.round_hook = lambda n, s: reads(nodes, n, "round")
+        node.iter_hook = lambda n, s: reads(nodes, n, "step")
+    sim.run()
+    assert all(n.stopped and n.round == 8 for n in nodes)
+    return nodes
+
+
+@pytest.mark.parametrize("client_fraction", [1.0, 0.6])
+def test_fedavg_shared_round_models_match_the_per_replica_reference(
+        client_fraction):
+    # the reference: every replica's weights in each (round, steps) state
+    # it is in at any node's hook
+    ref = {}
+
+    def record(nodes, node, when):
+        for n in nodes:
+            got = n.w.tobytes()
+            assert ref.setdefault((n.name, n.round, n.iters_done), got) == got
+
+    _fedavg_on_a_slow_link(_PerReplicaFedAvg, client_fraction, record)
+    # the shared averages: at every hook, every node holds the reference's
+    # bytes, also while a peer that bound the same average has stepped off
+    # it or a later round's average has replaced it in the RoundModel
+    seen = Counter()
+
+    def check(nodes, node, when):
+        for n in nodes:
+            assert n.w.tobytes() == ref[n.name, n.round, n.iters_done], (
+                n.name, node.name, when)
+        seen[when] += 1
+        seen["shared"] += len({id(n.w) for n in nodes}) < len(nodes)
+        # a node that completed an older round averaged it itself
+        seen["own"] += when == "round" and node.w is not node._rounds.w
+
+    nodes = _fedavg_on_a_slow_link(FedAvgNode, client_fraction, check)
+    assert seen["round"] == 5 * 8 and seen["step"] == sum(
+        n.iters_done for n in nodes)
+    assert seen["shared"] > 0
+    assert (seen["own"] > 0) == (client_fraction < 1.0)
 
 
 def test_fedavg_sitting_out_adopts_the_round_average():
@@ -670,8 +791,8 @@ def test_fedavg_round_average_is_the_stacked_sum_bit_for_bit(k, size, seed):
         shares.append(share)
     names = [f"n{i:02d}" for i in range(k)]
     node = FedAvgNode(names[0], 0, None, None, None, None, 0.0, max_rounds=1,
-                      w0=np.zeros(size), algo=AlgoCfg(kind="fedavg"),
-                      peers=names[1:])
+                      rounds=RoundModel(), w0=np.zeros(size),
+                      algo=AlgoCfg(kind="fedavg"), peers=names[1:])
     node._gathered[0] = dict(zip(names, shares))
     node._try_complete(None)          # the last round: nothing starts
     assert node.round == 1 and node.stopped
@@ -719,7 +840,7 @@ def test_fedavg_round_peak_memory():
 def test_dgc_step_completion_allocates_no_model_vector():
     # the first node to complete a step writes it into the shared buffer
     # it no longer needs, and the others bind to it: what is left is the
-    # divergence check's bool array (M / 8)
+    # first node's divergence check, a bool array (M / 8)
     peaks = _completion_peaks(AlgoCfg(kind="dgc"), 6, lambda n: n.iters_done)
     assert len(peaks) == 6
     assert max(peaks) <= 0.2, peaks

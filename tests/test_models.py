@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geolearn.models import (BatchNorm, GroupNorm, MFEntries, MFModel,
-                             SoftmaxModel, TinyMLP, _class_sum, norm_backward,
-                             norm_forward, stat_divergence)
+from geolearn.models import (RUNNING_RHO, BatchNorm, GroupNorm, MFEntries,
+                             MFModel, SoftmaxModel, TinyMLP, _class_sum, _norm,
+                             norm_backward, stat_divergence)
 from geolearn.numerics import grad_check
 from geolearn.rng import seed_stream
 
@@ -153,50 +153,62 @@ def test_softmax_objective_is_the_training_loss_bit_for_bit(
 
 
 # ---------------------------------------------------------------------------
-# normalization layers
+# normalization layers: built as TinyMLP._norm_layer builds them, and run
+# through _norm on an input the caller owns, with the cache kept
+
+
+def _batch_norm(channels, rho=RUNNING_RHO):
+    return BatchNorm(gamma=np.ones(channels), beta=np.zeros(channels),
+                     running_mean=np.zeros(channels),
+                     running_var=np.ones(channels), rho=rho)
+
+
+def _group_norm(channels, group_size):
+    return GroupNorm(gamma=np.ones(channels), beta=np.zeros(channels),
+                     group_size=group_size)
 
 
 def test_batchnorm_running_stats_blend():
-    layer = BatchNorm.create(2, rho=0.25)
+    layer = _batch_norm(2, rho=0.25)
     x = np.array([[1.0, 10.0], [3.0, 14.0]])   # mean [2, 12], var [1, 4]
-    norm_forward(layer, x, "train")
+    _norm(layer, x.copy(), "train", True, keep=True)
     np.testing.assert_allclose(layer.running_mean, [0.5, 3.0])
     np.testing.assert_allclose(layer.running_var, [1.0, 1.75])
     # update_stats=False leaves them alone
     before = layer.running_mean.copy()
-    norm_forward(layer, x, "train", update_stats=False)
+    _norm(layer, x.copy(), "train", False, keep=True)
     np.testing.assert_array_equal(layer.running_mean, before)
 
 
 def test_batchnorm_train_output_is_standardized():
-    layer = BatchNorm.create(3)
+    layer = _batch_norm(3)
     rng = seed_stream(11, "test")
     x = rng.normal(2.0, 5.0, size=(64, 3))
-    y, _ = norm_forward(layer, x, "train", update_stats=False)
+    y, _ = _norm(layer, x, "train", False, keep=True)
     np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(y.std(axis=0), 1.0, atol=1e-3)
 
 
 def test_batchnorm_eval_uses_running_stats():
-    layer = BatchNorm.create(1)
+    layer = _batch_norm(1)
     layer.running_mean = np.array([4.0])
     layer.running_var = np.array([9.0])
-    y, _ = norm_forward(layer, np.array([[10.0], [4.0]]), "eval")
+    y, _ = _norm(layer, np.array([[10.0], [4.0]]), "eval", True, keep=True)
     np.testing.assert_allclose(y, [[2.0], [0.0]], atol=1e-5)
 
 
 def test_batchnorm_train_requires_two_samples():
     with pytest.raises(ValueError):
-        norm_forward(BatchNorm.create(2), np.ones((1, 2)), "train")
+        _norm(_batch_norm(2), np.ones((1, 2)), "train", True, keep=True)
 
 
 def test_groupnorm_is_per_sample():
     # permuting other samples cannot change a sample's output
-    layer = GroupNorm.create(4, 2)
+    layer = _group_norm(4, 2)
     rng = seed_stream(5, "test")
     x = rng.normal(size=(6, 4))
-    y, _ = norm_forward(layer, x, "train")
-    y_perm, _ = norm_forward(layer, x[::-1], "train")
+    y, _ = _norm(layer, x.copy(), "train", True, keep=True)
+    y_perm, _ = _norm(layer, x[::-1].copy(), "train", True, keep=True)
     np.testing.assert_array_equal(y, y_perm[::-1])
 
 
@@ -204,20 +216,21 @@ def test_groupnorm_is_per_sample():
 @settings(max_examples=25)
 def test_groupnorm_shift_invariance(shift):
     # adding one constant to every channel of a group cancels in the mean
-    layer = GroupNorm.create(4, 2)
+    layer = _group_norm(4, 2)
     rng = seed_stream(7, "test")
     x = rng.normal(size=(3, 4))
-    y0, _ = norm_forward(layer, x, "train")
+    y0, _ = _norm(layer, x.copy(), "train", True, keep=True)
     x2 = x.copy()
     x2[:, :2] += shift
-    y1, _ = norm_forward(layer, x2, "train")
+    y1, _ = _norm(layer, x2, "train", True, keep=True)
     np.testing.assert_allclose(y0, y1, atol=1e-7)
 
 
 def test_norm_backward_rejects_stale_cache():
-    layer_a = BatchNorm.create(2)
-    layer_b = BatchNorm.create(2)
-    _, cache = norm_forward(layer_a, np.ones((3, 2)) + np.eye(3, 2), "train")
+    layer_a = _batch_norm(2)
+    layer_b = _batch_norm(2)
+    _, cache = _norm(layer_a, np.ones((3, 2)) + np.eye(3, 2), "train", True,
+                     keep=True)
     with pytest.raises(ValueError):
         norm_backward(layer_b, cache, np.zeros((3, 2)))
 
@@ -272,6 +285,24 @@ def test_mlp_eval_train_modes_differ_with_batchnorm():
     train_loss = mlp.objective(params, (X, y), mode="train")
     eval_loss = mlp.objective(params, (X, y), mode="eval")
     assert train_loss != pytest.approx(eval_loss)
+
+
+def test_batchnorm_objective_reads_no_running_stats():
+    # why a harness row evaluates a weights array that replicas share once
+    # for the objective, yet once per replica for the accuracy: the
+    # training-mode objective normalizes by the batch, while eval-mode
+    # accuracy normalizes by the running statistics each replica keeps
+    mlp = TinyMLP([4, 8, 8, 3], norm="batch")
+    rng = seed_stream(43, "test")
+    params = mlp.init_params(rng)
+    X = rng.normal(size=(60, 4))
+    y = rng.integers(0, 3, size=60)
+    obj, acc = mlp.objective(params, (X, y)), mlp.accuracy(params, X, y)
+    for s in mlp.bn_stats:
+        s["mean"] = rng.normal(scale=0.1, size=s["mean"].size)
+        s["var"] = rng.uniform(1e-4, 1e-3, size=s["var"].size)
+    assert _bits(mlp.objective(params, (X, y))) == _bits(obj)
+    assert mlp.accuracy(params, X, y) != acc
 
 
 def test_mlp_group_size_must_divide_hidden():
@@ -536,10 +567,11 @@ def test_norm_layers_match_the_plain_expressions_bit_for_bit(kind, mode):
         return GroupNorm(gamma=gamma, beta=beta, group_size=3)
 
     layer, ref = make(), make()
-    x_before = x.tobytes()
-    y, cache = norm_forward(layer, x, mode)
+    x_before, owned = x.tobytes(), x.copy()
+    y, cache = _norm(layer, owned, mode, True, keep=True)
     want_y, want_cache = _ref_norm_forward(ref, x, mode)
     assert x.tobytes() == x_before
+    assert cache.xhat is owned         # the owned input now holds xhat
     assert y.tobytes() == want_y.tobytes()
     for got, want in zip(norm_backward(layer, cache, dy),
                          _ref_norm_backward(ref, want_cache, dy)):

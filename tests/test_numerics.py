@@ -30,9 +30,16 @@ def test_momentum_step_in_place_matches_expressions_bitwise(rows, m, eta):
     w, u, grad = (np.array(col) for col in zip(*rows))
     u_expect = m * u - eta * grad
     w_expect = w + u_expect
+    # the same step with w + u written into the spent gradient
+    w2, u2, grad2 = w.copy(), u.copy(), grad.copy()
     momentum_step(w, u, m, grad, eta)
     assert u.tobytes() == u_expect.tobytes()
     assert w.tobytes() == w_expect.tobytes()
+    w_before = w2.tobytes()
+    momentum_step(w2, u2, m, grad2, eta, out=grad2)
+    assert u2.tobytes() == u_expect.tobytes()
+    assert grad2.tobytes() == w_expect.tobytes()
+    assert w2.tobytes() == w_before
 
 
 def test_momentum_step_rejects_mismatch_and_negative_lr():
@@ -41,6 +48,8 @@ def test_momentum_step_rejects_mismatch_and_negative_lr():
         momentum_step(np.zeros(3), u, 0.9, np.zeros(3), 0.1)
     with pytest.raises(ValueError):
         momentum_step(np.zeros(2), u, 0.9, np.zeros(2), -0.1)
+    with pytest.raises(ValueError):
+        momentum_step(np.zeros(2), u, 0.9, np.zeros(2), 0.1, out=np.zeros(3))
 
 
 @given(st.floats(0.0, 0.99), st.integers(1, 30))
