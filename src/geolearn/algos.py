@@ -115,8 +115,9 @@ class _NodeBase:
 
     The replica is the float64 weights w, the velocity u and the momentum m
     of the algorithm section `algo`, which is shared by every node and
-    never mutated. Steps and applied updates write into w and u in place,
-    so what a peer reads after the sender's next step (Gaia's dense payload,
+    never mutated. Steps and applied updates write into w and u in place
+    (a FedAvg step writes its new w into its spent gradient instead), so
+    what a peer reads after the sender's next step (Gaia's dense payload,
     a FedAvg share) is sent as a copy. A model that several replicas share
     is computed once per run: a DGC node's w is one of the two model
     buffers its run's nodes share (StepModels), and a FedAvg node that
@@ -633,8 +634,8 @@ class FedAvgNode(_NodeBase):
 
     The run's nodes share each round's average (rounds, a RoundModel): a
     node that completes a round binds w to it, and w stays shared and
-    read-only until the node's next step writes w + u into the step's
-    spent gradient, which is the node's own w from then on."""
+    read-only until the node's next step. Every step writes w + u into
+    the step's spent gradient, which is the node's own w from then on."""
 
     _knobs = {"fedavg": ("iter_local", FEDAVG_ITER_GRID)}
     _per_round = True
@@ -647,7 +648,6 @@ class FedAvgNode(_NodeBase):
         self.round = 0
         self._steps_in_round = 0
         self._rounds = rounds
-        self._adopted = False         # w is a round's average, not its own
         # participants_fn(round) -> participant names, called once a round
         self.participants_fn = participants_fn
         self._picked = (None, self.members)   # (round, its sorted pick)
@@ -708,13 +708,10 @@ class FedAvgNode(_NodeBase):
         return self._picked[1]
 
     def _local_step(self, sim, grad, eta):
-        if self._adopted:
-            # w + u goes into the spent gradient: the bits of the in-place
-            # step, without writing the shared average
-            momentum_step(self.w, self.u, self.m, grad, eta, out=grad)
-            self.w, self._adopted = grad, False
-        else:
-            momentum_step(self.w, self.u, self.m, grad, eta)
+        # w + u goes into the spent gradient: the bits of the in-place
+        # step, without writing a shared round average
+        momentum_step(self.w, self.u, self.m, grad, eta, out=grad)
+        self.w = grad
         self.iters_done += 1
         self._steps_in_round += 1
         self._after_iteration(sim)
@@ -745,7 +742,7 @@ class FedAvgNode(_NodeBase):
             w /= len(members)
             if held.rnd < self.round:     # the first node to complete it
                 held.rnd, held.w = self.round, w
-        self.w, self._adopted = w, True
+        self.w = w
         self.round += 1
         if self.round_hook:
             self.round_hook(self, sim)

@@ -3,9 +3,10 @@
 Momentum SGD, learning-rate schedules, gradient clipping, and a
 finite-difference gradient oracle. Everything operates on 1-D float64
 arrays. The momentum step and the clip work in place: the step updates the
-replica's own weight and velocity arrays and overwrites the gradient, and
-the clip scales its input, so neither allocates an array of the model's
-size. Each in-place form rounds exactly as the expression it replaces.
+replica's own velocity and overwrites the gradient, and writes the new
+weights into the weight array or into a given out array (the spent
+gradient, say); the clip scales its input. So neither allocates an array
+of the model's size. Each in-place form rounds exactly as the expression it replaces.
 """
 
 import math
