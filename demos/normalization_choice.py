@@ -13,7 +13,7 @@ Run: python3 demos/normalization_choice.py
 
 import numpy as np
 
-from geolearn.data import MinibatchStream, SkewSpec, gen_cluster_data, partition_label_skew
+from geolearn.data import MinibatchStream, gen_cluster_data, partition_label_skew
 from geolearn.harness import config_from_dict, run_experiment
 from geolearn.models import TinyMLP, stat_divergence
 from geolearn.rng import seed_stream
@@ -24,7 +24,7 @@ def minibatch_mean_divergence(alpha, batches=100):
     two DCs' aligned minibatches."""
     data = gen_cluster_data(classes=4, features=8, per_class=200,
                             spread=1.0, seed=11)
-    parts = partition_label_skew(data, SkewSpec(2, alpha, 11))
+    parts = partition_label_skew(data, 2, alpha, 11)
     model = TinyMLP([8, 16, 4], norm="batch")
     w0 = model.init_params(seed_stream(11, "model", "init"))
     streams = [MinibatchStream(p, 50, seed_stream(11, "s", str(i)))

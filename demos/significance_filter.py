@@ -43,7 +43,7 @@ def main():
 
     # the filter's view of its own work: how many scored coordinates stayed home
     emitted = scored = 0
-    for counts in filtered.extras["sig_counts"].values():
+    for counts in (n.sig_counts for n in filtered.nodes):
         for e, s in counts.values():
             emitted += e
             scored += s

@@ -87,38 +87,16 @@ def dgc_select(v, sparsity_pct, scratch=None):
     return above.nonzero()[0]
 
 
-# ---------------------------------------------------------------------------
-# batch views
-
-
-class ArrayBatches:
-    """Row-indexed view over (X, y) arrays for classifiers."""
-
-    def __init__(self, X, y):
-        self.X = X
-        self.y = y
-
-    def make(self, idx):
-        return self.X[idx], self.y[idx]
-
-
-class EntryBatches:
-    """Identity view for factorization entry indices."""
-
-    def make(self, idx):
-        return np.asarray(idx, dtype=np.intp)
-
-
 class _NodeBase:
     """What every node shares: the replica, compute scheduling, counters,
     hooks, and the message plumbing.
 
     The replica is the float64 weights w, the velocity u and the momentum m
     of the algorithm section `algo`, which is shared by every node and
-    never mutated. Steps and applied updates write into w and u in place
-    (a FedAvg step writes its new w into its spent gradient instead), so
-    what a peer reads after the sender's next step (Gaia's dense payload,
-    a FedAvg share) is sent as a copy. A model that several replicas share
+    never mutated. Steps and applied updates write into w and u in place,
+    so a dense payload, which peers read after the sender's next step, is
+    sent as a copy. A FedAvg step writes its new w into its spent gradient
+    instead, so its share is w itself. A model that several replicas share
     is computed once per run: a DGC node's w is one of the two model
     buffers its run's nodes share (StepModels), and a FedAvg node that
     completes a round binds w to the round's average (RoundModel), which
@@ -126,10 +104,11 @@ class _NodeBase:
     node.w as read-only: hooks and peers read it, and copy what they keep.
     The base receives (travel payloads go to travel_sink, anything else to
     _receive), forwards overlay copies a hub must re-broadcast, broadcasts,
-    and computes each minibatch gradient at w. A broadcast or a hub's
-    forward is one sim.send of one message with the hops sim.hops built
-    once, and each link delivers it to its receiving node; receivers share
-    the message and only read it.
+    and computes each minibatch gradient at w: batch(idx), one function per
+    run, builds the minibatch of the indexes idx that stream hands out,
+    once per step. A broadcast or a hub's forward is one sim.send of one
+    message with the hops sim.hops built once, and each link delivers it
+    to its receiving node; receivers share the message and only read it.
 
     A synchronous round is gathered here: _share keeps this node's share of
     a round, broadcasts it and holds the node (_awaiting); each peer's share
@@ -142,7 +121,7 @@ class _NodeBase:
     now?), _local_step (apply one gradient at a learning rate, and
     exchange), set_knob (the knob SkewScout tunes), and either its own
     _receive or _try_complete. It declares the policies a run reads off
-    it: _knobs, _budgets, _spacing, _per_round, _row_alone and _extras.
+    it: _knobs, _budgets, _spacing, _per_round and _row_alone.
     The gradient is the step's one model-sized array; once applied it is
     scratch, which a sparse exchange ranks or scores its update in.
     """
@@ -152,14 +131,13 @@ class _NodeBase:
     _knobs = {}
     _per_round = False    # rows and boundaries per round, not epoch and step
     _row_alone = False    # a row evaluates the trigger alone, not every node
-    _extras = ()          # node attributes RunResult.extras holds per node
 
-    def __init__(self, name, index, model, batch_view, stream, lr_schedule,
+    def __init__(self, name, index, model, batch, stream, lr_schedule,
                  compute_s, max_iters, w0, algo, peers):
         self.name = name
         self.index = index
         self.model = model
-        self.batch_view = batch_view
+        self.batch = batch
         self.stream = stream
         self.lr_schedule = lr_schedule
         self.compute_s = compute_s
@@ -278,7 +256,7 @@ class _NodeBase:
         # the minibatch stays referenced until the step returns: releasing
         # it earlier reorders the heap's later large allocations, which made
         # run set-up ~45% slower in the mlp-5dc benchmark
-        batch = self.batch_view.make(self.stream.next_batch())
+        batch = self.batch(self.stream.next_batch())
         _, grad = self.model.loss_and_grad(self.w, batch,
                                            update_stats=True)
         self._local_step(sim, grad, lr_at(self.lr_schedule, self.epochs_done))
@@ -383,7 +361,6 @@ class GaiaNode(_NodeBase):
         self._rate = None
         self._t0 = self.t_hard = self.t_soft = algo.t0
         self.sig_counts = {}       # epoch -> [emitted, scored]
-        self._extras = ("sig_counts",) if self._filtered else ()
         # the wait of an untraced blocked node (see the class docstring);
         # _short is always the number of peers whose mirror clock is below
         # _need
@@ -481,10 +458,10 @@ class GaiaNode(_NodeBase):
         return allow
 
     def _barrier_gate(self, sim):
-        """Whether the next step's reads are clear of barrier entries."""
+        """Whether the reads of the next step's indexes miss every barrier."""
         if not self.shard.barrier_waits:
             return True
-        read_set = self.model.touched(self.batch_view.make(self.stream.peek()))
+        read_set = self.model.touched(self.stream.peek())
         if sim.trace:
             n_blocked = gate_read(self.shard, read_set).size
             sim.gate_trace.append((
@@ -719,11 +696,11 @@ class FedAvgNode(_NodeBase):
             return
         if self._steps_in_round >= self.iter_local:
             self._steps_in_round = 0
-            # a copy: the share must not change with this node's later steps
+            # w itself: the next step writes the node's new w elsewhere
             self._share(
                 sim, self.round,
                 {wansim.KIND_UPDATE: wansim.dense_update_bytes(self.w.size)},
-                self.w.copy())
+                self.w)
 
     def _try_complete(self, sim):
         members = self._members_this_round()

@@ -17,16 +17,6 @@ from .rng import seed_stream
 
 
 @dataclass
-class MFDatasetSpec:
-    rows: int
-    cols: int
-    rank: int
-    density: float
-    noise_sigma: float
-    seed: int
-
-
-@dataclass
 class LabeledDataset:
     X: np.ndarray
     y: np.ndarray
@@ -36,35 +26,29 @@ class LabeledDataset:
         return self.y.size
 
 
-@dataclass
-class SkewSpec:
-    partitions: int
-    alpha: float
-    seed: int
-
-
-def gen_mf_data(spec):
-    """Observed entries x_ij = (L* R*)_ij + noise at the requested density.
+def gen_mf_data(rows, cols, rank, density, noise_sigma, seed):
+    """Observed entries x_ij = (L* R*)_ij + noise of a rows x cols matrix
+    of rank `rank`, at the requested density (checked).
 
     Returns (MFEntries, noise_floor) where noise_floor is the exact squared
     error of the generating factors on the emitted entries, i.e. the loss
     value a perfect recovery would reach.
     """
-    if not 0.0 < spec.density <= 1.0:
-        raise ValueError(f"density must be in (0, 1], got {spec.density}")
-    n_cells = spec.rows * spec.cols
-    count = int(round(spec.density * n_cells))
+    if not 0.0 < density <= 1.0:
+        raise ValueError(f"density must be in (0, 1], got {density}")
+    n_cells = rows * cols
+    count = int(round(density * n_cells))
     if count < 1:
         raise ValueError("density too low: no entries would be generated")
-    rng = seed_stream(spec.seed, "data", "mf")
-    L = rng.normal(0.0, 1.0, (spec.rows, spec.rank)) / math.sqrt(spec.rank)
-    R = rng.normal(0.0, 1.0, (spec.rank, spec.cols))
+    rng = seed_stream(seed, "data", "mf")
+    L = rng.normal(0.0, 1.0, (rows, rank)) / math.sqrt(rank)
+    R = rng.normal(0.0, 1.0, (rank, cols))
     flat = rng.choice(n_cells, size=count, replace=False)
     flat.sort()
-    row = (flat // spec.cols).astype(np.intp)
-    col = (flat % spec.cols).astype(np.intp)
+    row = (flat // cols).astype(np.intp)
+    col = (flat % cols).astype(np.intp)
     clean = np.sum(L[row] * R[:, col].T, axis=1)
-    noise = rng.normal(0.0, spec.noise_sigma, count) if spec.noise_sigma > 0 else np.zeros(count)
+    noise = rng.normal(0.0, noise_sigma, count) if noise_sigma > 0 else np.zeros(count)
     entries = MFEntries(row=row, col=col, val=clean + noise)
     floor = float(np.dot(noise, noise))
     return entries, floor
@@ -111,8 +95,8 @@ def _deal_uniform(counts, m):
     return np.sort(level * k + owner)[:m] % k
 
 
-def partition_label_skew(dataset, spec):
-    """Split sample indices into `partitions` lists with tunable label skew.
+def partition_label_skew(dataset, partitions, alpha, seed):
+    """Split sample indices into `partitions` lists with label skew alpha.
 
     A seeded alpha fraction of the samples is assigned by label ownership:
     partition k owns the k-th contiguous block of labels, with the first
@@ -122,14 +106,14 @@ def partition_label_skew(dataset, spec):
     count divides evenly over the partitions (otherwise label ownership
     itself is lopsided and dominates the split).
     """
-    k = spec.partitions
+    k = partitions
     n = len(dataset)
-    if not 0.0 <= spec.alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {spec.alpha}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= partitions <= {n}, got {k}")
-    order = seed_stream(spec.seed, "partition").permutation(n)
-    n_skew = int(round(spec.alpha * n))
+    order = seed_stream(seed, "partition").permutation(n)
+    n_skew = int(round(alpha * n))
     skewed, uniform = order[:n_skew], order[n_skew:]
     owner = np.empty(n, dtype=np.intp)
     owner[skewed] = _label_owner(dataset.y[skewed], dataset.classes, k)

@@ -30,10 +30,10 @@ import numpy as np
 import yaml
 
 from . import wansim
-from .algos import NODE_CLASSES, ArrayBatches, EntryBatches
+from .algos import NODE_CLASSES
 from .data import (
-    MFDatasetSpec, MinibatchStream, SkewSpec, gen_cluster_data, gen_mf_data,
-    partition_label_skew, partition_uniform,
+    MinibatchStream, gen_cluster_data, gen_mf_data, partition_label_skew,
+    partition_uniform,
 )
 from .models import MFModel, SoftmaxModel, TinyMLP
 from .numerics import StepDecay
@@ -310,10 +310,9 @@ def _check_config(cfg):
     if a.soft and (floor := SoftCtl(**a.soft).floor) > a.t0:
         errs.append(f"soft floor {floor} exceeds hard threshold t0 {a.t0}")
     try:
-        tables = ((wansim.load_bandwidth_csv(t.bandwidth_file) if t.bandwidth_file
-                   else wansim.default_bandwidth()),
-                  (wansim.load_cost_csv(t.cost_file) if t.cost_file
-                   else wansim.default_costs()))
+        tables = (_table(t.bandwidth_file, wansim.load_bandwidth_csv,
+                         wansim.default_bandwidth),
+                  _table(t.cost_file, wansim.load_cost_csv, wansim.default_costs))
     except (OSError, ValueError) as exc:
         return errs + [f"cannot read the topology tables: {exc}"], None, None
     names, costs = tables[0][0], tables[1]
@@ -341,6 +340,14 @@ def _check_config(cfg):
                      if i != j and [i, j] not in [list(h[:2]) for h in t.hubs]]:
         errs.append(f"overlay group pairs {missing} have no hub")
     return errs, tables, dcs
+
+
+def _table(path, load, packaged):
+    """A topology table: the file at path read by load, or the packaged one."""
+    if not path:
+        return packaged()
+    with open(path, newline="") as fh:
+        return load(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +403,7 @@ class RunResult:
 
 
 # what the model kind decides, in run_experiment's first step
-_Data = namedtuple("_Data", "model w0 parts full_batch test make_view "
+_Data = namedtuple("_Data", "model w0 parts full_batch test batch "
                    "probes probe_metric relative_al extras")
 
 
@@ -431,22 +438,25 @@ def run_experiment(cfg, topology=None, on_nodes=None):
 
 def _build_data(cfg):
     """Step 1: the data, the model, its w0, the partitions, the full batch,
-    the batch view and SkewScout's probe metric, fn(w, bn stats, node
-    index): a factorization model's objective on the node's probe entries
-    (AL is its relative gap), or a classifier's accuracy in points. The
-    metric reads each node's probe indexes from probes, which _hook_rows
-    fills."""
+    batch(idx), which returns a factorization model's entry indexes as they
+    are or a classifier's (X[idx], y[idx]), and SkewScout's probe metric,
+    fn(w, bn stats, node index): a factorization model's objective on the
+    node's probe entries (AL is its relative gap), or a classifier's
+    accuracy in points. The metric reads each node's probe indexes from
+    probes, which _hook_rows fills."""
     mcfg, dcfg, seed = cfg.model, cfg.data, cfg.seed
     k, extras, probes = cfg.partition.nodes, {}, []
     if mcfg.kind == "mf":
-        spec = MFDatasetSpec(
-            rows=mcfg.rows, cols=mcfg.cols, rank=mcfg.rank,
-            density=dcfg.density, noise_sigma=dcfg.noise_sigma, seed=seed)
-        entries, extras["noise_floor"] = gen_mf_data(spec)
+        entries, extras["noise_floor"] = gen_mf_data(
+            mcfg.rows, mcfg.cols, mcfg.rank, dcfg.density, dcfg.noise_sigma,
+            seed)
         model = MFModel(mcfg.rows, mcfg.cols, mcfg.rank, entries, reg=mcfg.reg)
         parts = partition_uniform(len(entries), k, seed)
         full_batch = np.arange(len(entries), dtype=np.intp)
-        test, make_view, relative_al = None, EntryBatches, True
+        test, relative_al = None, True
+
+        def batch(idx):
+            return idx
 
         def probe_metric(w, stats, i):
             return model.objective(w, probes[i])
@@ -461,11 +471,12 @@ def _build_data(cfg):
         else:
             sizes = [mcfg.features] + list(mcfg.hidden) + [mcfg.classes]
             model = TinyMLP(sizes, norm=mcfg.norm, group_size=mcfg.group_size)
-        parts = partition_label_skew(train, SkewSpec(k, cfg.partition.alpha,
-                                                     seed))
+        parts = partition_label_skew(train, k, cfg.partition.alpha, seed)
         full_batch = (train.X, train.y)
-        make_view = lambda: ArrayBatches(train.X, train.y)
         relative_al = False
+
+        def batch(idx):
+            return train.X[idx], train.y[idx]
 
         def probe_metric(w, stats, i):
             probe = model.clone()
@@ -474,7 +485,7 @@ def _build_data(cfg):
             return probe.accuracy(w, train.X[probes[i]],
                                   train.y[probes[i]]) * 100.0
     w0 = model.init_params(seed_stream(seed, "model", "init"))
-    return _Data(model, w0, parts, full_batch, test, make_view, probes,
+    return _Data(model, w0, parts, full_batch, test, batch, probes,
                  probe_metric, relative_al, extras)
 
 
@@ -508,7 +519,7 @@ def _build_nodes(cfg, data, tables, dcs, topology):
     for i, (dc, stream) in enumerate(zip(dcs, streams)):
         node = node_cls(
             name=dc, index=i, model=data.model.clone(),
-            batch_view=data.make_view(), stream=stream,
+            batch=data.batch, stream=stream,
             lr_schedule=lr_schedule,
             compute_s=topology.compute_s.get(dc, wansim.COMPUTE_S),
             peers=[d for d in dcs if d != dc], w0=data.w0, algo=acfg,
@@ -650,8 +661,6 @@ def _settle(cfg, sim, rates, nodes, rows, conv, scout, extras):
         summary["final_theta"] = scout.final_theta
     if not sim.ledger.conservation_ok():
         raise RuntimeError("byte conservation violated: sent != delivered")
-    extras.update((a, {n.name: getattr(n, a) for n in nodes})
-                  for a in trigger._extras)
     return RunResult(cfg=cfg, rows=rows, summary=summary, nodes=nodes,
                      sim=sim, scout=scout, extras=extras)
 

@@ -396,60 +396,49 @@ class Simulator:
 # external file formats
 
 
-def load_bandwidth_csv(path_or_file):
-    """Read a bandwidth matrix CSV (row/col headers are DC names, cells Mb/s).
+def load_bandwidth_csv(fh):
+    """Read a bandwidth matrix CSV (row/col headers are DC names, cells Mb/s)
+    from the open text file fh.
 
     Returns (dc_names, matrix) with matrix[i][j] in bytes/second from DC i to
     DC j. Empty or zero diagonal cells are ignored.
     """
-    def parse(fh):
-        rows = list(csv.reader(fh))
-        header = [h.strip() for h in rows[0][1:]]
-        names, matrix = [], {}
-        for row in rows[1:]:
-            if not row or not row[0].strip():
+    rows = list(csv.reader(fh))
+    header = [h.strip() for h in rows[0][1:]]
+    names, matrix = [], {}
+    for row in rows[1:]:
+        if not row or not row[0].strip():
+            continue
+        src = row[0].strip()
+        names.append(src)
+        for dst, cell in zip(header, row[1:]):
+            cell = cell.strip()
+            if src == dst or not cell:
                 continue
-            src = row[0].strip()
-            names.append(src)
-            for dst, cell in zip(header, row[1:]):
-                cell = cell.strip()
-                if src == dst or not cell:
-                    continue
-                mbps = float(cell)
-                if mbps <= 0:
-                    raise ValueError(f"non-positive bandwidth {src}->{dst}")
-                matrix[(src, dst)] = mbps * MBPS
-        if names != header:
-            raise ValueError("bandwidth matrix row and column headers differ")
-        return names, matrix
-
-    if hasattr(path_or_file, "read"):
-        return parse(path_or_file)
-    with open(path_or_file, newline="") as fh:
-        return parse(fh)
+            mbps = float(cell)
+            if mbps <= 0:
+                raise ValueError(f"non-positive bandwidth {src}->{dst}")
+            matrix[(src, dst)] = mbps * MBPS
+    if names != header:
+        raise ValueError("bandwidth matrix row and column headers differ")
+    return names, matrix
 
 
-def load_cost_csv(path_or_file):
-    """Read per-region cost rates; returns {region: CostRates}."""
-    def parse(fh):
-        reader = csv.DictReader(fh)
-        needed = {"region", "machine_rate_usd_per_hr", "send_usd_per_gb", "recv_usd_per_gb"}
-        if set(reader.fieldnames) != needed:
-            raise ValueError(f"cost model header must be {sorted(needed)}")
-        rates = {}
-        for row in reader:
-            rates[row["region"]] = CostRates(
-                region=row["region"],
-                machine_usd_per_hr=float(row["machine_rate_usd_per_hr"]),
-                send_usd_per_gb=float(row["send_usd_per_gb"]),
-                recv_usd_per_gb=float(row["recv_usd_per_gb"]),
-            )
-        return rates
-
-    if hasattr(path_or_file, "read"):
-        return parse(path_or_file)
-    with open(path_or_file, newline="") as fh:
-        return parse(fh)
+def load_cost_csv(fh):
+    """Read per-region cost rates from an open CSV file: {region: CostRates}."""
+    reader = csv.DictReader(fh)
+    needed = {"region", "machine_rate_usd_per_hr", "send_usd_per_gb", "recv_usd_per_gb"}
+    if set(reader.fieldnames) != needed:
+        raise ValueError(f"cost model header must be {sorted(needed)}")
+    rates = {}
+    for row in reader:
+        rates[row["region"]] = CostRates(
+            region=row["region"],
+            machine_usd_per_hr=float(row["machine_rate_usd_per_hr"]),
+            send_usd_per_gb=float(row["send_usd_per_gb"]),
+            recv_usd_per_gb=float(row["recv_usd_per_gb"]),
+        )
+    return rates
 
 
 @functools.cache

@@ -13,7 +13,7 @@ import pytest
 
 from geolearn import wansim
 from geolearn.algos import warmup_sparsity
-from geolearn.data import (MinibatchStream, SkewSpec, gen_cluster_data,
+from geolearn.data import (MinibatchStream, gen_cluster_data,
                            partition_label_skew)
 from geolearn.harness import (AlgoCfg, ConvergenceCfg, DataCfg,
                               ExperimentConfig, ModelCfg, OutputCfg,
@@ -107,7 +107,7 @@ def test_02_significance_savings():
         _register(f"02/{kind}", (lambda k=kind: metrics_csv_text(
             run_experiment(_c02_cfg(k)).rows)), res)
     emitted = scored = 0
-    for counts in gaia.extras["sig_counts"].values():
+    for counts in (n.sig_counts for n in gaia.nodes):
         for epoch, (e, s) in counts.items():
             if epoch >= 2:
                 emitted += e
@@ -262,7 +262,7 @@ def test_05_skew_monotonic_trend():
 def _c06_divergence(alpha, seed=11, features=8, classes=4, hidden=16,
                     per_class=200, spread=1.0, batch=50, n_batches=100):
     train = gen_cluster_data(classes, features, per_class, spread, seed)
-    parts = partition_label_skew(train, SkewSpec(2, alpha, seed))
+    parts = partition_label_skew(train, 2, alpha, seed)
     model = TinyMLP([features, hidden, classes], norm="batch")
     w0 = model.init_params(seed_stream(seed, "model", "init"))
     streams = [

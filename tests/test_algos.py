@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geolearn import wansim
-from geolearn.algos import (WARMUP_SCHEDULE, ArrayBatches, DgcNode,
-                            FedAvgNode, GaiaNode, RoundModel, StepModels,
-                            dgc_select, warmup_sparsity)
-from geolearn.data import (MinibatchStream, SkewSpec, gen_cluster_data,
+from geolearn.algos import (WARMUP_SCHEDULE, DgcNode, FedAvgNode, GaiaNode,
+                            RoundModel, StepModels, dgc_select,
+                            warmup_sparsity)
+from geolearn.data import (MinibatchStream, gen_cluster_data,
                            partition_label_skew)
 from geolearn.harness import AlgoCfg, config_from_dict, run_experiment
 from geolearn.numerics import StepDecay
@@ -122,7 +122,7 @@ def _spawn(algo, names, budget, seed=5, batch=10, per_class=30, features=3,
     FedAvg nodes one RoundModel."""
     sim = _mesh_sim(names)
     data = gen_cluster_data(classes, features, per_class, spread=1.0, seed=seed)
-    parts = partition_label_skew(data, SkewSpec(len(names), alpha=0.0, seed=seed))
+    parts = partition_label_skew(data, len(names), alpha=0.0, seed=seed)
     if model is None:
         model = SoftmaxModel(features, classes)
         w0 = np.zeros(model.n_params)
@@ -133,7 +133,7 @@ def _spawn(algo, names, budget, seed=5, batch=10, per_class=30, features=3,
         stream = MinibatchStream(parts[i], batch, seed_stream(seed, "stream", name))
         common = dict(
             name=name, index=i, model=model.clone(),
-            batch_view=ArrayBatches(data.X, data.y), stream=stream,
+            batch=lambda idx: (data.X[idx], data.y[idx]), stream=stream,
             lr_schedule=StepDecay(eta0=eta), compute_s=0.001,
             w0=w0, algo=algo, peers=[p for p in names if p != name])
         if algo.kind == "fedavg":
@@ -701,8 +701,8 @@ def test_fedavg_single_node_rounds_without_traffic():
 
 def _record_sends(sim, sender, key):
     """Each payload[key] that sender sends, once per copy, as (array, its
-    bytes when sent, whether it shared memory with the sender's w or u
-    then)."""
+    bytes when sent, whether it was the sender's w then, whether it shared
+    memory with the sender's w or u then)."""
     sent = []
     send, node = sim.send, sim.nodes[sender]
 
@@ -710,7 +710,8 @@ def _record_sends(sim, sender, key):
         if msg.src == sender and msg.payload and msg.payload.get(key) is not None:
             arr = msg.payload[key]
             aliased = np.shares_memory(arr, node.w) or np.shares_memory(arr, node.u)
-            sent.extend([(arr, arr.tobytes(), aliased)] * len(hops or [msg]))
+            sent.extend([(arr, arr.tobytes(), arr is node.w, aliased)]
+                        * len(hops or [msg]))
         return send(msg, hops)
 
     sim.send = recording
@@ -723,13 +724,17 @@ def _record_sends(sim, sender, key):
 ])
 def test_sent_dense_updates_and_shares_are_copies(algo, key):
     # peers read a dense update or a FedAvg share after the sender's later
-    # steps have rewritten its w and u in place
+    # steps: a dense update is a copy, for they rewrite u in place; a FedAvg
+    # share is the sender's w, which its next step writes elsewhere
     sim, (a, _b) = _spawn(algo, ["a", "b"], 6)
     sent = _record_sends(sim, "a", key)
     sim.run()
     assert a.iters_done == 6 and len(sent) >= 5
-    for arr, raw, aliased in sent:
-        assert not aliased
+    for arr, raw, is_w, aliased in sent:
+        if algo.kind == "fedavg":
+            assert is_w
+        else:
+            assert not aliased
         assert arr.tobytes() == raw
 
 
@@ -761,7 +766,7 @@ def _step_peaks(kind, steps=8):
 @pytest.mark.parametrize("kind,bound", [
     ("bsp", 1.2),      # the gradient, which carries the dense payload, and
     ("ssp", 1.2),      # the divergence check's bool array (M / 8)
-    ("fedavg", 2.1),   # the gradient and, once a round, the share copy
+    ("fedavg", 2.1),   # the gradient, its new w, and once a round the average
     ("gaia", 2.1),     # the gradient, which the filter scores in, and the
                        # flush's indexes and values
     ("dgc", 1.6),      # the gradient, which dgc_select ranks in, and the
@@ -902,7 +907,7 @@ def _blocked_node(algo, local, trace, barrier=None):
     data = gen_cluster_data(2, 3, 30, spread=1.0, seed=5)
     node = GaiaNode(
         name="a", index=0, model=SoftmaxModel(3, 2),
-        batch_view=ArrayBatches(data.X, data.y),
+        batch=lambda idx: (data.X[idx], data.y[idx]),
         stream=MinibatchStream(np.arange(60), 10, seed_stream(5, "stream", "a")),
         lr_schedule=StepDecay(eta0=0.05), compute_s=0.001, max_iters=100,
         w0=np.zeros(8), algo=algo, peers=["b", "c"])

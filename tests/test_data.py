@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geolearn.data import (LabeledDataset, MFDatasetSpec, MinibatchStream,
-                           SkewSpec, gen_cluster_data, gen_mf_data,
-                           partition_label_skew, partition_uniform)
+from geolearn.data import (LabeledDataset, MinibatchStream, gen_cluster_data,
+                           gen_mf_data, partition_label_skew,
+                           partition_uniform)
 from geolearn.rng import seed_stream
 
 
@@ -13,27 +13,25 @@ from geolearn.rng import seed_stream
 
 
 def test_gen_mf_data_shape_and_determinism():
-    spec = MFDatasetSpec(rows=10, cols=8, rank=2, density=0.5,
-                         noise_sigma=0.1, seed=3)
-    entries, floor = gen_mf_data(spec)
+    spec = dict(rows=10, cols=8, rank=2, density=0.5, noise_sigma=0.1, seed=3)
+    entries, floor = gen_mf_data(**spec)
     assert len(entries) == 40          # round(0.5 * 80)
     assert entries.row.max() < 10 and entries.col.max() < 8
-    again, floor2 = gen_mf_data(spec)
+    again, floor2 = gen_mf_data(**spec)
     np.testing.assert_array_equal(entries.val, again.val)
     assert floor == floor2
 
 
 def test_gen_mf_data_noise_floor_zero_when_clean():
-    spec = MFDatasetSpec(rows=6, cols=6, rank=2, density=1.0,
-                         noise_sigma=0.0, seed=1)
-    _, floor = gen_mf_data(spec)
+    _, floor = gen_mf_data(rows=6, cols=6, rank=2, density=1.0,
+                           noise_sigma=0.0, seed=1)
     assert floor == 0.0
 
 
 def test_gen_mf_data_rejects_bad_density():
     with pytest.raises(ValueError):
-        gen_mf_data(MFDatasetSpec(rows=4, cols=4, rank=1, density=0.0,
-                                  noise_sigma=0.0, seed=0))
+        gen_mf_data(rows=4, cols=4, rank=1, density=0.0, noise_sigma=0.0,
+                    seed=0)
 
 
 def test_gen_cluster_data_tags_share_geometry():
@@ -74,8 +72,7 @@ def test_partition_uniform_covers_and_balances():
 
 def test_partition_label_skew_alpha1_disjoint_labels():
     data = gen_cluster_data(6, 2, 30, 1.0, seed=4)
-    parts = partition_label_skew(data, SkewSpec(partitions=3, alpha=1.0,
-                                                seed=4))
+    parts = partition_label_skew(data, partitions=3, alpha=1.0, seed=4)
     _cover_exactly_once(parts, len(data))
     label_sets = [set(np.unique(data.y[p])) for p in parts]
     assert label_sets == [{0, 1}, {2, 3}, {4, 5}]
@@ -83,8 +80,7 @@ def test_partition_label_skew_alpha1_disjoint_labels():
 
 def test_partition_label_skew_alpha0_is_balanced():
     data = gen_cluster_data(4, 2, 25, 1.0, seed=8)
-    parts = partition_label_skew(data, SkewSpec(partitions=4, alpha=0.0,
-                                                seed=8))
+    parts = partition_label_skew(data, partitions=4, alpha=0.0, seed=8)
     _cover_exactly_once(parts, 100)
     assert all(p.size == 25 for p in parts)
 
@@ -92,8 +88,7 @@ def test_partition_label_skew_alpha0_is_balanced():
 def test_partition_label_skew_remainder_labels_to_low_partitions():
     # 5 labels over 2 partitions: partition 0 owns 3, partition 1 owns 2
     data = gen_cluster_data(5, 2, 10, 1.0, seed=6)
-    parts = partition_label_skew(data, SkewSpec(partitions=2, alpha=1.0,
-                                                seed=6))
+    parts = partition_label_skew(data, partitions=2, alpha=1.0, seed=6)
     assert set(np.unique(data.y[parts[0]])) == {0, 1, 2}
     assert set(np.unique(data.y[parts[1]])) == {3, 4}
 
@@ -105,8 +100,7 @@ def test_partition_label_skew_properties(alpha, k, seed):
     # the +-K size bound is promised for class counts divisible by K;
     # k always divides the 6 classes here
     data = gen_cluster_data(6, 2, 10, 1.0, seed=seed)
-    parts = partition_label_skew(data, SkewSpec(partitions=k, alpha=alpha,
-                                                seed=seed))
+    parts = partition_label_skew(data, partitions=k, alpha=alpha, seed=seed)
     _cover_exactly_once(parts, 60)
     for p in parts:
         assert abs(p.size - 60 / k) <= k
@@ -115,7 +109,7 @@ def test_partition_label_skew_properties(alpha, k, seed):
         assert np.all(np.diff(p) > 0) or p.size <= 1
 
 
-def _reference_label_skew(dataset, spec):
+def _reference_label_skew(dataset, k, alpha, seed):
     """The per-sample dealing loop partition_label_skew replaces."""
     def label_owner(label, classes, partitions):
         base, extra = divmod(classes, partitions)
@@ -124,11 +118,10 @@ def _reference_label_skew(dataset, spec):
             return label // (base + 1)
         return extra + (label - boundary) // base if base else partitions - 1
 
-    k = spec.partitions
     n = len(dataset)
-    rng = seed_stream(spec.seed, "partition")
+    rng = seed_stream(seed, "partition")
     order = rng.permutation(n)
-    n_skew = int(round(spec.alpha * n))
+    n_skew = int(round(alpha * n))
     skewed, uniform = order[:n_skew], order[n_skew:]
     parts = [[] for _ in range(k)]
     skewed = skewed[np.argsort(dataset.y[skewed], kind="stable")]
@@ -164,9 +157,8 @@ def test_partition_label_skew_matches_reference_loop(case):
     sizes, k, alpha, seed = case
     y = np.repeat(np.arange(len(sizes)), sizes)
     data = LabeledDataset(X=np.zeros((y.size, 1)), y=y, classes=len(sizes))
-    spec = SkewSpec(partitions=k, alpha=alpha, seed=seed)
-    got = partition_label_skew(data, spec)
-    want = _reference_label_skew(data, spec)
+    got = partition_label_skew(data, k, alpha, seed)
+    want = _reference_label_skew(data, k, alpha, seed)
     assert len(got) == len(want) == k
     for g, w in zip(got, want):
         assert g.dtype == w.dtype == np.intp
@@ -176,9 +168,9 @@ def test_partition_label_skew_matches_reference_loop(case):
 def test_partition_label_skew_validates_inputs():
     data = gen_cluster_data(2, 2, 5, 1.0, seed=0)
     with pytest.raises(ValueError):
-        partition_label_skew(data, SkewSpec(partitions=2, alpha=1.5, seed=0))
+        partition_label_skew(data, partitions=2, alpha=1.5, seed=0)
     with pytest.raises(ValueError):
-        partition_label_skew(data, SkewSpec(partitions=11, alpha=0.5, seed=0))
+        partition_label_skew(data, partitions=11, alpha=0.5, seed=0)
 
 
 # ---------------------------------------------------------------------------

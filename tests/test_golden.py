@@ -189,6 +189,27 @@ def test_barrier_config_sends_barriers_that_block_reads():
                for rec in result.sim.gate_trace)
 
 
+def test_each_step_builds_one_minibatch():
+    # the barrier gate reads the stream's next indexes, not a minibatch, so
+    # however often a blocked node re-checks it, a step builds one batch
+    built = []
+
+    def count_batches(nodes, sim):
+        for node in nodes:
+            def batch(idx, name=node.name, build=node.batch):
+                built.append(name)
+                return build(idx)
+            node.batch = batch
+
+    result = run_experiment(config_from_dict(dict(
+        CONFIGS["gaia-mlp-barrier"], output={"trace": True})),
+        on_nodes=count_batches)
+    assert any(rec[2] == "barrier" and not rec[6]
+               for rec in result.sim.gate_trace)
+    for node in result.nodes:
+        assert built.count(node.name) == node.iters_done > 0, node.name
+
+
 @pytest.mark.parametrize("name", ["fedavg-softmax-overlay",
                                   "dgc-softmax-overlay"])
 def test_overlay_runs_finish_every_budget(name):

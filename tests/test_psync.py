@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geolearn import wansim
-from geolearn.algos import ArrayBatches, GaiaNode
+from geolearn.algos import GaiaNode
 from geolearn.data import MinibatchStream, gen_cluster_data
 from geolearn.harness import AlgoCfg, config_from_dict, run_experiment
 from geolearn.models import SoftmaxModel
@@ -140,7 +140,7 @@ def _hard_thresholds(decay, schedule, knob_at=None, theta=None):
     data = gen_cluster_data(2, 3, 30, spread=1.0, seed=5)
     node = GaiaNode(
         name="a", index=0, model=SoftmaxModel(3, 2),
-        batch_view=ArrayBatches(data.X, data.y),
+        batch=lambda idx: (data.X[idx], data.y[idx]),
         stream=MinibatchStream(np.arange(60), 10, seed_stream(5, "stream", "a")),
         lr_schedule=schedule, compute_s=0.001, max_iters=12, w0=np.zeros(8),
         algo=AlgoCfg(kind="gaia", t0=0.02, decay=decay), peers=[])
