@@ -33,7 +33,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import psync, wansim
-from .numerics import clip_by_norm, lr_at, momentum_step
+from .numerics import StepDecay, clip_by_norm, lr_at, momentum_step
 from .psync import (
     SoftCtl, WeightShard, accumulate_and_flush, apply_barrier,
     clear_barrier_on_update, gate_read, soft_threshold_adjust, ssp_gate,
@@ -44,7 +44,7 @@ from .skewscout import DGC_EWARM_GRID, FEDAVG_ITER_GRID, GAIA_T0_GRID
 WARMUP_SCHEDULE = (75.0, 93.75, 98.4375, 99.6, 99.9)
 
 
-def warmup_sparsity(epoch, e_warm, schedule=WARMUP_SCHEDULE):
+def warmup_sparsity(epoch, e_warm):
     """Warm-up sparsity percentage for a 1-indexed epoch.
 
     The ramp advances one stage every e_warm epochs and saturates at the
@@ -55,8 +55,8 @@ def warmup_sparsity(epoch, e_warm, schedule=WARMUP_SCHEDULE):
         raise ValueError(f"epoch is 1-indexed, got {epoch}")
     if e_warm < 1:
         raise ValueError(f"e_warm must be >= 1, got {e_warm}")
-    stage = min(math.ceil(epoch / e_warm), len(schedule))
-    return schedule[stage - 1]
+    stage = min(math.ceil(epoch / e_warm), len(WARMUP_SCHEDULE))
+    return WARMUP_SCHEDULE[stage - 1]
 
 
 def dgc_select(v, sparsity_pct, scratch=None):
@@ -132,14 +132,14 @@ class _NodeBase:
     _per_round = False    # rows and boundaries per round, not epoch and step
     _row_alone = False    # a row evaluates the trigger alone, not every node
 
-    def __init__(self, name, index, model, batch, stream, lr_schedule,
-                 compute_s, max_iters, w0, algo, peers):
+    def __init__(self, name, index, model, batch, stream, compute_s,
+                 max_iters, w0, algo, peers):
         self.name = name
         self.index = index
         self.model = model
         self.batch = batch
         self.stream = stream
-        self.lr_schedule = lr_schedule
+        self.lr_schedule = StepDecay(**algo.lr)
         self.compute_s = compute_s
         self.max_iters = max_iters
         self.peers = list(peers)

@@ -28,12 +28,7 @@ class LabeledDataset:
 
 def gen_mf_data(rows, cols, rank, density, noise_sigma, seed):
     """Observed entries x_ij = (L* R*)_ij + noise of a rows x cols matrix
-    of rank `rank`, at the requested density (checked).
-
-    Returns (MFEntries, noise_floor) where noise_floor is the exact squared
-    error of the generating factors on the emitted entries, i.e. the loss
-    value a perfect recovery would reach.
-    """
+    of rank `rank`, at the requested density (checked), as MFEntries."""
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
     n_cells = rows * cols
@@ -48,10 +43,9 @@ def gen_mf_data(rows, cols, rank, density, noise_sigma, seed):
     row = (flat // cols).astype(np.intp)
     col = (flat % cols).astype(np.intp)
     clean = np.sum(L[row] * R[:, col].T, axis=1)
-    noise = rng.normal(0.0, noise_sigma, count) if noise_sigma > 0 else np.zeros(count)
-    entries = MFEntries(row=row, col=col, val=clean + noise)
-    floor = float(np.dot(noise, noise))
-    return entries, floor
+    val = (clean + rng.normal(0.0, noise_sigma, count) if noise_sigma > 0
+           else clean)
+    return MFEntries(row=row, col=col, val=val)
 
 
 def gen_cluster_data(classes, features, per_class, spread, seed, tag="train"):

@@ -315,7 +315,7 @@ def _check_config(cfg):
                   _table(t.cost_file, wansim.load_cost_csv, wansim.default_costs))
     except (OSError, ValueError) as exc:
         return errs + [f"cannot read the topology tables: {exc}"], None, None
-    names, costs = tables[0][0], tables[1]
+    (names, matrix), costs = tables
     dcs = list(t.dcs) or names[:p.nodes]
     if len(dcs) != p.nodes:
         errs.append(f"{len(dcs)} DCs named for {p.nodes} partitions" if t.dcs
@@ -324,6 +324,9 @@ def _check_config(cfg):
         errs.append(f"topology.dcs names a DC more than once: {dcs}")
     if missing := [dc for dc in dcs if dc not in names]:
         errs.append(f"DCs missing from the bandwidth table: {missing}")
+    elif missing := [(src, dst) for src in dcs for dst in dcs
+                     if src != dst and (src, dst) not in matrix]:
+        errs.append(f"DC pairs missing from the bandwidth table: {missing}")
     elif missing := [dc for dc in dcs if dc not in costs]:
         errs.append(f"DCs missing from the cost table: {missing}")
     members = [dc for g in t.groups for dc in g]
@@ -399,12 +402,11 @@ class RunResult:
     nodes: list
     sim: object
     scout: object = None
-    extras: dict = field(default_factory=dict)
 
 
 # what the model kind decides, in run_experiment's first step
 _Data = namedtuple("_Data", "model w0 parts full_batch test batch "
-                   "probes probe_metric relative_al extras")
+                   "probes probe_metric relative_al")
 
 
 def run_experiment(cfg, topology=None, on_nodes=None):
@@ -427,13 +429,13 @@ def run_experiment(cfg, topology=None, on_nodes=None):
         raise ValueError("bad config: " + "; ".join(errs))
     data = _build_data(cfg)
     sim, nodes, rates = _build_nodes(cfg, data, tables, dcs, topology)
-    rows, conv, scout = _hook_rows(cfg, data, sim, nodes, rates)
+    rows, conv, scout = _hook_rows(cfg, data, nodes, rates)
     if on_nodes is not None:
         on_nodes(nodes, sim)
     for node in nodes:
         sim.wake_at(0.0, node.name)
     sim.run()
-    return _settle(cfg, sim, rates, nodes, rows, conv, scout, data.extras)
+    return _settle(cfg, sim, rates, nodes, rows, conv, scout)
 
 
 def _build_data(cfg):
@@ -445,9 +447,9 @@ def _build_data(cfg):
     accuracy in points. The metric reads each node's probe indexes from
     probes, which _hook_rows fills."""
     mcfg, dcfg, seed = cfg.model, cfg.data, cfg.seed
-    k, extras, probes = cfg.partition.nodes, {}, []
+    k, probes = cfg.partition.nodes, []
     if mcfg.kind == "mf":
-        entries, extras["noise_floor"] = gen_mf_data(
+        entries = gen_mf_data(
             mcfg.rows, mcfg.cols, mcfg.rank, dcfg.density, dcfg.noise_sigma,
             seed)
         model = MFModel(mcfg.rows, mcfg.cols, mcfg.rank, entries, reg=mcfg.reg)
@@ -486,7 +488,7 @@ def _build_data(cfg):
                                   train.y[probes[i]]) * 100.0
     w0 = model.init_params(seed_stream(seed, "model", "init"))
     return _Data(model, w0, parts, full_batch, test, batch, probes,
-                 probe_metric, relative_al, extras)
+                 probe_metric, relative_al)
 
 
 def _build_nodes(cfg, data, tables, dcs, topology):
@@ -505,7 +507,6 @@ def _build_nodes(cfg, data, tables, dcs, topology):
              if all(dc in costs for dc in dcs) else None)
     hubs = {(int(gi), int(gj)): dc for gi, gj, dc in tcfg.hubs}
     sim = wansim.Simulator(topology, tcfg.groups, hubs, cfg.output.trace)
-    lr_schedule = StepDecay(**acfg.lr)
     streams = [
         MinibatchStream(part, min(acfg.batch_size, part.size),
                         seed_stream(seed, "node", str(i), "batches"))
@@ -520,7 +521,6 @@ def _build_nodes(cfg, data, tables, dcs, topology):
         node = node_cls(
             name=dc, index=i, model=data.model.clone(),
             batch=data.batch, stream=stream,
-            lr_schedule=lr_schedule,
             compute_s=topology.compute_s.get(dc, wansim.COMPUTE_S),
             peers=[d for d in dcs if d != dc], w0=data.w0, algo=acfg,
             **budgets[i])
@@ -529,32 +529,33 @@ def _build_nodes(cfg, data, tables, dcs, topology):
     return sim, nodes, rates
 
 
-def _hook_rows(cfg, data, sim, nodes, rates):
+def _hook_rows(cfg, data, nodes, rates):
     """Step 2's hooks: the trigger's rows, of the replicas its class names,
-    and SkewScout on the knob and boundaries that class declares."""
+    and SkewScout on the knob and boundaries that class declares. The hooks
+    read the nodes from the sim they are handed, so no hook holds them and a
+    dropped RunResult frees its run without a cyclic collection."""
     acfg, trigger = cfg.algorithm, nodes[0]
     rows = []
     conv = ConvergenceState(cfg.convergence)
     prev_bytes = dict.fromkeys(wansim.BYTE_KINDS, 0)
 
-    def stop_all():
-        for node in nodes:
+    def stop_all(sim):
+        for node in sim.nodes.values():
             node.stopped = True
 
     # batch-norm running stats stay per node, so replicas that share their
     # weights still differ
     per_node_stats = getattr(data.model, "norm", None) == "batch"
-    # the hooks close over these, not over data: the nodes and the hooks
-    # hold each other until a collection frees them, and w0 is freed when
+    # the hooks close over these, not over data, so w0 is freed when
     # run_experiment returns
     full_batch, test = data.full_batch, data.test
 
     def accuracy(n):
         return n.model.accuracy(n.w, test.X, test.y)
 
-    def evaluate(trigger, sim_):
-        evaluated = (nodes if per_node_stats or not trigger._row_alone
-                     else [trigger])
+    def evaluate(trigger, sim):
+        evaluated = (sim.nodes.values() if per_node_stats
+                     or not trigger._row_alone else [trigger])
         # replicas that share their weights array share its training-mode
         # objective, which reads no running statistics, and its accuracy
         # unless batch norm's running statistics enter it
@@ -563,20 +564,20 @@ def _hook_rows(cfg, data, sim, nodes, rates):
         acc = None if test is None else float(np.mean(
             [accuracy(n) for n in evaluated] if per_node_stats
             else _per_weights(evaluated, accuracy)))
-        cost = _cost_now(sim_, rates)
-        row = {"sim_time_s": sim_.now, "epoch": trigger.epochs_done,
+        cost = _cost_now(sim, rates)
+        row = {"sim_time_s": sim.now, "epoch": trigger.epochs_done,
                "objective": obj, "accuracy": acc, "cost_usd": cost}
         for kind in wansim.BYTE_KINDS:
-            total = sim_.ledger.sent_bytes(kind)
+            total = sim.ledger.sent_bytes(kind)
             row[f"{kind}_bytes"] = total - prev_bytes[kind]
             prev_bytes[kind] = total
         rows.append(row)
-        if any(n.diverged for n in nodes):
-            conv.status, conv.at_time = "diverged", sim_.now
+        if any(n.diverged for n in sim.nodes.values()):
+            conv.status, conv.at_time = "diverged", sim.now
         else:
-            check_convergence(conv, obj, sim_.now)
+            check_convergence(conv, obj, sim.now)
         if conv.status != "running":
-            stop_all()
+            stop_all(sim)
 
     scout = None
     if cfg.scout.enabled:
@@ -585,27 +586,22 @@ def _hook_rows(cfg, data, sim, nodes, rates):
             seed_stream(cfg.seed, "scout", "probe", str(i)).choice(
                 part, size=min(cfg.scout.probe_size, part.size), replace=False)
             for i, part in enumerate(data.parts))
-
-        def apply_theta(theta):
-            for node in nodes:
-                node.set_knob(theta)
-
         scout = ScoutController(
             cfg.scout, cfg.scout.mtp or trigger._spacing(acfg, trigger.batches_per_epoch),
             grid=list(cfg.scout.grid) or list(trigger._knobs[acfg.kind][1]),
-            nodes=nodes, evaluate=data.probe_metric, apply_theta=apply_theta,
+            nodes=nodes, evaluate=data.probe_metric,
             model_bytes=wansim.dense_update_bytes(data.w0.size),
             rng=seed_stream(cfg.seed, "scout", "tuner"),
             relative_al=data.relative_al)
 
     if trigger._per_round:
-        def round_hook(node, sim_):
-            evaluate(node, sim_)
+        def round_hook(node, sim):
+            evaluate(node, sim)
             if scout is not None:
                 if node.epochs_done >= acfg.epochs:
-                    stop_all()
+                    stop_all(sim)
                 else:
-                    scout.on_boundary(node, sim_)
+                    scout.on_boundary(node, sim)
         trigger.round_hook = round_hook
     else:
         trigger.epoch_hook = evaluate
@@ -631,7 +627,7 @@ def _cost_now(sim, rates):
     return wansim.account_cost(sim.ledger, rates) if rates else None
 
 
-def _settle(cfg, sim, rates, nodes, rows, conv, scout, extras):
+def _settle(cfg, sim, rates, nodes, rows, conv, scout):
     """A drained run settled at the final clock: the trigger's row still
     waiting, the cost, the summary and the byte conservation check."""
     trigger = nodes[0]
@@ -662,7 +658,7 @@ def _settle(cfg, sim, rates, nodes, rows, conv, scout, extras):
     if not sim.ledger.conservation_ok():
         raise RuntimeError("byte conservation violated: sent != delivered")
     return RunResult(cfg=cfg, rows=rows, summary=summary, nodes=nodes,
-                     sim=sim, scout=scout, extras=extras)
+                     sim=sim, scout=scout)
 
 
 # ---------------------------------------------------------------------------

@@ -112,18 +112,19 @@ class ScoutController:
     node_index) returns the probe metric at one node (accuracy in points for
     classifiers, raw objective for factorization); AL points are the home
     metric minus the remote one, or with relative_al the remote objective's
-    gap over the home one, in percent. apply_theta pushes a new grid value
-    into the running nodes.
+    gap over the home one, in percent. The controller holds no node: it
+    points each of nodes' travel_sink at itself and sets their knob to the
+    grid's start value; later it sends travels from the nodes of the sim
+    its hooks are handed (sim.nodes, in node order) and pushes each new grid
+    value to them through set_knob.
     """
 
-    def __init__(self, cfg, mtp, grid, nodes, evaluate, apply_theta,
-                 model_bytes, rng, relative_al=False):
+    def __init__(self, cfg, mtp, grid, nodes, evaluate, model_bytes, rng,
+                 relative_al=False):
         self.cfg = cfg
         self.mtp = mtp
         self.grid = list(grid)
-        self.nodes = nodes
         self.evaluate = evaluate
-        self.apply_theta = apply_theta
         self.model_bytes = model_bytes
         self.relative_al = relative_al
         self.state = TunerState(
@@ -139,7 +140,7 @@ class ScoutController:
         self.reports = []
         for node in nodes:
             node.travel_sink = self._on_travel
-        self.apply_theta(self.grid[self.state.idx])
+            node.set_knob(self.grid[self.state.idx])
 
     # -- hooks ---------------------------------------------------------------
 
@@ -152,7 +153,7 @@ class ScoutController:
         self._pending[self.boundary] = []
         self._expected = 0
         dcs = sim.topology.dcs
-        for i, src_node in enumerate(self.nodes):
+        for i, src_node in enumerate(sim.nodes.values()):
             tgt = dcs[(i + 1) % len(dcs)]
             if tgt == src_node.name:
                 continue
@@ -205,7 +206,8 @@ class ScoutController:
         action = "stay" if self.state.idx == prev else (
             "explore" if self.state.idx not in self.state.memo else "move")
         if self.state.idx != prev:
-            self.apply_theta(self.grid[self.state.idx])
+            for node in sim.nodes.values():
+                node.set_knob(self.grid[self.state.idx])
         self.trace.append({
             "sim_time_s": sim.now, "boundary": boundary,
             "theta": self.grid[prev], "al_points": al, "c_bytes": c_bytes,

@@ -404,6 +404,8 @@ def load_bandwidth_csv(fh):
     DC j. Empty or zero diagonal cells are ignored.
     """
     rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError("bandwidth table is empty")
     header = [h.strip() for h in rows[0][1:]]
     names, matrix = [], {}
     for row in rows[1:]:
@@ -428,7 +430,7 @@ def load_cost_csv(fh):
     """Read per-region cost rates from an open CSV file: {region: CostRates}."""
     reader = csv.DictReader(fh)
     needed = {"region", "machine_rate_usd_per_hr", "send_usd_per_gb", "recv_usd_per_gb"}
-    if set(reader.fieldnames) != needed:
+    if set(reader.fieldnames or ()) != needed:
         raise ValueError(f"cost model header must be {sorted(needed)}")
     rates = {}
     for row in reader:

@@ -14,7 +14,6 @@ from geolearn.algos import (WARMUP_SCHEDULE, DgcNode, FedAvgNode, GaiaNode,
 from geolearn.data import (MinibatchStream, gen_cluster_data,
                            partition_label_skew)
 from geolearn.harness import AlgoCfg, config_from_dict, run_experiment
-from geolearn.numerics import StepDecay
 from geolearn.psync import BarrierMsg, apply_barrier
 from geolearn.rng import seed_stream
 from geolearn.models import SoftmaxModel, TinyMLP
@@ -113,7 +112,7 @@ def _mesh_sim(names, trace=True):
 
 
 def _spawn(algo, names, budget, seed=5, batch=10, per_class=30, features=3,
-           classes=2, eta=0.05, participants_fn=None, model=None,
+           classes=2, participants_fn=None, model=None,
            dgc_cls=DgcNode, fedavg_cls=FedAvgNode):
     """Classifier nodes of the class algo.kind runs over a balanced split,
     registered and woken. budget is max_rounds for FedAvg, else max_iters.
@@ -134,8 +133,8 @@ def _spawn(algo, names, budget, seed=5, batch=10, per_class=30, features=3,
         common = dict(
             name=name, index=i, model=model.clone(),
             batch=lambda idx: (data.X[idx], data.y[idx]), stream=stream,
-            lr_schedule=StepDecay(eta0=eta), compute_s=0.001,
-            w0=w0, algo=algo, peers=[p for p in names if p != name])
+            compute_s=0.001, w0=w0, algo=algo,
+            peers=[p for p in names if p != name])
         if algo.kind == "fedavg":
             node = fedavg_cls(**common, max_rounds=budget, rounds=rounds,
                               participants_fn=participants_fn)
@@ -795,7 +794,7 @@ def test_fedavg_round_average_is_the_stacked_sum_bit_for_bit(k, size, seed):
             [0.0, -0.0, math.inf, -math.inf, math.nan], size=special.sum())
         shares.append(share)
     names = [f"n{i:02d}" for i in range(k)]
-    node = FedAvgNode(names[0], 0, None, None, None, None, 0.0, max_rounds=1,
+    node = FedAvgNode(names[0], 0, None, None, None, 0.0, max_rounds=1,
                       rounds=RoundModel(), w0=np.zeros(size),
                       algo=AlgoCfg(kind="fedavg"), peers=names[1:])
     node._gathered[0] = dict(zip(names, shares))
@@ -909,8 +908,8 @@ def _blocked_node(algo, local, trace, barrier=None):
         name="a", index=0, model=SoftmaxModel(3, 2),
         batch=lambda idx: (data.X[idx], data.y[idx]),
         stream=MinibatchStream(np.arange(60), 10, seed_stream(5, "stream", "a")),
-        lr_schedule=StepDecay(eta0=0.05), compute_s=0.001, max_iters=100,
-        w0=np.zeros(8), algo=algo, peers=["b", "c"])
+        compute_s=0.001, max_iters=100, w0=np.zeros(8), algo=algo,
+        peers=["b", "c"])
     sim.register("a", node)
     node.iters_done = local
     if barrier is not None:

@@ -15,11 +15,12 @@ which prints each pin it moves (workload/seed/label, then ``digest`` or
 ``failure`` and the new value, or ``removed``), or ``no pin moved``.
 """
 
-import json
 import os
 import sys
 
 import pytest
+
+import pins
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench")
@@ -37,17 +38,16 @@ SEEDS = (7, 101)
 def bench_pins(workload, seed):
     """{"workload/seed/label": {"digest", "failure"}} of one workload's
     experiments at one seed."""
-    pins = {}
+    found = {}
     for label, raw in workloads.WORKLOADS[workload](seed):
         outcome = lab.run_once(label, raw)
-        pins[f"{workload}/{seed}/{label}"] = {"digest": outcome.digest,
-                                              "failure": outcome.failure}
-    return pins
+        found[f"{workload}/{seed}/{label}"] = {"digest": outcome.digest,
+                                               "failure": outcome.failure}
+    return found
 
 
 def _pinned():
-    with open(PINS_PATH) as fh:
-        return json.load(fh)
+    return pins.load(PINS_PATH)
 
 
 def test_pins_cover_every_bench_experiment():
@@ -64,25 +64,13 @@ def test_bench_digests(workload, seed):
         assert pin == pinned[key], key
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_bench_digests.py "
-                 "--write")
-    pins = {}
+def _pin_files():
+    found = {}
     for workload in sorted(workloads.WORKLOADS):
         for seed in SEEDS:
-            pins.update(bench_pins(workload, seed))
-    before = _pinned() if os.path.exists(PINS_PATH) else {}
-    moved = []
-    for key in sorted(set(before) | set(pins)):
-        old, new = before.get(key), pins.get(key)
-        if new is None:
-            moved.append(f"{key} removed")
-            continue
-        moved += [f"{key} {field} {new[field]}"
-                  for field in ("digest", "failure")
-                  if old is None or old[field] != new[field]]
-    with open(PINS_PATH, "w") as fh:
-        json.dump(pins, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print("\n".join(moved) or "no pin moved")
+            found.update(bench_pins(workload, seed))
+    return [(PINS_PATH, found, None)]
+
+
+if __name__ == "__main__":
+    pins.write_main(__file__, _pin_files)

@@ -14,18 +14,11 @@ from geolearn.rng import seed_stream
 
 def test_gen_mf_data_shape_and_determinism():
     spec = dict(rows=10, cols=8, rank=2, density=0.5, noise_sigma=0.1, seed=3)
-    entries, floor = gen_mf_data(**spec)
+    entries = gen_mf_data(**spec)
     assert len(entries) == 40          # round(0.5 * 80)
     assert entries.row.max() < 10 and entries.col.max() < 8
-    again, floor2 = gen_mf_data(**spec)
+    again = gen_mf_data(**spec)
     np.testing.assert_array_equal(entries.val, again.val)
-    assert floor == floor2
-
-
-def test_gen_mf_data_noise_floor_zero_when_clean():
-    _, floor = gen_mf_data(rows=6, cols=6, rank=2, density=1.0,
-                           noise_sigma=0.0, seed=1)
-    assert floor == 0.0
 
 
 def test_gen_mf_data_rejects_bad_density():

@@ -6,16 +6,20 @@ way a user would, so a change that breaks one, or changes what it prints,
 fails here. Regenerate the pins with::
 
     PYTHONPATH=src python tests/test_demos.py --write
+
+which prints each pin it moves (demo name, ``output`` and the new digest,
+or ``removed``), or ``no pin moved``.
 """
 
 import glob
 import hashlib
-import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+import pins
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = sorted(os.path.basename(path)
@@ -36,8 +40,7 @@ def demo_digest(name):
 
 
 def _pins():
-    with open(PINS_PATH) as fh:
-        return json.load(fh)
+    return pins.load(PINS_PATH)
 
 
 def test_pins_cover_every_demo():
@@ -50,9 +53,5 @@ def test_demo_output(name):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_demos.py --write")
-    pins = {name: demo_digest(name) for name in DEMOS}
-    with open(PINS_PATH, "w") as fh:
-        json.dump(pins, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    pins.write_main(__file__, lambda: [
+        (PINS_PATH, {name: demo_digest(name) for name in DEMOS}, "output")])

@@ -18,13 +18,14 @@ trace`` and the new value, or ``removed``), or ``no pin moved``.
 """
 
 import functools
+import gc
 import hashlib
-import json
 import os
-import sys
+import weakref
 
 import pytest
 
+import pins
 from geolearn.harness import (config_from_dict, metrics_csv_text,
                               run_experiment, summary_text)
 
@@ -153,8 +154,7 @@ def gate_trace_digest(result):
 
 
 def _golden(path=DIGESTS_PATH):
-    with open(path) as fh:
-        return json.load(fh)
+    return pins.load(path)
 
 
 def test_corpus_covers_every_config():
@@ -210,6 +210,20 @@ def test_each_step_builds_one_minibatch():
         assert built.count(node.name) == node.iters_done > 0, node.name
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_dropped_result_frees_its_run(name):
+    # nothing in a run points back at its nodes, so dropping the result
+    # frees every replica at once, without a cyclic collection
+    gc.disable()
+    try:
+        result = run_experiment(config_from_dict(CONFIGS[name]))
+        refs = [weakref.ref(obj) for n in result.nodes for obj in (n, n.w)]
+        del result
+        assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("name", ["fedavg-softmax-overlay",
                                   "dgc-softmax-overlay"])
 def test_overlay_runs_finish_every_budget(name):
@@ -224,22 +238,14 @@ def test_overlay_runs_finish_every_budget(name):
             assert node.iters_done == node.max_iters, node.name
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+def _pin_files():
     digests, gate_traces = {}, {}
     for name, raw in sorted(CONFIGS.items()):
         digests[name], result = run_digest(raw, trace=True)
         gate_traces[name] = gate_trace_digest(result)
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
-    moved = []
-    for path, label, pins in ((DIGESTS_PATH, "digest", digests),
-                              (GATE_TRACES_PATH, "gate trace", gate_traces)):
-        before = _golden(path) if os.path.exists(path) else {}
-        moved += [f"{name} {label} {pins.get(name, 'removed')}"
-                  for name in sorted(set(before) | set(pins))
-                  if before.get(name) != pins.get(name)]
-        with open(path, "w") as fh:
-            json.dump(pins, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    print("\n".join(moved) or "no pin moved")
+    return [(DIGESTS_PATH, digests, "digest"),
+            (GATE_TRACES_PATH, gate_traces, "gate trace")]
+
+
+if __name__ == "__main__":
+    pins.write_main(__file__, _pin_files)

@@ -586,7 +586,6 @@ def test_run_experiment_mf_has_blank_accuracy():
     assert result.summary["final_accuracy"] is None
     line = metrics_csv_text(result.rows).splitlines()[1]
     assert ",," in line                               # empty accuracy cell
-    assert "noise_floor" in result.extras
 
 
 def test_run_experiment_early_stop_on_target():
@@ -774,6 +773,26 @@ def test_cli_validate_rejects_a_string_for_a_bool(tmp_path, capsys):
     assert cli.main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().err == (
         "config error: algorithm.barrier must be true or false, got 'no'\n")
+
+
+@pytest.mark.parametrize("field, text, error", [
+    ("bandwidth_file", "", "cannot read the topology tables: bandwidth "
+     "table is empty"),
+    ("cost_file", "", "cannot read the topology tables: cost model header "
+     "must be ['machine_rate_usd_per_hr', 'recv_usd_per_gb', 'region', "
+     "'send_usd_per_gb']"),
+    ("bandwidth_file", ",virginia,california\nvirginia,,\n"
+     "california,100,\n", "DC pairs missing from the bandwidth table: "
+     "[('virginia', 'california')]"),
+])
+def test_cli_validate_rejects_a_table_that_cannot_run(tmp_path, capsys,
+                                                      field, text, error):
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"topology: {{{field}: {table}}}\n")
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: {error}\n"
 
 
 def test_cli_validate_catches_errors(tmp_path, capsys):

@@ -133,17 +133,18 @@ def test_flush_leaves_only_subthreshold_residue(vals, threshold):
 # hard threshold decay
 
 
-def _hard_thresholds(decay, schedule, knob_at=None, theta=None):
+def _hard_thresholds(decay, lr, knob_at=None, theta=None):
     """t_hard after each of a lone Gaia node's 12 iterations over 60 samples
-    in batches of 10 (t0 0.02); set_knob(theta) runs after iteration knob_at."""
+    in batches of 10 (t0 0.02, the lr section lr); set_knob(theta) runs after
+    iteration knob_at."""
     sim = wansim.Simulator(wansim.Topology(dcs=["a"], links={}))
     data = gen_cluster_data(2, 3, 30, spread=1.0, seed=5)
     node = GaiaNode(
         name="a", index=0, model=SoftmaxModel(3, 2),
         batch=lambda idx: (data.X[idx], data.y[idx]),
         stream=MinibatchStream(np.arange(60), 10, seed_stream(5, "stream", "a")),
-        lr_schedule=schedule, compute_s=0.001, max_iters=12, w0=np.zeros(8),
-        algo=AlgoCfg(kind="gaia", t0=0.02, decay=decay), peers=[])
+        compute_s=0.001, max_iters=12, w0=np.zeros(8),
+        algo=AlgoCfg(kind="gaia", t0=0.02, decay=decay, lr=lr), peers=[])
     sim.register("a", node)
     seen = []
 
@@ -158,11 +159,12 @@ def _hard_thresholds(decay, schedule, knob_at=None, theta=None):
     return seen
 
 
-_DROP = StepDecay(eta0=0.05, milestones=(1,), factor=4.0)
+_DROP = {"eta0": 0.05, "milestones": (1,), "factor": 4.0}
 
 
 def test_threshold_decay_follows_lr_drops():
-    ratio = lr_at(_DROP, 1) / lr_at(_DROP, 0)
+    drop = StepDecay(**_DROP)
+    ratio = lr_at(drop, 1) / lr_at(drop, 0)
     t0, theta = 0.02, 0.3
     # the lr drops at the first step of epoch 1, iteration 7
     assert _hard_thresholds("lr", _DROP) == [t0] * 6 + [t0 * ratio] * 6

@@ -126,6 +126,10 @@ class _StubNode:
         self.w = np.asarray(w, dtype=float)
         self.model = model if model is not None else object()
         self.travel_sink = None
+        self.applied = []          # every knob value set, in order
+
+    def set_knob(self, theta):
+        self.applied.append(theta)
 
     def on_message(self, sim, msg):
         if msg.kind == wansim.KIND_TRAVEL:
@@ -141,13 +145,12 @@ def _ring_sim(names=("a", "b")):
     return wansim.Simulator(wansim.Topology(dcs=list(names), links=links))
 
 
-def _controller(sim, nodes, applied, metric_by_index, grid=(0.1, 0.2, 0.3),
-                mtp=1, relative_al=False):
+def _controller(sim, nodes, metric_by_index, grid=(0.1, 0.2, 0.3), mtp=1,
+                relative_al=False):
     cfg = ScoutCfgSection(sigma_al=5.0, tuner="hill", start_idx=0)
     return ScoutController(
         cfg, mtp, grid, nodes,
-        evaluate=lambda w, stats, i: metric_by_index[i],
-        apply_theta=applied.append, model_bytes=240,
+        evaluate=lambda w, stats, i: metric_by_index[i], model_bytes=240,
         rng=np.random.default_rng(0), relative_al=relative_al)
 
 
@@ -156,9 +159,9 @@ def test_controller_travels_score_and_explore():
     nodes = [_StubNode("a", 0, [1.0, 2.0]), _StubNode("b", 1, [3.0, 4.0])]
     for n in nodes:
         sim.register(n.name, n)
-    applied = []
-    ctl = _controller(sim, nodes, applied, metric_by_index={0: 80.0, 1: 70.0})
-    assert applied == [0.1]                    # start knob pushed at wiring time
+    ctl = _controller(sim, nodes, metric_by_index={0: 80.0, 1: 70.0})
+    for n in nodes:                            # start knob pushed at wiring time
+        assert n.applied == [0.1], n.name
     sim.send(wansim.Message(kind=wansim.KIND_UPDATE, src="a", dst="b",
                             byte_split={wansim.KIND_UPDATE: 120}))
     ctl.on_boundary(nodes[0], sim)
@@ -174,7 +177,8 @@ def test_controller_travels_score_and_explore():
     assert row["score"] == 0.5                 # hinge 0 + 120/240 model volumes
     assert row["theta"] == 0.1
     assert row["action"] == "explore" and row["theta_next"] == 0.2
-    assert applied == [0.1, 0.2]
+    for n in nodes:
+        assert n.applied == [0.1, 0.2], n.name
     assert ctl.final_theta == 0.2
 
 
@@ -183,7 +187,7 @@ def test_controller_honors_travel_period():
     nodes = [_StubNode("a", 0, [1.0]), _StubNode("b", 1, [2.0])]
     for n in nodes:
         sim.register(n.name, n)
-    ctl = _controller(sim, nodes, [], metric_by_index={0: 1.0, 1: 1.0}, mtp=2)
+    ctl = _controller(sim, nodes, metric_by_index={0: 1.0, 1: 1.0}, mtp=2)
     ctl.on_boundary(nodes[0], sim)
     assert ctl.n_travels == 0                  # boundary 1 of 2: hold
     ctl.on_boundary(nodes[0], sim)
@@ -194,7 +198,7 @@ def test_controller_single_dc_has_nowhere_to_travel():
     sim = wansim.Simulator(wansim.Topology(dcs=["a"], links={}))
     node = _StubNode("a", 0, [1.0])
     sim.register("a", node)
-    ctl = _controller(sim, [node], [], metric_by_index={0: 1.0})
+    ctl = _controller(sim, [node], metric_by_index={0: 1.0})
     ctl.on_boundary(node, sim)
     sim.run()
     assert ctl.n_travels == 0
@@ -206,8 +210,7 @@ def test_controller_hill_walk_over_boundaries():
     nodes = [_StubNode("a", 0, [1.0]), _StubNode("b", 1, [2.0])]
     for n in nodes:
         sim.register(n.name, n)
-    applied = []
-    ctl = _controller(sim, nodes, applied, metric_by_index={0: 50.0, 1: 50.0})
+    ctl = _controller(sim, nodes, metric_by_index={0: 50.0, 1: 50.0})
     # AL is identically zero, so the score is pure communication volume
     for nbytes in (240, 480, 720, 0):
         if nbytes:
@@ -217,7 +220,8 @@ def test_controller_hill_walk_over_boundaries():
         sim.run()
     assert [r["action"] for r in ctl.trace] == ["explore", "explore", "move", "stay"]
     assert [r["score"] for r in ctl.trace] == [1.0, 2.0, 3.0, 0.0]
-    assert applied == [0.1, 0.2, 0.3, 0.2]
+    for n in nodes:
+        assert n.applied == [0.1, 0.2, 0.3, 0.2], n.name
     assert ctl.state.memo == {0: 1.0, 1: 0.0, 2: 3.0}
     assert ctl.final_theta == 0.2
 
@@ -227,7 +231,7 @@ def test_relative_al_mode_measures_objective_gap():
     nodes = [_StubNode("a", 0, [1.0]), _StubNode("b", 1, [2.0])]
     for n in nodes:
         sim.register(n.name, n)
-    ctl = _controller(sim, nodes, [], metric_by_index={0: 2.0, 1: 3.0},
+    ctl = _controller(sim, nodes, metric_by_index={0: 2.0, 1: 3.0},
                       relative_al=True)
     ctl.on_boundary(nodes[0], sim)
     sim.run()
@@ -255,8 +259,7 @@ def test_travel_payload_snapshots_norm_stats():
         return 1.0
 
     ctl = ScoutController(cfg, 1, (0.1, 0.2), nodes, evaluate=evaluate,
-                          apply_theta=lambda theta: None, model_bytes=240,
-                          rng=np.random.default_rng(0))
+                          model_bytes=240, rng=np.random.default_rng(0))
     ctl.on_boundary(nodes[0], sim)
     nodes[0].model.bn_stats[0]["mean"][0] = 99.0   # mutate while in flight
     sim.run()
