@@ -32,8 +32,8 @@ import yaml
 from . import wansim
 from .algos import NODE_CLASSES
 from .data import (
-    MinibatchStream, gen_cluster_data, gen_mf_data, partition_label_skew,
-    partition_uniform,
+    LabeledDataset, MinibatchStream, gen_cluster_data, gen_mf_data,
+    partition_label_skew, partition_uniform,
 )
 from .models import MFModel, SoftmaxModel, TinyMLP
 from .numerics import StepDecay
@@ -307,6 +307,20 @@ def _check_config(cfg):
     if (empty := p.nodes - min(m.classes, p.nodes, n_skew) - (n - n_skew)) > 0:
         errs.append(f"{empty} of {p.nodes} partitions would be empty: {n} "
                     f"samples, {n_skew} of them dealt by label")
+    elif m.kind == "mlp" and m.norm == "batch":
+        # the run's partitions, which read only gen_cluster_data's labels
+        labels = np.repeat(np.arange(m.classes), d.per_class)
+        one_row = []
+        for i, part in enumerate(partition_label_skew(
+                LabeledDataset(None, labels, m.classes), p.nodes, p.alpha,
+                cfg.seed)):
+            b = min(a.batch_size, part.size)
+            if b == 1 or part.size % b == 1:
+                one_row.append(f"{i} ({part.size} rows)")
+        if one_row:
+            errs.append(f"batch norm needs minibatches of 2 rows or more, "
+                        f"but at batch_size {a.batch_size} partitions "
+                        f"{', '.join(one_row)} would get one-row minibatches")
     if a.soft and (floor := SoftCtl(**a.soft).floor) > a.t0:
         errs.append(f"soft floor {floor} exceeds hard threshold t0 {a.t0}")
     try:

@@ -15,8 +15,18 @@ def seed_stream(root_seed, *labels):
 
     Labels may be strings or ints; they are joined into a path such as
     ``"node/3/batches"``.  The same (seed, labels) pair always yields an
-    identical stream.
+    identical stream: the one seeded with the path's sha256 digest read as
+    a little-endian integer.
     """
     path = "/".join(str(part) for part in labels)
     digest = hashlib.sha256(f"{root_seed}|{path}".encode("utf-8")).digest()
-    return np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+    seq = np.random.SeedSequence(entropy_words(digest))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def entropy_words(digest):
+    """The uint32 words SeedSequence makes of digest read as a little-endian
+    integer: lowest word first, high zero words trimmed, and one zero word
+    for zero. Passing them skips SeedSequence's word-by-word int split."""
+    n = max(1, -(-len(digest.rstrip(b"\0")) // 4))
+    return np.frombuffer(digest, dtype="<u4", count=n)

@@ -21,7 +21,11 @@ events are processed in the same order either way.
 
 Cost accounting: machine time is billed per data center at an hourly rate;
 traffic is billed per GB (1 GB = 1e9 bytes) at the sending region's egress
-rate plus the receiving region's ingress rate.
+rate plus the receiving region's ingress rate. The ledger holds what that
+needs and no more: each link's bytes sent and bytes delivered (one add per
+copy at each end), the links in first-send and first-delivery order (the
+order account_cost sums in), and the run's bytes sent by kind (booked once
+per send, for all its hops). Bytes by kind per link are not kept.
 """
 
 import csv
@@ -128,14 +132,15 @@ class _Channel:
     heap. in_flight holds the messages whose delivery is scheduled, oldest
     first: deliveries on one link land in service order, because latency is
     constant, busy_until never decreases and ties resolve by sequence.
-    sent and delivered are this link's ledger rows, made at its first send
-    and first delivery. node is the receiver, found at the first delivery;
-    while its DC has none, what arrives is metered, then dropped.
+    sent_bytes and delivered_bytes are this link's byte totals, None until
+    its first send and first delivery, when the ledger lists the link.
+    node is the receiver, found at the first delivery; while its DC has
+    none, what arrives is metered, then dropped.
     """
 
     __slots__ = ("key", "node", "bandwidth", "latency", "control", "data",
                  "in_flight", "busy_until", "free_seq", "free_scheduled",
-                 "sent", "delivered")
+                 "sent_bytes", "delivered_bytes")
 
     def __init__(self, spec):
         self.key = (spec.src, spec.dst)
@@ -148,8 +153,8 @@ class _Channel:
         self.busy_until = -math.inf       # never busy yet
         self.free_seq = -1
         self.free_scheduled = False
-        self.sent = None
-        self.delivered = None
+        self.sent_bytes = None
+        self.delivered_bytes = None
 
     def pop_next(self):
         if self.control:
@@ -173,39 +178,30 @@ class Topology:
             raise KeyError(f"no link configured from {src} to {dst}")
 
 
-def _ledger_row(table, key):
-    """table's row for key, made (every kind at 0) on a miss."""
-    row = table.get(key)
-    if row is None:
-        row = table[key] = dict.fromkeys(BYTE_KINDS, 0)
-    return row
-
-
 class CostLedger:
-    """Byte and machine-time bookkeeping for one simulation."""
+    """Byte and machine-time bookkeeping for one simulation: the links
+    (channels, which carry their byte totals) in first-send and in
+    first-delivery order, the bytes sent by kind, and machine seconds per DC.
+    """
 
     def __init__(self):
-        self.sent = {}        # (src, dst) -> {kind: bytes}
-        self.delivered = {}   # (src, dst) -> {kind: bytes}
+        self.sent = []          # channels, in first-send order
+        self.delivered = []     # channels, in first-delivery order
+        self.kind_bytes = dict.fromkeys(BYTE_KINDS, 0)
         self.machine_seconds = {}
 
     def record_machine_time(self, dc, seconds):
         self.machine_seconds[dc] = self.machine_seconds.get(dc, 0.0) + seconds
 
     def sent_bytes(self, kind=None):
-        total = 0
-        for row in self.sent.values():
-            total += row[kind] if kind else sum(row.values())
-        return total
+        return self.kind_bytes[kind] if kind else sum(self.kind_bytes.values())
 
     def conservation_ok(self):
-        """True when every link has delivered exactly what was sent."""
-        keys = set(self.sent) | set(self.delivered)
-        zero = {k: 0 for k in BYTE_KINDS}
-        return all(
-            self.sent.get(key, zero) == self.delivered.get(key, zero)
-            for key in keys
-        )
+        """True when every link has delivered exactly what it sent and holds
+        no message, queued or in flight."""
+        return all(ch.delivered_bytes == ch.sent_bytes
+                   and not (ch.in_flight or ch.control or ch.data)
+                   for ch in self.sent)
 
 
 @dataclass(frozen=True)
@@ -220,18 +216,18 @@ def account_cost(ledger, rates):
     """Dollar total: machine-seconds plus per-GB egress and ingress.
 
     Summation order is fixed (machine time by DC order of first booking,
-    then traffic by link insertion order, send before recv per link) so the
-    result is reproducible to the last bit.
+    then egress by link in first-send order, then ingress by link in
+    first-delivery order) so the result is reproducible to the last bit.
     """
     total = 0.0
     for dc, seconds in ledger.machine_seconds.items():
         total += seconds * (rates[dc].machine_usd_per_hr / 3600.0)
-    for (src, dst), row in ledger.sent.items():
-        gb = sum(row.values()) / GB
-        total += gb * rates[src].send_usd_per_gb
-    for (src, dst), row in ledger.delivered.items():
-        gb = sum(row.values()) / GB
-        total += gb * rates[dst].recv_usd_per_gb
+    for channel in ledger.sent:
+        gb = channel.sent_bytes / GB
+        total += gb * rates[channel.key[0]].send_usd_per_gb
+    for channel in ledger.delivered:
+        gb = channel.delivered_bytes / GB
+        total += gb * rates[channel.key[1]].recv_usd_per_gb
     return total
 
 
@@ -317,31 +313,47 @@ class Simulator:
         and those whose needs_forward is not msg.forward share one copy."""
         if hops is None:
             hops = ((self._channel(msg.src, msg.dst), msg.forward),)
+        ledger = self.ledger
+        kind_bytes, n = ledger.kind_bytes, len(hops)
+        for kind, nbytes in msg.byte_split.items():
+            kind_bytes[kind] += nbytes * n
+        nbytes = msg.nbytes
         copies = {msg.forward: msg}
         control = msg.klass == CONTROL
+        now, event_seq, heap = self.now, self._event_seq, self._heap
         for channel, forward in hops:
             copy = copies.get(forward)
             if copy is None:
                 copy = copies[forward] = replace(msg, forward=forward)
-            row = channel.sent
-            if row is None:
-                row = channel.sent = _ledger_row(self.ledger.sent, channel.key)
-            for kind, nbytes in msg.byte_split.items():
-                row[kind] += nbytes
+            sent = channel.sent_bytes
+            if sent is None:
+                ledger.sent.append(channel)
+                sent = 0
+            channel.sent_bytes = sent + nbytes
             # busy while the link's free event still lies ahead of this one
             busy_until = channel.busy_until
-            if busy_until < self.now or (busy_until == self.now and
-                                         channel.free_seq < self._event_seq):
-                self._start_service(channel, copy)
+            if busy_until < now or (busy_until == now and
+                                    channel.free_seq < event_seq):
+                # an idle link has nothing queued, so service starts now
+                # and no free event follows it (as in _start_service)
+                busy_until = now + nbytes / channel.bandwidth
+                seq = self._seq
+                self._seq = seq + 2
+                channel.busy_until = busy_until
+                channel.free_seq = seq
+                channel.in_flight.append(copy)
+                heapq.heappush(heap, (busy_until + channel.latency, seq + 1,
+                                      _DELIVER, channel))
                 continue
             (channel.control if control else channel.data).append(copy)
             if not channel.free_scheduled:
                 channel.free_scheduled = True
-                heapq.heappush(self._heap,
+                heapq.heappush(heap,
                                (busy_until, channel.free_seq, _FREE, channel))
 
     def _start_service(self, channel, msg):
-        # the link is free by now, so service starts now
+        # the link's free event: msg, the next one queued, starts now (send
+        # starts service on an idle link itself)
         busy_until = self.now + msg.nbytes / channel.bandwidth
         seq = self._seq
         self._seq = seq + 2
@@ -363,6 +375,7 @@ class Simulator:
         """
         heap = self._heap
         nodes = self.nodes
+        delivered_links = self.ledger.delivered
         pop = heapq.heappop
         count = 0
         while heap:
@@ -372,12 +385,11 @@ class Simulator:
             count += 1
             if kind is _DELIVER:
                 msg = data.in_flight.popleft()
-                row = data.delivered
-                if row is None:
-                    row = data.delivered = _ledger_row(
-                        self.ledger.delivered, data.key)
-                for k, nbytes in msg.byte_split.items():
-                    row[k] += nbytes
+                delivered = data.delivered_bytes
+                if delivered is None:
+                    delivered_links.append(data)
+                    delivered = 0
+                data.delivered_bytes = delivered + msg.nbytes
                 node = data.node
                 if node is None:
                     node = data.node = nodes.get(data.key[1])

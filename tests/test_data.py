@@ -44,6 +44,8 @@ def test_gen_cluster_data_balanced_labels():
     data = gen_cluster_data(4, 2, 25, 0.5, seed=2)
     np.testing.assert_array_equal(np.bincount(data.y, minlength=4),
                                   [25, 25, 25, 25])
+    # validate partitions these labels to check batch-norm minibatches
+    np.testing.assert_array_equal(data.y, np.repeat(np.arange(4), 25))
 
 
 # ---------------------------------------------------------------------------

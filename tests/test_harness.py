@@ -223,6 +223,35 @@ def test_lr_and_soft_keys_are_the_schedule_and_control_fields():
             "algorithm.soft: adjust factor must exceed 1, got 1.0"]
 
 
+@pytest.mark.parametrize("batch_size,named", [
+    (119, "partitions 0 (120 rows) would"),
+    (79, "partitions 1 (80 rows), 2 (80 rows) would"),
+    (1, "partitions 0 (120 rows), 1 (80 rows), 2 (80 rows) would"),
+])
+def test_validate_config_rejects_one_row_batch_norm_minibatches(batch_size,
+                                                                named):
+    # 7 classes on 3 DCs at full skew: partitions of 120, 80 and 80 rows
+    raw = {"seed": 11, "model": {"kind": "mlp", "features": 6, "classes": 7,
+                                 "hidden": [12], "norm": "batch"},
+           "data": {"per_class": 40}, "partition": {"nodes": 3, "alpha": 1.0},
+           "algorithm": {"kind": "gaia", "epochs": 1,
+                         "batch_size": batch_size}}
+    errs = validate_config(config_from_dict(raw))
+    assert errs == [f"batch norm needs minibatches of 2 rows or more, but at "
+                    f"batch_size {batch_size} {named} get one-row minibatches"]
+    with pytest.raises(ValueError, match="bad config: batch norm"):
+        run_experiment(config_from_dict(raw))
+    # a last minibatch of two rows, or none short, is fine; so is a
+    # one-row minibatch without batch norm
+    for fine in (batch_size + 1, 40):
+        raw["algorithm"]["batch_size"] = fine
+        assert validate_config(config_from_dict(raw)) == [], fine
+    raw["algorithm"]["batch_size"] = batch_size
+    raw["model"]["norm"] = "group"
+    raw["model"]["group_size"] = 4
+    assert validate_config(config_from_dict(raw)) == []
+
+
 def test_validate_config_names_dcs_missing_from_the_cost_table(tmp_path):
     costs = tmp_path / "costs.csv"
     costs.write_text("region,machine_rate_usd_per_hr,send_usd_per_gb,"

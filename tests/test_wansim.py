@@ -1,13 +1,14 @@
 import heapq
 import io
 from collections import deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geolearn.wansim import (BYTE_KINDS, CLOCK_BYTES, CostLedger,
-                             CostRates, GB, KIND_BARRIER, KIND_CLOCK,
-                             KIND_TRAVEL, KIND_UPDATE, LinkSpec, Message,
+from geolearn.wansim import (BYTE_KINDS, CLOCK_BYTES, CostRates, GB,
+                             KIND_BARRIER, KIND_CLOCK, KIND_TRAVEL,
+                             KIND_UPDATE, LinkSpec, Message,
                              Simulator, Topology, account_cost,
                              barrier_bytes, build_topology,
                              default_bandwidth, default_costs,
@@ -163,6 +164,20 @@ def test_run_counts_events_until_the_heap_drains():
     assert sink.wakes == [1.0, 2.0]
 
 
+def _one_link_pair(messages, bandwidth=100.0, latency=0.5):
+    """_one_link_sim and the oracle on its topology, each sent messages and
+    run: (simulator, its sink, oracle)."""
+    sim, sink = _one_link_sim(bandwidth, latency)
+    oracle = _EagerSimulator(sim.topology)
+    oracle.nodes["b"] = _Recorder()
+    for msg in messages:
+        sim.send(msg)
+        oracle.send(msg)
+    sim.run()
+    oracle.run()
+    return sim, sink, oracle
+
+
 def test_ledger_conservation_tracks_in_flight_bytes():
     sim, _ = _one_link_sim()
     sim.send(_update("m", 300))
@@ -170,33 +185,57 @@ def test_ledger_conservation_tracks_in_flight_bytes():
     assert sim.ledger.sent_bytes() == 300
     assert not sim.ledger.conservation_ok()
     sim.run()
-    assert sim.ledger.delivered[("a", "b")][KIND_UPDATE] == 300
+    link = sim.channels["a", "b"]
+    assert (link.sent_bytes, link.delivered_bytes) == (300, 300)
+    assert sim.ledger.sent == sim.ledger.delivered == [link]
     assert sim.ledger.conservation_ok()
+    _, _, oracle = _one_link_pair([_update("m", 300)])
+    _assert_ledger_sums_the_rows(sim, oracle)
+
+
+def test_conservation_waits_for_a_queued_message():
+    sim, sink = _one_link_sim()
+    sim.send(_update("first", 0))
+    sim.run()
+    # zero-byte messages: the byte totals agree while one is in flight and
+    # one still waits for a free event that has not run
+    sim.send(_update("second", 0))
+    sim.send(_update("third", 0))
+    link = sim.channels["a", "b"]
+    assert link.sent_bytes == link.delivered_bytes == 0
+    assert link.free_scheduled and len(link.data) == 1
+    assert not sim.ledger.conservation_ok()
+    sim.run()
+    assert sim.ledger.conservation_ok()
+    assert [p for _, p in sink.inbox] == ["first", "second", "third"]
 
 
 def test_ledger_splits_bytes_by_kind():
-    sim, _ = _one_link_sim()
-    sim.send(Message(kind=KIND_UPDATE, src="a", dst="b",
-                     byte_split={KIND_UPDATE: 80, KIND_BARRIER: 20}))
-    sim.run()
+    split = {KIND_UPDATE: 80, KIND_BARRIER: 20}
+    sim, _, oracle = _one_link_pair(
+        [Message(kind=KIND_UPDATE, src="a", dst="b", byte_split=split)])
+    assert oracle.sent == oracle.delivered == {("a", "b"): {
+        KIND_UPDATE: 80, KIND_BARRIER: 20, KIND_CLOCK: 0, KIND_TRAVEL: 0}}
+    _assert_ledger_sums_the_rows(sim, oracle)
     assert sim.ledger.sent_bytes(KIND_UPDATE) == 80
     assert sim.ledger.sent_bytes(KIND_BARRIER) == 20
     assert sim.ledger.sent_bytes() == 100
-    assert sim.ledger.delivered == {("a", "b"): {
-        KIND_UPDATE: 80, KIND_BARRIER: 20, KIND_CLOCK: 0, KIND_TRAVEL: 0}}
+    assert sim.channels["a", "b"].delivered_bytes == 100
 
 
 @settings(max_examples=40, deadline=None)
-@given(sizes=st.lists(st.integers(1, 10_000), min_size=1, max_size=12))
+@given(sizes=st.lists(st.integers(0, 10_000), min_size=1, max_size=12))
 def test_conservation_holds_for_any_traffic_mix(sizes):
-    sim, sink = _one_link_sim(bandwidth=1000.0, latency=0.01)
+    messages = []
     for i, nbytes in enumerate(sizes):
         kind = KIND_CLOCK if i % 3 == 0 else KIND_UPDATE
-        sim.send(Message(kind=kind, src="a", dst="b",
-                         byte_split={kind: nbytes}, payload=i))
-    sim.run()
+        messages.append(Message(kind=kind, src="a", dst="b",
+                                byte_split={kind: nbytes}, payload=i))
+    sim, sink, oracle = _one_link_pair(messages, bandwidth=1000.0,
+                                       latency=0.01)
     assert sim.ledger.conservation_ok()
-    assert sum(sim.ledger.delivered[("a", "b")].values()) == sum(sizes)
+    _assert_ledger_sums_the_rows(sim, oracle)
+    assert sim.channels["a", "b"].delivered_bytes == sum(sizes)
     assert len(sink.inbox) == len(sizes)
 
 
@@ -215,21 +254,28 @@ def test_free_event_is_scheduled_only_behind_a_waiting_message():
 # oracle: the event loop that schedules every free event
 
 
-def _book(table, msg):
-    row = table.setdefault((msg.src, msg.dst), dict.fromkeys(BYTE_KINDS, 0))
+def _book(rows, key, msg):
+    row = rows.setdefault(key, dict.fromkeys(BYTE_KINDS, 0))
     for kind, nbytes in msg.byte_split.items():
         row[kind] += nbytes
 
 
 class _EagerSimulator:
     """Reference loop: every service start schedules the link's free event,
-    which runs even when no message waits."""
+    which runs even when no message waits.
 
-    def __init__(self, topology):
+    Its ledger is sent and delivered, per-link per-kind rows ((src, dst) ->
+    {kind: bytes}) in first-send and first-delivery order. hops() routes as
+    Simulator.hops does, as (src, dst) pairs, and send() books and queues
+    a copy of the message on each hop.
+    """
+
+    def __init__(self, topology, groups=(), hubs=None):
         self.now, self._heap, self._seq, self.nodes = 0.0, [], 0, {}
         self.channels = {key: [spec, deque(), deque(), 0.0, None]
                          for key, spec in topology.links.items()}
-        self.ledger = CostLedger()
+        self.sent, self.delivered = {}, {}
+        self._router = Simulator(topology, groups, hubs)
 
     def _push(self, time, kind, data):
         heapq.heappush(self._heap, (time, self._seq, kind, data))
@@ -238,22 +284,29 @@ class _EagerSimulator:
     def wake_at(self, time, name):
         self._push(time, "wake", name)
 
-    def send(self, msg):
-        channel = self.channels[(msg.src, msg.dst)]
-        _book(self.ledger.sent, msg)
-        channel[1 if msg.klass == "control" else 2].append(msg)
-        if channel[4] is None:
-            self._start_service(channel)
+    def hops(self, src, origin):
+        return [(ch.key, fw) for ch, fw in self._router.hops(src, origin)]
+
+    def send(self, msg, hops=None):
+        if hops is None:
+            hops = [((msg.src, msg.dst), msg.forward)]
+        for key, forward in hops:
+            copy = replace(msg, forward=forward)
+            _book(self.sent, key, copy)
+            channel = self.channels[key]
+            channel[1 if copy.klass == "control" else 2].append((key, copy))
+            if channel[4] is None:
+                self._start_service(channel)
 
     def _start_service(self, channel):
         spec, control, data, busy_until, _ = channel
         if not control and not data:
             return
-        msg = control.popleft() if control else data.popleft()
+        key, msg = control.popleft() if control else data.popleft()
         channel[3] = max(self.now, busy_until) + msg.nbytes / spec.bandwidth
         channel[4] = msg
         self._push(channel[3], "free", channel)
-        self._push(channel[3] + spec.latency, "deliver", msg)
+        self._push(channel[3] + spec.latency, "deliver", (key, msg))
 
     def run(self):
         while self._heap:
@@ -262,10 +315,43 @@ class _EagerSimulator:
                 data[4] = None
                 self._start_service(data)
             elif kind == "deliver":
-                _book(self.ledger.delivered, data)
-                self.nodes[data.dst].on_message(self, data)
+                key, msg = data
+                _book(self.delivered, key, msg)
+                node = self.nodes.get(key[1])
+                if node is not None:
+                    node.on_message(self, msg)
             else:
                 self.nodes[data].on_wake(self)
+
+
+def _assert_ledger_sums_the_rows(sim, oracle):
+    """sim's per-link totals are the oracle's rows summed, link for link in
+    the oracle's order, and its per-kind totals the rows' column sums."""
+    ledger = sim.ledger
+    assert [(ch.key, ch.sent_bytes) for ch in ledger.sent] == [
+        (key, sum(row.values())) for key, row in oracle.sent.items()]
+    assert [(ch.key, ch.delivered_bytes) for ch in ledger.delivered] == [
+        (key, sum(row.values())) for key, row in oracle.delivered.items()]
+    assert {kind: ledger.sent_bytes(kind) for kind in BYTE_KINDS} == {
+        kind: sum(row[kind] for row in oracle.sent.values())
+        for kind in BYTE_KINDS}
+    assert ledger.sent_bytes() == sum(
+        sum(row.values()) for row in oracle.sent.values())
+
+
+def _row_cost(oracle, machine_seconds, rates):
+    """account_cost summed over the oracle's per-kind rows, in its order:
+    machine time, then each link's egress, then each link's ingress."""
+    total = 0.0
+    for dc, seconds in machine_seconds.items():
+        total += seconds * (rates[dc].machine_usd_per_hr / 3600.0)
+    for (src, _), row in oracle.sent.items():
+        gb = sum(row.values()) / GB
+        total += gb * rates[src].send_usd_per_gb
+    for (_, dst), row in oracle.delivered.items():
+        gb = sum(row.values()) / GB
+        total += gb * rates[dst].recv_usd_per_gb
+    return total
 
 
 _DCS = ("a", "b", "c")
@@ -351,9 +437,9 @@ def test_event_loop_matches_the_eager_free_event_oracle(initial, wakes,
             script.emit(sim, src, specs)
         sim.run()
         # the same sequence numbers were handed out, too
-        runs.append((script.log, list(sim.ledger.sent.items()),
-                     list(sim.ledger.delivered.items()), sim._seq))
-    assert runs[0] == runs[1]
+        runs.append((sim, script.log, sim._seq))
+    assert runs[0][1:] == runs[1][1:]
+    _assert_ledger_sums_the_rows(runs[0][0], runs[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -471,23 +557,93 @@ class _HopLog:
 def test_a_broadcast_is_sent_once_on_each_of_its_hops(overlay, split):
     dcs, groups, hubs = overlay
     sim = Simulator(_mesh(dcs), groups, hubs)
-    log = []
+    oracle = _EagerSimulator(_mesh(dcs), groups, hubs)
+    log, oracle_log = [], []
     for dc in dcs[1:]:           # dcs[0] has no node: its copies are dropped
         sim.register(dc, _HopLog(dc, log))
+        oracle.nodes[dc] = _HopLog(dc, oracle_log)
     expected_log, expected_rows = [], {}
     for src in dcs:
         hops = sim.hops(src, src)
         # one broadcast: one copy per first hop, flagged as the hop says
         sim.send(Message(next(iter(split)), src, None, split), hops)
+        oracle.send(Message(next(iter(split)), src, None, split),
+                    oracle.hops(src, src))
         expected_log += [(ch.key[1], src, fw) for ch, fw in hops
                          if ch.key[1] != dcs[0]]
         expected_rows.update({ch.key: {k: split.get(k, 0) for k in BYTE_KINDS}
                               for ch, _ in hops})
     assert sim.run() == len(expected_rows)
-    assert sorted(log) == sorted(expected_log)
-    # both sides of the ledger hold each first hop's split once, every kind
-    assert sim.ledger.sent == expected_rows
-    assert sim.ledger.delivered == expected_rows
+    oracle.run()
+    assert sorted(log) == sorted(expected_log) == sorted(oracle_log)
+    # both sides of the oracle hold each first hop's split once, every
+    # kind, and the ledger holds their sums
+    assert oracle.sent == oracle.delivered == expected_rows
+    _assert_ledger_sums_the_rows(sim, oracle)
+
+
+def _uneven_mesh(dcs):
+    # bandwidths and latencies vary by link, so links deliver in an order
+    # other than the one they were first sent on
+    return Topology(dcs=dcs, links={
+        (a, b): LinkSpec(a, b, 100.0 * (1 + (i + 2 * j) % 3),
+                         0.25 * ((i + j) % 2))
+        for i, a in enumerate(dcs) for j, b in enumerate(dcs) if a != b})
+
+
+class _Relay:
+    """Sends, at each wake, the next of its (dst, split) messages (dst None:
+    a broadcast), and re-broadcasts within its group, as a hub does, each
+    copy that arrives flagged to forward."""
+
+    def __init__(self, name, sends):
+        self.name, self.sends = name, deque(sends)
+
+    def on_message(self, sim, msg):
+        if msg.forward:
+            sim.send(Message(msg.kind, self.name, None, msg.byte_split,
+                             msg.payload, msg.origin, nbytes=msg.nbytes),
+                     sim.hops(self.name, msg.origin))
+
+    def on_wake(self, sim):
+        dst, split = self.sends.popleft()
+        msg = Message(next(iter(split)), self.name, dst, split)
+        sim.send(msg, None if dst else sim.hops(self.name, self.name))
+
+
+# prices with full mantissas, so that a change in summation order shows
+_price = st.integers(0, 2 ** 20).map(lambda k: k / 3 ** 12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(overlay=_overlays(), data=st.data())
+def test_account_cost_is_the_per_kind_rows_sum_bit_for_bit(overlay, data):
+    dcs, groups, hubs = overlay
+    dc = st.sampled_from(dcs)
+    sends = sorted(data.draw(st.lists(st.tuples(
+        st.sampled_from((0.0, 0.5, 1.0)), dc, st.none() | dc,
+        st.dictionaries(st.sampled_from(BYTE_KINDS),
+                        st.integers(0, 10 ** 9), min_size=1)),
+        max_size=12)), key=lambda s: s[0])    # stable: ties keep order
+    rates = {name: CostRates(name, data.draw(_price), data.draw(_price),
+                             data.draw(_price)) for name in dcs}
+    runs = []
+    for make in (Simulator, _EagerSimulator):
+        sim = make(_uneven_mesh(dcs), groups, hubs)
+        for name in dcs:
+            sim.nodes[name] = _Relay(name, [
+                (None if dst == src else dst, split)
+                for _, src, dst, split in sends if src == name])
+        for time, src, _, _ in sends:
+            sim.wake_at(time, src)
+        sim.run()
+        runs.append(sim)
+    sim, oracle = runs
+    _assert_ledger_sums_the_rows(sim, oracle)
+    assert sim.ledger.conservation_ok()
+    sim.ledger.machine_seconds = {name: sim.now for name in dcs}
+    assert account_cost(sim.ledger, rates).hex() == _row_cost(
+        oracle, sim.ledger.machine_seconds, rates).hex()
 
 
 def test_a_message_to_a_dc_without_a_node_is_metered_then_dropped():
@@ -495,14 +651,22 @@ def test_a_message_to_a_dc_without_a_node_is_metered_then_dropped():
     del sim.nodes["b"]
     sim.send(_update("lost", 100))
     assert sim.run() == 1
-    assert sim.ledger.sent == sim.ledger.delivered == {
-        ("a", "b"): {**dict.fromkeys(BYTE_KINDS, 0), KIND_UPDATE: 100}}
+    link = sim.channels["a", "b"]
+    assert sim.ledger.sent == sim.ledger.delivered == [link]
+    assert (link.sent_bytes, link.delivered_bytes) == (100, 100)
+    assert sim.ledger.sent_bytes(KIND_UPDATE) == 100
     assert sink.inbox == []
+    # the oracle meters and drops the same copy
+    oracle = _EagerSimulator(sim.topology)
+    oracle.send(_update("lost", 100))
+    oracle.run()
+    _assert_ledger_sums_the_rows(sim, oracle)
     # a node registered later receives what follows
     sim.register("b", sink)
     sim.send(_update("kept", 100))
     sim.run()
     assert sink.inbox == [(3.0, "kept")]
+    assert (link.sent_bytes, link.delivered_bytes) == (200, 200)
 
 
 # ---------------------------------------------------------------------------
