@@ -12,7 +12,7 @@ Three communication regimes over the same momentum-SGD inner loop:
 Nodes are state machines driven by Simulator wake and delivery events: a
 node computes for its DC's configured compute time per minibatch, then
 exchanges according to its algorithm, and blocks whenever its gates say so.
-A blocked node simply stays idle until a delivery changes its view.
+A blocked node does nothing until a delivery changes its view.
 
 Every node reads the `algorithm` section (harness.AlgoCfg) and holds one
 replica in _NodeBase: the weights w, the velocity u and the momentum m. A
@@ -42,6 +42,11 @@ from .rng import seed_stream
 from .skewscout import DGC_EWARM_GRID, FEDAVG_ITER_GRID, GAIA_T0_GRID
 
 WARMUP_SCHEDULE = (75.0, 93.75, 98.4375, 99.6, 99.9)
+
+# a node's states (_NodeBase); BLOCKED is keyed by gate-trace kind
+IDLE, COMPUTING, ROUND_WAIT, DONE = "idle", "computing", "round-wait", "done"
+BLOCKED = {kind: f"blocked-{kind}" for kind in ("mirror", "ssp", "barrier")}
+_MAY_START = frozenset((IDLE, *BLOCKED.values()))
 
 
 def warmup_sparsity(epoch, e_warm):
@@ -110,12 +115,15 @@ class _NodeBase:
     message with the hops sim.hops built once, and each link delivers it
     to its receiving node; receivers share the message and only read it.
 
-    A synchronous round is gathered here: _share keeps this node's share of
-    a round, broadcasts it and holds the node (_awaiting); each peer's share
-    lands in _gathered, and _try_complete runs while the node is held.
-    _gather returns a round's shares once every member's has arrived; a
-    round's shares come only from its members, so it counts them before it
-    looks any up.
+    A node's state is IDLE, COMPUTING, ROUND_WAIT, BLOCKED[gate kind] or
+    DONE (budget spent, diverged or stopped), which is final; try_start
+    starts a step only from IDLE or BLOCKED. A synchronous round is gathered
+    here: _share keeps this node's share of a round, broadcasts it and holds
+    the node (ROUND_WAIT); each peer's share lands in _gathered, and
+    _try_complete runs while the node is held, so a stopped node never
+    completes a round. _gather returns a round's shares once every member's
+    has arrived; a round's shares come only from its members, so it counts
+    them before it looks any up.
 
     A subclass supplies the algorithm: _ready (may the next step start
     now?), _local_step (apply one gradient at a learning rate, and
@@ -151,15 +159,13 @@ class _NodeBase:
         self.u = np.zeros(self.w.size)
         self.m = float(algo.momentum)
         self.iters_done = 0
-        self.stopped = False
+        self.state = IDLE
         self.diverged = False
-        self._computing = False
-        self._awaiting = False        # held until a round's exchange completes
         self._gathered = {}           # round -> {member: share}
         self._finish_at = None
         self.epoch_hook = None        # fn(node, sim) at each local epoch end
         self._lockstep = False        # rows wait for the peers' boundary clock
-        self._row_clock = None        # the boundary clock of a waiting row
+        self._row_pending = False     # a row waits at clock iters_done
         self.iter_hook = None         # fn(node, sim) after every iteration
         self.travel_sink = None       # fn(node, sim, msg) for travel payloads
 
@@ -171,29 +177,28 @@ class _NodeBase:
     def epochs_done(self):
         return self.iters_done // self.batches_per_epoch
 
+    @property
+    def stopped(self):
+        return self.state == DONE
+
     def _begin_compute(self, sim):
-        self._computing = True
+        self.state = COMPUTING
         self._finish_at = sim.now + self.compute_s
         sim.wake_at(self._finish_at, self.name)
 
     def on_wake(self, sim):
-        if self.stopped:
-            return
-        if self._computing:
-            if sim.now >= self._finish_at:
-                self._computing = False
-                self._finish_iteration(sim)
-                if not self.stopped:
-                    self.try_start(sim)
-            return
-        self.try_start(sim)
+        if self.state != COMPUTING:
+            self.try_start(sim)
+        elif sim.now >= self._finish_at:
+            self.state = IDLE
+            self._finish_iteration(sim)
+            self.try_start(sim)
 
     def on_message(self, sim, msg):
-        if msg.kind == wansim.KIND_TRAVEL:
-            if self.travel_sink:
-                self.travel_sink(self, sim, msg)
-        else:
+        if msg.kind != wansim.KIND_TRAVEL:
             self._receive(sim, msg)
+        elif self.travel_sink:
+            self.travel_sink(self, sim, msg)
         if msg.forward:
             self._forward_in_group(sim, msg)
         self.try_start(sim)
@@ -217,13 +222,13 @@ class _NodeBase:
         which no receiver writes into."""
         self._gathered.setdefault(rnd, {})[self.name] = share
         self._broadcast(sim, byte_split, {"round": rnd, "share": share})
-        self._awaiting = True
+        self.state = ROUND_WAIT
         self._try_complete(sim)
 
     def _receive(self, sim, msg):
         p = msg.payload
         self._gathered.setdefault(p["round"], {})[msg.origin] = p["share"]
-        if self._awaiting:
+        if self.state == ROUND_WAIT:
             self._try_complete(sim)
 
     def _replica(self, w0):
@@ -238,13 +243,11 @@ class _NodeBase:
         if have is None or len(have) < len(members):
             return None
         del self._gathered[rnd]
-        self._awaiting = False
+        self.state = IDLE
         return [have[m] for m in members]
 
     def try_start(self, sim):
-        if self._computing or self.stopped or self._awaiting:
-            return
-        if self._ready(sim):
+        if self.state in _MAY_START and self._ready(sim):
             self._begin_compute(sim)
 
     def _ready(self, sim):
@@ -268,20 +271,20 @@ class _NodeBase:
             finite = np.all(np.isfinite(self.w))
         if not finite:
             self.diverged = True
-            self.stopped = True
+            self.state = DONE
         if self.iters_done % self.batches_per_epoch == 0 and self.epoch_hook:
             if self._lockstep:          # the row waits in _drain_inbox
-                self._row_clock = self.iters_done
+                self._row_pending = True
             else:
                 self.epoch_hook(self, sim)
         if self.iter_hook:
             self.iter_hook(self, sim)
         if self.max_iters is not None and self.iters_done >= self.max_iters:
-            self.stopped = True
+            self.state = DONE
 
     def settle(self, sim):
         """Take a row still waiting when the run ends."""
-        if self._row_clock is not None:
+        if self._row_pending:
             self._drain_inbox(sim, final=True)
 
     @classmethod
@@ -325,22 +328,23 @@ class GaiaNode(_NodeBase):
     hop's bandwidth. An inbox record is (clock, origin, idx, vals), idx
     None for a dense update.
 
-    A blocked node waits for something, and an untraced run re-checks its
-    gates only when that has moved. Its clock stands still while it is
-    blocked and mirror clocks only grow, so a clock gate (mirror or SSP)
-    that needs every peer at _need or above stays shut while _short, the
-    number of peers still below _need, is positive; _receive counts the
-    peers that cross it. A barrier gate can open only when an update clears
-    barrier entries, so it is re-checked only after one has. Every delivery
-    still drains the inbox (an update it would drain alone lands in
-    _receive), so updates land in the same order either way. A traced run
-    (Simulator(trace=True)) checks on every delivery and records each check
-    in sim.gate_trace.
+    A blocked node (BLOCKED[kind] of its first shut gate) waits for
+    something, and an untraced run re-checks its gates only when that has
+    moved. Its clock stands still while it is blocked and mirror clocks only
+    grow, so a clock gate (mirror or SSP) that needs every peer at _need or
+    above stays shut while _short, the number of peers still below _need,
+    is positive; _receive counts the peers that cross it. A barrier gate can
+    open only when an update clears barrier entries, so it is re-checked
+    only after one has. Every delivery still drains the inbox (an update it
+    would drain alone lands in _receive), so updates land in the same order
+    either way. A traced run (Simulator(trace=True)) checks on every
+    delivery and records each check in sim.gate_trace.
 
     A bsp node with peers is lockstep: its row (epoch_hook) at boundary
     clock t describes w holding exactly the updates of clocks <= t, so the
-    row waits in _drain_inbox for every peer's clock-t update; settle takes
-    one still waiting when the run ends.
+    row waits in _drain_inbox for every peer's clock-t update, the node
+    blocked-ssp meanwhile; settle takes one still waiting when the run
+    ends, the node done at its budget.
     """
 
     _knobs = {"gaia": ("t0", GAIA_T0_GRID), "bsp": None, "ssp": None}
@@ -361,12 +365,10 @@ class GaiaNode(_NodeBase):
         self._rate = None
         self._t0 = self.t_hard = self.t_soft = algo.t0
         self.sig_counts = {}       # epoch -> [emitted, scored]
-        # the wait of an untraced blocked node (see the class docstring);
-        # _short is always the number of peers whose mirror clock is below
-        # _need
+        # an untraced clock wait (see the class docstring): _short is always
+        # the number of peers whose mirror clock is below _need
         self._need = 0
         self._short = 0
-        self._barrier_wait = False
 
     def set_knob(self, theta):
         """Restart the significance threshold at theta."""
@@ -390,8 +392,8 @@ class GaiaNode(_NodeBase):
         elif msg.kind == wansim.KIND_UPDATE:
             p, origin = msg.payload, msg.origin
             # a lone update clearing no barrier lands now, as the drain would
-            if (self.inbox or self._row_clock is not None or self._computing
-                    or self.stopped or origin in self.shard.barrier_waits):
+            if (self.inbox or self._row_pending or self.state not in _MAY_START
+                    or origin in self.shard.barrier_waits):
                 self.inbox.append((p["clock"], origin, p["idx"], p["vals"]))
             elif p["idx"] is None:
                 self.w += p["vals"]
@@ -412,7 +414,7 @@ class GaiaNode(_NodeBase):
         if len(inbox) > 1:
             # stable: records of one (clock, origin) keep their arrival order
             inbox.sort(key=itemgetter(0, 1))
-        t = self._row_clock
+        t = self.iters_done if self._row_pending else None
         cut = len(inbox) if t is None else bisect_right(
             inbox, t, key=itemgetter(0))
         w = self.w
@@ -428,7 +430,7 @@ class GaiaNode(_NodeBase):
         del inbox[:cut]
         if t is not None and (
                 final or min(self.shard.mirror_clocks.values()) >= t):
-            self._row_clock = None
+            self._row_pending = False
             self.epoch_hook(self, sim)
             return self._drain_inbox(sim) or cleared
         return cleared
@@ -441,9 +443,9 @@ class GaiaNode(_NodeBase):
         return min(clocks) if clocks else self.iters_done
 
     def _clock_gate(self, sim, kind, slack):
-        """A gate (mirror or ssp, by kind) on the slowest known peer clock;
-        an untraced block records the clock every peer must reach and how
-        many are still short of it."""
+        """A gate (mirror or ssp, by kind) on the slowest known peer clock:
+        kind when it is shut, else None. An untraced block records the clock
+        every peer must reach and how many are still short of it."""
         local = self.iters_done
         clocks = self.shard.mirror_clocks
         slowest = min(clocks.values())
@@ -455,41 +457,42 @@ class GaiaNode(_NodeBase):
         elif not allow:
             need = self._need = local - slack
             self._short = sum(clock < need for clock in clocks.values())
-        return allow
+        return None if allow else kind
 
     def _barrier_gate(self, sim):
-        """Whether the reads of the next step's indexes miss every barrier."""
+        """'barrier' if the next step's reads meet a barrier, else None."""
         if not self.shard.barrier_waits:
-            return True
+            return None
         read_set = self.model.touched(self.stream.peek())
         if sim.trace:
             n_blocked = gate_read(self.shard, read_set).size
             sim.gate_trace.append((
                 sim.now, self.name, "barrier", self.iters_done,
                 n_blocked, self._true_min_peer_clock(sim), n_blocked == 0))
-            return n_blocked == 0
-        # a dense read (None) meets every outstanding entry
-        allow = read_set is not None and gate_read(self.shard, read_set).size == 0
-        self._barrier_wait = not allow
-        return allow
+        else:   # a dense read (None) meets every outstanding entry
+            n_blocked = read_set is None or gate_read(self.shard, read_set).size
+        return "barrier" if n_blocked else None
 
-    def _gates_allow(self, sim):
-        if self._filtered:
-            algo = self.algo
-            if algo.mirror and self.peers and not self._clock_gate(
-                    sim, "mirror", algo.ds):
-                return False
-            return not algo.barrier or self._barrier_gate(sim)
-        return not self.peers or self._clock_gate(sim, "ssp", self._staleness)
+    def _shut_gate(self, sim):
+        """The kind of the first gate that holds the next step, or None."""
+        if not self.peers:
+            return None
+        if not self._filtered:
+            return self._clock_gate(sim, "ssp", self._staleness)
+        algo = self.algo
+        return (algo.mirror and self._clock_gate(sim, "mirror", algo.ds)
+                or algo.barrier and self._barrier_gate(sim) or None)
 
     def _ready(self, sim):
-        cleared = ((self.inbox or self._row_clock is not None)
-                   and self._drain_inbox(sim))
+        cleared = (self.inbox or self._row_pending) and self._drain_inbox(sim)
         # a row taken in the drain may have stopped the run
-        if self.stopped or self._short or (self._barrier_wait and not cleared):
+        if self.state == DONE or self._short or (
+                self.state == BLOCKED["barrier"] and not (cleared or sim.trace)):
             return False
-        self._barrier_wait = False
-        return self._gates_allow(sim)
+        shut = self._shut_gate(sim)
+        if shut:
+            self.state = BLOCKED[shut]
+        return not shut
 
     # -- the local step ----------------------------------------------------
 
@@ -525,14 +528,13 @@ class GaiaNode(_NodeBase):
         algo = self.algo
         self.shard.v += update
         # the hard threshold decays by the factor of an lr drop, or as
-        # t0 / sqrt(t) on every iteration; t_soft is capped at it when it
-        # decays, and soft_threshold_adjust keeps it there in between
+        # t0 / sqrt(t) on every iteration; t_soft is capped at it, which
+        # moves it only after a decay: soft_threshold_adjust keeps it there
         if algo.decay == "lr" and self._last_eta is not None and eta < self._last_eta:
             self.t_hard = self.t_hard * (eta / self._last_eta)
-            self.t_soft = min(self.t_soft, self.t_hard)
         elif algo.decay == "invsqrt":
             self.t_hard = self._t0 / np.sqrt(self.iters_done)
-            self.t_soft = min(self.t_soft, self.t_hard)
+        self.t_soft = min(self.t_soft, self.t_hard)
         t_eff = self.t_soft if self._soft else self.t_hard
         idx, vals = accumulate_and_flush(self.shard, self.w, t_eff, scratch)
         epoch = (self.iters_done - 1) // self.batches_per_epoch
@@ -674,7 +676,7 @@ class FedAvgNode(_NodeBase):
         if self.name in self._members_this_round():
             return True
         # sitting this round out: adopt the average once it is complete
-        self._awaiting = True
+        self.state = ROUND_WAIT
         self._try_complete(sim)
         return False
 
@@ -692,9 +694,7 @@ class FedAvgNode(_NodeBase):
         self.iters_done += 1
         self._steps_in_round += 1
         self._after_iteration(sim)
-        if self.stopped:
-            return
-        if self._steps_in_round >= self.iter_local:
+        if self.state != DONE and self._steps_in_round >= self.iter_local:
             self._steps_in_round = 0
             # w itself: the next step writes the node's new w elsewhere
             self._share(
@@ -724,7 +724,7 @@ class FedAvgNode(_NodeBase):
         if self.round_hook:
             self.round_hook(self, sim)
         if self.round >= self.max_rounds:
-            self.stopped = True
+            self.state = DONE
         self.try_start(sim)
 
 

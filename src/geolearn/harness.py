@@ -30,7 +30,7 @@ import numpy as np
 import yaml
 
 from . import wansim
-from .algos import NODE_CLASSES
+from .algos import DONE, NODE_CLASSES
 from .data import (
     LabeledDataset, MinibatchStream, gen_cluster_data, gen_mf_data,
     partition_label_skew, partition_uniform,
@@ -555,7 +555,7 @@ def _hook_rows(cfg, data, nodes, rates):
 
     def stop_all(sim):
         for node in sim.nodes.values():
-            node.stopped = True
+            node.state = DONE
 
     # batch-norm running stats stay per node, so replicas that share their
     # weights still differ

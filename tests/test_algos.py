@@ -374,7 +374,7 @@ def _dgc_on_a_slow_link(dgc_cls, reads):
         on_message = node.on_message
 
         def delivered(sim_, msg, node=node, on_message=on_message):
-            held = node._awaiting
+            held = node.state == "round-wait"
             if held:
                 reads(node, "held")
             on_message(sim_, msg)
@@ -510,15 +510,15 @@ def test_a_round_completes_on_its_last_share_in_any_order(kind):
         for m in members:
             node._receive(sim, _share_msg(m, rnd + 1, None))
         for i, m in enumerate(order, 1):
-            node._awaiting = False      # the delivery only stores the share
+            node.state = "idle"         # the delivery only stores the share
             node._receive(sim, _share_msg(m, rnd, shares[m]))
-            node._awaiting = True
+            node.state = "round-wait"
             got = node._gather(rnd, members)
             if i < len(order):
-                assert got is None and node._awaiting
+                assert got is None and node.state == "round-wait"
             else:
                 assert got == [shares[m] for m in members]
-                assert not node._awaiting
+                assert node.state == "idle"
                 assert list(node._gathered) == [rnd + 1]
 
 
@@ -577,7 +577,7 @@ class _PerReplicaFedAvg(FedAvgNode):
         if self.round_hook:
             self.round_hook(self, sim)
         if self.round >= self.max_rounds:
-            self.stopped = True
+            self.state = "done"
         self.try_start(sim)
 
 
@@ -915,13 +915,13 @@ def _blocked_node(algo, local, trace, barrier=None):
     if barrier is not None:
         apply_barrier(node.shard, barrier)
     checks = []
-    gates_allow = node._gates_allow
+    shut_gate = node._shut_gate
 
     def counted(sim_):
         checks.append(sim_.now)
-        return gates_allow(sim_)
+        return shut_gate(sim_)
 
-    node._gates_allow = counted
+    node._shut_gate = counted
     node.try_start(sim)
     return sim, node, checks
 
@@ -960,22 +960,24 @@ def test_clock_wait_rechecks_only_when_the_last_peer_crosses(policy, slack):
         (_to_a("c", need - 1), False, False),      # c still below need
         (_to_a("b", need, origin="c"), True, True),        # forwarded c
     ]
+    blocked = "blocked-mirror" if policy.kind == "gaia" else "blocked-ssp"
     sim, node, checks = _blocked_node(policy, local, trace=False)
-    assert checks and not node._computing
+    assert checks and node.state == blocked
     assert (node._need, node._short) == (need, 2)
     started = []
     for msg, rechecks, starts in deliveries:
         before = len(checks)
         node.on_message(sim, msg)
         assert (len(checks) > before) == rechecks, msg
-        assert node._computing == starts, msg
-        started.append(node._computing)
+        assert (node.state == "computing") == starts, msg
+        started.append(node.state == "computing")
     # a traced node checks on every delivery and starts at the same one
     sim, node, checks = _blocked_node(policy, local, trace=True)
+    assert node.state == blocked
     traced = []
     for msg, _rechecks, _starts in deliveries:
         node.on_message(sim, msg)
-        traced.append(node._computing)
+        traced.append(node.state == "computing")
     assert traced == started
     assert len(checks) == 1 + len(deliveries)
     assert len(sim.gate_trace) == len(checks)
@@ -991,19 +993,20 @@ def test_barrier_wait_rechecks_only_after_its_entries_clear():
         (_to_a("b", 1, idx=[0, 3]), True, True),      # the awaited flush
     ]
     sim, node, checks = _blocked_node(algo, 1, trace=False, barrier=barrier)
-    assert len(checks) == 1 and not node._computing
+    assert len(checks) == 1 and node.state == "blocked-barrier"
     started = []
     for msg, rechecks, starts in deliveries:
         before = len(checks)
         node.on_message(sim, msg)
         assert (len(checks) > before) == rechecks, msg
-        assert node._computing == starts, msg
-        started.append(node._computing)
+        assert (node.state == "computing") == starts, msg
+        started.append(node.state == "computing")
     sim, node, checks = _blocked_node(algo, 1, trace=True, barrier=barrier)
+    assert node.state == "blocked-barrier"
     traced = []
     for msg, _rechecks, _starts in deliveries:
         node.on_message(sim, msg)
-        traced.append(node._computing)
+        traced.append(node.state == "computing")
     assert traced == started
     assert len(checks) == 1 + len(deliveries)
     # the dense read is blocked on both coordinates b's barrier names until

@@ -238,6 +238,110 @@ def test_overlay_runs_finish_every_budget(name):
             assert node.iters_done == node.max_iters, node.name
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_every_node_ends_done_but_the_stalled_one(name):
+    _, result = _run(name)
+    for node in result.nodes:
+        if (name, node.name) == ("gaia-softmax-stall", "virginia"):
+            # the known budget stall: both peers stopped at their budget of
+            # 24, short of the 25 its mirror clock gate needs
+            assert node.state == "blocked-mirror"
+            assert (node.iters_done, node.max_iters) == (26, 36)
+            assert (node._short, node._need) == (2, 25)
+        else:
+            assert node.state == "done", node.name
+
+
+def _watched_run(name, trace, watch):
+    """A run of config name whose on_nodes(nodes, sim) is watch."""
+    return run_experiment(config_from_dict(
+        dict(CONFIGS[name], output={"trace": trace})), on_nodes=watch)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_done_is_final(name):
+    # each node's round, clock and weights when an event first leaves it
+    # done, and when the run ends
+    at_done = {}
+
+    def progress(node):
+        return getattr(node, "round", None), node.iters_done, node.w
+
+    def watch(nodes, sim):
+        def handled(handler):
+            def after(*args):
+                handler(*args)
+                for n in nodes:
+                    if n.stopped and n.name not in at_done:
+                        at_done[n.name] = progress(n)
+            return after
+
+        for node in nodes:
+            node.on_message = handled(node.on_message)
+            node.on_wake = handled(node.on_wake)
+
+    result = _watched_run(name, False, watch)
+    for node in result.nodes:
+        if node.stopped:
+            rnd, clock, w = at_done[node.name]
+            now_rnd, now_clock, now_w = progress(node)
+            assert (now_rnd, now_clock) == (rnd, clock), node.name
+            assert now_w is w, node.name
+
+
+def test_a_lockstep_trigger_takes_its_last_row_in_settle():
+    # a row waits for every peer's update of its clock, so the trigger is
+    # blocked-ssp meanwhile; the last row waits with the trigger done at
+    # its budget, and only settle takes it
+    taken = []
+
+    def watch(nodes, sim):
+        trigger = nodes[0]
+        evaluate, settle = trigger.epoch_hook, trigger.settle
+
+        def row(node, sim_):
+            taken.append((node.iters_done, node.state))
+            evaluate(node, sim_)
+
+        def settled(sim_):
+            taken.append("settle")
+            settle(sim_)
+
+        trigger.epoch_hook, trigger.settle = row, settled
+
+    result = _watched_run("bsp-mlp", False, watch)
+    trigger = result.nodes[0]
+    assert trigger._lockstep and len(result.rows) == 4
+    assert taken[-2:] == ["settle", (trigger.max_iters, "done")]
+    assert {state for _, state in taken[:-2]} <= {"idle", "blocked-ssp"}
+    assert not trigger._row_pending
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_traced_gate_checks_leave_their_node_blocked_or_computing(name):
+    # (the node's gate-trace rows of one try_start, its state after it)
+    checks = []
+
+    def watch(nodes, sim):
+        for node in nodes:
+            def try_start(sim_, node=node, try_start=node.try_start):
+                first = len(sim_.gate_trace)
+                try_start(sim_)
+                rows = sim_.gate_trace[first:]
+                if rows:
+                    checks.append((rows, node.state))
+                    assert {row[1] for row in rows} == {node.name}
+
+            node.try_start = try_start
+
+    result = _watched_run(name, True, watch)
+    assert sum(len(rows) for rows, _ in checks) == len(result.sim.gate_trace)
+    for rows, state in checks:
+        *passed, last = rows
+        assert all(row[6] for row in passed)
+        assert state == ("computing" if last[6] else f"blocked-{last[2]}")
+
+
 def _pin_files():
     digests, gate_traces = {}, {}
     for name, raw in sorted(CONFIGS.items()):

@@ -655,7 +655,7 @@ def test_a_row_still_waiting_when_the_queue_drains_is_taken_there():
     assert [n.max_iters for n in result.nodes] == [3, 2, 2]
     assert [row["epoch"] for row in result.rows] == [1]
     assert result.rows[0]["sim_time_s"] == result.summary["sim_time_s"]
-    assert trigger.inbox == [] and trigger._row_clock is None
+    assert trigger.inbox == [] and not trigger._row_pending
 
 
 def test_run_experiment_flags_divergence():
@@ -687,13 +687,13 @@ def _softmax_cfg(kind, nodes, trace=False, **algorithm):
 
 def _count_gate_checks(monkeypatch):
     checks = []
-    gates_allow = GaiaNode._gates_allow
+    shut_gate = GaiaNode._shut_gate
 
     def counted(node, sim):
         checks.append(node.name)
-        return gates_allow(node, sim)
+        return shut_gate(node, sim)
 
-    monkeypatch.setattr(GaiaNode, "_gates_allow", counted)
+    monkeypatch.setattr(GaiaNode, "_shut_gate", counted)
     return checks
 
 
