@@ -268,7 +268,7 @@ class _NodeBase:
         """The divergence check (unless the caller knows whether w is
         finite), the hooks and the budget, after an iteration."""
         if finite is None:
-            finite = np.all(np.isfinite(self.w))
+            finite = np.isfinite(self.w).all()
         if not finite:
             self.diverged = True
             self.state = DONE
@@ -821,7 +821,7 @@ class DgcNode(_NodeBase):
             for idx, vals in slices:
                 w[idx] += vals
             steps.newest = t + 1
-            steps.finite = bool(np.all(np.isfinite(w)))
+            steps.finite = bool(np.isfinite(w).all())
         self.w = w
         self.iters_done += 1
         self._after_iteration(sim, steps.finite)

@@ -79,10 +79,12 @@ def _deal_uniform(counts, m):
     ties to the lowest index, on top of the sizes counts. Partition p's free
     slots sit at levels counts[p], counts[p] + 1, ...; the dealing takes
     them in (level, partition) order, up to the level that holds all m."""
+    if m == 0:
+        return np.empty(0, dtype=np.intp)
     k = counts.size
     s = np.sort(counts)
     below = np.arange(1, k + 1) * s - np.cumsum(s)    # slots below s[j]
-    j = max(np.searchsorted(below, m) - 1, 0)    # m = 0 deals nothing
+    j = np.searchsorted(below, m) - 1
     free = np.maximum(s[j] - (below[j] - m) // (j + 1) - counts, 0)
     owner = np.repeat(np.arange(k), free)
     level = np.arange(owner.size) - np.repeat(np.cumsum(free) - free - counts, free)

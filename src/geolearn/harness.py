@@ -272,11 +272,11 @@ def validate_config(cfg):
 
 def _check_config(cfg):
     """validate_config's problems, plus the (bandwidth, costs) tables read
-    on the way and the resolved DC names (None if a problem came first), so
-    a run reads and resolves each once."""
+    on the way and the resolved DC names (None if a problem came first) and
+    a batch-norm config's partitions (else None), so a run makes each once."""
     errs = _field_errors(cfg)
     if errs:    # the cross-field checks assume well-typed, in-range fields
-        return errs, None, None
+        return errs, None, None, None
     m, d, p, a, s, t = (cfg.model, cfg.data, cfg.partition, cfg.algorithm,
                         cfg.scout, cfg.topology)
     if m.kind == "mf" and d.kind != "mf":
@@ -301,7 +301,7 @@ def _check_config(cfg):
     # n samples (mf: observed entries, dealt uniformly); the skewed ones
     # reach at most min(classes, nodes) label owners, and the uniform rest
     # fills the emptiest partitions first
-    mf = m.kind == "mf"
+    mf, parts = m.kind == "mf", None
     n = int(round(d.density * m.rows * m.cols)) if mf else m.classes * d.per_class
     n_skew = 0 if mf else int(round(p.alpha * n))
     if (empty := p.nodes - min(m.classes, p.nodes, n_skew) - (n - n_skew)) > 0:
@@ -311,7 +311,7 @@ def _check_config(cfg):
         # the run's partitions, which read only gen_cluster_data's labels
         labels = np.repeat(np.arange(m.classes), d.per_class)
         one_row = []
-        for i, part in enumerate(partition_label_skew(
+        for i, part in enumerate(parts := partition_label_skew(
                 LabeledDataset(None, labels, m.classes), p.nodes, p.alpha,
                 cfg.seed)):
             b = min(a.batch_size, part.size)
@@ -328,7 +328,7 @@ def _check_config(cfg):
                          wansim.default_bandwidth),
                   _table(t.cost_file, wansim.load_cost_csv, wansim.default_costs))
     except (OSError, ValueError) as exc:
-        return errs + [f"cannot read the topology tables: {exc}"], None, None
+        return errs + [f"cannot read the topology tables: {exc}"], None, None, None
     (names, matrix), costs = tables
     dcs = list(t.dcs) or names[:p.nodes]
     if len(dcs) != p.nodes:
@@ -356,7 +356,7 @@ def _check_config(cfg):
     elif missing := [(i, j) for i in range(n_groups) for j in range(n_groups)
                      if i != j and [i, j] not in [list(h[:2]) for h in t.hubs]]:
         errs.append(f"overlay group pairs {missing} have no hub")
-    return errs, tables, dcs
+    return errs, tables, dcs, parts
 
 
 def _table(path, load, packaged):
@@ -431,7 +431,7 @@ def run_experiment(cfg, topology=None, on_nodes=None):
     times; on_nodes(nodes, sim), if given, runs after wiring but before the
     first event, e.g. to attach extra per-iteration hooks.
     """
-    errs, tables, dcs = _check_config(cfg)
+    errs, tables, dcs, parts = _check_config(cfg)
     k = cfg.partition.nodes
     if topology is not None and len(topology.dcs) != k:
         errs.append(f"topology has {len(topology.dcs)} DCs for {k} partitions")
@@ -441,7 +441,7 @@ def run_experiment(cfg, topology=None, on_nodes=None):
                     f"DCs {topology.dcs}")
     if errs:
         raise ValueError("bad config: " + "; ".join(errs))
-    data = _build_data(cfg)
+    data = _build_data(cfg, parts)
     sim, nodes, rates = _build_nodes(cfg, data, tables, dcs, topology)
     rows, conv, scout = _hook_rows(cfg, data, nodes, rates)
     if on_nodes is not None:
@@ -452,14 +452,14 @@ def run_experiment(cfg, topology=None, on_nodes=None):
     return _settle(cfg, sim, rates, nodes, rows, conv, scout)
 
 
-def _build_data(cfg):
-    """Step 1: the data, the model, its w0, the partitions, the full batch,
-    batch(idx), which returns a factorization model's entry indexes as they
-    are or a classifier's (X[idx], y[idx]), and SkewScout's probe metric,
-    fn(w, bn stats, node index): a factorization model's objective on the
-    node's probe entries (AL is its relative gap), or a classifier's
-    accuracy in points. The metric reads each node's probe indexes from
-    probes, which _hook_rows fills."""
+def _build_data(cfg, parts):
+    """Step 1: the data, the model, its w0, the partitions (the check's, if
+    it made them), the full batch, batch(idx), which returns a factorization
+    model's entry indexes as they are or a classifier's (X[idx], y[idx]),
+    and SkewScout's probe metric, fn(w, bn stats, node index): a
+    factorization model's objective on the node's probe entries (AL is its
+    relative gap), or a classifier's accuracy in points. The metric reads
+    each node's probe indexes from probes, which _hook_rows fills."""
     mcfg, dcfg, seed = cfg.model, cfg.data, cfg.seed
     k, probes = cfg.partition.nodes, []
     if mcfg.kind == "mf":
@@ -487,7 +487,8 @@ def _build_data(cfg):
         else:
             sizes = [mcfg.features] + list(mcfg.hidden) + [mcfg.classes]
             model = TinyMLP(sizes, norm=mcfg.norm, group_size=mcfg.group_size)
-        parts = partition_label_skew(train, k, cfg.partition.alpha, seed)
+        if parts is None:
+            parts = partition_label_skew(train, k, cfg.partition.alpha, seed)
         full_batch = (train.X, train.y)
         relative_al = False
 

@@ -125,18 +125,22 @@ class MFModel:
 # softmax regression
 
 
-def _softmax_xent(scores, y):
-    """(mean cross-entropy, class probabilities) of a batch's scores.
-
-    Overwrites scores (batch x classes, owned by the caller) with the
-    probabilities, which _xent_grad turns into the loss gradient in place.
-    """
-    n = scores.shape[0]
+def _xent_head(scores, y):
+    """Mean cross-entropy of a batch's scores (batch x classes, C-contiguous,
+    owned by the caller), which are overwritten with d(loss)/d(scores). The
+    true classes' entries are read and written through one flat index array
+    (so a label outside 0..classes-1 is not caught), and each rounds as in
+    probs[arange(n), y] -= 1.0 and then probs /= n."""
+    n, C = scores.shape
     scores -= np.maximum.reduce(scores, axis=1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= np.add.reduce(scores, axis=1, keepdims=True)
-    loss = float(-(np.add.reduce(np.log(scores[np.arange(n), y])) / n))
-    return loss, scores
+    flat, true = scores.reshape(-1), np.arange(0, n * C, C) + y
+    p = flat.take(true)
+    loss = float(-(np.add.reduce(np.log(p)) / n))
+    flat.put(true, p - 1.0)
+    scores /= n
+    return loss
 
 
 def _class_sum(S):
@@ -174,7 +178,7 @@ def _class_sum(S):
 
 
 def _xent_loss(S, y):
-    """_softmax_xent's loss for class-major scores S (classes x rows, owned
+    """_xent_head's loss for class-major scores S (classes x rows, owned
     and overwritten), bit for bit.
 
     Only the true classes' probabilities are divided by their row sums: the
@@ -187,13 +191,6 @@ def _xent_loss(S, y):
     p = S[y, np.arange(n)]
     p /= _class_sum(S)
     return float(-(np.add.reduce(np.log(p)) / n))
-
-
-def _xent_grad(probs, y):
-    """Turn _softmax_xent's probabilities into d(loss)/d(scores) in place."""
-    n = probs.shape[0]
-    probs[np.arange(n), y] -= 1.0
-    probs /= n
 
 
 def _hit_rate(pred, y):
@@ -229,20 +226,21 @@ class SoftmaxModel:
         return scores
 
     def objective(self, params, batch):
-        # logits()'s product, copied class-major, then its bias
+        # logits()'s scores, class-major: W @ X.T is (X @ W.T).T bit for bit
         X, y = batch
         W, b = self._unpack(params)
-        S = (X @ W.T).T.copy()
+        S = W @ X.T
         S += b[:, None]
         return _xent_loss(S, y)
 
     def loss_and_grad(self, params, batch, update_stats=False):
         X, y = batch
-        loss, dscores = _softmax_xent(self.logits(params, X), y)
-        _xent_grad(dscores, y)
-        dW = dscores.T @ X
-        db = np.add.reduce(dscores, axis=0)
-        return loss, np.concatenate([dW.ravel(), db])
+        dscores = self.logits(params, X)
+        loss, grad = _xent_head(dscores, y), np.empty(self.n_params)
+        dW, db = self._unpack(grad)
+        np.matmul(dscores.T, X, out=dW)
+        np.add.reduce(dscores, axis=0, out=db)
+        return loss, grad
 
     def predict(self, params, X):
         return self.logits(params, X).argmax(axis=1)
@@ -513,9 +511,8 @@ class TinyMLP:
     def loss_and_grad(self, params, batch, mode="train", update_stats=False):
         X, y = batch
         caches = []
-        loss, dz = _softmax_xent(
-            self._forward(params, X, mode, update_stats, caches), y)
-        _xent_grad(dz, y)
+        dz = self._forward(params, X, mode, update_stats, caches)
+        loss = _xent_head(dz, y)
         grad = np.empty_like(params)
         for li in range(self.n_hidden, -1, -1):
             h_in, W, ncache, a = caches[li]

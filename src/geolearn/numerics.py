@@ -58,10 +58,10 @@ def lr_at(schedule, epoch):
 
 
 def clip_by_norm(grad, max_norm):
-    """grad scaled in place to L2 norm at most max_norm, and returned; a
-    shorter or zero vector is returned as it is."""
+    """grad (contiguous, 1-D) scaled in place to L2 norm at most max_norm
+    and returned; a shorter or zero vector is returned as it is."""
     grad = np.asarray(grad, dtype=np.float64)
-    norm = float(np.linalg.norm(grad))
+    norm = math.sqrt(grad.dot(grad))    # np.linalg.norm(grad), bit for bit
     if norm == 0.0 or norm <= max_norm:
         return grad
     grad *= max_norm / norm

@@ -252,6 +252,31 @@ def test_validate_config_rejects_one_row_batch_norm_minibatches(batch_size,
     assert validate_config(config_from_dict(raw)) == []
 
 
+@pytest.mark.parametrize("norm", ["batch", "group"])
+def test_a_run_partitions_its_labels_once(monkeypatch, norm):
+    # a batch-norm config's check partitions the labels to size its
+    # minibatches; the run then uses those partitions, not a second split
+    calls, real = [], harness.partition_label_skew
+
+    def counted(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    raw = {"seed": 11, "model": {"kind": "mlp", "features": 6, "classes": 7,
+                                 "hidden": [12], "norm": norm,
+                                 "group_size": 4},
+           "data": {"per_class": 40}, "partition": {"nodes": 3, "alpha": 1.0},
+           "algorithm": {"kind": "gaia", "epochs": 1, "batch_size": 40}}
+    want = summary_text(run_experiment(config_from_dict(raw)).summary)
+    monkeypatch.setattr(harness, "partition_label_skew", counted)
+    seen = []
+    got = run_experiment(config_from_dict(raw), on_nodes=lambda nodes, sim: (
+        seen.extend(node.stream.indices for node in nodes)))
+    assert len(calls) == 1
+    assert [p.tobytes() for p in seen] == [p.tobytes() for p in calls[0]]
+    assert summary_text(got.summary) == want
+
+
 def test_validate_config_names_dcs_missing_from_the_cost_table(tmp_path):
     costs = tmp_path / "costs.csv"
     costs.write_text("region,machine_rate_usd_per_hr,send_usd_per_gb,"

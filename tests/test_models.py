@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geolearn.data import gen_cluster_data
 from geolearn.models import (RUNNING_RHO, BatchNorm, GroupNorm, MFEntries,
                              MFModel, SoftmaxModel, TinyMLP, _class_sum, _norm,
                              norm_backward, stat_divergence)
@@ -440,16 +441,6 @@ def _ref_mlp_loss_and_grad(mlp, params, batch, mode, update_stats):
     return loss, grad
 
 
-def _ref_softmax_forward(model, params, batch):
-    X, y = batch
-    scores = model.logits(params, X)
-    scores -= scores.max(axis=1, keepdims=True)
-    exp = np.exp(scores)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    loss = float(-np.mean(np.log(probs[np.arange(X.shape[0]), y])))
-    return probs, loss
-
-
 def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 
@@ -514,7 +505,13 @@ def test_softmax_matches_the_plain_expressions_bit_for_bit(
     params = rng.normal(scale=scale, size=model.n_params)
     X = rng.normal(scale=scale, size=(n, features))
     y = rng.integers(0, classes, size=n)
-    probs, want_loss = _ref_softmax_forward(model, params, (X, y))
+    # params packs as [W.ravel(), b] with W classes x features
+    W = params[:classes * features].reshape(classes, features)
+    logits = X @ W.T + params[classes * features:]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    want_loss = float(-np.mean(np.log(probs[np.arange(n), y])))
     probs[np.arange(n), y] -= 1.0
     probs /= n
     want_grad = np.concatenate([(probs.T @ X).ravel(), probs.sum(axis=0)])
@@ -522,9 +519,32 @@ def test_softmax_matches_the_plain_expressions_bit_for_bit(
     loss, grad = model.loss_and_grad(params, (X, y))
     assert _bits(loss) == _bits(want_loss)
     assert grad.tobytes() == want_grad.tobytes()
-    want = np.argmax(model.logits(params, X), axis=1)
+    assert model.logits(params, X).tobytes() == logits.tobytes()
+    want = np.argmax(logits, axis=1)
     assert model.predict(params, X).tobytes() == want.tobytes()
     assert model.accuracy(params, X, y) == float(np.mean(want == y))
+
+
+@pytest.mark.parametrize("classes,features,per_class", [
+    (10, 10, 200), (10, 10, 50),    # softmax-11dc: training and test set
+    (4, 6, 40), (4, 6, 20),         # the goldens' softmax configs
+    (7, 6, 40), (7, 6, 20),
+])
+def test_class_major_product_is_the_logits_product_bit_for_bit(
+        classes, features, per_class):
+    # the objective's W @ X.T at the row counts it runs at, which the
+    # hypothesis test above (40 rows at most) does not reach
+    data = gen_cluster_data(classes, features, per_class, 1.0, seed=7)
+    X, y, split = data.X, data.y, classes * features
+    model = SoftmaxModel(features, classes)
+    for seed in range(3):
+        rng = seed_stream(seed, "test", "product")
+        for params in (model.init_params(rng),
+                       rng.normal(scale=3.0, size=model.n_params)):
+            W = params[:split].reshape(classes, features)
+            assert (W @ X.T).tobytes() == (X @ W.T).T.copy().tobytes()
+            want = _ref_ce(X @ W.T + params[split:], y)[0]
+            assert _bits(model.objective(params, (X, y))) == _bits(want)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # inf - inf
@@ -620,16 +640,16 @@ def test_mlp_evaluation_peak_memory_and_untouched_inputs(norm):
 
 
 def test_softmax_evaluation_peak_memory_and_untouched_inputs():
-    # the softmax-11dc training set: the objective holds two score arrays
-    # at most (the product and its class-major copy), then one array of
-    # scores and a few of rows, such as the true classes' probabilities
+    # the softmax-11dc training set: the objective holds one score array,
+    # the class-major product, and a few arrays of rows at a time (the
+    # column maxima, the true classes' index and probabilities, their logs)
     rows, classes = 2000, 10
     model = SoftmaxModel(10, classes)
     rng = seed_stream(29, "test")
     params = model.init_params(rng)
     X = rng.normal(size=(rows, 10))
     y = rng.integers(0, classes, size=rows)
-    limit = 2 * rows * classes * 8 + rows * 8
+    limit = rows * classes * 8 + 6 * rows * 8
     for evaluate in (lambda: model.objective(params, (X, y)),
                      lambda: model.accuracy(params, X, y)):
         evaluate()
@@ -645,3 +665,25 @@ def test_softmax_evaluation_peak_memory_and_untouched_inputs():
     model.objective(params, (X, y))
     model.accuracy(params, X, y)
     assert (params.tobytes(), X.tobytes(), y.tobytes()) == before
+
+
+def test_softmax_training_step_peak_memory():
+    # one loss_and_grad holds the gradient, which it writes in place, one
+    # batch x classes score array and a few rows; a concatenated gradient
+    # (+ the gradient's size) or a second score array would exceed it.
+    # Many features and classes make both arrays large beside the rows.
+    rows, features, classes = 200, 500, 50
+    model = SoftmaxModel(features, classes)
+    rng = seed_stream(37, "test")
+    params = model.init_params(rng)
+    X = rng.normal(size=(rows, features))
+    y = rng.integers(0, classes, size=rows)
+    limit = model.n_params * 8 + rows * classes * 8 + 2 * rows * 8
+    model.loss_and_grad(params, (X, y))
+    tracemalloc.start()
+    try:
+        model.loss_and_grad(params, (X, y))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit, (peak, limit)

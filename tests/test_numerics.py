@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from geolearn.numerics import (StepDecay, clip_by_norm, grad_check, lr_at,
                                momentum_step)
@@ -80,6 +80,48 @@ def test_clip_by_norm_oracle():
     np.testing.assert_allclose(long, [3.0, 4.0])
     np.testing.assert_array_equal(clip_by_norm(np.zeros(3), 1.0),
                                   np.zeros(3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # inf * 0.0
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(0, 300), seed=st.integers(0, 2**16),
+       share=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+       max_norm=st.sampled_from((1e-3, 1.0, 7.5, 1e300)))
+def test_clip_by_norm_is_the_linalg_norm_formula_bit_for_bit(
+        size, seed, share, max_norm):
+    # entries over 32 decades, a share of them replaced by zeros,
+    # subnormals, 1e300 (their squares overflow the norm to inf), inf and
+    # NaN; up to 300 entries, past the dot product's unrolled blocks
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=size) * 10.0 ** rng.integers(-16, 16, size=size)
+    special = rng.random(size) < share
+    g[special] = rng.choice(
+        [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, math.inf, -math.inf,
+         math.nan], size=int(special.sum()))
+    _assert_clips_as_linalg_norm(g, max_norm)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("vals", [
+    [], [0.0, -0.0, 0.0], [5e-324] * 9, [-2.5e-310, 5e-324],
+    [1e300, 1.0], [1e300, -1e300, 1e-300], [math.inf, 1.0], [-math.inf],
+    [math.nan, 1.0], [math.inf, math.nan], [3.0, 4.0],
+])
+@pytest.mark.parametrize("max_norm", [1e-3, 5.0, 1e300])
+def test_clip_by_norm_edge_vectors_bit_for_bit(vals, max_norm):
+    _assert_clips_as_linalg_norm(np.array(vals, dtype=np.float64), max_norm)
+
+
+def _assert_clips_as_linalg_norm(g, max_norm):
+    """clip_by_norm(g) in place, and bit for bit the clip with
+    np.linalg.norm."""
+    want = g.copy()
+    norm = float(np.linalg.norm(want))
+    if not (norm == 0.0 or norm <= max_norm):
+        want *= max_norm / norm
+    got = clip_by_norm(g, max_norm)
+    assert got is g
+    assert got.tobytes() == want.tobytes()
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
