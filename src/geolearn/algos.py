@@ -21,8 +21,9 @@ DGC step's global model, written into one of two buffers (StepModels), and
 a FedAvg round's average (RoundModel).
 The message plumbing is shared there too: it receives, forwards the copies
 an overlay hub must re-broadcast, broadcasts, and gathers the shares of a
-synchronous round (a FedAvg average, a DGC step). A node class supplies
-its algorithm and declares the policies a run reads off it (_NodeBase).
+synchronous round (a FedAvg average, a DGC step); each kind of message is
+one fixed record. A node class supplies its algorithm and declares the
+policies a run reads off it (_NodeBase).
 NODE_CLASSES maps each algorithm kind to the class that runs it.
 """
 
@@ -107,7 +108,11 @@ class _NodeBase:
     completes a round binds w to the round's average (RoundModel), which
     stays shared and read-only until its next step. So callers treat
     node.w as read-only: hooks and peers read it, and copy what they keep.
-    The base receives (travel payloads go to travel_sink, anything else to
+    A message's payload is one fixed record: a gaia, bsp or ssp flush is
+    (clock, idx, vals), idx None for a dense update and empty when only the
+    clock moves; a barrier's is the psync.BarrierMsg itself; a FedAvg or DGC
+    share is (round, share); and a SkewScout travel is (boundary, w, stats,
+    local). The base receives (travels go to travel_sink, anything else to
     _receive), forwards overlay copies a hub must re-broadcast, broadcasts,
     and computes each minibatch gradient at w: batch(idx), one function per
     run, builds the minibatch of the indexes idx that stream hands out,
@@ -162,7 +167,6 @@ class _NodeBase:
         self.state = IDLE
         self.diverged = False
         self._gathered = {}           # round -> {member: share}
-        self._finish_at = None
         self.epoch_hook = None        # fn(node, sim) at each local epoch end
         self._lockstep = False        # rows wait for the peers' boundary clock
         self._row_pending = False     # a row waits at clock iters_done
@@ -183,16 +187,13 @@ class _NodeBase:
 
     def _begin_compute(self, sim):
         self.state = COMPUTING
-        self._finish_at = sim.now + self.compute_s
-        sim.wake_at(self._finish_at, self.name)
+        sim.wake_at(sim.now + self.compute_s, self.name)
 
     def on_wake(self, sim):
-        if self.state != COMPUTING:
-            self.try_start(sim)
-        elif sim.now >= self._finish_at:
+        if self.state == COMPUTING:     # its one wake: the step's end
             self.state = IDLE
             self._finish_iteration(sim)
-            self.try_start(sim)
+        self.try_start(sim)
 
     def on_message(self, sim, msg):
         if msg.kind != wansim.KIND_TRAVEL:
@@ -221,13 +222,13 @@ class _NodeBase:
         the round completes. The kept and the sent share are one object,
         which no receiver writes into."""
         self._gathered.setdefault(rnd, {})[self.name] = share
-        self._broadcast(sim, byte_split, {"round": rnd, "share": share})
+        self._broadcast(sim, byte_split, (rnd, share))
         self.state = ROUND_WAIT
         self._try_complete(sim)
 
     def _receive(self, sim, msg):
-        p = msg.payload
-        self._gathered.setdefault(p["round"], {})[msg.origin] = p["share"]
+        rnd, share = msg.payload
+        self._gathered.setdefault(rnd, {})[msg.origin] = share
         if self.state == ROUND_WAIT:
             self._try_complete(sim)
 
@@ -325,8 +326,8 @@ class GaiaNode(_NodeBase):
     one, smoothed with weight 0.5 on the newest, and None before the first.
     A non-empty flush announces a barrier (its own idx) on every first hop
     the rate exceeds, and soft control compares the rate with each first
-    hop's bandwidth. An inbox record is (clock, origin, idx, vals), idx
-    None for a dense update.
+    hop's bandwidth. An inbox record is a received flush that carries
+    values, as (clock, origin, idx, vals).
 
     A blocked node (BLOCKED[kind] of its first shut gate) waits for
     something, and an untraced run re-checks its gates only when that has
@@ -378,33 +379,34 @@ class GaiaNode(_NodeBase):
     # -- receiving ---------------------------------------------------------
 
     def _receive(self, sim, msg):
-        if wansim.KIND_CLOCK in msg.byte_split and msg.payload is not None:
-            clock = msg.payload.get("clock")
-            clocks = self.shard.mirror_clocks
-            if clock is not None and msg.origin in clocks:
-                known = clocks[msg.origin]
-                if clock > known:
-                    clocks[msg.origin] = clock
-                    if known < self._need <= clock:
-                        self._short -= 1
         if msg.kind == wansim.KIND_BARRIER:
-            apply_barrier(self.shard, msg.payload["barrier"])
-        elif msg.kind == wansim.KIND_UPDATE:
-            p, origin = msg.payload, msg.origin
-            # a lone update clearing no barrier lands now, as the drain would
-            if (self.inbox or self._row_pending or self.state not in _MAY_START
-                    or origin in self.shard.barrier_waits):
-                self.inbox.append((p["clock"], origin, p["idx"], p["vals"]))
-            elif p["idx"] is None:
-                self.w += p["vals"]
-            else:
-                self.w[p["idx"]] += p["vals"]
+            apply_barrier(self.shard, msg.payload)
+            return
+        clock, idx, vals = msg.payload
+        clocks, origin = self.shard.mirror_clocks, msg.origin
+        known = clocks[origin]
+        if clock > known:
+            clocks[origin] = clock
+            if known < self._need <= clock:
+                self._short -= 1
+        if idx is not None and not idx.size:   # clock only: see _drain_inbox
+            return
+        # a lone update clearing no barrier lands now, as the drain would
+        if (self.inbox or self._row_pending or self.state not in _MAY_START
+                or origin in self.shard.barrier_waits):
+            self.inbox.append((clock, origin, idx, vals))
+        elif idx is None:
+            self.w += vals
+        else:
+            self.w[idx] += vals
 
     def _drain_inbox(self, sim, final=False):
         """Apply the inbox to w in place, in (clock, origin, arrival) order;
         True when an applied sparse update came from a source with barrier
         entries. Dense updates come only from bsp and ssp nodes, which
-        announce no barriers.
+        announce no barriers. A clock-only flush, a control message that may
+        pass an older flush on its link, never enters: it would release
+        that flush's barrier.
 
         While a row waits at clock t, records of later clocks stay in the
         inbox, for a fast peer's clock-(t+1) update may land before a slow
@@ -499,34 +501,22 @@ class GaiaNode(_NodeBase):
     def _local_step(self, sim, grad, eta):
         momentum_step(self.w, self.u, self.m, grad, eta)
         self.iters_done += 1
-        # grad is spent: the filter scores in it, or it carries u's copy
+        # grad is spent: the filter scores in it, or it carries u's copy,
+        # which peers apply after this node's next step rewrites u
         if self._filtered:
-            self._filtered_exchange(sim, self.u, eta, grad)
-        else:
-            self._dense_exchange(sim, self.u, grad)
+            self._filtered_exchange(sim, eta, grad)
+        elif self.peers:
+            np.copyto(grad, self.u)
+            self._broadcast(sim, {
+                wansim.KIND_UPDATE: wansim.dense_update_bytes(grad.size),
+                wansim.KIND_CLOCK: wansim.CLOCK_BYTES,
+            }, (self.iters_done, None, grad))
         self._last_eta = eta
         self._after_iteration(sim)
 
-    def _dense_exchange(self, sim, update, scratch):
-        if not self.peers:
-            return
-        # a copy in scratch: peers apply it after this node's next step
-        # rewrites u
-        np.copyto(scratch, update)
-        payload = {
-            "clock": self.iters_done,
-            "idx": None,
-            "vals": scratch,
-        }
-        split = {
-            wansim.KIND_UPDATE: wansim.dense_update_bytes(update.size),
-            wansim.KIND_CLOCK: wansim.CLOCK_BYTES,
-        }
-        self._broadcast(sim, split, payload)
-
-    def _filtered_exchange(self, sim, update, eta, scratch):
+    def _filtered_exchange(self, sim, eta, scratch):
         algo = self.algo
-        self.shard.v += update
+        self.shard.v += self.u
         # the hard threshold decays by the factor of an lr drop, or as
         # t0 / sqrt(t) on every iteration; t_soft is capped at it, which
         # moves it only after a decay: soft_threshold_adjust keeps it there
@@ -543,15 +533,13 @@ class GaiaNode(_NodeBase):
         counts[1] += int(self.shard.v.size)
         if not self.peers:
             return
-        payload = {
-            "clock": self.iters_done,
-            "idx": idx,
-            "vals": vals,
-        }
-        flush_nbytes = wansim.sparse_update_bytes(idx.size) + wansim.CLOCK_BYTES
+        # the clock moves with every flush, the update when it has entries
+        split = ({wansim.KIND_UPDATE: wansim.sparse_update_bytes(idx.size)}
+                 if idx.size else {})
+        split[wansim.KIND_CLOCK] = wansim.CLOCK_BYTES
         elapsed = sim.now - self._last_flush_time
         if elapsed > 0:
-            inst = flush_nbytes / elapsed
+            inst = sum(split.values()) / elapsed
             self._rate = inst if self._rate is None else (
                 (1.0 - 0.5) * self._rate + 0.5 * inst)
         self._last_flush_time = sim.now
@@ -569,18 +557,8 @@ class GaiaNode(_NodeBase):
             sim.send(wansim.Message(
                 wansim.KIND_BARRIER, self.name, None,
                 {wansim.KIND_BARRIER: wansim.barrier_bytes(idx.size)},
-                {"barrier": psync.BarrierMsg(self.name, self.iters_done,
-                                             idx)}), saturated)
-        if idx.size:
-            split = {
-                wansim.KIND_UPDATE: wansim.sparse_update_bytes(idx.size),
-                wansim.KIND_CLOCK: wansim.CLOCK_BYTES,
-            }
-            self._broadcast(sim, split, payload)
-        else:
-            # nothing significant: the clock still has to move
-            self._broadcast(sim, {wansim.KIND_CLOCK: wansim.CLOCK_BYTES},
-                            {"clock": self.iters_done})
+                psync.BarrierMsg(self.name, self.iters_done, idx)), saturated)
+        self._broadcast(sim, split, (self.iters_done, idx, vals))
         if self._soft and hops:
             utilization = max(rate / channel.bandwidth for channel, _fw in hops)
             self.t_soft = soft_threshold_adjust(

@@ -343,6 +343,9 @@ def _check_config(cfg):
         errs.append(f"DC pairs missing from the bandwidth table: {missing}")
     elif missing := [dc for dc in dcs if dc not in costs]:
         errs.append(f"DCs missing from the cost table: {missing}")
+    if isinstance(t.compute_s, dict) and (
+            extra := [dc for dc in t.compute_s if dc not in dcs]):
+        errs.append(f"topology.compute_s names DCs outside the run: {extra}")
     members = [dc for g in t.groups for dc in g]
     if t.groups and sorted(members, key=repr) != sorted(dcs, key=repr):
         errs.append(f"overlay groups {[list(g) for g in t.groups]} must hold "

@@ -165,8 +165,7 @@ class ScoutController:
             sim.send(wansim.Message(
                 kind=wansim.KIND_TRAVEL, src=src_node.name, dst=tgt,
                 byte_split={wansim.KIND_TRAVEL: self.model_bytes},
-                payload={"boundary": self.boundary, "w": w, "stats": stats,
-                         "local": local, "src_index": i},
+                payload=(self.boundary, w, stats, local),
                 origin=src_node.name))
             self.n_travels += 1
             self._expected += 1
@@ -174,22 +173,22 @@ class ScoutController:
             self._pending.pop(self.boundary, None)
 
     def _on_travel(self, node, sim, msg):
-        p = msg.payload
-        remote = self.evaluate(p["w"], p["stats"], node.index)
+        boundary, w, stats, local = msg.payload
+        remote = self.evaluate(w, stats, node.index)
         if self.relative_al:
-            al = (remote - p["local"]) / max(abs(p["local"]), 1e-12) * 100.0
+            al = (remote - local) / max(abs(local), 1e-12) * 100.0
         else:
-            al = p["local"] - remote
+            al = local - remote
         self.reports.append(TravelReport(
-            boundary=p["boundary"], source=msg.origin, target=node.name,
-            local_metric=p["local"], remote_metric=remote, al_points=al,
+            boundary=boundary, source=msg.origin, target=node.name,
+            local_metric=local, remote_metric=remote, al_points=al,
             theta=self.grid[self.state.idx], sim_time=sim.now))
-        pending = self._pending.get(p["boundary"])
+        pending = self._pending.get(boundary)
         if pending is None:
             return
         pending.append(al)
         if len(pending) == self._expected:
-            self._complete_boundary(sim, p["boundary"])
+            self._complete_boundary(sim, boundary)
 
     def _complete_boundary(self, sim, boundary):
         als = self._pending.pop(boundary)

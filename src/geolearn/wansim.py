@@ -92,7 +92,7 @@ class Message:
     src: str
     dst: str
     byte_split: dict          # kind -> bytes, covers piggybacked payloads
-    payload: object = None
+    payload: object = None    # the kind's one fixed record (algos._NodeBase)
     origin: str = None        # original producer (survives hub forwarding)
     forward: bool = False     # receiver should re-broadcast within its group
     nbytes: int = field(default=None, repr=False, compare=False)

@@ -196,7 +196,7 @@ def _race_run(model, lockstep=True):
         trigger._lockstep = lockstep
 
         def logged_receive(sim_, msg):
-            received.append((msg.payload["clock"], msg.origin))
+            received.append((msg.payload[0], msg.origin))
             receive(sim_, msg)
 
         def logged_evaluate(node, sim_):
@@ -289,12 +289,12 @@ def test_gaia_flush_announces_its_own_indexes_on_saturated_hops():
     for i in barriers:
         _t, msg, dsts = sent[i]
         _t, flush, _d = sent[i + 1]
-        barrier = msg.payload["barrier"]
+        barrier, (clock, idx, _vals) = msg.payload, flush.payload
         assert dsts == ["c"]                  # the saturated first hop only
-        assert (barrier.source, barrier.clock) == ("a", flush.payload["clock"])
+        assert (barrier.source, barrier.clock) == ("a", clock)
         # the flush's own array, which clear_barrier_on_update recognises
         # by identity when the flush lands
-        assert barrier.indexes is flush.payload["idx"]
+        assert barrier.indexes is idx
         assert barrier.indexes.size > 0
         assert msg.nbytes == wansim.barrier_bytes(barrier.indexes.size)
     # an empty flush announces nothing, however slow the link
@@ -483,8 +483,7 @@ def test_dgc_run_holds_two_weight_arrays_for_any_k(k):
 
 def _share_msg(origin, rnd, share):
     return wansim.Message(wansim.KIND_UPDATE, origin, None,
-                          {wansim.KIND_UPDATE: 8}, {"round": rnd,
-                                                    "share": share})
+                          {wansim.KIND_UPDATE: 8}, (rnd, share))
 
 
 @pytest.mark.parametrize("kind", ["dgc", "fedavg"])
@@ -698,16 +697,16 @@ def test_fedavg_single_node_rounds_without_traffic():
 # allocates little
 
 
-def _record_sends(sim, sender, key):
-    """Each payload[key] that sender sends, once per copy, as (array, its
+def _record_sends(sim, sender, pos):
+    """Each payload[pos] that sender sends, once per copy, as (array, its
     bytes when sent, whether it was the sender's w then, whether it shared
     memory with the sender's w or u then)."""
     sent = []
     send, node = sim.send, sim.nodes[sender]
 
     def recording(msg, hops=None):
-        if msg.src == sender and msg.payload and msg.payload.get(key) is not None:
-            arr = msg.payload[key]
+        if msg.src == sender and msg.payload[pos] is not None:
+            arr = msg.payload[pos]
             aliased = np.shares_memory(arr, node.w) or np.shares_memory(arr, node.u)
             sent.extend([(arr, arr.tobytes(), arr is node.w, aliased)]
                         * len(hops or [msg]))
@@ -717,16 +716,16 @@ def _record_sends(sim, sender, key):
     return sent
 
 
-@pytest.mark.parametrize("algo,key", [
-    (AlgoCfg(kind="bsp"), "vals"),
-    (AlgoCfg(kind="fedavg", iter_local=1), "share"),
+@pytest.mark.parametrize("algo,pos", [
+    (AlgoCfg(kind="bsp"), 2),                      # (clock, idx, vals)
+    (AlgoCfg(kind="fedavg", iter_local=1), 1),     # (round, share)
 ])
-def test_sent_dense_updates_and_shares_are_copies(algo, key):
+def test_sent_dense_updates_and_shares_are_copies(algo, pos):
     # peers read a dense update or a FedAvg share after the sender's later
     # steps: a dense update is a copy, for they rewrite u in place; a FedAvg
     # share is the sender's w, which its next step writes elsewhere
     sim, (a, _b) = _spawn(algo, ["a", "b"], 6)
-    sent = _record_sends(sim, "a", key)
+    sent = _record_sends(sim, "a", pos)
     sim.run()
     assert a.iters_done == 6 and len(sent) >= 5
     for arr, raw, is_w, aliased in sent:
@@ -926,19 +925,16 @@ def _blocked_node(algo, local, trace, barrier=None):
     return sim, node, checks
 
 
-def _to_a(src, clock, origin=None, idx=None):
-    """A clock-only message to "a", or a sparse flush of idx when given."""
-    if idx is None:
-        return wansim.Message(
-            wansim.KIND_CLOCK, src, "a", {wansim.KIND_CLOCK: wansim.CLOCK_BYTES},
-            {"clock": clock}, origin)
+def _to_a(src, clock, origin=None, idx=()):
+    """A clock-only flush to "a", or a sparse flush of idx when given."""
     idx = np.asarray(idx, dtype=np.intp)
+    split = {wansim.KIND_CLOCK: wansim.CLOCK_BYTES}
+    if idx.size:
+        split = {wansim.KIND_UPDATE: wansim.sparse_update_bytes(idx.size),
+                 **split}
     return wansim.Message(
-        wansim.KIND_UPDATE, src, "a",
-        {wansim.KIND_UPDATE: wansim.sparse_update_bytes(idx.size),
-         wansim.KIND_CLOCK: wansim.CLOCK_BYTES},
-        {"clock": clock, "idx": idx, "vals": np.full(idx.size, 0.01)},
-        origin)
+        wansim.KIND_UPDATE if idx.size else wansim.KIND_CLOCK, src, "a",
+        split, (clock, idx, np.full(idx.size, 0.01)), origin)
 
 
 @pytest.mark.parametrize("policy,slack", [
@@ -1015,3 +1011,16 @@ def test_barrier_wait_rechecks_only_after_its_entries_clear():
     assert [row[4] for row in sim.gate_trace if row[2] == "barrier"] == [
         2, 2, 2, 2]
     assert node.shard.barrier_waits == {}
+
+
+def test_a_clock_only_flush_that_overtakes_an_announced_one_releases_nothing():
+    # a clock-only flush is a control message, so it may pass b's clock-1
+    # flush queued on the link: it moves b's mirror clock and nothing else
+    barrier = BarrierMsg(source="b", clock=1, indexes=np.array([0, 3]))
+    sim, node, _checks = _blocked_node(AlgoCfg(kind="gaia", ds=100), 1,
+                                       trace=False, barrier=barrier)
+    node.on_message(sim, _to_a("b", 2))
+    assert node.shard.mirror_clocks["b"] == 2 and not node.inbox
+    assert node.state == "blocked-barrier" and "b" in node.shard.barrier_waits
+    node.on_message(sim, _to_a("b", 1, idx=[0, 3]))
+    assert node.shard.barrier_waits == {} and node.state == "computing"

@@ -168,6 +168,8 @@ def test_load_config_yaml(tmp_path):
     ({"model": {"kind": "mf", "rows": 2, "cols": 2}, "data": {"kind": "mf"},
       "partition": {"nodes": 3}}, "2 of 3 partitions would be empty"),
     ({"topology": {"dcs": ["virginia", "virginia"]}}, "more than once"),
+    ({"topology": {"compute_s": {"virgina": 0.5}}},
+     "topology.compute_s names DCs outside the run: ['virgina']"),
     ({"algorithm": {"decay": "linear"}}, "unknown algorithm decay"),
     # what Simulator.hops relies on: each DC in one group, every hub in its
     # to_group, a hub for every group pair

@@ -1,6 +1,6 @@
 """Every imported name is read.
 
-Each Python file under src/, tests/ and demos/ is parsed with ast; a name
+Each Python file under src/, tests/, demos/ and bench/ is parsed with ast; a name
 that an import statement binds must be read somewhere in its file, or be
 listed in the file's __all__. Run alone with::
 
@@ -11,7 +11,7 @@ import ast
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CHECKED = ("src", "tests", "demos")
+CHECKED = ("src", "tests", "demos", "bench")
 
 
 def unused_imports(source):
