@@ -697,12 +697,14 @@ def test_fedavg_single_node_rounds_without_traffic():
 # allocates little
 
 
-def _record_sends(sim, sender, pos):
-    """Each payload[pos] that sender sends, once per copy, as (array, its
-    bytes when sent, whether it was the sender's w then, whether it shared
-    memory with the sender's w or u then)."""
+def _record_sends(sim, sender, field):
+    """Each payload field ("vals" of a flush, "share" of a share) that
+    sender sends, once per copy, as (array, its bytes when sent, whether it
+    was the sender's w then, whether it shared memory with the sender's w or
+    u then)."""
     sent = []
     send, node = sim.send, sim.nodes[sender]
+    pos = {"vals": 2, "share": 1}[field]     # (clock, idx, vals), (round, share)
 
     def recording(msg, hops=None):
         if msg.src == sender and msg.payload[pos] is not None:
@@ -716,16 +718,16 @@ def _record_sends(sim, sender, pos):
     return sent
 
 
-@pytest.mark.parametrize("algo,pos", [
-    (AlgoCfg(kind="bsp"), 2),                      # (clock, idx, vals)
-    (AlgoCfg(kind="fedavg", iter_local=1), 1),     # (round, share)
+@pytest.mark.parametrize("algo,field", [
+    (AlgoCfg(kind="bsp"), "vals"),
+    (AlgoCfg(kind="fedavg", iter_local=1), "share"),
 ])
-def test_sent_dense_updates_and_shares_are_copies(algo, pos):
+def test_sent_dense_updates_and_shares_are_copies(algo, field):
     # peers read a dense update or a FedAvg share after the sender's later
     # steps: a dense update is a copy, for they rewrite u in place; a FedAvg
     # share is the sender's w, which its next step writes elsewhere
     sim, (a, _b) = _spawn(algo, ["a", "b"], 6)
-    sent = _record_sends(sim, "a", pos)
+    sent = _record_sends(sim, "a", field)
     sim.run()
     assert a.iters_done == 6 and len(sent) >= 5
     for arr, raw, is_w, aliased in sent:

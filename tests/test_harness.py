@@ -168,8 +168,6 @@ def test_load_config_yaml(tmp_path):
     ({"model": {"kind": "mf", "rows": 2, "cols": 2}, "data": {"kind": "mf"},
       "partition": {"nodes": 3}}, "2 of 3 partitions would be empty"),
     ({"topology": {"dcs": ["virginia", "virginia"]}}, "more than once"),
-    ({"topology": {"compute_s": {"virgina": 0.5}}},
-     "topology.compute_s names DCs outside the run: ['virgina']"),
     ({"algorithm": {"decay": "linear"}}, "unknown algorithm decay"),
     # what Simulator.hops relies on: each DC in one group, every hub in its
     # to_group, a hub for every group pair
@@ -182,6 +180,8 @@ def test_load_config_yaml(tmp_path):
     ({"topology": {"groups": [["virginia"], ["california"]],
                    "hubs": [[0, 1, "california"]]}},
      "group pairs [(1, 0)] have no hub"),
+    ({"topology": {"compute_s": {"virgina": 0.5}}},
+     "topology.compute_s names DCs outside the run: ['virgina']"),
 ])
 def test_validate_config_catches(patch, needle):
     cfg = config_from_dict(patch)
