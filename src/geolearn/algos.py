@@ -41,6 +41,7 @@ from .psync import (
 )
 from .rng import seed_stream
 from .skewscout import DGC_EWARM_GRID, FEDAVG_ITER_GRID, GAIA_T0_GRID
+from .wansim import KIND_BARRIER, KIND_TRAVEL   # read on every delivery
 
 WARMUP_SCHEDULE = (75.0, 93.75, 98.4375, 99.6, 99.9)
 
@@ -122,13 +123,19 @@ class _NodeBase:
 
     A node's state is IDLE, COMPUTING, ROUND_WAIT, BLOCKED[gate kind] or
     DONE (budget spent, diverged or stopped), which is final; try_start
-    starts a step only from IDLE or BLOCKED. A synchronous round is gathered
-    here: _share keeps this node's share of a round, broadcasts it and holds
-    the node (ROUND_WAIT); each peer's share lands in _gathered, and
-    _try_complete runs while the node is held, so a stopped node never
+    starts a step only from IDLE or BLOCKED. Every wake and every traced
+    delivery calls it; an untraced delivery calls it only when it can
+    start a step, by one rule in on_message. A synchronous round is
+    gathered here: _share keeps this node's share of a round, broadcasts it
+    and holds the node (ROUND_WAIT); each peer's share lands in _gathered,
+    and _try_complete runs while the node is held, so a stopped node never
     completes a round. _gather returns a round's shares once every member's
     has arrived; a round's shares come only from its members, so it counts
-    them before it looks any up.
+    them before it looks any up. A held node has gathered its round once
+    and found it short, and only a share of that round can complete it, so
+    _receive calls _try_complete only for the share that brings the count
+    _gather left in _awaited to full. The learning rate is the local
+    epoch's, computed once per epoch.
 
     A subclass supplies the algorithm: _ready (may the next step start
     now?), _local_step (apply one gradient at a learning rate, and
@@ -144,6 +151,8 @@ class _NodeBase:
     _knobs = {}
     _per_round = False    # rows and boundaries per round, not epoch and step
     _row_alone = False    # a row evaluates the trigger alone, not every node
+    inbox = ()            # updates held back (GaiaNode's own list)
+    _short = 0            # peers a shut clock gate still waits on (GaiaNode)
 
     def __init__(self, name, index, model, batch, stream, compute_s,
                  max_iters, w0, algo, peers):
@@ -153,6 +162,7 @@ class _NodeBase:
         self.batch = batch
         self.stream = stream
         self.lr_schedule = StepDecay(**algo.lr)
+        self._eta = lr_at(self.lr_schedule, 0)   # the local epoch's rate
         self.compute_s = compute_s
         self.max_iters = max_iters
         self.peers = list(peers)
@@ -167,6 +177,7 @@ class _NodeBase:
         self.state = IDLE
         self.diverged = False
         self._gathered = {}           # round -> {member: share}
+        self._awaited = None          # (round, shares) a held node awaits
         self.epoch_hook = None        # fn(node, sim) at each local epoch end
         self._lockstep = False        # rows wait for the peers' boundary clock
         self._row_pending = False     # a row waits at clock iters_done
@@ -196,13 +207,21 @@ class _NodeBase:
         self.try_start(sim)
 
     def on_message(self, sim, msg):
-        if msg.kind != wansim.KIND_TRAVEL:
+        if msg.kind != KIND_TRAVEL:
             self._receive(sim, msg)
         elif self.travel_sink:
             self.travel_sink(self, sim, msg)
         if msg.forward:
             self._forward_in_group(sim, msg)
-        self.try_start(sim)
+        # an untraced delivery enters the gate check only when it can start
+        # a step: the node may start, and its inbox or a row waits, or no
+        # clock gate is known shut and no barrier holds it (what _ready
+        # checks before any gate)
+        state = self.state
+        if sim.trace or state in _MAY_START and (
+                self.inbox or self._row_pending
+                or not (self._short or state == BLOCKED["barrier"])):
+            self.try_start(sim)
 
     def _forward_in_group(self, sim, msg):
         """Re-broadcast a hub's inter-group copy within the hub's group."""
@@ -210,11 +229,13 @@ class _NodeBase:
                                 msg.payload, msg.origin, nbytes=msg.nbytes),
                  sim.hops(self.name, msg.origin))
 
-    def _broadcast(self, sim, byte_split, payload):
-        """Offer one copy per first hop, in one send."""
+    def _broadcast(self, sim, byte_split, payload, nbytes=None):
+        """Offer one copy per first hop, in one send; nbytes, when given,
+        is byte_split's total."""
         kind = (wansim.KIND_UPDATE if wansim.KIND_UPDATE in byte_split
                 else wansim.KIND_CLOCK)
-        sim.send(wansim.Message(kind, self.name, None, byte_split, payload),
+        sim.send(wansim.Message(kind, self.name, None, byte_split, payload,
+                                nbytes=nbytes),
                  sim.hops(self.name, self.name))
 
     def _share(self, sim, rnd, byte_split, share):
@@ -228,8 +249,11 @@ class _NodeBase:
 
     def _receive(self, sim, msg):
         rnd, share = msg.payload
-        self._gathered.setdefault(rnd, {})[msg.origin] = share
-        if self.state == ROUND_WAIT:
+        have = self._gathered.setdefault(rnd, {})
+        have[msg.origin] = share
+        # a held node's round was incomplete when it was last gathered, and
+        # only a share of that round can complete it
+        if self.state == ROUND_WAIT and (rnd, len(have)) == self._awaited:
             self._try_complete(sim)
 
     def _replica(self, w0):
@@ -238,10 +262,13 @@ class _NodeBase:
 
     def _gather(self, rnd, members):
         """The shares of round rnd in member order, or None while one is
-        missing. A complete round is forgotten and the node released."""
+        missing (then _awaited is rnd and its member count, which _receive
+        compares each share's round and count with). A complete round is
+        forgotten and the node released."""
         have = self._gathered.get(rnd)
         # only members share a round, so a full count is a complete round
         if have is None or len(have) < len(members):
+            self._awaited = (rnd, len(members))
             return None
         del self._gathered[rnd]
         self.state = IDLE
@@ -263,7 +290,7 @@ class _NodeBase:
         batch = self.batch(self.stream.next_batch())
         _, grad = self.model.loss_and_grad(self.w, batch,
                                            update_stats=True)
-        self._local_step(sim, grad, lr_at(self.lr_schedule, self.epochs_done))
+        self._local_step(sim, grad, self._eta)
 
     def _after_iteration(self, sim, finite=None):
         """The divergence check (unless the caller knows whether w is
@@ -273,10 +300,11 @@ class _NodeBase:
         if not finite:
             self.diverged = True
             self.state = DONE
-        if self.iters_done % self.batches_per_epoch == 0 and self.epoch_hook:
-            if self._lockstep:          # the row waits in _drain_inbox
+        if self.iters_done % self.batches_per_epoch == 0:
+            self._eta = lr_at(self.lr_schedule, self.epochs_done)
+            if self.epoch_hook and self._lockstep:  # waits in _drain_inbox
                 self._row_pending = True
-            else:
+            elif self.epoch_hook:
                 self.epoch_hook(self, sim)
         if self.iter_hook:
             self.iter_hook(self, sim)
@@ -336,10 +364,14 @@ class GaiaNode(_NodeBase):
     above stays shut while _short, the number of peers still below _need,
     is positive; _receive counts the peers that cross it. A barrier gate can
     open only when an update clears barrier entries, so it is re-checked
-    only after one has. Every delivery still drains the inbox (an update it
-    would drain alone lands in _receive), so updates land in the same order
-    either way. A traced run (Simulator(trace=True)) checks on every
-    delivery and records each check in sim.gate_trace.
+    only after one has. on_message holds that decision: an untraced
+    delivery enters the gate check (try_start, then _ready) only when the
+    node may start and its inbox or a row waits, or it is neither
+    clock-short nor barrier-blocked. So a delivery to a node that may start
+    still drains a non-empty inbox (an update it would drain alone lands in
+    _receive), and updates land in the same order either way. A traced run
+    (Simulator(trace=True)) checks on every delivery and records each check
+    in sim.gate_trace.
 
     A bsp node with peers is lockstep: its row (epoch_hook) at boundary
     clock t describes w holding exactly the updates of clocks <= t, so the
@@ -370,6 +402,11 @@ class GaiaNode(_NodeBase):
         # the number of peers whose mirror clock is below _need
         self._need = 0
         self._short = 0
+        if not self._filtered:     # a dense flush's split, of a fixed size
+            self._dense_split = {
+                wansim.KIND_UPDATE: wansim.dense_update_bytes(self.w.size),
+                wansim.KIND_CLOCK: wansim.CLOCK_BYTES}
+            self._dense_nbytes = sum(self._dense_split.values())
 
     def set_knob(self, theta):
         """Restart the significance threshold at theta."""
@@ -379,7 +416,7 @@ class GaiaNode(_NodeBase):
     # -- receiving ---------------------------------------------------------
 
     def _receive(self, sim, msg):
-        if msg.kind == wansim.KIND_BARRIER:
+        if msg.kind == KIND_BARRIER:
             apply_barrier(self.shard, msg.payload)
             return
         clock, idx, vals = msg.payload
@@ -458,7 +495,7 @@ class GaiaNode(_NodeBase):
                 self._true_min_peer_clock(sim), allow))
         elif not allow:
             need = self._need = local - slack
-            self._short = sum(clock < need for clock in clocks.values())
+            self._short = len([c for c in clocks.values() if c < need])
         return None if allow else kind
 
     def _barrier_gate(self, sim):
@@ -507,10 +544,8 @@ class GaiaNode(_NodeBase):
             self._filtered_exchange(sim, eta, grad)
         elif self.peers:
             np.copyto(grad, self.u)
-            self._broadcast(sim, {
-                wansim.KIND_UPDATE: wansim.dense_update_bytes(grad.size),
-                wansim.KIND_CLOCK: wansim.CLOCK_BYTES,
-            }, (self.iters_done, None, grad))
+            self._broadcast(sim, self._dense_split,
+                            (self.iters_done, None, grad), self._dense_nbytes)
         self._last_eta = eta
         self._after_iteration(sim)
 

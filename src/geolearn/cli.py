@@ -29,6 +29,16 @@ def _override(cfg, param, value):
     return cfg
 
 
+def _load(path):
+    """The config at path; or, when load_config rejects it, None after
+    printing why."""
+    try:
+        return harness.load_config(path)
+    except (ValueError, yaml.YAMLError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return None
+
+
 def _invalid(cfg, where=""):
     """Print every problem validate_config finds; true if there was one."""
     errs = harness.validate_config(cfg)
@@ -38,7 +48,9 @@ def _invalid(cfg, where=""):
 
 
 def cmd_run(args):
-    cfg = harness.load_config(args.config)
+    cfg = _load(args.config)
+    if cfg is None:
+        return 1
     if args.seed is not None:
         cfg.seed = args.seed
     if _invalid(cfg):
@@ -53,19 +65,17 @@ def cmd_run(args):
 
 
 def cmd_validate(args):
-    try:
-        cfg = harness.load_config(args.config)
-    except (ValueError, yaml.YAMLError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    if _invalid(cfg):
+    cfg = _load(args.config)
+    if cfg is None or _invalid(cfg):
         return 1
     print("ok")
     return 0
 
 
 def cmd_sweep(args):
-    base = harness.load_config(args.config)
+    base = _load(args.config)
+    if base is None:
+        return 1
     values = [yaml.safe_load(v) for v in args.values.split(",")]
     out_root = args.out or base.output.dir or "sweep"
     rows = []

@@ -146,17 +146,16 @@ class MinibatchStream:
         self._order = None
         self._cursor = 0
 
-    def _ensure_epoch(self):
-        if self._order is None or self._cursor >= self.indices.size:
+    def next_batch(self):
+        cursor = self._cursor
+        if self._order is None or cursor >= self.indices.size:
             self._order = self.rng.permutation(self.indices)
-            self._cursor = 0
+            cursor = 0
+        end = self._cursor = cursor + self.batch_size
+        return self._order[cursor:end]
 
     def peek(self):
-        self._ensure_epoch()
-        return self._order[self._cursor:self._cursor + self.batch_size]
-
-    def next_batch(self):
-        batch = self.peek()
-        self._cursor += self.batch_size
+        batch = self.next_batch()
+        self._cursor -= self.batch_size
         return batch
 

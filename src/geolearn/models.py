@@ -506,6 +506,7 @@ class TinyMLP:
 
     def objective(self, params, batch, mode="train"):
         X, y = batch
+        # a copy: W.T @ h.T is not (h @ W).T bit for bit; a view is slower
         return _xent_loss(self._forward(params, X, mode, False).T.copy(), y)
 
     def loss_and_grad(self, params, batch, mode="train", update_stats=False):

@@ -318,13 +318,16 @@ class Simulator:
         for kind, nbytes in msg.byte_split.items():
             kind_bytes[kind] += nbytes * n
         nbytes = msg.nbytes
-        copies = {msg.forward: msg}
-        control = msg.klass == CONTROL
-        now, event_seq, heap = self.now, self._event_seq, self._heap
+        flag, flipped = msg.forward, None
+        control = _PRIORITY[msg.kind] == CONTROL
+        now, event_seq, seq = self.now, self._event_seq, self._seq
+        heap, push = self._heap, heapq.heappush
         for channel, forward in hops:
-            copy = copies.get(forward)
-            if copy is None:
-                copy = copies[forward] = replace(msg, forward=forward)
+            copy = msg
+            if forward != flag:     # a hub forward: one copy, flag flipped
+                if flipped is None:
+                    flipped = replace(msg, forward=forward)
+                copy = flipped
             sent = channel.sent_bytes
             if sent is None:
                 ledger.sent.append(channel)
@@ -337,19 +340,18 @@ class Simulator:
                 # an idle link has nothing queued, so service starts now
                 # and no free event follows it (as in _start_service)
                 busy_until = now + nbytes / channel.bandwidth
-                seq = self._seq
-                self._seq = seq + 2
                 channel.busy_until = busy_until
                 channel.free_seq = seq
                 channel.in_flight.append(copy)
-                heapq.heappush(heap, (busy_until + channel.latency, seq + 1,
-                                      _DELIVER, channel))
+                push(heap, (busy_until + channel.latency, seq + 1,
+                            _DELIVER, channel))
+                seq += 2
                 continue
             (channel.control if control else channel.data).append(copy)
             if not channel.free_scheduled:
                 channel.free_scheduled = True
-                heapq.heappush(heap,
-                               (busy_until, channel.free_seq, _FREE, channel))
+                push(heap, (busy_until, channel.free_seq, _FREE, channel))
+        self._seq = seq
 
     def _start_service(self, channel, msg):
         # the link's free event: msg, the next one queued, starts now (send

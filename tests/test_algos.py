@@ -981,6 +981,70 @@ def test_clock_wait_rechecks_only_when_the_last_peer_crosses(policy, slack):
     assert len(sim.gate_trace) == len(checks)
 
 
+def _calls(node, attr):
+    """A list that gains one entry per call of node's method attr."""
+    calls, method = [], getattr(node, attr)
+
+    def counted(*args):
+        calls.append(args)
+        return method(*args)
+
+    setattr(node, attr, counted)
+    return calls
+
+
+def test_untraced_deliveries_skip_the_gate_check_unless_they_can_open_it():
+    bsp = AlgoCfg(kind="bsp")
+    # computing: the update waits in the inbox for the step's end
+    sim, node, _ = _blocked_node(bsp, 0, trace=False)
+    ready = _calls(node, "_ready")
+    node.on_message(sim, _to_a("b", 1, idx=[0]))
+    assert node.state == "computing" and node.inbox and ready == []
+    # clock-short with an empty inbox: an update lands at once, and only
+    # the delivery that drops the shortfall to 0 checks, once
+    sim, node, _ = _blocked_node(bsp, 5, trace=False)
+    ready = _calls(node, "_ready")
+    for msg in (_to_a("b", 3, idx=[0]), _to_a("b", 5), _to_a("c", 4)):
+        node.on_message(sim, msg)
+        assert node._short and not node.inbox and ready == [], msg
+    node.on_message(sim, _to_a("c", 5))
+    assert node._short == 0 and len(ready) == 1
+    assert node.state == "computing"
+    # barrier-blocked: updates from a peer that holds no barrier clear
+    # nothing, and land at once
+    sim, node, _ = _blocked_node(
+        AlgoCfg(kind="gaia", ds=100), 1, trace=False,
+        barrier=BarrierMsg(source="b", clock=1, indexes=np.array([0, 3])))
+    ready = _calls(node, "_ready")
+    for msg in (_to_a("c", 1), _to_a("c", 1, idx=[0, 3])):
+        node.on_message(sim, msg)
+        assert node.state == "blocked-barrier" and not node.inbox, msg
+    assert ready == []
+    # done: not even the delivery that drops the shortfall to 0 checks
+    sim, node, _ = _blocked_node(bsp, 5, trace=False)
+    node.state = "done"
+    ready = _calls(node, "_ready")
+    for msg in (_to_a("b", 5), _to_a("c", 5, idx=[0])):
+        node.on_message(sim, msg)
+    assert node._short == 0 and node.state == "done" and ready == []
+
+
+@pytest.mark.parametrize("kind", ["dgc", "fedavg"])
+def test_only_the_share_that_completes_a_held_round_tries_it(kind):
+    sim, (a, _b, _c) = _spawn(AlgoCfg(kind=kind), ["a", "b", "c"], 4)
+    share = ((np.array([0]), np.array([0.5])) if kind == "dgc"
+             else np.zeros(a.w.size))
+    a._share(sim, 0, {wansim.KIND_UPDATE: 8}, share)
+    assert a.state == "round-wait"
+    tries = _calls(a, "_try_complete")
+    # the next round's shares, then all but the last of this round's
+    for origin, rnd in (("b", 1), ("c", 1), ("b", 0)):
+        a.on_message(sim, _share_msg(origin, rnd, share))
+        assert a.state == "round-wait" and tries == [], (origin, rnd)
+    a.on_message(sim, _share_msg("c", 0, share))
+    assert len(tries) == 1 and a.state == "computing"
+
+
 def test_barrier_wait_rechecks_only_after_its_entries_clear():
     barrier = BarrierMsg(source="b", clock=1, indexes=np.array([0, 3]))
     algo = AlgoCfg(kind="gaia", ds=100)

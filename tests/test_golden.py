@@ -342,6 +342,31 @@ def test_traced_gate_checks_leave_their_node_blocked_or_computing(name):
         assert state == ("computing" if last[6] else f"blocked-{last[2]}")
 
 
+def _step_starts(name, trace):
+    """(node, clock, simulated time) of each step start of a run."""
+    starts = []
+
+    def watch(nodes, sim):
+        for node in nodes:
+            def begin(sim_, node=node, begin=node._begin_compute):
+                starts.append((node.name, node.iters_done, sim_.now))
+                begin(sim_)
+
+            node._begin_compute = begin
+
+    _watched_run(name, trace, watch)
+    return starts
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_untraced_steps_start_where_traced_ones_do(name):
+    # an untraced delivery skips the gate check unless it can open a gate;
+    # a traced one checks every time, so the two paths start the same steps
+    # at the same clocks and times
+    traced = _step_starts(name, True)
+    assert traced and _step_starts(name, False) == traced
+
+
 def _pin_files():
     digests, gate_traces = {}, {}
     for name, raw in sorted(CONFIGS.items()):

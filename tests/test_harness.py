@@ -858,6 +858,23 @@ def test_cli_validate_catches_errors(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,why", [
+    ("model: {bogus: 1}\n", "unknown model option(s): ['bogus']"),
+    ("model: [\n", "while parsing"),           # malformed YAML
+])
+@pytest.mark.parametrize("command", [
+    ["validate"], ["run"],
+    ["sweep", "--param", "algorithm.t0", "--values", "0.1,0.2"]])
+def test_cli_reports_a_config_it_cannot_load(tmp_path, capsys, text, why,
+                                             command):
+    # run and sweep say what validate says, with no traceback
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert cli.main([command[0], "--config", str(path), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and why in err
+
+
 def test_cli_run_writes_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["run", "--config", _write_cfg(tmp_path),
