@@ -123,9 +123,9 @@ class _NodeBase:
 
     A node's state is IDLE, COMPUTING, ROUND_WAIT, BLOCKED[gate kind] or
     DONE (budget spent, diverged or stopped), which is final; try_start
-    starts a step only from IDLE or BLOCKED. Every wake and every traced
-    delivery calls it; an untraced delivery calls it only when it can
-    start a step, by one rule in on_message. A synchronous round is
+    starts a step only from IDLE or BLOCKED. Every wake calls it; a
+    delivery calls it only when it can start a step, by one rule in
+    on_message. A synchronous round is
     gathered here: _share keeps this node's share of a round, broadcasts it
     and holds the node (ROUND_WAIT); each peer's share lands in _gathered,
     and _try_complete runs while the node is held, so a stopped node never
@@ -213,12 +213,12 @@ class _NodeBase:
             self.travel_sink(self, sim, msg)
         if msg.forward:
             self._forward_in_group(sim, msg)
-        # an untraced delivery enters the gate check only when it can start
-        # a step: the node may start, and its inbox or a row waits, or no
-        # clock gate is known shut and no barrier holds it (what _ready
-        # checks before any gate)
+        # a delivery enters the gate check only when it can start a step:
+        # the node may start, and its inbox or a row waits, or no clock gate
+        # is known shut and no barrier holds it (what _ready checks before
+        # any gate)
         state = self.state
-        if sim.trace or state in _MAY_START and (
+        if state in _MAY_START and (
                 self.inbox or self._row_pending
                 or not (self._short or state == BLOCKED["barrier"])):
             self.try_start(sim)
@@ -296,7 +296,7 @@ class _NodeBase:
         """The divergence check (unless the caller knows whether w is
         finite), the hooks and the budget, after an iteration."""
         if finite is None:
-            finite = np.isfinite(self.w).all()
+            finite = np.logical_and.reduce(np.isfinite(self.w))
         if not finite:
             self.diverged = True
             self.state = DONE
@@ -358,20 +358,19 @@ class GaiaNode(_NodeBase):
     values, as (clock, origin, idx, vals).
 
     A blocked node (BLOCKED[kind] of its first shut gate) waits for
-    something, and an untraced run re-checks its gates only when that has
-    moved. Its clock stands still while it is blocked and mirror clocks only
-    grow, so a clock gate (mirror or SSP) that needs every peer at _need or
-    above stays shut while _short, the number of peers still below _need,
-    is positive; _receive counts the peers that cross it. A barrier gate can
+    something, and re-checks its gates only when that has moved. Its clock
+    stands still while it is blocked and mirror clocks only grow, so a
+    clock gate (mirror or SSP) that needs every peer at _need or above
+    stays shut while _short, the number of peers still below _need, is
+    positive; _receive counts the peers that cross it. A barrier gate can
     open only when an update clears barrier entries, so it is re-checked
-    only after one has. on_message holds that decision: an untraced
-    delivery enters the gate check (try_start, then _ready) only when the
-    node may start and its inbox or a row waits, or it is neither
-    clock-short nor barrier-blocked. So a delivery to a node that may start
-    still drains a non-empty inbox (an update it would drain alone lands in
-    _receive), and updates land in the same order either way. A traced run
-    (Simulator(trace=True)) checks on every delivery and records each check
-    in sim.gate_trace.
+    only after one has. on_message holds that decision: a delivery enters
+    the gate check (try_start, then _ready) only when the node may start
+    and its inbox or a row waits, or it is neither clock-short nor
+    barrier-blocked. So a delivery to a node that may start still drains a
+    non-empty inbox (an update it would drain alone lands in _receive).
+    A traced run (Simulator(trace=True)) takes the same decisions and
+    appends a row to sim.gate_trace for each gate it checks.
 
     A bsp node with peers is lockstep: its row (epoch_hook) at boundary
     clock t describes w holding exactly the updates of clocks <= t, so the
@@ -398,8 +397,8 @@ class GaiaNode(_NodeBase):
         self._rate = None
         self._t0 = self.t_hard = self.t_soft = algo.t0
         self.sig_counts = {}       # epoch -> [emitted, scored]
-        # an untraced clock wait (see the class docstring): _short is always
-        # the number of peers whose mirror clock is below _need
+        # a clock wait (see the class docstring): _short is always the
+        # number of peers whose mirror clock is below _need
         self._need = 0
         self._short = 0
         if not self._filtered:     # a dense flush's split, of a fixed size
@@ -483,8 +482,8 @@ class GaiaNode(_NodeBase):
 
     def _clock_gate(self, sim, kind, slack):
         """A gate (mirror or ssp, by kind) on the slowest known peer clock:
-        kind when it is shut, else None. An untraced block records the clock
-        every peer must reach and how many are still short of it."""
+        kind when it is shut, else None. A block records the clock every
+        peer must reach and how many are still short of it."""
         local = self.iters_done
         clocks = self.shard.mirror_clocks
         slowest = min(clocks.values())
@@ -493,7 +492,7 @@ class GaiaNode(_NodeBase):
             sim.gate_trace.append((
                 sim.now, self.name, kind, local, slowest,
                 self._true_min_peer_clock(sim), allow))
-        elif not allow:
+        if not allow:
             need = self._need = local - slack
             self._short = len([c for c in clocks.values() if c < need])
         return None if allow else kind
@@ -503,14 +502,14 @@ class GaiaNode(_NodeBase):
         if not self.shard.barrier_waits:
             return None
         read_set = self.model.touched(self.stream.peek())
+        # a dense read (None) meets every outstanding entry
+        shut = read_set is None or gate_read(self.shard, read_set).size > 0
         if sim.trace:
-            n_blocked = gate_read(self.shard, read_set).size
             sim.gate_trace.append((
                 sim.now, self.name, "barrier", self.iters_done,
-                n_blocked, self._true_min_peer_clock(sim), n_blocked == 0))
-        else:   # a dense read (None) meets every outstanding entry
-            n_blocked = read_set is None or gate_read(self.shard, read_set).size
-        return "barrier" if n_blocked else None
+                gate_read(self.shard, read_set).size,
+                self._true_min_peer_clock(sim), not shut))
+        return "barrier" if shut else None
 
     def _shut_gate(self, sim):
         """The kind of the first gate that holds the next step, or None."""
@@ -526,7 +525,7 @@ class GaiaNode(_NodeBase):
         cleared = (self.inbox or self._row_pending) and self._drain_inbox(sim)
         # a row taken in the drain may have stopped the run
         if self.state == DONE or self._short or (
-                self.state == BLOCKED["barrier"] and not (cleared or sim.trace)):
+                self.state == BLOCKED["barrier"] and not cleared):
             return False
         shut = self._shut_gate(sim)
         if shut:

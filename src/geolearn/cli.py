@@ -30,11 +30,11 @@ def _override(cfg, param, value):
 
 
 def _load(path):
-    """The config at path; or, when load_config rejects it, None after
-    printing why."""
+    """The config at path; or, when it cannot be read or load_config
+    rejects it, None after printing why."""
     try:
         return harness.load_config(path)
-    except (ValueError, yaml.YAMLError) as exc:
+    except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return None
 

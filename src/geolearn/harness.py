@@ -196,7 +196,11 @@ def config_from_dict(raw):
 
 def load_config(path):
     with open(path) as fh:
-        return config_from_dict(yaml.safe_load(fh))
+        raw = yaml.safe_load(fh)
+    if raw is not None and not isinstance(raw, dict):
+        raise ValueError(f"the top level of {path} must be a mapping, "
+                         f"got {type(raw).__name__}")
+    return config_from_dict(raw)
 
 
 # annotation -> what a value must be, and the types that pass (a float field

@@ -105,10 +105,6 @@ class Message:
         if self.nbytes is None:
             self.nbytes = split_nbytes(self.byte_split)
 
-    @property
-    def klass(self):
-        return _PRIORITY[self.kind]
-
 
 @dataclass
 class LinkSpec:
@@ -252,10 +248,9 @@ class Simulator:
 
     trace turns on the gate trace: every gate check of a Gaia-family node
     appends a row (time, node, gate, local clock, known value, true minimum
-    peer clock, allow) to gate_trace, and the node re-checks its gates on
-    every delivery. Without it gate_trace stays empty, no node reads another
-    node's state, and a blocked node re-checks only when what it waits for
-    has moved (see GaiaNode). Outputs are the same either way.
+    peer clock, allow) to gate_trace. It changes no decision: the nodes
+    check the same gates at the same times either way. Without it
+    gate_trace stays empty and no node reads another node's state.
     """
 
     def __init__(self, topology, groups=(), hubs=None, trace=False):

@@ -959,26 +959,19 @@ def test_clock_wait_rechecks_only_when_the_last_peer_crosses(policy, slack):
         (_to_a("b", need, origin="c"), True, True),        # forwarded c
     ]
     blocked = "blocked-mirror" if policy.kind == "gaia" else "blocked-ssp"
-    sim, node, checks = _blocked_node(policy, local, trace=False)
-    assert checks and node.state == blocked
-    assert (node._need, node._short) == (need, 2)
-    started = []
-    for msg, rechecks, starts in deliveries:
-        before = len(checks)
-        node.on_message(sim, msg)
-        assert (len(checks) > before) == rechecks, msg
-        assert (node.state == "computing") == starts, msg
-        started.append(node.state == "computing")
-    # a traced node checks on every delivery and starts at the same one
-    sim, node, checks = _blocked_node(policy, local, trace=True)
-    assert node.state == blocked
-    traced = []
-    for msg, _rechecks, _starts in deliveries:
-        node.on_message(sim, msg)
-        traced.append(node.state == "computing")
-    assert traced == started
-    assert len(checks) == 1 + len(deliveries)
-    assert len(sim.gate_trace) == len(checks)
+    # tracing takes no decision: a traced node re-checks at the same
+    # deliveries, and writes one row per check
+    for trace in (False, True):
+        sim, node, checks = _blocked_node(policy, local, trace=trace)
+        assert checks and node.state == blocked
+        assert (node._need, node._short) == (need, 2)
+        for msg, rechecks, starts in deliveries:
+            before = len(checks)
+            node.on_message(sim, msg)
+            assert (len(checks) > before) == rechecks, (trace, msg)
+            assert (node.state == "computing") == starts, (trace, msg)
+        assert len(checks) == 2
+        assert len(sim.gate_trace) == (len(checks) if trace else 0)
 
 
 def _calls(node, attr):
@@ -995,38 +988,40 @@ def _calls(node, attr):
 
 def test_untraced_deliveries_skip_the_gate_check_unless_they_can_open_it():
     bsp = AlgoCfg(kind="bsp")
-    # computing: the update waits in the inbox for the step's end
-    sim, node, _ = _blocked_node(bsp, 0, trace=False)
-    ready = _calls(node, "_ready")
-    node.on_message(sim, _to_a("b", 1, idx=[0]))
-    assert node.state == "computing" and node.inbox and ready == []
-    # clock-short with an empty inbox: an update lands at once, and only
-    # the delivery that drops the shortfall to 0 checks, once
-    sim, node, _ = _blocked_node(bsp, 5, trace=False)
-    ready = _calls(node, "_ready")
-    for msg in (_to_a("b", 3, idx=[0]), _to_a("b", 5), _to_a("c", 4)):
-        node.on_message(sim, msg)
-        assert node._short and not node.inbox and ready == [], msg
-    node.on_message(sim, _to_a("c", 5))
-    assert node._short == 0 and len(ready) == 1
-    assert node.state == "computing"
-    # barrier-blocked: updates from a peer that holds no barrier clear
-    # nothing, and land at once
-    sim, node, _ = _blocked_node(
-        AlgoCfg(kind="gaia", ds=100), 1, trace=False,
-        barrier=BarrierMsg(source="b", clock=1, indexes=np.array([0, 3])))
-    ready = _calls(node, "_ready")
-    for msg in (_to_a("c", 1), _to_a("c", 1, idx=[0, 3])):
-        node.on_message(sim, msg)
-        assert node.state == "blocked-barrier" and not node.inbox, msg
-    assert ready == []
-    # done: not even the delivery that drops the shortfall to 0 checks
-    sim, node, _ = _blocked_node(bsp, 5, trace=False)
-    node.state = "done"
-    ready = _calls(node, "_ready")
-    for msg in (_to_a("b", 5), _to_a("c", 5, idx=[0])):
-        node.on_message(sim, msg)
-    assert node._short == 0 and node.state == "done" and ready == []
+    barrier = BarrierMsg(source="b", clock=1, indexes=np.array([0, 3]))
+    # traced deliveries skip it by the same rule
+    for trace in (False, True):
+        # computing: the update waits in the inbox for the step's end
+        sim, node, _ = _blocked_node(bsp, 0, trace=trace)
+        ready = _calls(node, "_ready")
+        node.on_message(sim, _to_a("b", 1, idx=[0]))
+        assert node.state == "computing" and node.inbox and ready == []
+        # clock-short with an empty inbox: an update lands at once, and only
+        # the delivery that drops the shortfall to 0 checks, once
+        sim, node, _ = _blocked_node(bsp, 5, trace=trace)
+        ready = _calls(node, "_ready")
+        for msg in (_to_a("b", 3, idx=[0]), _to_a("b", 5), _to_a("c", 4)):
+            node.on_message(sim, msg)
+            assert node._short and not node.inbox and ready == [], msg
+        node.on_message(sim, _to_a("c", 5))
+        assert node._short == 0 and len(ready) == 1
+        assert node.state == "computing"
+        # barrier-blocked: updates from a peer that holds no barrier clear
+        # nothing, and land at once
+        sim, node, _ = _blocked_node(
+            AlgoCfg(kind="gaia", ds=100), 1, trace=trace, barrier=barrier)
+        ready = _calls(node, "_ready")
+        for msg in (_to_a("c", 1), _to_a("c", 1, idx=[0, 3])):
+            node.on_message(sim, msg)
+            assert node.state == "blocked-barrier" and not node.inbox, msg
+        assert ready == []
+        # done: not even the delivery that drops the shortfall to 0 checks
+        sim, node, _ = _blocked_node(bsp, 5, trace=trace)
+        node.state = "done"
+        ready = _calls(node, "_ready")
+        for msg in (_to_a("b", 5), _to_a("c", 5, idx=[0])):
+            node.on_message(sim, msg)
+        assert node._short == 0 and node.state == "done" and ready == []
 
 
 @pytest.mark.parametrize("kind", ["dgc", "fedavg"])
@@ -1054,29 +1049,23 @@ def test_barrier_wait_rechecks_only_after_its_entries_clear():
         (_to_a("b", 0, idx=[0, 3]), True, False),     # older flush from b
         (_to_a("b", 1, idx=[0, 3]), True, True),      # the awaited flush
     ]
-    sim, node, checks = _blocked_node(algo, 1, trace=False, barrier=barrier)
-    assert len(checks) == 1 and node.state == "blocked-barrier"
-    started = []
-    for msg, rechecks, starts in deliveries:
-        before = len(checks)
-        node.on_message(sim, msg)
-        assert (len(checks) > before) == rechecks, msg
-        assert (node.state == "computing") == starts, msg
-        started.append(node.state == "computing")
-    sim, node, checks = _blocked_node(algo, 1, trace=True, barrier=barrier)
-    assert node.state == "blocked-barrier"
-    traced = []
-    for msg, _rechecks, _starts in deliveries:
-        node.on_message(sim, msg)
-        traced.append(node.state == "computing")
-    assert traced == started
-    assert len(checks) == 1 + len(deliveries)
-    # the dense read is blocked on both coordinates b's barrier names until
-    # the awaited flush clears them; with nothing outstanding the barrier
-    # gate is not consulted, so the last check leaves no barrier row
-    assert [row[4] for row in sim.gate_trace if row[2] == "barrier"] == [
-        2, 2, 2, 2]
-    assert node.shard.barrier_waits == {}
+    for trace in (False, True):
+        sim, node, checks = _blocked_node(algo, 1, trace=trace,
+                                          barrier=barrier)
+        assert len(checks) == 1 and node.state == "blocked-barrier"
+        for msg, rechecks, starts in deliveries:
+            before = len(checks)
+            node.on_message(sim, msg)
+            assert (len(checks) > before) == rechecks, (trace, msg)
+            assert (node.state == "computing") == starts, (trace, msg)
+        assert len(checks) == 3 and node.shard.barrier_waits == {}
+    # each check passes the mirror gate (b's known clock is the slowest),
+    # then meets the dense read's two blocked coordinates until the awaited
+    # flush clears them; with nothing outstanding the barrier gate is not
+    # consulted, so the last check leaves no barrier row
+    assert [(row[2], row[4]) for row in sim.gate_trace] == [
+        ("mirror", 0), ("barrier", 2), ("mirror", 0), ("barrier", 2),
+        ("mirror", 1)]
 
 
 def test_a_clock_only_flush_that_overtakes_an_announced_one_releases_nothing():

@@ -342,29 +342,38 @@ def test_traced_gate_checks_leave_their_node_blocked_or_computing(name):
         assert state == ("computing" if last[6] else f"blocked-{last[2]}")
 
 
-def _step_starts(name, trace):
-    """(node, clock, simulated time) of each step start of a run."""
-    starts = []
+def _node_calls(name, trace, method):
+    """(node, clock, simulated time) of each call of a node method(sim) in
+    a run, on the nodes that have it."""
+    calls = []
 
     def watch(nodes, sim):
         for node in nodes:
-            def begin(sim_, node=node, begin=node._begin_compute):
-                starts.append((node.name, node.iters_done, sim_.now))
-                begin(sim_)
+            if hasattr(node, method):
+                def called(sim_, node=node, call=getattr(node, method)):
+                    calls.append((node.name, node.iters_done, sim_.now))
+                    return call(sim_)
 
-            node._begin_compute = begin
+                setattr(node, method, called)
 
     _watched_run(name, trace, watch)
-    return starts
+    return calls
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_untraced_steps_start_where_traced_ones_do(name):
-    # an untraced delivery skips the gate check unless it can open a gate;
-    # a traced one checks every time, so the two paths start the same steps
-    # at the same clocks and times
-    traced = _step_starts(name, True)
-    assert traced and _step_starts(name, False) == traced
+    # tracing only appends rows, so traced and untraced runs start the same
+    # steps at the same clocks and times
+    traced = _node_calls(name, True, "_begin_compute")
+    assert traced and _node_calls(name, False, "_begin_compute") == traced
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_traced_runs_check_the_gates_untraced_runs_check(name):
+    # one control path: a traced run checks its gates exactly where an
+    # untraced one does, and only adds the rows
+    traced = _node_calls(name, True, "_shut_gate")
+    assert _node_calls(name, False, "_shut_gate") == traced
 
 
 def _pin_files():

@@ -728,17 +728,13 @@ def _count_gate_checks(monkeypatch):
 def test_untraced_bsp_checks_its_gate_about_twice_per_iteration(
         monkeypatch, trace):
     # one check after each step, and one more when the last peer's clock
-    # arrives; a traced run checks on every one of the ten deliveries
+    # arrives, traced or not; a traced run writes one row per check
     checks = _count_gate_checks(monkeypatch)
     result = run_experiment(_softmax_cfg("bsp", 11, trace=trace))
     iters = sum(node.iters_done for node in result.nodes)
     assert iters == 11 * 2 * 4
-    per_iter = len(checks) / iters
-    if trace:
-        assert per_iter > 5
-        assert len(result.sim.gate_trace) == len(checks)
-    else:
-        assert per_iter <= 2.5
+    assert len(checks) / iters <= 2.5
+    assert len(result.sim.gate_trace) == (len(checks) if trace else 0)
 
 
 def test_untraced_runs_never_read_peer_clocks(monkeypatch):
@@ -861,6 +857,8 @@ def test_cli_validate_catches_errors(tmp_path, capsys):
 @pytest.mark.parametrize("text,why", [
     ("model: {bogus: 1}\n", "unknown model option(s): ['bogus']"),
     ("model: [\n", "while parsing"),           # malformed YAML
+    ("- 1\n", "top level of"),                 # not a mapping
+    (None, "No such file"),                    # no file at the path
 ])
 @pytest.mark.parametrize("command", [
     ["validate"], ["run"],
@@ -869,7 +867,8 @@ def test_cli_reports_a_config_it_cannot_load(tmp_path, capsys, text, why,
                                              command):
     # run and sweep say what validate says, with no traceback
     path = tmp_path / "bad.yaml"
-    path.write_text(text)
+    if text is not None:
+        path.write_text(text)
     assert cli.main([command[0], "--config", str(path), *command[1:]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and why in err

@@ -6,7 +6,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geolearn.wansim import (BYTE_KINDS, CLOCK_BYTES, CostRates, GB,
+from geolearn.wansim import (_PRIORITY, BYTE_KINDS, CLOCK_BYTES, CONTROL,
+                             DATA, CostRates, GB,
                              KIND_BARRIER, KIND_CLOCK, KIND_TRAVEL,
                              KIND_UPDATE, LinkSpec, Message,
                              Simulator, Topology, account_cost,
@@ -37,9 +38,10 @@ def test_message_defaults_and_validation():
                   byte_split={KIND_UPDATE: 80, KIND_BARRIER: 20})
     assert msg.origin == "a"
     assert msg.nbytes == 100
-    assert msg.klass == "data"
-    assert Message(kind=KIND_CLOCK, src="a", dst="b",
-                   byte_split={KIND_CLOCK: 24}).klass == "control"
+    # the kind decides the priority class: barriers and clocks are control
+    assert {kind: _PRIORITY[kind] for kind in BYTE_KINDS} == {
+        KIND_UPDATE: DATA, KIND_BARRIER: CONTROL, KIND_CLOCK: CONTROL,
+        KIND_TRAVEL: DATA}
     with pytest.raises(ValueError):
         Message(kind=KIND_UPDATE, src="a", dst="b", byte_split={"gossip": 8})
 
@@ -294,7 +296,8 @@ class _EagerSimulator:
             copy = replace(msg, forward=forward)
             _book(self.sent, key, copy)
             channel = self.channels[key]
-            channel[1 if copy.klass == "control" else 2].append((key, copy))
+            control = _PRIORITY[copy.kind] == CONTROL
+            channel[1 if control else 2].append((key, copy))
             if channel[4] is None:
                 self._start_service(channel)
 
