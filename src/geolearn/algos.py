@@ -123,19 +123,18 @@ class _NodeBase:
 
     A node's state is IDLE, COMPUTING, ROUND_WAIT, BLOCKED[gate kind] or
     DONE (budget spent, diverged or stopped), which is final; try_start
-    starts a step only from IDLE or BLOCKED. Every wake calls it; a
-    delivery calls it only when it can start a step, by one rule in
-    on_message. A synchronous round is
-    gathered here: _share keeps this node's share of a round, broadcasts it
-    and holds the node (ROUND_WAIT); each peer's share lands in _gathered,
-    and _try_complete runs while the node is held, so a stopped node never
-    completes a round. _gather returns a round's shares once every member's
-    has arrived; a round's shares come only from its members, so it counts
-    them before it looks any up. A held node has gathered its round once
-    and found it short, and only a share of that round can complete it, so
-    _receive calls _try_complete only for the share that brings the count
-    _gather left in _awaited to full. The learning rate is the local
-    epoch's, computed once per epoch.
+    starts a step only from IDLE or BLOCKED. Every wake calls it; a delivery
+    calls it only when it can start a step, by one rule in on_message. A
+    synchronous round is gathered here: _share keeps this node's share of a
+    round, broadcasts it and holds the node (ROUND_WAIT); each peer's share
+    lands in _gathered, and _try_complete runs while the node is held, so a
+    stopped node never completes a round. _gather returns a round's shares
+    once every member's has arrived; a round's shares come only from its
+    members, so it counts them before it looks any up. A held node has
+    gathered its round once and found it short, and only a share of that
+    round can complete it, so _receive calls _try_complete only for the
+    share that brings the count _gather left in _awaited to full. The
+    learning rate is the local epoch's, computed once per epoch.
 
     A subclass supplies the algorithm: _ready (may the next step start
     now?), _local_step (apply one gradient at a learning rate, and
