@@ -1,7 +1,8 @@
 """Why the filter needs its gates: barriers and mirror clocks under asymmetry.
 
 The WAN here is lopsided on purpose: east->west is ten times faster than
-west->east, so west's updates pile up behind a thin pipe. With the selective
+west->east (12 against 1.2 Mb/s, in lopsided_bandwidth.csv next to this
+file), so west's updates pile up behind a thin pipe. With the selective
 barrier and mirror clock disabled, east happily trains on stale state and
 the run falls apart. With them enabled, east blocks the moment its view of
 west is too old, and the same workload converges.
@@ -9,20 +10,12 @@ west is too old, and the same workload converges.
 Run: python3 demos/sync_mechanisms.py
 """
 
+import os
 from collections import Counter
 
-from geolearn import wansim
 from geolearn.harness import config_from_dict, run_experiment
 
-
-def lopsided_topology():
-    links = {
-        ("east", "west"): wansim.LinkSpec("east", "west", 1.5e6, 0.001),
-        ("west", "east"): wansim.LinkSpec("west", "east", 1.5e5, 0.001),
-    }
-    return wansim.Topology(
-        dcs=["east", "west"], links=links,
-        compute_s={"east": 0.001, "west": 0.001})
+HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 def gated_cfg(mechanisms_on):
@@ -35,14 +28,18 @@ def gated_cfg(mechanisms_on):
         "algorithm": {"kind": "gaia", "batch_size": 10, "epochs": 20,
                       "lr": {"eta0": 0.008}, "t0": 1e-3, "ds": 1,
                       "barrier": mechanisms_on, "mirror": mechanisms_on},
+        "topology": {
+            "bandwidth_file": os.path.join(HERE, "lopsided_bandwidth.csv"),
+            "cost_file": os.path.join(HERE, "lopsided_costs.csv"),
+            "latency_s": 0.001},
         "convergence": {"mode": "none"},
         "output": {"trace": True},
     })
 
 
 def main():
-    off = run_experiment(gated_cfg(False), topology=lopsided_topology())
-    on = run_experiment(gated_cfg(True), topology=lopsided_topology())
+    off = run_experiment(gated_cfg(False))
+    on = run_experiment(gated_cfg(True))
 
     print("gates off: objective %8.3f after %d epochs"
           % (off.summary["final_objective"], off.summary["epochs_done"]))

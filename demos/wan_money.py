@@ -33,15 +33,15 @@ def main():
         kind=wansim.KIND_UPDATE, src="saopaulo", dst="virginia",
         byte_split={wansim.KIND_UPDATE: int(2 * wansim.GB)}))
     sim.run()
-    sim.ledger.record_machine_time("virginia", 7200.0)   # 2 machine-hours
-    sim.ledger.record_machine_time("saopaulo", 5400.0)   # 1.5 machine-hours
+    machine_seconds = {"virginia": 7200.0,    # 2 machine-hours
+                       "saopaulo": 5400.0}    # 1.5 machine-hours
 
     va, sp = costs["virginia"], costs["saopaulo"]
     hand = (7200.0 * va.machine_usd_per_hr / 3600.0
             + 5400.0 * sp.machine_usd_per_hr / 3600.0
             + 5.0 * va.send_usd_per_gb + 2.0 * sp.send_usd_per_gb
             + 2.0 * va.recv_usd_per_gb + 5.0 * sp.recv_usd_per_gb)
-    total = wansim.account_cost(sim.ledger, costs)
+    total = wansim.account_cost(sim.ledger, costs, machine_seconds)
 
     print("\nby hand:")
     print("  machine  2.0 h x $%.2f + 1.5 h x $%.2f = $%.4f"

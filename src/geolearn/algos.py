@@ -799,9 +799,6 @@ class DgcNode(_NodeBase):
     def _replica(self, w0):
         return self._steps.bufs[0]
 
-    def current_sparsity(self):
-        return warmup_sparsity(self.epochs_done + 1, self.e_warm)
-
     def _local_step(self, sim, grad, eta):
         grad *= -eta                  # the step -eta * grad, in grad's array
         step_vec = clip_by_norm(grad, self.algo.clip_norm)
@@ -809,7 +806,8 @@ class DgcNode(_NodeBase):
         u *= self.m
         u += step_vec
         self.v += u
-        idx = dgc_select(self.v, self.current_sparsity(), grad)   # grad is spent
+        sparsity = warmup_sparsity(self.epochs_done + 1, self.e_warm)
+        idx = dgc_select(self.v, sparsity, grad)   # grad is spent
         vals = self.v[idx]            # integer indexing copies: v is cleared next
         self.v[idx] = 0.0
         self.u[idx] = 0.0             # momentum correction
@@ -832,7 +830,7 @@ class DgcNode(_NodeBase):
             for idx, vals in slices:
                 w[idx] += vals
             steps.newest = t + 1
-            steps.finite = bool(np.isfinite(w).all())
+            steps.finite = bool(np.logical_and.reduce(np.isfinite(w)))
         self.w = w
         self.iters_done += 1
         self._after_iteration(sim, steps.finite)

@@ -2,7 +2,6 @@
 
 import argparse
 import copy
-import csv
 import os
 import sys
 from dataclasses import fields
@@ -99,12 +98,8 @@ def cmd_sweep(args):
               f"cost={result.summary['cost_usd']}")
     os.makedirs(out_root, exist_ok=True)
     sweep_path = os.path.join(out_root, "sweep.csv")
-    cols = list(rows[0].keys())
     with open(sweep_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([harness._fmt(row.get(c)) for c in cols])
+        fh.write(harness._csv_text(list(rows[0]), rows))
     print(f"wrote {sweep_path}")
     return 0
 

@@ -430,33 +430,27 @@ _Data = namedtuple("_Data", "model w0 parts full_batch test batch "
                    "probes probe_metric relative_al")
 
 
-def run_experiment(cfg, topology=None, on_nodes=None):
+def run_experiment(cfg, on_nodes=None):
     """Run one configured experiment to completion on the simulator, in four
     steps: _build_data, _build_nodes (and _hook_rows), sim.run, _settle.
 
-    A prebuilt topology overrides the config's DCs, links and compute
-    times; on_nodes(nodes, sim), if given, runs after wiring but before the
-    first event, e.g. to attach extra per-iteration hooks.
+    The WAN is the one the config's topology section names; on_nodes(nodes,
+    sim), if given, runs after wiring but before the first event, e.g. to
+    attach extra per-iteration hooks.
     """
     errs, tables, dcs, parts = _check_config(cfg)
-    k = cfg.partition.nodes
-    if topology is not None and len(topology.dcs) != k:
-        errs.append(f"topology has {len(topology.dcs)} DCs for {k} partitions")
-    elif topology is not None and cfg.topology.groups and set(
-            topology.dcs) != set(dcs):
-        errs.append(f"overlay groups name {list(dcs)}, not the topology's "
-                    f"DCs {topology.dcs}")
     if errs:
         raise ValueError("bad config: " + "; ".join(errs))
+    bandwidth, costs = tables
     data = _build_data(cfg, parts)
-    sim, nodes, rates = _build_nodes(cfg, data, tables, dcs, topology)
-    rows, conv, scout = _hook_rows(cfg, data, nodes, rates)
+    sim, nodes = _build_nodes(cfg, data, bandwidth, dcs)
+    rows, conv, scout = _hook_rows(cfg, data, nodes, costs)
     if on_nodes is not None:
         on_nodes(nodes, sim)
     for node in nodes:
         sim.wake_at(0.0, node.name)
     sim.run()
-    return _settle(cfg, sim, rates, nodes, rows, conv, scout)
+    return _settle(cfg, sim, costs, nodes, rows, conv, scout)
 
 
 def _build_data(cfg, parts):
@@ -513,20 +507,14 @@ def _build_data(cfg, parts):
                  probe_metric, relative_al)
 
 
-def _build_nodes(cfg, data, tables, dcs, topology):
-    """Step 2: the simulator on the configured (or the prebuilt) WAN, and
-    one node per partition, of the class that runs the algorithm kind and
-    with the budget it declares; also the cost table's rates, or None."""
+def _build_nodes(cfg, data, bandwidth, dcs):
+    """Step 2: the simulator on the configured WAN, and one node per
+    partition, of the class that runs the algorithm kind and with the budget
+    it declares."""
     acfg, tcfg, seed = cfg.algorithm, cfg.topology, cfg.seed
-    bandwidth, costs = tables
-    if topology is None:
-        topology = wansim.build_topology(
-            dcs, bandwidth=bandwidth, latency_s=tcfg.latency_s,
-            compute_s=tcfg.compute_s)
-    dcs = topology.dcs
-    # a DC the cost table does not price leaves the cost unknown, not $0
-    rates = ({dc: costs[dc] for dc in dcs}
-             if all(dc in costs for dc in dcs) else None)
+    topology = wansim.build_topology(dcs, bandwidth=bandwidth,
+                                     latency_s=tcfg.latency_s)
+    compute_s = tcfg.compute_s
     hubs = {(int(gi), int(gj)): dc for gi, gj, dc in tcfg.hubs}
     sim = wansim.Simulator(topology, tcfg.groups, hubs, cfg.output.trace)
     streams = [
@@ -543,15 +531,16 @@ def _build_nodes(cfg, data, tables, dcs, topology):
         node = node_cls(
             name=dc, index=i, model=data.model.clone(),
             batch=data.batch, stream=stream,
-            compute_s=topology.compute_s.get(dc, wansim.COMPUTE_S),
+            compute_s=(compute_s.get(dc, wansim.COMPUTE_S)
+                       if isinstance(compute_s, dict) else compute_s),
             peers=[d for d in dcs if d != dc], w0=data.w0, algo=acfg,
             **budgets[i])
         nodes.append(node)
         sim.register(dc, node)
-    return sim, nodes, rates
+    return sim, nodes
 
 
-def _hook_rows(cfg, data, nodes, rates):
+def _hook_rows(cfg, data, nodes, costs):
     """Step 2's hooks: the trigger's rows, of the replicas its class names,
     and SkewScout on the knob and boundaries that class declares. The hooks
     read the nodes from the sim they are handed, so no hook holds them and a
@@ -586,7 +575,7 @@ def _hook_rows(cfg, data, nodes, rates):
         acc = None if test is None else float(np.mean(
             [accuracy(n) for n in evaluated] if per_node_stats
             else _per_weights(evaluated, accuracy)))
-        cost = _cost_now(sim, rates)
+        cost = _cost_now(sim, costs)
         row = {"sim_time_s": sim.now, "epoch": trigger.epochs_done,
                "objective": obj, "accuracy": acc, "cost_usd": cost}
         for kind in wansim.BYTE_KINDS:
@@ -642,14 +631,14 @@ def _per_weights(nodes, fn):
     return [done[id(n.w)] for n in nodes]
 
 
-def _cost_now(sim, rates):
-    """Book machine time at the simulator's clock; the cost so far, or None
-    when the cost table does not price every DC."""
-    sim.ledger.machine_seconds = {dc: sim.now for dc in sim.topology.dcs}
-    return wansim.account_cost(sim.ledger, rates) if rates else None
+def _cost_now(sim, costs):
+    """The cost so far: every DC's machine time up to the simulator's clock,
+    in DC order, and the traffic in the ledger, at the cost table's rates."""
+    return wansim.account_cost(sim.ledger, costs,
+                               dict.fromkeys(sim.topology.dcs, sim.now))
 
 
-def _settle(cfg, sim, rates, nodes, rows, conv, scout):
+def _settle(cfg, sim, costs, nodes, rows, conv, scout):
     """A drained run settled at the final clock: the trigger's row still
     waiting, the cost, the summary and the byte conservation check."""
     trigger = nodes[0]
@@ -673,7 +662,7 @@ def _settle(cfg, sim, rates, nodes, rows, conv, scout):
     for kind in wansim.BYTE_KINDS:
         summary[f"{kind}_bytes"] = sim.ledger.sent_bytes(kind)
     summary["total_bytes"] = sim.ledger.sent_bytes()
-    summary["cost_usd"] = _cost_now(sim, rates)
+    summary["cost_usd"] = _cost_now(sim, costs)
     summary["travels"] = scout.n_travels if scout else 0
     if scout:
         summary["final_theta"] = scout.final_theta
@@ -697,28 +686,26 @@ def _fmt(value):
     return str(value)
 
 
-def metrics_csv_text(rows):
+def _csv_text(cols, rows):
+    """The rows (mappings) as CSV under the header cols, every cell in
+    _fmt's form; a column a row lacks is empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(METRICS_HEADER)
-    for row in rows:
-        writer.writerow([_fmt(row[col]) for col in METRICS_HEADER])
+    writer.writerow(cols)
+    writer.writerows([_fmt(row.get(c)) for c in cols] for row in rows)
     return buf.getvalue()
+
+
+def metrics_csv_text(rows):
+    return _csv_text(METRICS_HEADER, rows)
 
 
 def summary_text(summary):
     return "".join(f"{k}={_fmt(v)}\n" for k, v in summary.items())
 
 
-def tuner_trace_text(scout):
-    cols = ("sim_time_s", "boundary", "theta", "al_points", "c_bytes",
-            "score", "action", "theta_next")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    for row in scout.trace:
-        writer.writerow([_fmt(row[c]) for c in cols])
-    return buf.getvalue()
+TUNER_TRACE_HEADER = ("sim_time_s", "boundary", "theta", "al_points",
+                      "c_bytes", "score", "action", "theta_next")
 
 
 def save_run(result, out_dir):
@@ -730,5 +717,5 @@ def save_run(result, out_dir):
         fh.write(summary_text(result.summary))
     if result.scout is not None:
         with open(os.path.join(out_dir, "tuner_trace.csv"), "w") as fh:
-            fh.write(tuner_trace_text(result.scout))
+            fh.write(_csv_text(TUNER_TRACE_HEADER, result.scout.trace))
     return out_dir

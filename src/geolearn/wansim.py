@@ -160,12 +160,11 @@ class _Channel:
 
 @dataclass
 class Topology:
-    """Named data centers, directed link specs, and per-DC compute time;
-    prices live only in the cost table (see account_cost)."""
+    """Named data centers and directed link specs; prices live only in the
+    cost table (see account_cost)."""
 
     dcs: list
     links: dict                      # (src, dst) -> LinkSpec
-    compute_s: dict = field(default_factory=dict)      # dc -> s per minibatch
 
     def link(self, src, dst):
         try:
@@ -175,19 +174,14 @@ class Topology:
 
 
 class CostLedger:
-    """Byte and machine-time bookkeeping for one simulation: the links
-    (channels, which carry their byte totals) in first-send and in
-    first-delivery order, the bytes sent by kind, and machine seconds per DC.
-    """
+    """Byte bookkeeping for one simulation: the links (channels, which carry
+    their byte totals) in first-send and in first-delivery order, and the
+    bytes sent by kind."""
 
     def __init__(self):
         self.sent = []          # channels, in first-send order
         self.delivered = []     # channels, in first-delivery order
         self.kind_bytes = dict.fromkeys(BYTE_KINDS, 0)
-        self.machine_seconds = {}
-
-    def record_machine_time(self, dc, seconds):
-        self.machine_seconds[dc] = self.machine_seconds.get(dc, 0.0) + seconds
 
     def sent_bytes(self, kind=None):
         return self.kind_bytes[kind] if kind else sum(self.kind_bytes.values())
@@ -208,15 +202,16 @@ class CostRates:
     recv_usd_per_gb: float
 
 
-def account_cost(ledger, rates):
-    """Dollar total: machine-seconds plus per-GB egress and ingress.
+def account_cost(ledger, rates, machine_seconds):
+    """Dollar total: the {dc: seconds} machine time plus the ledger's per-GB
+    egress and ingress.
 
-    Summation order is fixed (machine time by DC order of first booking,
-    then egress by link in first-send order, then ingress by link in
+    Summation order is fixed (machine time in machine_seconds' order, then
+    egress by link in first-send order, then ingress by link in
     first-delivery order) so the result is reproducible to the last bit.
     """
     total = 0.0
-    for dc, seconds in ledger.machine_seconds.items():
+    for dc, seconds in machine_seconds.items():
         total += seconds * (rates[dc].machine_usd_per_hr / 3600.0)
     for channel in ledger.sent:
         gb = channel.sent_bytes / GB
@@ -467,14 +462,12 @@ def default_costs():
         return MappingProxyType(load_cost_csv(fh))
 
 
-def build_topology(dc_names, bandwidth=None, latency_s=0.05,
-                   compute_s=COMPUTE_S):
+def build_topology(dc_names, bandwidth=None, latency_s=0.05):
     """Assemble a Topology for the named DCs from a bandwidth matrix.
 
     Links join each ordered pair of distinct DCs; no node sends to its own.
     bandwidth defaults to the packaged table. latency_s is one latency for
-    every WAN link; compute_s is a scalar or a {dc: seconds} dict. Prices
-    stay in the cost table.
+    every WAN link. Prices stay in the cost table.
     """
     if bandwidth is None:
         names, matrix = default_bandwidth()
@@ -493,8 +486,4 @@ def build_topology(dc_names, bandwidth=None, latency_s=0.05,
                 bandwidth=matrix[(src, dst)],
                 latency=latency_s,
             )
-    comp = {
-        dc: compute_s.get(dc, COMPUTE_S) if isinstance(compute_s, dict) else compute_s
-        for dc in dc_names
-    }
-    return Topology(dcs=list(dc_names), links=links, compute_s=comp)
+    return Topology(dcs=list(dc_names), links=links)

@@ -7,6 +7,7 @@ the metrics CSV byte for byte.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from geolearn.data import (MinibatchStream, gen_cluster_data,
                            partition_label_skew)
 from geolearn.harness import (AlgoCfg, ConvergenceCfg, DataCfg,
                               ExperimentConfig, ModelCfg, OutputCfg,
-                              PartitionCfg, ScoutCfgSection, metrics_csv_text,
-                              run_experiment)
+                              PartitionCfg, ScoutCfgSection, TopoCfg,
+                              metrics_csv_text, run_experiment)
 from geolearn.models import (MFEntries, MFModel, SoftmaxModel, TinyMLP,
                              stat_divergence)
 from geolearn.numerics import grad_check
@@ -127,16 +128,10 @@ def test_02_significance_savings():
 # 3. barriers + mirror clock keep an asymmetric WAN from running blind
 
 
-def _c03_topology():
-    links = {
-        ("east", "west"): wansim.LinkSpec("east", "west", 1.5e6, 0.001),
-        ("west", "east"): wansim.LinkSpec("west", "east", 1.5e5, 0.001),
-        ("east", "east"): wansim.LinkSpec("east", "east", 1e9, 0.0),
-        ("west", "west"): wansim.LinkSpec("west", "west", 1e9, 0.0),
-    }
-    return wansim.Topology(
-        dcs=["east", "west"], links=links,
-        compute_s={"east": 0.001, "west": 0.001})
+# the sync_mechanisms demo's tables: east->west at 12 Mb/s, west->east at
+# 1.2 Mb/s
+_C03_DEMOS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "demos")
 
 
 def _c03_cfg(mechanisms):
@@ -148,11 +143,15 @@ def _c03_cfg(mechanisms):
         algorithm=AlgoCfg(kind="gaia", batch_size=10, epochs=20, momentum=0.9,
                           lr={"eta0": 0.008}, t0=1e-3, ds=1,
                           barrier=mechanisms, mirror=mechanisms),
+        topology=TopoCfg(
+            bandwidth_file=os.path.join(_C03_DEMOS, "lopsided_bandwidth.csv"),
+            cost_file=os.path.join(_C03_DEMOS, "lopsided_costs.csv"),
+            latency_s=0.001),
         convergence=ConvergenceCfg(mode="none"), output=OutputCfg(trace=True))
 
 
 def _c03_run(mechanisms):
-    return run_experiment(_c03_cfg(mechanisms), topology=_c03_topology())
+    return run_experiment(_c03_cfg(mechanisms))
 
 
 def test_03_sync_mechanism_ablation():
@@ -458,13 +457,12 @@ def test_10_cost_ledger():
         byte_split={wansim.KIND_UPDATE: 2_000_000_000}, payload=None,
         origin="saopaulo"))
     sim.run()
-    sim.ledger.record_machine_time("virginia", 7200.0)
-    sim.ledger.record_machine_time("saopaulo", 5400.0)
     rates = wansim.default_costs()
-    total = wansim.account_cost(sim.ledger, rates)
+    total = wansim.account_cost(sim.ledger, rates,
+                                {"virginia": 7200.0, "saopaulo": 5400.0})
 
     # hand total, following the ledger's documented summation order:
-    # machine time by first-booking order, then egress by send order, then
+    # machine time in the order given, then egress by send order, then
     # ingress by delivery-completion order (the 2 GB reply lands first)
     hand = 0.0
     hand += 7200.0 * (0.86 / 3600.0)     # virginia machine

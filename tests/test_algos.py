@@ -167,30 +167,35 @@ def test_bsp_nodes_stay_in_lockstep():
     assert sim.ledger.conservation_ok()
 
 
-def _race_topology():
-    # s's updates reach t half a second late, so p's clock-(c+1) update
-    # lands at t before s's clock-c one (at 0.022 s for c = 1)
-    names = ["t", "p", "s"]
-    links = {(a, b): wansim.LinkSpec(a, b, 1e9,
-                                     0.5 if (a, b) == ("s", "t") else 0.001)
-             for a in names for b in names}
-    return wansim.Topology(dcs=names, links=links,
-                           compute_s=dict.fromkeys(names, 0.01))
-
-
-def _race_run(model, lockstep=True):
+def _race_run(model, tmp_path, lockstep=True):
     """A 3-DC BSP run with one batch per epoch, so that every step is a
-    boundary. Each row logs the trigger's clock, the (clock, origin) records
-    it has applied (received and no longer in its inbox) and those it holds.
-    lockstep=False takes each row right after the step, with nothing held."""
+    boundary, on 8000 Mb/s links (tables written to tmp_path). Each row logs
+    the trigger's clock, the (clock, origin) records it has applied (received
+    and no longer in its inbox) and those it holds. lockstep=False takes
+    each row right after the step, with nothing held."""
+    names = ["t", "p", "s"]
+    bandwidth, costs = tmp_path / "bandwidth.csv", tmp_path / "costs.csv"
+    bandwidth.write_text("".join(
+        [",".join(["region"] + names) + "\n"]
+        + [",".join([a] + ["" if a == b else "8000" for b in names]) + "\n"
+           for a in names]))
+    costs.write_text("region,machine_rate_usd_per_hr,send_usd_per_gb,"
+                     "recv_usd_per_gb\n"
+                     + "".join(f"{a},1.0,0.02,0.01\n" for a in names))
     cfg = config_from_dict({
         "model": model, "data": {"per_class": 15, "test_per_class": 5},
         "partition": {"nodes": 3, "alpha": 0.0},
         "algorithm": {"kind": "bsp", "epochs": 4, "batch_size": 20},
+        "topology": {"dcs": names, "bandwidth_file": str(bandwidth),
+                     "cost_file": str(costs), "latency_s": 0.001,
+                     "compute_s": 0.01},
         "convergence": {"mode": "none"}})
     rows = []
 
     def on_nodes(nodes, sim):
+        # s's updates reach t half a second late, so p's clock-(c+1) update
+        # lands at t before s's clock-c one (at 0.022 s for c = 1)
+        sim.channels[("s", "t")].latency = 0.5
         trigger, received = nodes[0], []
         receive, evaluate = trigger._receive, trigger.epoch_hook
         trigger._lockstep = lockstep
@@ -206,7 +211,7 @@ def _race_run(model, lockstep=True):
 
         trigger._receive, trigger.epoch_hook = logged_receive, logged_evaluate
 
-    result = run_experiment(cfg, topology=_race_topology(), on_nodes=on_nodes)
+    result = run_experiment(cfg, on_nodes=on_nodes)
     assert [n.stream.batches_per_epoch for n in result.nodes] == [1, 1, 1]
     return result, rows
 
@@ -215,8 +220,8 @@ def _race_run(model, lockstep=True):
     {"kind": "softmax", "features": 3, "classes": 4},
     {"kind": "mlp", "features": 3, "classes": 4, "hidden": [5]},
 ])
-def test_bsp_row_holds_exactly_the_updates_of_its_clock(model):
-    result, rows = _race_run(model)
+def test_bsp_row_holds_exactly_the_updates_of_its_clock(model, tmp_path):
+    result, rows = _race_run(model, tmp_path)
     assert [t for t, _, _ in rows] == [1, 2, 3, 4]
     for t, applied, _ in rows:
         assert applied == {(c, o) for c in range(1, t + 1) for o in "ps"}
@@ -224,7 +229,7 @@ def test_bsp_row_holds_exactly_the_updates_of_its_clock(model):
     assert rows[0][2] == {(2, "p")}
     # taking each row right after the step mixes clocks: row 1 holds no
     # peer update, row 2 already holds p's clock-2 update but not s's
-    unheld, step_rows = _race_run(model, lockstep=False)
+    unheld, step_rows = _race_run(model, tmp_path, lockstep=False)
     assert step_rows[0][1] == set()
     assert step_rows[1][1] == {(1, "p"), (1, "s"), (2, "p")}
     # Holding p's clock-2 update back adds it to t's w after s's clock-1

@@ -3,7 +3,9 @@
 Each script in ``demos/`` runs in a subprocess and the sha256 of its
 stdout lives in ``tests/golden/demos.json``. The demos call the package the
 way a user would, so a change that breaks one, or changes what it prints,
-fails here. Regenerate the pins with::
+fails here. Each runs in an empty temporary directory, so a demo that opens
+a file by a path relative to the working directory fails too. Regenerate
+the pins with::
 
     PYTHONPATH=src python tests/test_demos.py --write
 
@@ -16,6 +18,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -33,9 +36,10 @@ def demo_digest(name):
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)],
-                         env=env, cwd=ROOT, capture_output=True, check=True,
-                         timeout=300).stdout
+    with tempfile.TemporaryDirectory() as cwd:
+        out = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "demos", name)], env=env,
+            cwd=cwd, capture_output=True, check=True, timeout=300).stdout
     return hashlib.sha256(out).hexdigest()
 
 

@@ -400,38 +400,22 @@ def test_solo_bsp_takes_each_row_at_its_step(model, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_a_topology_the_cost_table_does_not_price_has_no_cost():
-    demo = _load_demo("sync_mechanisms")
-    cfg = demo.gated_cfg(True)
+def test_the_sync_demo_config_describes_its_lopsided_wan_by_itself():
+    # its tables, found from the demo's own file, and latency_s: the run
+    # needs no argument beyond the config
+    cfg = _load_demo("sync_mechanisms").gated_cfg(True)
     cfg.algorithm.epochs = 2
-    result = run_experiment(cfg, topology=demo.lopsided_topology())
-    assert result.summary["total_bytes"] > 0
-    assert result.summary["cost_usd"] is None
-    assert [row["cost_usd"] for row in result.rows] == [None] * len(result.rows)
-    assert "\ncost_usd=\n" in summary_text(result.summary)
-    assert metrics_csv_text(result.rows).splitlines()[1].endswith(",")
-
-
-def test_a_prebuilt_topology_with_the_wrong_dc_count_fails_before_the_data(
-        monkeypatch):
-    demo = _load_demo("sync_mechanisms")
-    cfg = demo.gated_cfg(True)
-    cfg.partition.nodes = 3
-    monkeypatch.setattr(harness, "gen_mf_data", None)  # never reached
-    with pytest.raises(ValueError, match="topology has 2 DCs for 3 partitions"):
-        run_experiment(cfg, topology=demo.lopsided_topology())
-
-
-def test_a_prebuilt_topology_outside_the_overlay_groups_fails_before_the_data(
-        monkeypatch):
-    # Simulator.hops routes by the groups, so they must name its DCs
-    demo = _load_demo("sync_mechanisms")
-    cfg = demo.gated_cfg(True)
-    cfg.topology.groups = (("virginia",), ("california",))
-    cfg.topology.hubs = ((0, 1, "california"), (1, 0, "virginia"))
-    monkeypatch.setattr(harness, "gen_mf_data", None)  # never reached
-    with pytest.raises(ValueError, match="not the topology's DCs"):
-        run_experiment(cfg, topology=demo.lopsided_topology())
+    result = run_experiment(cfg)
+    links = {key: (ch.bandwidth, ch.latency)
+             for key, ch in result.sim.channels.items()}
+    assert links == {("east", "west"): (1.5e6, 0.001),
+                     ("west", "east"): (1.5e5, 0.001)}
+    assert [(n.name, n.compute_s) for n in result.nodes] == [
+        ("east", 0.001), ("west", 0.001)]
+    # the cost table prices both DCs, so the run and each row are priced
+    cost = result.summary["cost_usd"]
+    assert isinstance(cost, float) and cost > 0
+    assert all(isinstance(row["cost_usd"], float) for row in result.rows)
 
 
 # the node attribute each SkewScout knob (an AlgoCfg field) sets
