@@ -10,6 +10,7 @@ Run: python3 demos/wan_money.py
 """
 
 from geolearn import wansim
+from geolearn.harness import TopoCfg
 
 
 def main():
@@ -20,12 +21,16 @@ def main():
               % (name, r.machine_usd_per_hr, r.send_usd_per_gb,
                  r.recv_usd_per_gb))
 
-    topo = wansim.build_topology(["virginia", "saopaulo"])
-    link = topo.link("virginia", "saopaulo")
+    # the packaged bandwidth table and a run's default latency
+    dcs = ["virginia", "saopaulo"]
+    _, bandwidth = wansim.default_bandwidth()
+    latency = TopoCfg().latency_s
+    sim = wansim.Simulator(dcs, {(a, b): (bandwidth[a, b], latency)
+                                 for a in dcs for b in dcs if a != b})
+    link = sim.channels["virginia", "saopaulo"]
     print("\nvirginia->saopaulo: %.1f Mb/s, %.0f ms latency"
           % (link.bandwidth / 125_000.0, 1000 * link.latency))
 
-    sim = wansim.Simulator(topo)
     sim.send(wansim.Message(
         kind=wansim.KIND_UPDATE, src="virginia", dst="saopaulo",
         byte_split={wansim.KIND_UPDATE: int(5 * wansim.GB)}))

@@ -75,10 +75,13 @@ def cmd_sweep(args):
     base = _load(args.config)
     if base is None:
         return 1
-    values = [yaml.safe_load(v) for v in args.values.split(",")]
-    out_root = args.out or base.output.dir or "sweep"
-    rows = []
-    for value in values:
+    runs = []    # every value is parsed and checked before any runs
+    for raw in args.values.split(","):
+        try:
+            value = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            print(f"config error at {args.param}={raw}: {exc}", file=sys.stderr)
+            return 1
         cfg = copy.deepcopy(base)
         _override(cfg, args.param, value)
         if args.seed is not None:
@@ -86,6 +89,10 @@ def cmd_sweep(args):
         cfg.name = f"{base.name}-{args.param}-{value}"
         if _invalid(cfg, f" at {args.param}={value}"):
             return 1
+        runs.append((value, cfg))
+    out_root = args.out or base.output.dir or "sweep"
+    rows = []
+    for value, cfg in runs:
         result = harness.run_experiment(cfg)
         sub = os.path.join(out_root, f"{args.param.replace('.', '_')}={value}")
         harness.save_run(result, sub)

@@ -441,9 +441,9 @@ def run_experiment(cfg, on_nodes=None):
     errs, tables, dcs, parts = _check_config(cfg)
     if errs:
         raise ValueError("bad config: " + "; ".join(errs))
-    bandwidth, costs = tables
+    (_, matrix), costs = tables
     data = _build_data(cfg, parts)
-    sim, nodes = _build_nodes(cfg, data, bandwidth, dcs)
+    sim, nodes = _build_nodes(cfg, data, matrix, dcs)
     rows, conv, scout = _hook_rows(cfg, data, nodes, costs)
     if on_nodes is not None:
         on_nodes(nodes, sim)
@@ -507,16 +507,16 @@ def _build_data(cfg, parts):
                  probe_metric, relative_al)
 
 
-def _build_nodes(cfg, data, bandwidth, dcs):
-    """Step 2: the simulator on the configured WAN, and one node per
-    partition, of the class that runs the algorithm kind and with the budget
-    it declares."""
+def _build_nodes(cfg, data, matrix, dcs):
+    """Step 2: the simulator on the configured WAN (a link per ordered pair
+    of distinct DCs), and one node per partition, of the class that runs the
+    algorithm kind and with the budget it declares."""
     acfg, tcfg, seed = cfg.algorithm, cfg.topology, cfg.seed
-    topology = wansim.build_topology(dcs, bandwidth=bandwidth,
-                                     latency_s=tcfg.latency_s)
+    links = {(src, dst): (matrix[src, dst], tcfg.latency_s)
+             for src in dcs for dst in dcs if src != dst}
     compute_s = tcfg.compute_s
     hubs = {(int(gi), int(gj)): dc for gi, gj, dc in tcfg.hubs}
-    sim = wansim.Simulator(topology, tcfg.groups, hubs, cfg.output.trace)
+    sim = wansim.Simulator(dcs, links, tcfg.groups, hubs, cfg.output.trace)
     streams = [
         MinibatchStream(part, min(acfg.batch_size, part.size),
                         seed_stream(seed, "node", str(i), "batches"))
@@ -635,7 +635,7 @@ def _cost_now(sim, costs):
     """The cost so far: every DC's machine time up to the simulator's clock,
     in DC order, and the traffic in the ledger, at the cost table's rates."""
     return wansim.account_cost(sim.ledger, costs,
-                               dict.fromkeys(sim.topology.dcs, sim.now))
+                               dict.fromkeys(sim.dcs, sim.now))
 
 
 def _settle(cfg, sim, costs, nodes, rows, conv, scout):

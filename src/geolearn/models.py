@@ -310,7 +310,7 @@ def _norm(layer, x, mode, update_stats, keep):
 
     x is overwritten with xhat, and with y as well unless keep asks for the
     cache (then y is a new array). For BatchNorm in train mode the running
-    statistics are updated unless update_stats is False. Train mode
+    statistics are updated when update_stats is true. Train mode
     requires at least two samples for a meaningful batch variance."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -321,7 +321,7 @@ def _norm(layer, x, mode, update_stats, keep):
         # statistics per channel, over the batch (eval: the running ones)
         xs, axis, count = x, 0, n
         running = mode == "eval"
-        track = not running and (update_stats is None or update_stats)
+        track = not running and update_stats
     elif isinstance(layer, GroupNorm):
         if c % layer.group_size != 0:
             raise ValueError(

@@ -152,7 +152,7 @@ class ScoutController:
         self.boundary += 1
         self._pending[self.boundary] = []
         self._expected = 0
-        dcs = sim.topology.dcs
+        dcs = sim.dcs
         for i, src_node in enumerate(sim.nodes.values()):
             tgt = dcs[(i + 1) % len(dcs)]
             if tgt == src_node.name:

@@ -1,6 +1,7 @@
 """Deterministic discrete-event simulator for traffic between data centers.
 
-Links are single-server queues: a message offered to a busy link waits, a
+A WAN is its DC names plus a (bandwidth, latency) per directed link. Links
+are single-server queues: a message offered to a busy link waits, a
 control-class message (barriers, clocks) is always dequeued before any
 queued data-class message, and nothing preempts a transmission already in
 flight. Delivery time for a message that starts service at s is
@@ -106,20 +107,6 @@ class Message:
             self.nbytes = split_nbytes(self.byte_split)
 
 
-@dataclass
-class LinkSpec:
-    src: str
-    dst: str
-    bandwidth: float          # bytes / second
-    latency: float            # seconds
-
-    def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive on {self.src}->{self.dst}")
-        if self.latency < 0:
-            raise ValueError(f"negative latency on {self.src}->{self.dst}")
-
-
 class _Channel:
     """Runtime queue state of one directed link.
 
@@ -138,11 +125,15 @@ class _Channel:
                  "in_flight", "busy_until", "free_seq", "free_scheduled",
                  "sent_bytes", "delivered_bytes")
 
-    def __init__(self, spec):
-        self.key = (spec.src, spec.dst)
+    def __init__(self, key, bandwidth, latency):
+        if bandwidth <= 0:
+            raise ValueError(f"bandwidth must be positive on {key[0]}->{key[1]}")
+        if latency < 0:
+            raise ValueError(f"negative latency on {key[0]}->{key[1]}")
+        self.key = key
         self.node = None
-        self.bandwidth = spec.bandwidth
-        self.latency = spec.latency
+        self.bandwidth = bandwidth
+        self.latency = latency
         self.control = deque()
         self.data = deque()
         self.in_flight = deque()
@@ -156,21 +147,6 @@ class _Channel:
         if self.control:
             return self.control.popleft()
         return self.data.popleft()
-
-
-@dataclass
-class Topology:
-    """Named data centers and directed link specs; prices live only in the
-    cost table (see account_cost)."""
-
-    dcs: list
-    links: dict                      # (src, dst) -> LinkSpec
-
-    def link(self, src, dst):
-        try:
-            return self.links[(src, dst)]
-        except KeyError:
-            raise KeyError(f"no link configured from {src} to {dst}")
 
 
 class CostLedger:
@@ -233,6 +209,9 @@ class Simulator:
     """Event loop owning simulated time, channels, and the cost ledger; a
     broadcast is one send with its hops().
 
+    The WAN is dcs, the DC names in order, and links, which maps each
+    directed (src, dst) pair to its (bandwidth B/s, latency s) channel.
+
     Routing: groups partition the DCs (by default one group of every DC),
     and hubs maps a (from_group, to_group) index pair to the member of
     to_group that receives on behalf of its group. The config check
@@ -248,9 +227,9 @@ class Simulator:
     gate_trace stays empty and no node reads another node's state.
     """
 
-    def __init__(self, topology, groups=(), hubs=None, trace=False):
-        self.topology = topology
-        self.groups = groups or (topology.dcs,)
+    def __init__(self, dcs, links, groups=(), hubs=None, trace=False):
+        self.dcs = tuple(dcs)
+        self.groups = groups or (self.dcs,)
         self._group_of = {dc: gi for gi, group in enumerate(self.groups)
                           for dc in group}
         self.hubs = hubs or {}
@@ -260,9 +239,8 @@ class Simulator:
         self._seq = 0
         self._event_seq = -1      # sequence of the event being processed
         self.nodes = {}
-        self.channels = {
-            key: _Channel(spec) for key, spec in topology.links.items()
-        }
+        self.channels = {key: _Channel(key, bandwidth, latency)
+                         for key, (bandwidth, latency) in links.items()}
         self._hops = {}           # (src, origin) -> [(channel, needs_forward)]
         self.ledger = CostLedger()
         self.gate_trace = []
@@ -277,8 +255,10 @@ class Simulator:
         self._seq += 1
 
     def _channel(self, src, dst):
-        self.topology.link(src, dst)          # a missing link raises here
-        return self.channels[(src, dst)]
+        try:
+            return self.channels[(src, dst)]
+        except KeyError:
+            raise KeyError(f"no link configured from {src} to {dst}") from None
 
     def hops(self, src, origin):
         """(channel, needs_forward) of each copy src sends of origin's
@@ -460,30 +440,3 @@ def default_costs():
     """The packaged cost table, parsed once: read-only {region: CostRates}."""
     with resources.files("geolearn").joinpath("data_files/region_costs.csv").open() as fh:
         return MappingProxyType(load_cost_csv(fh))
-
-
-def build_topology(dc_names, bandwidth=None, latency_s=0.05):
-    """Assemble a Topology for the named DCs from a bandwidth matrix.
-
-    Links join each ordered pair of distinct DCs; no node sends to its own.
-    bandwidth defaults to the packaged table. latency_s is one latency for
-    every WAN link. Prices stay in the cost table.
-    """
-    if bandwidth is None:
-        names, matrix = default_bandwidth()
-    else:
-        names, matrix = bandwidth
-    missing = [dc for dc in dc_names if dc not in names]
-    if missing:
-        raise ValueError(f"data centers missing from bandwidth matrix: {missing}")
-    links = {}
-    for src in dc_names:
-        for dst in dc_names:
-            if src == dst:
-                continue
-            links[(src, dst)] = LinkSpec(
-                src=src, dst=dst,
-                bandwidth=matrix[(src, dst)],
-                latency=latency_s,
-            )
-    return Topology(dcs=list(dc_names), links=links)

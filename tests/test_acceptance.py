@@ -446,8 +446,11 @@ def test_09_fedavg_exactness():
 
 
 def test_10_cost_ledger():
-    topo = wansim.build_topology(["virginia", "saopaulo"])
-    sim = wansim.Simulator(topo)
+    dcs = ["virginia", "saopaulo"]
+    _, bandwidth = wansim.default_bandwidth()
+    latency = TopoCfg().latency_s
+    sim = wansim.Simulator(dcs, {(a, b): (bandwidth[a, b], latency)
+                                 for a in dcs for b in dcs if a != b})
     sim.send(wansim.Message(
         kind=wansim.KIND_UPDATE, src="virginia", dst="saopaulo",
         byte_split={wansim.KIND_UPDATE: 5_000_000_000}, payload=None,

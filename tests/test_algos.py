@@ -102,13 +102,8 @@ def test_dgc_select_nan_ranks_last_and_inf_first():
 
 
 def _mesh_sim(names, trace=True):
-    links = {}
-    for s in names:
-        for d in names:
-            if s != d:
-                links[(s, d)] = wansim.LinkSpec(s, d, 1e7, 0.001)
-    return wansim.Simulator(wansim.Topology(dcs=list(names), links=links),
-                            trace=trace)
+    links = {(s, d): (1e7, 0.001) for s in names for d in names if s != d}
+    return wansim.Simulator(names, links, trace=trace)
 
 
 def _spawn(algo, names, budget, seed=5, batch=10, per_class=30, features=3,

@@ -905,6 +905,24 @@ def test_cli_sweep(tmp_path, capsys):
     assert int(rows[0]["update_bytes"]) >= int(rows[1]["update_bytes"])
 
 
+@pytest.mark.parametrize("param, values, error", [
+    ("algorithm.t0", "[1", "config error at algorithm.t0=[1: "),
+    ("partition.nodes", "3,x", "config error at partition.nodes=x: "
+                               "partition.nodes must be an integer, got 'x'"),
+])
+def test_cli_sweep_checks_every_value_before_running_any(tmp_path, capsys,
+                                                         param, values, error):
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", _write_cfg(tmp_path),
+                     "--param", param, "--values", values, "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert error in captured.err
+    # no value ran, and nothing was written
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_override_resolution():
     cfg = ExperimentConfig()
     cli._override(cfg, "algorithm.t0", 0.2)

@@ -137,7 +137,7 @@ def _hard_thresholds(decay, lr, knob_at=None, theta=None):
     """t_hard after each of a lone Gaia node's 12 iterations over 60 samples
     in batches of 10 (t0 0.02, the lr section lr); set_knob(theta) runs after
     iteration knob_at."""
-    sim = wansim.Simulator(wansim.Topology(dcs=["a"], links={}))
+    sim = wansim.Simulator(["a"], {})
     data = gen_cluster_data(2, 3, 30, spread=1.0, seed=5)
     node = GaiaNode(
         name="a", index=0, model=SoftmaxModel(3, 2),

@@ -137,12 +137,8 @@ class _StubNode:
 
 
 def _ring_sim(names=("a", "b")):
-    links = {}
-    for s in names:
-        for d in names:
-            if s != d:
-                links[(s, d)] = wansim.LinkSpec(s, d, 1e6, 0.001)
-    return wansim.Simulator(wansim.Topology(dcs=list(names), links=links))
+    return wansim.Simulator(names, {(s, d): (1e6, 0.001) for s in names
+                                    for d in names if s != d})
 
 
 def _controller(sim, nodes, metric_by_index, grid=(0.1, 0.2, 0.3), mtp=1,
@@ -195,7 +191,7 @@ def test_controller_honors_travel_period():
 
 
 def test_controller_single_dc_has_nowhere_to_travel():
-    sim = wansim.Simulator(wansim.Topology(dcs=["a"], links={}))
+    sim = wansim.Simulator(["a"], {})
     node = _StubNode("a", 0, [1.0])
     sim.register("a", node)
     ctl = _controller(sim, [node], metric_by_index={0: 1.0})

@@ -6,12 +6,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from geolearn.harness import TopoCfg, config_from_dict, run_experiment
 from geolearn.wansim import (_PRIORITY, BYTE_KINDS, CLOCK_BYTES, CONTROL,
                              DATA, CostRates, GB,
                              KIND_BARRIER, KIND_CLOCK, KIND_TRAVEL,
-                             KIND_UPDATE, LinkSpec, Message,
-                             Simulator, Topology, account_cost,
-                             barrier_bytes, build_topology,
+                             KIND_UPDATE, Message, Simulator,
+                             account_cost, barrier_bytes,
                              default_bandwidth, default_costs,
                              dense_update_bytes, load_bandwidth_csv,
                              load_cost_csv, sparse_update_bytes,
@@ -61,11 +61,11 @@ def test_split_nbytes_checks_once_for_every_copy():
         Message("gossip", "a", "b", split, nbytes=104)
 
 
-def test_linkspec_validation():
-    with pytest.raises(ValueError):
-        LinkSpec(src="a", dst="b", bandwidth=0.0, latency=0.1)
-    with pytest.raises(ValueError):
-        LinkSpec(src="a", dst="b", bandwidth=1.0, latency=-0.1)
+def test_simulator_rejects_a_bad_link():
+    with pytest.raises(ValueError, match="bandwidth must be positive on a->b"):
+        Simulator(["a", "b"], {("a", "b"): (0.0, 0.1)})
+    with pytest.raises(ValueError, match="negative latency on a->b"):
+        Simulator(["a", "b"], {("a", "b"): (1.0, -0.1)})
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +84,13 @@ class _Recorder:
         self.wakes.append(sim.now)
 
 
+def _one_link(bandwidth=100.0, latency=0.5):
+    """(dcs, links) of a WAN with one link, a->b."""
+    return ["a", "b"], {("a", "b"): (bandwidth, latency)}
+
+
 def _one_link_sim(bandwidth=100.0, latency=0.5):
-    topo = Topology(dcs=["a", "b"],
-                    links={("a", "b"): LinkSpec("a", "b", bandwidth, latency)})
-    sim = Simulator(topo)
+    sim = Simulator(*_one_link(bandwidth, latency))
     sink = _Recorder()
     sim.register("b", sink)
     return sim, sink
@@ -139,11 +142,9 @@ def test_fifo_within_a_priority_class():
 
 def test_send_requires_a_configured_link():
     sim, _ = _one_link_sim()
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="no link configured from b to a"):
         sim.send(Message(kind=KIND_UPDATE, src="b", dst="a",
                          byte_split={KIND_UPDATE: 8}))
-    with pytest.raises(KeyError):
-        sim.topology.link("b", "a")
 
 
 def test_wake_and_past_scheduling():
@@ -167,10 +168,10 @@ def test_run_counts_events_until_the_heap_drains():
 
 
 def _one_link_pair(messages, bandwidth=100.0, latency=0.5):
-    """_one_link_sim and the oracle on its topology, each sent messages and
-    run: (simulator, its sink, oracle)."""
+    """_one_link_sim and the oracle on its WAN, each sent messages and run:
+    (simulator, its sink, oracle)."""
     sim, sink = _one_link_sim(bandwidth, latency)
-    oracle = _EagerSimulator(sim.topology)
+    oracle = _EagerSimulator(*_one_link(bandwidth, latency))
     oracle.nodes["b"] = _Recorder()
     for msg in messages:
         sim.send(msg)
@@ -272,12 +273,12 @@ class _EagerSimulator:
     a copy of the message on each hop.
     """
 
-    def __init__(self, topology, groups=(), hubs=None):
+    def __init__(self, dcs, links, groups=(), hubs=None):
         self.now, self._heap, self._seq, self.nodes = 0.0, [], 0, {}
-        self.channels = {key: [spec, deque(), deque(), 0.0, None]
-                         for key, spec in topology.links.items()}
+        self.channels = {key: [link, deque(), deque(), 0.0, None]
+                         for key, link in links.items()}
         self.sent, self.delivered = {}, {}
-        self._router = Simulator(topology, groups, hubs)
+        self._router = Simulator(dcs, links, groups, hubs)
 
     def _push(self, time, kind, data):
         heapq.heappush(self._heap, (time, self._seq, kind, data))
@@ -302,14 +303,14 @@ class _EagerSimulator:
                 self._start_service(channel)
 
     def _start_service(self, channel):
-        spec, control, data, busy_until, _ = channel
+        (bandwidth, latency), control, data, busy_until, _ = channel
         if not control and not data:
             return
         key, msg = control.popleft() if control else data.popleft()
-        channel[3] = max(self.now, busy_until) + msg.nbytes / spec.bandwidth
+        channel[3] = max(self.now, busy_until) + msg.nbytes / bandwidth
         channel[4] = msg
         self._push(channel[3], "free", channel)
-        self._push(channel[3] + spec.latency, "deliver", (key, msg))
+        self._push(channel[3] + latency, "deliver", (key, msg))
 
     def run(self):
         while self._heap:
@@ -360,16 +361,15 @@ def _row_cost(oracle, machine_seconds, rates):
 _DCS = ("a", "b", "c")
 
 
-def _lab_topology():
+def _lab_wan():
     # bandwidths and latencies are binary fractions, so events often tie
     # exactly; a->b has no latency, so a delivery can tie a free event
     links = {}
     for i, src in enumerate(_DCS):
         for j, dst in enumerate(_DCS):
             latency = 0.0 if (src, dst) == ("a", "b") else 0.25 * ((i + j) % 3)
-            links[(src, dst)] = LinkSpec(src, dst, 100.0 * (1 + i % 2),
-                                         latency)
-    return Topology(dcs=list(_DCS), links=links)
+            links[(src, dst)] = (100.0 * (1 + i % 2), latency)
+    return _DCS, links
 
 
 class _Script:
@@ -430,7 +430,7 @@ def test_event_loop_matches_the_eager_free_event_oracle(initial, wakes,
     wakes = sorted(wakes, key=lambda w: w[0])    # stable: ties keep order
     runs = []
     for make in (Simulator, _EagerSimulator):
-        sim = make(_lab_topology())
+        sim = make(*_lab_wan())
         script = _Script(replies, wakes)
         for dc in _DCS:
             sim.nodes[dc] = _ScriptedNode(dc, script)
@@ -450,9 +450,7 @@ def test_event_loop_matches_the_eager_free_event_oracle(initial, wakes,
 
 
 def test_account_cost_hand_oracle():
-    topo = Topology(dcs=["east", "west"], links={
-        ("east", "west"): LinkSpec("east", "west", 1e9, 0.0)})
-    sim = Simulator(topo)
+    sim = Simulator(["east", "west"], {("east", "west"): (1e9, 0.0)})
     sim.send(Message(kind=KIND_UPDATE, src="east", dst="west",
                      byte_split={KIND_UPDATE: int(2 * GB)}))
     sim.run()
@@ -471,8 +469,7 @@ def test_account_cost_hand_oracle():
 
 
 def _mesh(dcs):
-    return Topology(dcs=dcs, links={(a, b): LinkSpec(a, b, 100.0, 0.25)
-                                    for a in dcs for b in dcs if a != b})
+    return dcs, {(a, b): (100.0, 0.25) for a in dcs for b in dcs if a != b}
 
 
 def _keys(hops):
@@ -481,14 +478,14 @@ def _keys(hops):
 
 def test_broadcast_without_plan_is_direct():
     # without groups a broadcast goes straight to every other DC, unflagged
-    sim = Simulator(_mesh(["a", "b", "c"]))
+    sim = Simulator(*_mesh(["a", "b", "c"]))
     assert _keys(sim.hops("a", "a")) == [("b", False), ("c", False)]
     assert _keys(sim.hops("b", "b")) == [("a", False), ("c", False)]
 
 
 def test_broadcast_and_forward_hops_oracle():
     dcs = ["a", "b", "c", "d"]
-    sim = Simulator(_mesh(dcs), groups=(("a", "b"), ("c", "d")),
+    sim = Simulator(*_mesh(dcs), groups=(("a", "b"), ("c", "d")),
                     hubs={(0, 1): "c", (1, 0): "a"})
     # in-group peer direct, one flagged copy to the remote group's hub
     assert _keys(sim.hops("a", "a")) == [("b", False), ("c", True)]
@@ -520,7 +517,7 @@ def _overlays(draw):
 @given(overlay=_overlays())
 def test_overlay_reaches_every_dc_exactly_once(overlay):
     dcs, groups, hubs = overlay
-    sim = Simulator(_mesh(dcs), groups, hubs)
+    sim = Simulator(*_mesh(dcs), groups, hubs)
     group_of = {dc: gi for gi, group in enumerate(groups or [dcs])
                 for dc in group}
     for src in dcs:
@@ -559,8 +556,8 @@ class _HopLog:
                              st.integers(0, 300), min_size=1))
 def test_a_broadcast_is_sent_once_on_each_of_its_hops(overlay, split):
     dcs, groups, hubs = overlay
-    sim = Simulator(_mesh(dcs), groups, hubs)
-    oracle = _EagerSimulator(_mesh(dcs), groups, hubs)
+    sim = Simulator(*_mesh(dcs), groups, hubs)
+    oracle = _EagerSimulator(*_mesh(dcs), groups, hubs)
     log, oracle_log = [], []
     for dc in dcs[1:]:           # dcs[0] has no node: its copies are dropped
         sim.register(dc, _HopLog(dc, log))
@@ -588,10 +585,9 @@ def test_a_broadcast_is_sent_once_on_each_of_its_hops(overlay, split):
 def _uneven_mesh(dcs):
     # bandwidths and latencies vary by link, so links deliver in an order
     # other than the one they were first sent on
-    return Topology(dcs=dcs, links={
-        (a, b): LinkSpec(a, b, 100.0 * (1 + (i + 2 * j) % 3),
-                         0.25 * ((i + j) % 2))
-        for i, a in enumerate(dcs) for j, b in enumerate(dcs) if a != b})
+    return dcs, {
+        (a, b): (100.0 * (1 + (i + 2 * j) % 3), 0.25 * ((i + j) % 2))
+        for i, a in enumerate(dcs) for j, b in enumerate(dcs) if a != b}
 
 
 class _Relay:
@@ -632,7 +628,7 @@ def test_account_cost_is_the_per_kind_rows_sum_bit_for_bit(overlay, data):
                              data.draw(_price)) for name in dcs}
     runs = []
     for make in (Simulator, _EagerSimulator):
-        sim = make(_uneven_mesh(dcs), groups, hubs)
+        sim = make(*_uneven_mesh(dcs), groups, hubs)
         for name in dcs:
             sim.nodes[name] = _Relay(name, [
                 (None if dst == src else dst, split)
@@ -660,7 +656,7 @@ def test_a_message_to_a_dc_without_a_node_is_metered_then_dropped():
     assert sim.ledger.sent_bytes(KIND_UPDATE) == 100
     assert sink.inbox == []
     # the oracle meters and drops the same copy
-    oracle = _EagerSimulator(sim.topology)
+    oracle = _EagerSimulator(*_one_link())
     oracle.send(_update("lost", 100))
     oracle.run()
     _assert_ledger_sums_the_rows(sim, oracle)
@@ -711,16 +707,14 @@ def test_packaged_tables_frozen_values():
     assert matrix[("saopaulo", "virginia")] == 140 * 125_000.0
 
 
-def test_build_topology_wiring():
-    topo = build_topology(["virginia", "saopaulo"])
-    wan = topo.link("virginia", "saopaulo")
-    assert wan.bandwidth == 140 * 125_000.0
-    assert wan.latency == 0.05
+def test_default_run_wires_both_directions():
+    result = run_experiment(config_from_dict(
+        {"topology": {"dcs": ["virginia", "saopaulo"]}}))
+    channels = result.sim.channels
+    assert result.sim.dcs == ("virginia", "saopaulo")
+    for key in (("virginia", "saopaulo"), ("saopaulo", "virginia")):
+        assert channels[key].bandwidth == 140 * 125_000.0
+        assert channels[key].latency == TopoCfg().latency_s == 0.05
     # no node sends to its own DC, so no DC links to itself
-    assert sorted(topo.links) == [("saopaulo", "virginia"),
-                                  ("virginia", "saopaulo")]
-
-
-def test_build_topology_rejects_unknown_dc():
-    with pytest.raises(ValueError):
-        build_topology(["virginia", "atlantis"])
+    assert sorted(channels) == [("saopaulo", "virginia"),
+                                ("virginia", "saopaulo")]
