@@ -17,7 +17,7 @@ def factorization_cfg(algo):
         "name": f"mf-{algo['kind']}",
         "seed": 5,
         "model": {"kind": "mf", "rows": 100, "cols": 80, "rank": 5},
-        "data": {"kind": "mf", "density": 0.25, "noise_sigma": 0.05},
+        "data": {"density": 0.25, "noise_sigma": 0.05},
         "partition": {"nodes": 2},
         "algorithm": {"kind": "bsp", "batch_size": 50, "epochs": 60,
                       "momentum": 0.0, "lr": {"eta0": 0.05}},

@@ -23,7 +23,7 @@ def gated_cfg(mechanisms_on):
         "name": "gates-on" if mechanisms_on else "gates-off",
         "seed": 9,
         "model": {"kind": "mf", "rows": 20, "cols": 20, "rank": 3},
-        "data": {"kind": "mf", "density": 0.5, "noise_sigma": 0.05},
+        "data": {"density": 0.5, "noise_sigma": 0.05},
         "partition": {"nodes": 2},
         "algorithm": {"kind": "gaia", "batch_size": 10, "epochs": 20,
                       "lr": {"eta0": 0.008}, "t0": 1e-3, "ds": 1,

@@ -76,12 +76,20 @@ def cmd_sweep(args):
     if base is None:
         return 1
     runs = []    # every value is parsed and checked before any runs
+    raw_by_sub = {}
     for raw in args.values.split(","):
         try:
-            value = yaml.safe_load(raw)
+            value = harness.parse_yaml(raw)
         except yaml.YAMLError as exc:
             print(f"config error at {args.param}={raw}: {exc}", file=sys.stderr)
             return 1
+        sub = f"{args.param.replace('.', '_')}={value}"
+        if sub in raw_by_sub:
+            print(f"config error at {args.param}: values {raw_by_sub[sub]!r} "
+                  f"and {raw!r} both name the run directory {sub}",
+                  file=sys.stderr)
+            return 1
+        raw_by_sub[sub] = raw
         cfg = copy.deepcopy(base)
         _override(cfg, args.param, value)
         if args.seed is not None:
@@ -89,13 +97,12 @@ def cmd_sweep(args):
         cfg.name = f"{base.name}-{args.param}-{value}"
         if _invalid(cfg, f" at {args.param}={value}"):
             return 1
-        runs.append((value, cfg))
+        runs.append((value, sub, cfg))
     out_root = args.out or base.output.dir or "sweep"
     rows = []
-    for value, cfg in runs:
+    for value, sub, cfg in runs:
         result = harness.run_experiment(cfg)
-        sub = os.path.join(out_root, f"{args.param.replace('.', '_')}={value}")
-        harness.save_run(result, sub)
+        harness.save_run(result, os.path.join(out_root, sub))
         row = {"value": value}
         row.update(result.summary)
         rows.append(row)

@@ -23,6 +23,7 @@ import math
 import numbers
 import operator
 import os
+import re
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
@@ -77,7 +78,6 @@ class ModelCfg:
 
 @dataclass
 class DataCfg:
-    kind: str = _f("blobs", choices=("mf", "blobs"))
     density: float = _f(0.3, gt=0, le=1)         # mf
     noise_sigma: float = _f(0.1, ge=0)
     per_class: int = _f(200, ge=1)   # blobs
@@ -194,9 +194,27 @@ def config_from_dict(raw):
     return ExperimentConfig(**raw)
 
 
+class _YamlLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, which follows YAML 1.1 and so reads a number
+    whose exponent has no dot before it or no sign (5e-2, 1e3, 2.5e3) as a
+    string; this one reads it as a float, as YAML 1.2 does."""
+
+
+_YamlLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
+def parse_yaml(stream):
+    """The YAML document in stream (a string or an open file), read by
+    _YamlLoader: configs and sweep values both go through it."""
+    return yaml.load(stream, Loader=_YamlLoader)
+
+
 def load_config(path):
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        raw = parse_yaml(fh)
     if raw is not None and not isinstance(raw, dict):
         raise ValueError(f"the top level of {path} must be a mapping, "
                          f"got {type(raw).__name__}")
@@ -283,10 +301,6 @@ def _check_config(cfg):
         return errs, None, None, None
     m, d, p, a, s, t = (cfg.model, cfg.data, cfg.partition, cfg.algorithm,
                         cfg.scout, cfg.topology)
-    if m.kind == "mf" and d.kind != "mf":
-        errs.append("factorization model needs data kind 'mf'")
-    if m.kind != "mf" and d.kind != "blobs":
-        errs.append(f"{m.kind} model needs data kind 'blobs'")
     if m.kind == "mlp" and not m.hidden:
         errs.append("mlp needs at least one hidden width")
     if m.kind == "mlp" and m.norm == "group":

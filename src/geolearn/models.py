@@ -9,7 +9,10 @@ Every model exposes the same protocol over a flat float64 parameter vector:
 
 so the synchronization machinery never needs to know what it is training.
 update_stats only matters for models with running statistics (batch norm);
-the stateless models accept and ignore it.
+the stateless models accept and ignore it. The classifiers add
+predict(params, X) and accuracy(params, X, y). A batch-norm MLP normalizes
+by the batch's statistics in objective and loss_and_grad (train mode) and
+by its running statistics in predict and accuracy (eval mode).
 
 Gradients are hand-derived and are expected to pass the central-difference
 oracle in numerics.grad_check below 1e-4. Means, sums and maxima call
@@ -257,134 +260,10 @@ class SoftmaxModel:
 
 
 # ---------------------------------------------------------------------------
-# normalization layers
+# tiny MLP
 
 EPS_NORM = 1e-5
 RUNNING_RHO = 0.1
-
-
-@dataclass
-class BatchNorm:
-    """Per-channel batch normalization with running eval statistics.
-
-    Train mode normalizes by the current batch's mean/variance and folds the
-    batch statistics into the running ones with weight rho:
-        running = (1 - rho) * running + rho * batch.
-    Eval mode normalizes by the running statistics.
-    """
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    rho: float = RUNNING_RHO
-    eps: float = EPS_NORM
-
-
-@dataclass
-class GroupNorm:
-    """Normalization over groups of adjacent channels, per sample.
-
-    The statistics never depend on the rest of the batch, which is the whole
-    point: skewed minibatch composition cannot leak into the normalizer.
-    """
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    group_size: int
-    eps: float = EPS_NORM
-
-
-@dataclass
-class _NormCache:
-    layer: object
-    mode: str
-    xhat: np.ndarray
-    inv_std: np.ndarray
-
-
-def _norm(layer, x, mode, update_stats, keep):
-    """Run a normalization layer on a C-contiguous float64 x (batch x
-    channels) that the caller owns; (y, cache), the cache for norm_backward
-    or None.
-
-    x is overwritten with xhat, and with y as well unless keep asks for the
-    cache (then y is a new array). For BatchNorm in train mode the running
-    statistics are updated when update_stats is true. Train mode
-    requires at least two samples for a meaningful batch variance."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    n, c = x.shape
-    if isinstance(layer, BatchNorm):
-        if mode == "train" and n < 2:
-            raise ValueError("batch normalization needs batch size >= 2 in train mode")
-        # statistics per channel, over the batch (eval: the running ones)
-        xs, axis, count = x, 0, n
-        running = mode == "eval"
-        track = not running and update_stats
-    elif isinstance(layer, GroupNorm):
-        if c % layer.group_size != 0:
-            raise ValueError(
-                f"channels {c} not divisible by group size {layer.group_size}"
-            )
-        # statistics per (sample, group), over the group's channels
-        count = layer.group_size
-        xs, axis = x.reshape(n, c // count, count), 2
-        running = track = False
-    else:
-        raise TypeError(f"unknown normalization layer {type(layer).__name__}")
-    if running:
-        xs -= layer.running_mean
-        var = layer.running_var
-    else:
-        # numpy's mean and var: sum / count of x, then of the squared
-        # deviations from that mean, which are also xhat's numerator
-        mean = np.add.reduce(xs, axis=axis, keepdims=True)
-        mean /= count
-        if track:
-            layer.running_mean = ((1.0 - layer.rho) * layer.running_mean
-                                  + layer.rho * mean[0])
-        xs -= mean
-        del mean          # batch x groups under group norm: free it first
-        var = np.add.reduce(np.square(xs), axis=axis, keepdims=True)
-        var /= count
-        if track:
-            layer.running_var = ((1.0 - layer.rho) * layer.running_var
-                                 + layer.rho * var[0])
-    inv_std = var + layer.eps
-    np.sqrt(inv_std, out=inv_std)
-    np.divide(1.0, inv_std, out=inv_std)
-    xs *= inv_std
-    y = np.multiply(x, layer.gamma, out=None if keep else x)
-    y += layer.beta
-    return y, _NormCache(layer, mode, x, inv_std) if keep else None
-
-
-def norm_backward(layer, cache, dy):
-    """Gradients (dx, dgamma, dbeta) for a cached _norm call."""
-    if cache.layer is not layer or dy.shape != cache.xhat.shape:
-        raise ValueError("stale or mismatched normalization cache")
-    dy = np.asarray(dy, dtype=np.float64)
-    dgamma = np.add.reduce(dy * cache.xhat, axis=0)
-    dbeta = np.add.reduce(dy, axis=0)
-    if isinstance(layer, BatchNorm):
-        if cache.mode == "eval":
-            dx = dy * layer.gamma * cache.inv_std
-            return dx, dgamma, dbeta
-        count = dy.shape[0]
-        dxhat, xhat, axis = dy * layer.gamma, cache.xhat, 0
-    else:
-        # group norm: identical algebra per (sample, group) slab
-        n, c = dy.shape
-        count = layer.group_size
-        dxhat = (dy * layer.gamma).reshape(n, c // count, count)
-        xhat, axis = cache.xhat.reshape(dxhat.shape), 2
-    dx = (cache.inv_std / count) * (
-        count * dxhat
-        - np.add.reduce(dxhat, axis=axis, keepdims=True)
-        - xhat * np.add.reduce(dxhat * xhat, axis=axis, keepdims=True)
-    )
-    return dx.reshape(dy.shape), dgamma, dbeta
 
 
 def stat_divergence(mu_a, mu_b):
@@ -401,17 +280,24 @@ def stat_divergence(mu_a, mu_b):
     return float(np.linalg.norm(mu_a - mu_b)) / denom
 
 
-# ---------------------------------------------------------------------------
-# tiny MLP
-
-
 class TinyMLP:
     """Fully-connected ReLU network with optional per-hidden-layer norm.
 
     layer_sizes = [in, h1, ..., out]; norm is "none", "batch", or "group"
-    and is applied to each hidden layer's pre-activation. Batch-norm running
-    statistics live on the model instance (one per node after clone()), not
-    in the parameter vector, mirroring how they travel in real systems.
+    and is applied to each hidden layer's pre-activation, with a gamma and
+    a beta per channel in the parameter vector.
+
+    Batch norm normalizes each channel by the batch's mean and variance in
+    train mode, which objective and loss_and_grad run in, and by running
+    statistics in eval mode, which predict and accuracy run in. The running
+    statistics live on the model instance (bn_stats, one per node after
+    clone()), not in the parameter vector, mirroring how they travel in
+    real systems; loss_and_grad(update_stats=True) folds each batch's
+    statistics into them with weight RUNNING_RHO:
+        running = (1 - rho) * running + rho * batch.
+    Group norm normalizes each sample over groups of group_size adjacent
+    channels, in both modes: its statistics never depend on the rest of the
+    batch, so skewed minibatch composition cannot leak into the normalizer.
     """
 
     def __init__(self, layer_sizes, norm="none", group_size=2):
@@ -462,19 +348,78 @@ class TinyMLP:
             params[self._slices["beta"][li]] = 0.0
         return params
 
-    def _norm_layer(self, params, li):
-        gamma = params[self._slices["gamma"][li]]
-        beta = params[self._slices["beta"][li]]
-        if self.norm == "batch":
-            stats = self.bn_stats[li]
-            return BatchNorm(
-                gamma=gamma, beta=beta,
-                running_mean=stats["mean"], running_var=stats["var"],
-            )
-        return GroupNorm(gamma=gamma, beta=beta, group_size=self.group_size)
+    def _norm(self, params, li, x, train, update_stats, keep):
+        """Normalize hidden layer li's pre-activation x, a C-contiguous
+        float64 batch x channels array that the caller owns; (y, cache),
+        the cache (xhat, inv_std) for _norm_backward or None.
 
-    def _forward(self, params, X, mode, update_stats, caches=None):
-        """Logits of X (batch x features).
+        x is overwritten with xhat, and with y as well unless keep asks for
+        the cache (then y is a new array). Batch norm in train mode needs at
+        least two samples for a meaningful batch variance."""
+        n, c = x.shape
+        if self.norm == "batch":
+            if train and n < 2:
+                raise ValueError("batch normalization needs batch size >= 2 in train mode")
+            # statistics per channel, over the batch (eval: the running ones)
+            xs, axis, count = x, 0, n
+        else:
+            # statistics per (sample, group), over the group's channels
+            count = self.group_size
+            xs, axis = x.reshape(n, c // count, count), 2
+        stats = self.bn_stats[li]
+        if self.norm == "batch" and not train:
+            xs -= stats["mean"]
+            var = stats["var"]
+        else:
+            track = update_stats and self.norm == "batch"
+            # numpy's mean and var: sum / count of x, then of the squared
+            # deviations from that mean, which are also xhat's numerator
+            mean = np.add.reduce(xs, axis=axis, keepdims=True)
+            mean /= count
+            if track:
+                stats["mean"] = ((1.0 - RUNNING_RHO) * stats["mean"]
+                                 + RUNNING_RHO * mean[0])
+            xs -= mean
+            del mean          # batch x groups under group norm: free it first
+            var = np.add.reduce(np.square(xs), axis=axis, keepdims=True)
+            var /= count
+            if track:
+                stats["var"] = ((1.0 - RUNNING_RHO) * stats["var"]
+                                + RUNNING_RHO * var[0])
+        inv_std = var + EPS_NORM
+        np.sqrt(inv_std, out=inv_std)
+        np.divide(1.0, inv_std, out=inv_std)
+        xs *= inv_std
+        y = np.multiply(x, params[self._slices["gamma"][li]],
+                        out=None if keep else x)
+        y += params[self._slices["beta"][li]]
+        return y, (x, inv_std) if keep else None
+
+    def _norm_backward(self, params, li, cache, dy):
+        """Gradients (dx, dgamma, dbeta) of a train-mode _norm call on
+        hidden layer li, from its cache (xhat, inv_std)."""
+        xhat, inv_std = cache
+        dgamma = np.add.reduce(dy * xhat, axis=0)
+        dbeta = np.add.reduce(dy, axis=0)
+        dxhat = dy * params[self._slices["gamma"][li]]
+        if self.norm == "batch":
+            count, axis = dy.shape[0], 0
+        else:
+            # group norm: identical algebra per (sample, group) slab
+            n, c = dy.shape
+            count, axis = self.group_size, 2
+            dxhat = dxhat.reshape(n, c // count, count)
+            xhat = xhat.reshape(dxhat.shape)
+        dx = (inv_std / count) * (
+            count * dxhat
+            - np.add.reduce(dxhat, axis=axis, keepdims=True)
+            - xhat * np.add.reduce(dxhat * xhat, axis=axis, keepdims=True)
+        )
+        return dx.reshape(dy.shape), dgamma, dbeta
+
+    def _forward(self, params, X, train, update_stats=False, caches=None):
+        """Logits of X (batch x features), normalized in train mode (batch
+        statistics) or eval mode (running statistics).
 
         Given a caches list, appends one (input, W, norm cache or None,
         output) entry per layer for loss_and_grad's backward pass. Without
@@ -495,24 +440,20 @@ class TinyMLP:
                 return h
             ncache = None
             if self.norm != "none":
-                layer = self._norm_layer(params, li)
-                h, ncache = _norm(layer, h, mode, update_stats, keep)
-                if update_stats and self.norm == "batch" and mode == "train":
-                    self.bn_stats[li]["mean"] = layer.running_mean
-                    self.bn_stats[li]["var"] = layer.running_var
+                h, ncache = self._norm(params, li, h, train, update_stats, keep)
             np.maximum(h, 0.0, out=h)
             if keep:
                 caches.append((h_in, W, ncache, h))
 
-    def objective(self, params, batch, mode="train"):
+    def objective(self, params, batch):
         X, y = batch
         # a copy: W.T @ h.T is not (h @ W).T bit for bit; a view is slower
-        return _xent_loss(self._forward(params, X, mode, False).T.copy(), y)
+        return _xent_loss(self._forward(params, X, True).T.copy(), y)
 
-    def loss_and_grad(self, params, batch, mode="train", update_stats=False):
+    def loss_and_grad(self, params, batch, update_stats=False):
         X, y = batch
         caches = []
-        dz = self._forward(params, X, mode, update_stats, caches)
+        dz = self._forward(params, X, True, update_stats, caches)
         loss = _xent_head(dz, y)
         grad = np.empty_like(params)
         for li in range(self.n_hidden, -1, -1):
@@ -520,7 +461,7 @@ class TinyMLP:
             if li < self.n_hidden:
                 dz *= a > 0.0          # a = max(x, 0) > 0 exactly where x > 0
                 if ncache is not None:
-                    dz, dgamma, dbeta = norm_backward(ncache.layer, ncache, dz)
+                    dz, dgamma, dbeta = self._norm_backward(params, li, ncache, dz)
                     grad[self._slices["gamma"][li]] = dgamma
                     grad[self._slices["beta"][li]] = dbeta
             np.matmul(h_in.T, dz, out=grad[self._slices["W"][li]].reshape(W.shape))
@@ -536,11 +477,11 @@ class TinyMLP:
         b = params[self._slices["b"][0]]
         return np.asarray(X, dtype=np.float64) @ W + b
 
-    def predict(self, params, X, mode="eval"):
-        return self._forward(params, X, mode, False).argmax(axis=1)
+    def predict(self, params, X):
+        return self._forward(params, X, False).argmax(axis=1)
 
-    def accuracy(self, params, X, y, mode="eval"):
-        return _hit_rate(self.predict(params, X, mode=mode), y)
+    def accuracy(self, params, X, y):
+        return _hit_rate(self.predict(params, X), y)
 
     def touched(self, batch):
         """None: every batch reads the whole parameter vector."""

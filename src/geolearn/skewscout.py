@@ -29,18 +29,6 @@ FEDAVG_ITER_GRID = (5, 10, 20, 50, 200, 500, 1000)
 DGC_EWARM_GRID = (8, 4, 3, 2, 1)
 
 
-@dataclass
-class TravelReport:
-    boundary: int
-    source: str
-    target: str
-    local_metric: float
-    remote_metric: float
-    al_points: float
-    theta: float
-    sim_time: float
-
-
 def proxy_score(al_points, c_bytes, cm_bytes, cfg):
     """Accuracy-loss hinge plus normalized communication volume, weighed by
     the scout section cfg (sigma_al, lambda_al, lambda_c)."""
@@ -137,7 +125,6 @@ class ScoutController:
         self._bytes_mark = 0
         self.n_travels = 0
         self.trace = []          # rows for the tuner trace csv
-        self.reports = []
         for node in nodes:
             node.travel_sink = self._on_travel
             node.set_knob(self.grid[self.state.idx])
@@ -179,10 +166,6 @@ class ScoutController:
             al = (remote - local) / max(abs(local), 1e-12) * 100.0
         else:
             al = local - remote
-        self.reports.append(TravelReport(
-            boundary=boundary, source=msg.origin, target=node.name,
-            local_metric=local, remote_metric=remote, al_points=al,
-            theta=self.grid[self.state.idx], sim_time=sim.now))
         pending = self._pending.get(boundary)
         if pending is None:
             return

@@ -50,7 +50,7 @@ def _c01_cfg(kind):
     return ExperimentConfig(
         name=f"c01-{kind}", seed=11,
         model=ModelCfg(kind="mf", rows=20, cols=20, rank=3),
-        data=DataCfg(kind="mf", density=0.5, noise_sigma=0.05),
+        data=DataCfg(density=0.5, noise_sigma=0.05),
         partition=PartitionCfg(nodes=2, alpha=0.0),
         algorithm=AlgoCfg(batch_size=10, epochs=20, momentum=0.9,
                           lr={"eta0": 0.02}, **algo),
@@ -94,7 +94,7 @@ def _c02_cfg(kind):
     return ExperimentConfig(
         name=f"c02-{kind}", seed=5,
         model=ModelCfg(kind="mf", rows=100, cols=80, rank=5),
-        data=DataCfg(kind="mf", density=0.25, noise_sigma=0.05),
+        data=DataCfg(density=0.25, noise_sigma=0.05),
         partition=PartitionCfg(nodes=2, alpha=0.0),
         algorithm=AlgoCfg(batch_size=50, epochs=60, momentum=0.0,
                           lr={"eta0": 0.05}, **algo),
@@ -138,7 +138,7 @@ def _c03_cfg(mechanisms):
     return ExperimentConfig(
         name=f"c03-{'on' if mechanisms else 'off'}", seed=9,
         model=ModelCfg(kind="mf", rows=20, cols=20, rank=3),
-        data=DataCfg(kind="mf", density=0.5, noise_sigma=0.05),
+        data=DataCfg(density=0.5, noise_sigma=0.05),
         partition=PartitionCfg(nodes=2, alpha=0.0),
         algorithm=AlgoCfg(kind="gaia", batch_size=10, epochs=20, momentum=0.9,
                           lr={"eta0": 0.008}, t0=1e-3, ds=1,
@@ -191,7 +191,7 @@ def _c04_cfg(algo, alpha):
     return ExperimentConfig(
         name=f"c04-{algo}-a{alpha}", seed=21,
         model=ModelCfg(kind="softmax", features=10, classes=10),
-        data=DataCfg(kind="blobs", per_class=100, spread=1.5,
+        data=DataCfg(per_class=100, spread=1.5,
                      test_per_class=40),
         partition=PartitionCfg(nodes=5, alpha=alpha),
         algorithm=AlgoCfg(batch_size=20, epochs=15, momentum=0.9,
@@ -228,7 +228,7 @@ def _c05_cfg(alpha, seed):
     return ExperimentConfig(
         name=f"c05-a{alpha}-s{seed}", seed=seed,
         model=ModelCfg(kind="softmax", features=10, classes=10),
-        data=DataCfg(kind="blobs", per_class=100, spread=1.5,
+        data=DataCfg(per_class=100, spread=1.5,
                      test_per_class=40),
         partition=PartitionCfg(nodes=5, alpha=alpha),
         algorithm=AlgoCfg(kind="fedavg", batch_size=20, epochs=15,
@@ -291,7 +291,7 @@ def test_06_batchnorm_divergence():
 
 
 # ---------------------------------------------------------------------------
-# 7. GroupNorm shrugs off the skew that wrecks BatchNorm
+# 7. group norm shrugs off the skew that wrecks batch norm
 
 
 def _c07_cfg(norm, alpha):
@@ -299,7 +299,7 @@ def _c07_cfg(norm, alpha):
         name=f"c07-{norm}-a{alpha}", seed=7,
         model=ModelCfg(kind="mlp", features=10, classes=10, hidden=(16,),
                        norm=norm, group_size=4),
-        data=DataCfg(kind="blobs", per_class=100, spread=1.0,
+        data=DataCfg(per_class=100, spread=1.0,
                      test_per_class=40),
         partition=PartitionCfg(nodes=5, alpha=alpha),
         algorithm=AlgoCfg(kind="bsp", batch_size=20, epochs=20, momentum=0.9,
@@ -320,7 +320,7 @@ def test_07_groupnorm_recovery():
     bn_loss = acc[("batch", 0.0)] - acc[("batch", 1.0)]
     ok = abs(gn_loss) <= 2.0 and bn_loss > gn_loss
     _verdict(7, ok,
-             f"GroupNorm skew loss {gn_loss:+.1f}pt (within 2), BatchNorm "
+             f"group norm skew loss {gn_loss:+.1f}pt (within 2), batch norm "
              f"skew loss {bn_loss:+.1f}pt (strictly larger)")
 
 
@@ -332,7 +332,7 @@ def _c08_cfg(e_warm, epochs):
     return ExperimentConfig(
         name=f"c08-ew{e_warm}", seed=17,
         model=ModelCfg(kind="softmax", features=6, classes=3),
-        data=DataCfg(kind="blobs", per_class=40, spread=1.0,
+        data=DataCfg(per_class=40, spread=1.0,
                      test_per_class=20),
         partition=PartitionCfg(nodes=2, alpha=0.0),
         algorithm=AlgoCfg(kind="dgc", batch_size=10, epochs=epochs,
@@ -397,7 +397,7 @@ def _c09_cfg():
     return ExperimentConfig(
         name="c09", seed=13,
         model=ModelCfg(kind="softmax", features=6, classes=3),
-        data=DataCfg(kind="blobs", per_class=50, spread=1.0,
+        data=DataCfg(per_class=50, spread=1.0,
                      test_per_class=20),
         partition=PartitionCfg(nodes=3, alpha=0.0),
         algorithm=AlgoCfg(kind="fedavg", batch_size=10, epochs=50,
@@ -488,7 +488,7 @@ def _c11_scout_cfg(alpha):
     return ExperimentConfig(
         name=f"c11-scout-a{alpha}", seed=7,
         model=ModelCfg(kind="softmax", features=10, classes=10),
-        data=DataCfg(kind="blobs", per_class=100, spread=1.0,
+        data=DataCfg(per_class=100, spread=1.0,
                      test_per_class=40),
         partition=PartitionCfg(nodes=5, alpha=alpha),
         algorithm=AlgoCfg(kind="gaia", batch_size=20, epochs=15, momentum=0.9,
@@ -501,7 +501,7 @@ def _c11_bsp_cfg():
     return ExperimentConfig(
         name="c11-bsp", seed=7,
         model=ModelCfg(kind="softmax", features=10, classes=10),
-        data=DataCfg(kind="blobs", per_class=100, spread=1.0,
+        data=DataCfg(per_class=100, spread=1.0,
                      test_per_class=40),
         partition=PartitionCfg(nodes=5, alpha=0.2),
         algorithm=AlgoCfg(kind="bsp", batch_size=20, epochs=15, momentum=0.9,

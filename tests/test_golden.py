@@ -39,7 +39,7 @@ MLP = {"kind": "mlp", "features": 16, "classes": 4, "hidden": [64]}
 MLP_BN = {"kind": "mlp", "features": 6, "classes": 6, "hidden": [12, 12],
           "norm": "batch"}
 MF = {"kind": "mf", "rows": 12, "cols": 10, "rank": 3}
-MF_DATA = {"kind": "mf", "density": 0.5, "noise_sigma": 0.05}
+MF_DATA = {"density": 0.5, "noise_sigma": 0.05}
 # the five regions whose links in the packaged bandwidth table are slowest:
 # Gaia's selective barrier fires on them
 SLOW_DCS = ["mumbai", "saopaulo", "sydney", "seoul", "singapore"]

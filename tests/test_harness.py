@@ -74,6 +74,10 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"modle": {}})
     with pytest.raises(ValueError, match="unknown algorithm option"):
         config_from_dict({"algorithm": {"t_zero": 0.1}})
+    # the model kind decides the data, so the data section names none
+    with pytest.raises(ValueError) as err:
+        config_from_dict({"data": {"kind": "mf"}})
+    assert str(err.value) == "unknown data option(s): ['kind']"
 
 
 @pytest.mark.parametrize("output,message", [
@@ -116,7 +120,7 @@ def test_load_config_yaml(tmp_path):
 
 
 @pytest.mark.parametrize("patch,needle", [
-    ({"model": {"kind": "mf"}}, "needs data kind 'mf'"),
+    ({"model": {"kind": "mlp", "hidden": []}}, "mlp needs at least one hidden width"),
     ({"model": {"kind": "turbo"}}, "unknown model kind"),
     ({"partition": {"alpha": 1.5}}, "alpha"),
     ({"partition": {"nodes": 0}}, "nodes"),
@@ -165,8 +169,8 @@ def test_load_config_yaml(tmp_path):
                    "hubs": [[0, 5, "virginia"]]}}, "[[0, 5, 'virginia']]"),
     ({"partition": {"nodes": 12}}, "but 11 DCs in the bandwidth table"),
     ({"partition": {"nodes": 5, "alpha": 1}}, "1 of 5 partitions would be empty"),
-    ({"model": {"kind": "mf", "rows": 2, "cols": 2}, "data": {"kind": "mf"},
-      "partition": {"nodes": 3}}, "2 of 3 partitions would be empty"),
+    ({"model": {"kind": "mf", "rows": 2, "cols": 2}, "partition": {"nodes": 3}},
+     "2 of 3 partitions would be empty"),
     ({"topology": {"dcs": ["virginia", "virginia"]}}, "more than once"),
     ({"algorithm": {"decay": "linear"}}, "unknown algorithm decay"),
     # what Simulator.hops relies on: each DC in one group, every hub in its
@@ -615,7 +619,7 @@ def test_run_experiment_mf_has_blank_accuracy():
     cfg = config_from_dict({
         "seed": 2,
         "model": {"kind": "mf", "rows": 10, "cols": 8, "rank": 2},
-        "data": {"kind": "mf", "density": 0.5, "noise_sigma": 0.05},
+        "data": {"density": 0.5, "noise_sigma": 0.05},
         "partition": {"nodes": 2},
         "algorithm": {"kind": "bsp", "batch_size": 10, "epochs": 1,
                       "lr": {"eta0": 0.01}},
@@ -673,7 +677,7 @@ def test_run_experiment_flags_divergence():
     cfg = config_from_dict({
         "seed": 2,
         "model": {"kind": "mf", "rows": 10, "cols": 8, "rank": 2},
-        "data": {"kind": "mf", "density": 0.5, "noise_sigma": 0.05},
+        "data": {"density": 0.5, "noise_sigma": 0.05},
         "partition": {"nodes": 2},
         "algorithm": {"kind": "bsp", "batch_size": 10, "epochs": 2,
                       "lr": {"eta0": 1e6}},
@@ -909,6 +913,10 @@ def test_cli_sweep(tmp_path, capsys):
     ("algorithm.t0", "[1", "config error at algorithm.t0=[1: "),
     ("partition.nodes", "3,x", "config error at partition.nodes=x: "
                                "partition.nodes must be an integer, got 'x'"),
+    # 0.05 and 0.050 are one value: both runs would write algorithm_t0=0.05
+    ("algorithm.t0", "0.2,0.05,0.050",
+     "config error at algorithm.t0: values '0.05' and '0.050' both name "
+     "the run directory algorithm_t0=0.05\n"),
 ])
 def test_cli_sweep_checks_every_value_before_running_any(tmp_path, capsys,
                                                          param, values, error):
@@ -921,6 +929,29 @@ def test_cli_sweep_checks_every_value_before_running_any(tmp_path, capsys,
     # no value ran, and nothing was written
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_numbers_with_an_exponent_and_no_dot_are_numbers(tmp_path, capsys):
+    # YAML 1.1 reads 5e-2 as a string; configs and sweep values read a number
+    path = tmp_path / "exp.yaml"
+    path.write_text("algorithm: {kind: gaia, t0: 5e-2, momentum: 1E-1}\n")
+    cfg = load_config(path)
+    assert cfg.algorithm.t0 == 0.05 and cfg.algorithm.momentum == 0.1
+    assert cli.main(["validate", "--config", str(path)]) == 0
+    path.write_text("algorithm: {epochs: 1e3}\n")
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: algorithm.epochs must be an integer, got 1000.0\n")
+
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", _write_cfg(tmp_path, algo="gaia"),
+                     "--param", "algorithm.t0", "--values", "5e-2,1e-1",
+                     "--out", str(out)])
+    assert code == 0
+    rows = list(csv.DictReader(open(out / "sweep.csv")))
+    assert [r["value"] for r in rows] == ["0.05", "0.1"]
+    assert (out / "algorithm_t0=0.05" / "metrics.csv").exists()
+    assert (out / "algorithm_t0=0.1" / "metrics.csv").exists()
 
 
 def test_cli_override_resolution():

@@ -1,14 +1,14 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geolearn.data import gen_cluster_data
-from geolearn.models import (RUNNING_RHO, BatchNorm, GroupNorm, MFEntries,
-                             MFModel, SoftmaxModel, TinyMLP, _class_sum, _norm,
-                             norm_backward, stat_divergence)
+from geolearn.models import (EPS_NORM, RUNNING_RHO, MFEntries, MFModel,
+                             SoftmaxModel, TinyMLP, _class_sum, stat_divergence)
 from geolearn.numerics import grad_check
 from geolearn.rng import seed_stream
 
@@ -154,62 +154,64 @@ def test_softmax_objective_is_the_training_loss_bit_for_bit(
 
 
 # ---------------------------------------------------------------------------
-# normalization layers: built as TinyMLP._norm_layer builds them, and run
-# through _norm on an input the caller owns, with the cache kept
+# normalization: TinyMLP._norm on the hidden layer of a one-hidden-layer MLP,
+# run on an input the caller owns, with the cache kept
 
 
-def _batch_norm(channels, rho=RUNNING_RHO):
-    return BatchNorm(gamma=np.ones(channels), beta=np.zeros(channels),
-                     running_mean=np.zeros(channels),
-                     running_var=np.ones(channels), rho=rho)
-
-
-def _group_norm(channels, group_size):
-    return GroupNorm(gamma=np.ones(channels), beta=np.zeros(channels),
-                     group_size=group_size)
+def _norm_mlp(channels, norm, group_size=2, gamma=1.0, beta=0.0):
+    """An MLP whose one hidden layer has channels channels, and parameters
+    holding that layer's gamma and beta (the weights are zero)."""
+    mlp = TinyMLP([channels, channels, 1], norm=norm, group_size=group_size)
+    params = np.zeros(mlp.n_params)
+    params[mlp._slices["gamma"][0]] = gamma
+    params[mlp._slices["beta"][0]] = beta
+    return mlp, params
 
 
 def test_batchnorm_running_stats_blend():
-    layer = _batch_norm(2, rho=0.25)
+    mlp, params = _norm_mlp(2, "batch")
     x = np.array([[1.0, 10.0], [3.0, 14.0]])   # mean [2, 12], var [1, 4]
-    _norm(layer, x.copy(), "train", True, keep=True)
-    np.testing.assert_allclose(layer.running_mean, [0.5, 3.0])
-    np.testing.assert_allclose(layer.running_var, [1.0, 1.75])
+    mlp._norm(params, 0, x.copy(), True, True, keep=True)
+    # running = (1 - rho) * running + rho * batch from mean 0, var 1
+    assert RUNNING_RHO == 0.1
+    np.testing.assert_allclose(mlp.bn_stats[0]["mean"], [0.2, 1.2])
+    np.testing.assert_allclose(mlp.bn_stats[0]["var"], [1.0, 1.3])
     # update_stats=False leaves them alone
-    before = layer.running_mean.copy()
-    _norm(layer, x.copy(), "train", False, keep=True)
-    np.testing.assert_array_equal(layer.running_mean, before)
+    before = mlp.bn_stats[0]["mean"].copy()
+    mlp._norm(params, 0, x.copy(), True, False, keep=True)
+    np.testing.assert_array_equal(mlp.bn_stats[0]["mean"], before)
 
 
 def test_batchnorm_train_output_is_standardized():
-    layer = _batch_norm(3)
+    mlp, params = _norm_mlp(3, "batch")
     rng = seed_stream(11, "test")
     x = rng.normal(2.0, 5.0, size=(64, 3))
-    y, _ = _norm(layer, x, "train", False, keep=True)
+    y, _ = mlp._norm(params, 0, x, True, False, keep=True)
     np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(y.std(axis=0), 1.0, atol=1e-3)
 
 
 def test_batchnorm_eval_uses_running_stats():
-    layer = _batch_norm(1)
-    layer.running_mean = np.array([4.0])
-    layer.running_var = np.array([9.0])
-    y, _ = _norm(layer, np.array([[10.0], [4.0]]), "eval", True, keep=True)
+    mlp, params = _norm_mlp(1, "batch")
+    mlp.bn_stats[0] = {"mean": np.array([4.0]), "var": np.array([9.0])}
+    y, _ = mlp._norm(params, 0, np.array([[10.0], [4.0]]), False, True,
+                     keep=True)
     np.testing.assert_allclose(y, [[2.0], [0.0]], atol=1e-5)
 
 
 def test_batchnorm_train_requires_two_samples():
+    mlp, params = _norm_mlp(2, "batch")
     with pytest.raises(ValueError):
-        _norm(_batch_norm(2), np.ones((1, 2)), "train", True, keep=True)
+        mlp._norm(params, 0, np.ones((1, 2)), True, True, keep=True)
 
 
 def test_groupnorm_is_per_sample():
     # permuting other samples cannot change a sample's output
-    layer = _group_norm(4, 2)
+    mlp, params = _norm_mlp(4, "group", 2)
     rng = seed_stream(5, "test")
     x = rng.normal(size=(6, 4))
-    y, _ = _norm(layer, x.copy(), "train", True, keep=True)
-    y_perm, _ = _norm(layer, x[::-1].copy(), "train", True, keep=True)
+    y, _ = mlp._norm(params, 0, x.copy(), True, True, keep=True)
+    y_perm, _ = mlp._norm(params, 0, x[::-1].copy(), True, True, keep=True)
     np.testing.assert_array_equal(y, y_perm[::-1])
 
 
@@ -217,23 +219,14 @@ def test_groupnorm_is_per_sample():
 @settings(max_examples=25)
 def test_groupnorm_shift_invariance(shift):
     # adding one constant to every channel of a group cancels in the mean
-    layer = _group_norm(4, 2)
+    mlp, params = _norm_mlp(4, "group", 2)
     rng = seed_stream(7, "test")
     x = rng.normal(size=(3, 4))
-    y0, _ = _norm(layer, x.copy(), "train", True, keep=True)
+    y0, _ = mlp._norm(params, 0, x.copy(), True, True, keep=True)
     x2 = x.copy()
     x2[:, :2] += shift
-    y1, _ = _norm(layer, x2, "train", True, keep=True)
+    y1, _ = mlp._norm(params, 0, x2, True, True, keep=True)
     np.testing.assert_allclose(y0, y1, atol=1e-7)
-
-
-def test_norm_backward_rejects_stale_cache():
-    layer_a = _batch_norm(2)
-    layer_b = _batch_norm(2)
-    _, cache = _norm(layer_a, np.ones((3, 2)) + np.eye(3, 2), "train", True,
-                     keep=True)
-    with pytest.raises(ValueError):
-        norm_backward(layer_b, cache, np.zeros((3, 2)))
 
 
 def test_stat_divergence_oracle():
@@ -254,7 +247,7 @@ def test_mlp_plain_forward_matches_manual():
     X = np.array([[2.0, 0.5]])
     h = np.maximum(X @ np.array([[1.0, 0.0], [0.0, 1.0]]) + [0.0, -1.0], 0.0)
     want = h @ np.array([[1.0, 1.0], [0.0, 1.0]])
-    got = mlp._forward(params, X, "train", update_stats=False)
+    got = mlp._forward(params, X, True)
     np.testing.assert_allclose(got, want)
 
 
@@ -276,16 +269,6 @@ def test_mlp_clone_isolates_running_stats():
     mlp.loss_and_grad(params, (X, y), update_stats=True)
     assert not np.array_equal(mlp.bn_stats[0]["mean"],
                               twin.bn_stats[0]["mean"])
-
-
-def test_mlp_eval_train_modes_differ_with_batchnorm():
-    mlp = TinyMLP([2, 4, 2], norm="batch")
-    params = mlp.init_params(seed_stream(4, "test"))
-    X = seed_stream(5, "test").normal(3.0, 2.0, size=(16, 2))
-    y = np.zeros(16, dtype=np.intp)
-    train_loss = mlp.objective(params, (X, y), mode="train")
-    eval_loss = mlp.objective(params, (X, y), mode="eval")
-    assert train_loss != pytest.approx(eval_loss)
 
 
 def test_batchnorm_objective_reads_no_running_stats():
@@ -326,9 +309,31 @@ def test_mlp_gradients_survive_central_differences(norm):
 # kept here as the reference their leaner arithmetic must match bit for bit
 
 
+@dataclass
+class _RefNorm:
+    """A normalization layer as the plain expressions read it."""
+
+    kind: str                  # "batch" or "group"
+    gamma: np.ndarray
+    beta: np.ndarray
+    running_mean: np.ndarray   # batch norm's running statistics
+    running_var: np.ndarray
+    group_size: int
+    rho: float = RUNNING_RHO
+    eps: float = EPS_NORM
+
+
+def _ref_layer(mlp, params, li):
+    """mlp's hidden layer li: its gamma, beta and running statistics."""
+    stats = mlp.bn_stats[li]
+    return _RefNorm(mlp.norm, params[mlp._slices["gamma"][li]],
+                    params[mlp._slices["beta"][li]], stats["mean"],
+                    stats["var"], mlp.group_size)
+
+
 def _ref_norm_forward(layer, x, mode, update_stats=None):
     x = np.asarray(x, dtype=np.float64)
-    if isinstance(layer, BatchNorm):
+    if layer.kind == "batch":
         if mode == "train":
             mean = x.mean(axis=0)
             var = x.var(axis=0)
@@ -354,12 +359,11 @@ def _ref_norm_forward(layer, x, mode, update_stats=None):
 
 
 def _ref_norm_backward(layer, cache, dy):
+    # train mode only: no backward pass runs in eval mode
     mode, x, cxhat, inv_std = cache
     dgamma = np.sum(dy * cxhat, axis=0)
     dbeta = np.sum(dy, axis=0)
-    if isinstance(layer, BatchNorm):
-        if mode == "eval":
-            return dy * layer.gamma * inv_std, dgamma, dbeta
+    if layer.kind == "batch":
         n = x.shape[0]
         dxhat = dy * layer.gamma
         dx = (inv_std / n) * (
@@ -390,7 +394,7 @@ def _ref_mlp_forward(mlp, params, X, mode, update_stats):
         b = params[mlp._slices["b"][li]]
         z = h @ W + b
         if mlp.norm != "none":
-            layer = mlp._norm_layer(params, li)
+            layer = _ref_layer(mlp, params, li)
             zn, ncache = _ref_norm_forward(layer, z, mode, update_stats)
             if update_stats and mlp.norm == "batch" and mode == "train":
                 mlp.bn_stats[li]["mean"] = layer.running_mean
@@ -418,10 +422,10 @@ def _ref_ce(logits, y):
     return loss, dlogits
 
 
-def _ref_mlp_loss_and_grad(mlp, params, batch, mode, update_stats):
+def _ref_mlp_loss_and_grad(mlp, params, batch, update_stats):
     X, y = batch
     logits, h_last, W_out, caches = _ref_mlp_forward(
-        mlp, params, X, mode, update_stats)
+        mlp, params, X, "train", update_stats)
     loss, dlogits = _ref_ce(logits, y)
     grad = np.zeros_like(params)
     lo = mlp.n_hidden
@@ -459,14 +463,14 @@ def _stats_bits(mlp):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
-@given(norm=st.sampled_from(("none", "batch", "group")),
-       mode=st.sampled_from(("train", "eval")), n=st.integers(2, 40),
+@given(norm=st.sampled_from(("none", "batch", "group")), n=st.integers(2, 40),
        widths=st.lists(st.integers(1, 9), min_size=3, max_size=5),
        scale=st.sampled_from((1e-3, 1.0, 50.0)), seed=st.integers(0, 2**16))
 def test_mlp_matches_the_plain_expressions_bit_for_bit(
-        norm, mode, n, widths, scale, seed):
+        norm, n, widths, scale, seed):
     # widths: input, hidden..., classes; group norm groups by the gcd of
-    # the hidden widths, so group sizes from 1 to 9 all occur
+    # the hidden widths, so group sizes from 1 to 9 all occur. objective
+    # and loss_and_grad run in train mode, predict and accuracy in eval mode
     group_size = math.gcd(*widths[1:-1])
     mlp = TinyMLP(widths, norm=norm, group_size=group_size)
     rng = np.random.default_rng(seed)
@@ -478,20 +482,21 @@ def test_mlp_matches_the_plain_expressions_bit_for_bit(
     y = rng.integers(0, widths[-1], size=n)
     ref = mlp.clone()
 
-    want = _ref_ce(_ref_mlp_forward(ref, params, X, mode, False)[0], y)[0]
-    assert _bits(mlp.objective(params, (X, y), mode=mode)) == _bits(want)
-    want = np.argmax(_ref_mlp_forward(ref, params, X, mode, False)[0], axis=1)
-    assert mlp.predict(params, X, mode=mode).tobytes() == want.tobytes()
-    assert mlp.accuracy(params, X, y, mode=mode) == float(np.mean(want == y))
+    want = _ref_ce(_ref_mlp_forward(ref, params, X, "train", False)[0], y)[0]
+    assert _bits(mlp.objective(params, (X, y))) == _bits(want)
+    want = np.argmax(_ref_mlp_forward(ref, params, X, "eval", False)[0], axis=1)
+    assert mlp.predict(params, X).tobytes() == want.tobytes()
+    assert mlp.accuracy(params, X, y) == float(np.mean(want == y))
     assert _stats_bits(mlp) == _stats_bits(ref)
 
-    want_loss, want_grad = _ref_mlp_loss_and_grad(
-        ref, params, (X, y), mode, True)
-    loss, grad = mlp.loss_and_grad(params, (X, y), mode=mode,
-                                   update_stats=True)
+    want_loss, want_grad = _ref_mlp_loss_and_grad(ref, params, (X, y), True)
+    loss, grad = mlp.loss_and_grad(params, (X, y), update_stats=True)
     assert _bits(loss) == _bits(want_loss)
     assert grad.tobytes() == want_grad.tobytes()
     assert _stats_bits(mlp) == _stats_bits(ref)
+    # eval mode reads the statistics the step folded in
+    want = np.argmax(_ref_mlp_forward(ref, params, X, "eval", False)[0], axis=1)
+    assert mlp.predict(params, X).tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -578,27 +583,23 @@ def test_norm_layers_match_the_plain_expressions_bit_for_bit(kind, mode):
     x = rng.normal(3.0, 7.0, size=(13, 6))
     dy = rng.normal(size=(13, 6))
 
-    def make():
-        gamma, beta = np.linspace(0.5, 2.0, 6), np.linspace(-1.0, 1.0, 6)
-        if kind == "batch":
-            return BatchNorm(gamma=gamma, beta=beta,
-                             running_mean=np.full(6, 2.5),
-                             running_var=np.full(6, 30.0))
-        return GroupNorm(gamma=gamma, beta=beta, group_size=3)
-
-    layer, ref = make(), make()
+    gamma, beta = np.linspace(0.5, 2.0, 6), np.linspace(-1.0, 1.0, 6)
+    mlp, params = _norm_mlp(6, kind, 3, gamma, beta)
+    mlp.bn_stats[0] = {"mean": np.full(6, 2.5), "var": np.full(6, 30.0)}
+    ref = _RefNorm(kind, gamma, beta, np.full(6, 2.5), np.full(6, 30.0), 3)
     x_before, owned = x.tobytes(), x.copy()
-    y, cache = _norm(layer, owned, mode, True, keep=True)
+    y, cache = mlp._norm(params, 0, owned, mode == "train", True, keep=True)
     want_y, want_cache = _ref_norm_forward(ref, x, mode)
     assert x.tobytes() == x_before
-    assert cache.xhat is owned         # the owned input now holds xhat
+    assert cache[0] is owned           # the owned input now holds xhat
     assert y.tobytes() == want_y.tobytes()
-    for got, want in zip(norm_backward(layer, cache, dy),
-                         _ref_norm_backward(ref, want_cache, dy)):
-        assert got.tobytes() == want.tobytes()
+    if mode == "train":
+        for got, want in zip(mlp._norm_backward(params, 0, cache, dy),
+                             _ref_norm_backward(ref, want_cache, dy)):
+            assert got.tobytes() == want.tobytes()
     if kind == "batch":
-        assert _bits(layer.running_mean) == _bits(ref.running_mean)
-        assert _bits(layer.running_var) == _bits(ref.running_var)
+        assert _bits(mlp.bn_stats[0]["mean"]) == _bits(ref.running_mean)
+        assert _bits(mlp.bn_stats[0]["var"]) == _bits(ref.running_var)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +633,6 @@ def test_mlp_evaluation_peak_memory_and_untouched_inputs(norm):
 
     before = (params.tobytes(), X.tobytes(), _stats_bits(mlp))
     mlp.objective(params, (X, y))
-    mlp.objective(params, (X, y), mode="eval")
     mlp.predict(params, X)
     assert (params.tobytes(), X.tobytes(), _stats_bits(mlp)) == before
     mlp.loss_and_grad(params, (X, y), update_stats=True)
