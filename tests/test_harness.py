@@ -74,6 +74,9 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"modle": {}})
     with pytest.raises(ValueError, match="unknown algorithm option"):
         config_from_dict({"algorithm": {"t_zero": 0.1}})
+
+
+def test_config_rejects_data_kind():
     # the model kind decides the data, so the data section names none
     with pytest.raises(ValueError) as err:
         config_from_dict({"data": {"kind": "mf"}})
