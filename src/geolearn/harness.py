@@ -124,8 +124,7 @@ class TopoCfg:
     cost_file: str = _f(None)
     latency_s: float = _f(0.05, ge=0)
     compute_s: float = _f(wansim.COMPUTE_S, ge=0, per_dc=True)
-    groups: tuple = _f((), of=tuple)  # overlay groups, list of DC name lists
-    hubs: tuple = _f((), of=tuple)    # [from_group, to_group, hub_dc] triples
+    groups: tuple = _f((), of=tuple)  # overlay groups; the first DC is the hub
 
 
 @dataclass
@@ -368,15 +367,9 @@ def _check_config(cfg):
     if t.groups and sorted(members, key=repr) != sorted(dcs, key=repr):
         errs.append(f"overlay groups {[list(g) for g in t.groups]} must hold "
                     f"each DC of {dcs} exactly once")
-    n_groups = len(t.groups)
-    if bad := [list(h) for h in t.hubs if len(h) != 3
-               or not all(isinstance(i, int) and 0 <= i < n_groups for i in h[:2])
-               or h[2] not in t.groups[h[1]]]:
-        errs.append(f"hubs {bad} are not [from_group, to_group, hub_dc] with "
-                    f"group indexes below {n_groups} and hub_dc in to_group")
-    elif missing := [(i, j) for i in range(n_groups) for j in range(n_groups)
-                     if i != j and [i, j] not in [list(h[:2]) for h in t.hubs]]:
-        errs.append(f"overlay group pairs {missing} have no hub")
+    if empty := [i for i, g in enumerate(t.groups) if not g]:
+        errs.append(f"overlay groups {empty} are empty: a group's first DC "
+                    f"is its hub")
     return errs, tables, dcs, parts
 
 
@@ -440,8 +433,7 @@ class RunResult:
 
 
 # what the model kind decides, in run_experiment's first step
-_Data = namedtuple("_Data", "model w0 parts full_batch test batch "
-                   "probes probe_metric relative_al")
+_Data = namedtuple("_Data", "model w0 parts full_batch test batch")
 
 
 def run_experiment(cfg, on_nodes=None):
@@ -471,12 +463,9 @@ def _build_data(cfg, parts):
     """Step 1: the data, the model, its w0, the partitions (the check's, if
     it made them), the full batch, batch(idx), which returns a factorization
     model's entry indexes as they are or a classifier's (X[idx], y[idx]),
-    and SkewScout's probe metric, fn(w, bn stats, node index): a
-    factorization model's objective on the node's probe entries (AL is its
-    relative gap), or a classifier's accuracy in points. The metric reads
-    each node's probe indexes from probes, which _hook_rows fills."""
+    and the test set (None for a factorization model)."""
     mcfg, dcfg, seed = cfg.model, cfg.data, cfg.seed
-    k, probes = cfg.partition.nodes, []
+    k = cfg.partition.nodes
     if mcfg.kind == "mf":
         entries = gen_mf_data(
             mcfg.rows, mcfg.cols, mcfg.rank, dcfg.density, dcfg.noise_sigma,
@@ -484,13 +473,10 @@ def _build_data(cfg, parts):
         model = MFModel(mcfg.rows, mcfg.cols, mcfg.rank, entries, reg=mcfg.reg)
         parts = partition_uniform(len(entries), k, seed)
         full_batch = np.arange(len(entries), dtype=np.intp)
-        test, relative_al = None, True
+        test = None
 
         def batch(idx):
             return idx
-
-        def probe_metric(w, stats, i):
-            return model.objective(w, probes[i])
     else:
         train = gen_cluster_data(mcfg.classes, mcfg.features, dcfg.per_class,
                                  dcfg.spread, seed, tag="train")
@@ -505,20 +491,11 @@ def _build_data(cfg, parts):
         if parts is None:
             parts = partition_label_skew(train, k, cfg.partition.alpha, seed)
         full_batch = (train.X, train.y)
-        relative_al = False
 
         def batch(idx):
             return train.X[idx], train.y[idx]
-
-        def probe_metric(w, stats, i):
-            probe = model.clone()
-            if stats is not None:
-                probe.bn_stats = stats
-            return probe.accuracy(w, train.X[probes[i]],
-                                  train.y[probes[i]]) * 100.0
     w0 = model.init_params(seed_stream(seed, "model", "init"))
-    return _Data(model, w0, parts, full_batch, test, batch, probes,
-                 probe_metric, relative_al)
+    return _Data(model, w0, parts, full_batch, test, batch)
 
 
 def _build_nodes(cfg, data, matrix, dcs):
@@ -529,8 +506,7 @@ def _build_nodes(cfg, data, matrix, dcs):
     links = {(src, dst): (matrix[src, dst], tcfg.latency_s)
              for src in dcs for dst in dcs if src != dst}
     compute_s = tcfg.compute_s
-    hubs = {(int(gi), int(gj)): dc for gi, gj, dc in tcfg.hubs}
-    sim = wansim.Simulator(dcs, links, tcfg.groups, hubs, cfg.output.trace)
+    sim = wansim.Simulator(dcs, links, tcfg.groups, trace=cfg.output.trace)
     streams = [
         MinibatchStream(part, min(acfg.batch_size, part.size),
                         seed_stream(seed, "node", str(i), "batches"))
@@ -607,17 +583,30 @@ def _hook_rows(cfg, data, nodes, costs):
     scout = None
     if cfg.scout.enabled:
         # drawn after the nodes, which keeps set-up's order of allocations
-        data.probes.extend(
-            seed_stream(cfg.seed, "scout", "probe", str(i)).choice(
-                part, size=min(cfg.scout.probe_size, part.size), replace=False)
-            for i, part in enumerate(data.parts))
+        probes = [data.batch(seed_stream(cfg.seed, "scout", "probe", str(i))
+                             .choice(part, size=min(cfg.scout.probe_size,
+                                                    part.size), replace=False))
+                  for i, part in enumerate(data.parts)]
+        # one model for every probe; a travel's bn stats replace its own
+        probe_model = data.model.clone()
+
+        # fn(w, bn stats, node index): a factorization model's objective on
+        # the node's probe entries (AL is its relative gap), or a
+        # classifier's accuracy in points
+        def probe_metric(w, stats, i):
+            if test is None:
+                return probe_model.objective(w, probes[i])
+            if stats is not None:
+                probe_model.bn_stats = stats
+            return probe_model.accuracy(w, *probes[i]) * 100.0
+
         scout = ScoutController(
             cfg.scout, cfg.scout.mtp or trigger._spacing(acfg, trigger.batches_per_epoch),
             grid=list(cfg.scout.grid) or list(trigger._knobs[acfg.kind][1]),
-            nodes=nodes, evaluate=data.probe_metric,
+            nodes=nodes, evaluate=probe_metric,
             model_bytes=wansim.dense_update_bytes(data.w0.size),
             rng=seed_stream(cfg.seed, "scout", "tuner"),
-            relative_al=data.relative_al)
+            relative_al=test is None)
 
     if trigger._per_round:
         def round_hook(node, sim):

@@ -7,6 +7,8 @@ queued data-class message, and nothing preempts a transmission already in
 flight. Delivery time for a message that starts service at s is
 s + bytes/bandwidth + latency. A broadcast is offered once, with the hops
 Simulator.hops builds once per source, and each link delivers to its node.
+An overlay splits the DCs into groups: a broadcast sends one copy to each
+other group's hub, its first DC, which re-sends it within its group.
 
 Determinism: the event queue is a heap keyed by (time, insertion sequence),
 so ties resolve in insertion order and identical runs replay identically.
@@ -213,12 +215,11 @@ class Simulator:
     directed (src, dst) pair to its (bandwidth B/s, latency s) channel.
 
     Routing: groups partition the DCs (by default one group of every DC),
-    and hubs maps a (from_group, to_group) index pair to the member of
-    to_group that receives on behalf of its group. The config check
-    (harness) guarantees each DC one group and each pair a hub inside its
-    to_group. A broadcast reaches the origin's group directly and each
-    other group through its hub, flagged to forward, which re-sends to its
-    group but itself and the origin: every DC receives exactly one copy.
+    and a group's first DC is its hub, which receives for its group. The
+    config check (harness) guarantees each DC one group and no group
+    empty. A broadcast reaches the origin's group directly and each other
+    group through its hub, flagged to forward, which re-sends to its group
+    but itself and the origin: every DC receives exactly one copy.
 
     trace turns on the gate trace: every gate check of a Gaia-family node
     appends a row (time, node, gate, local clock, known value, true minimum
@@ -227,12 +228,11 @@ class Simulator:
     gate_trace stays empty and no node reads another node's state.
     """
 
-    def __init__(self, dcs, links, groups=(), hubs=None, trace=False):
+    def __init__(self, dcs, links, groups=(), *, trace=False):
         self.dcs = tuple(dcs)
         self.groups = groups or (self.dcs,)
         self._group_of = {dc: gi for gi, group in enumerate(self.groups)
                           for dc in group}
-        self.hubs = hubs or {}
         self.trace = trace
         self.now = 0.0
         self._heap = []
@@ -263,7 +263,7 @@ class Simulator:
     def hops(self, src, origin):
         """(channel, needs_forward) of each copy src sends of origin's
         broadcast, built once per pair: src's group but src and origin,
-        then, from the origin, the hub of every other group."""
+        then, from the origin, every other group's hub, its first DC."""
         key = (src, origin)
         hops = self._hops.get(key)
         if hops is None:
@@ -271,8 +271,8 @@ class Simulator:
             pairs = [(d, False) for d in self.groups[gi]
                      if d != src and d != origin]
             if src == origin:
-                pairs += [(self.hubs[gi, gj], True)
-                          for gj in range(len(self.groups)) if gj != gi]
+                pairs += [(group[0], True)
+                          for gj, group in enumerate(self.groups) if gj != gi]
             hops = self._hops[key] = [(self._channel(src, d), fw)
                                       for d, fw in pairs]
         return hops

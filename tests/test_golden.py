@@ -44,8 +44,7 @@ MF_DATA = {"density": 0.5, "noise_sigma": 0.05}
 # Gaia's selective barrier fires on them
 SLOW_DCS = ["mumbai", "saopaulo", "sydney", "seoul", "singapore"]
 OVERLAY = {"dcs": ["virginia", "california", "ireland", "frankfurt"],
-           "groups": [["virginia", "california"], ["ireland", "frankfurt"]],
-           "hubs": [[0, 1, "ireland"], [1, 0, "virginia"]]}
+           "groups": [["virginia", "california"], ["ireland", "frankfurt"]]}
 
 
 def _cfg(name, model, data, nodes, alpha, algorithm, topology=None,

@@ -83,6 +83,13 @@ def test_config_rejects_data_kind():
     assert str(err.value) == "unknown data option(s): ['kind']"
 
 
+def test_config_rejects_topology_hubs():
+    # an overlay group's first DC is its hub, so the topology names none
+    with pytest.raises(ValueError) as err:
+        config_from_dict({"topology": {"hubs": [[0, 1, "ireland"]]}})
+    assert str(err.value) == "unknown topology option(s): ['hubs']"
+
+
 @pytest.mark.parametrize("output,message", [
     ({"dri": "runs/x"}, "unknown output option(s): ['dri']"),
     ({"dir": "runs", "trace": True, "verbose": 1},
@@ -122,74 +129,73 @@ def test_load_config_yaml(tmp_path):
     assert load_config(empty).name == "run"
 
 
-@pytest.mark.parametrize("patch,needle", [
-    ({"model": {"kind": "mlp", "hidden": []}}, "mlp needs at least one hidden width"),
-    ({"model": {"kind": "turbo"}}, "unknown model kind"),
-    ({"partition": {"alpha": 1.5}}, "alpha"),
-    ({"partition": {"nodes": 0}}, "nodes"),
-    ({"algorithm": {"kind": "gossip"}}, "unknown algorithm"),
-    ({"algorithm": {"momentum": 1.0}}, "momentum"),
-    ({"algorithm": {"t0": 0.0}}, "t0"),
-    ({"algorithm": {"lr": {}}}, "eta0"),
-    ({"algorithm": {"soft": {"floor": 0.5}}}, "soft floor"),
-    ({"algorithm": {"kind": "fedavg", "client_fraction": 0.0}}, "client_fraction"),
-    ({"algorithm": {"kind": "dgc", "e_warm": 0}}, "e_warm"),
-    ({"algorithm": {"kind": "bsp"}, "scout": {"enabled": True}}, "no communication knob"),
-    ({"scout": {"enabled": True, "tuner": "luck"}}, "unknown tuner"),
-    ({"scout": {"enabled": True, "start_idx": 99}}, "start_idx"),
-    ({"model": {"kind": "mlp", "hidden": [5], "norm": "group", "group_size": 2}},
-     "not divisible"),
-    ({"topology": {"dcs": ["virginia"]}}, "DCs named for"),
-    ({"convergence": {"mode": "hope"}}, "unknown convergence mode"),
-    ({"convergence": {"window": 1}}, "window"),
+# an id names a case's key, not its place, so adding or removing a case
+# renames no other
+_CATCHES = {
+    0: ({"model": {"kind": "mlp", "hidden": []}}, "mlp needs at least one hidden width"),
+    1: ({"model": {"kind": "turbo"}}, "unknown model kind"),
+    2: ({"partition": {"alpha": 1.5}}, "alpha"),
+    3: ({"partition": {"nodes": 0}}, "nodes"),
+    4: ({"algorithm": {"kind": "gossip"}}, "unknown algorithm"),
+    5: ({"algorithm": {"momentum": 1.0}}, "momentum"),
+    6: ({"algorithm": {"t0": 0.0}}, "t0"),
+    7: ({"algorithm": {"lr": {}}}, "eta0"),
+    8: ({"algorithm": {"soft": {"floor": 0.5}}}, "soft floor"),
+    9: ({"algorithm": {"kind": "fedavg", "client_fraction": 0.0}}, "client_fraction"),
+    10: ({"algorithm": {"kind": "dgc", "e_warm": 0}}, "e_warm"),
+    11: ({"algorithm": {"kind": "bsp"}, "scout": {"enabled": True}}, "no communication knob"),
+    12: ({"scout": {"enabled": True, "tuner": "luck"}}, "unknown tuner"),
+    13: ({"scout": {"enabled": True, "start_idx": 99}}, "start_idx"),
+    14: ({"model": {"kind": "mlp", "hidden": [5], "norm": "group", "group_size": 2}},
+         "not divisible"),
+    15: ({"topology": {"dcs": ["virginia"]}}, "DCs named for"),
+    16: ({"convergence": {"mode": "hope"}}, "unknown convergence mode"),
+    17: ({"convergence": {"window": 1}}, "window"),
     # wrong types and out-of-range values, each caught by its field's rules
-    ({"algorithm": {"epochs": "3"}}, "algorithm.epochs must be an integer"),
-    ({"partition": {"alpha": "0.5"}}, "partition.alpha must be a number"),
-    ({"convergence": {"rel_tol": "x"}}, "convergence.rel_tol must be a number"),
-    ({"topology": {"latency_s": "fast"}}, "topology.latency_s must be a number"),
-    ({"algorithm": {"lr": {"eta0": 0.05, "milstones": [1]}}}, "milstones"),
-    ({"algorithm": {"barrier": "no"}}, "algorithm.barrier must be true or false"),
-    ({"seed": 2.7}, "seed must be an integer"),
-    ({"partition": {"nodes": True}}, "partition.nodes must be an integer"),
-    ({"model": {"features": 0}}, "model.features must be >= 1"),
-    ({"model": {"hidden": [0]}}, "model.hidden[0] must be >= 1"),
-    ({"algorithm": {"lr": {"eta0": 0.05, "power": 2}}}, "power"),
-    ({"algorithm": {"lr": {"eta0": -0.05}}}, "algorithm.lr.eta0 must be > 0"),
-    ({"algorithm": {"batch_size": 2.5}}, "algorithm.batch_size must be an integer"),
-    ({"data": {"per_class": 0}}, "data.per_class must be >= 1"),
-    ({"topology": {"compute_s": -1}}, "topology.compute_s must be >= 0"),
-    ({"algorithm": {"soft": {"targt": 0.5}}}, "targt"),
-    ({"scout": {"enabled": True, "grid": [0.1, "x"]}}, "scout.grid[1] must be a number"),
-    ({"model": {"norm": "layer"}}, "unknown model norm 'layer'"),
-    ({"topology": {"latency_s": {"virginia": 0.1}}},
-     "topology.latency_s must be a number"),
-    ({"topology": {"latency_s": None}}, "topology.latency_s must be a number"),
+    18: ({"algorithm": {"epochs": "3"}}, "algorithm.epochs must be an integer"),
+    19: ({"partition": {"alpha": "0.5"}}, "partition.alpha must be a number"),
+    20: ({"convergence": {"rel_tol": "x"}}, "convergence.rel_tol must be a number"),
+    21: ({"topology": {"latency_s": "fast"}}, "topology.latency_s must be a number"),
+    22: ({"algorithm": {"lr": {"eta0": 0.05, "milstones": [1]}}}, "milstones"),
+    23: ({"algorithm": {"barrier": "no"}}, "algorithm.barrier must be true or false"),
+    24: ({"seed": 2.7}, "seed must be an integer"),
+    25: ({"partition": {"nodes": True}}, "partition.nodes must be an integer"),
+    26: ({"model": {"features": 0}}, "model.features must be >= 1"),
+    27: ({"model": {"hidden": [0]}}, "model.hidden[0] must be >= 1"),
+    28: ({"algorithm": {"lr": {"eta0": 0.05, "power": 2}}}, "power"),
+    29: ({"algorithm": {"lr": {"eta0": -0.05}}}, "algorithm.lr.eta0 must be > 0"),
+    30: ({"algorithm": {"batch_size": 2.5}}, "algorithm.batch_size must be an integer"),
+    31: ({"data": {"per_class": 0}}, "data.per_class must be >= 1"),
+    32: ({"topology": {"compute_s": -1}}, "topology.compute_s must be >= 0"),
+    33: ({"algorithm": {"soft": {"targt": 0.5}}}, "targt"),
+    34: ({"scout": {"enabled": True, "grid": [0.1, "x"]}}, "scout.grid[1] must be a number"),
+    35: ({"model": {"norm": "layer"}}, "unknown model norm 'layer'"),
+    36: ({"topology": {"latency_s": {"virginia": 0.1}}},
+         "topology.latency_s must be a number"),
+    37: ({"topology": {"latency_s": None}}, "topology.latency_s must be a number"),
     # cross-field checks
-    ({"topology": {"dcs": ["virginia", "atlantis"]}},
-     "missing from the bandwidth table: ['atlantis']"),
-    ({"topology": {"groups": [["virginia"]]}}, "exactly once"),
-    ({"topology": {"groups": [["virginia"], ["california"]],
-                   "hubs": [[0, 5, "virginia"]]}}, "[[0, 5, 'virginia']]"),
-    ({"partition": {"nodes": 12}}, "but 11 DCs in the bandwidth table"),
-    ({"partition": {"nodes": 5, "alpha": 1}}, "1 of 5 partitions would be empty"),
-    ({"model": {"kind": "mf", "rows": 2, "cols": 2}, "partition": {"nodes": 3}},
-     "2 of 3 partitions would be empty"),
-    ({"topology": {"dcs": ["virginia", "virginia"]}}, "more than once"),
-    ({"algorithm": {"decay": "linear"}}, "unknown algorithm decay"),
-    # what Simulator.hops relies on: each DC in one group, every hub in its
-    # to_group, a hub for every group pair
-    ({"topology": {"groups": [["virginia", "california"], ["virginia"]],
-                   "hubs": [[0, 1, "virginia"], [1, 0, "california"]]}},
-     "exactly once"),
-    ({"topology": {"groups": [["virginia"], ["california"]],
-                   "hubs": [[0, 1, "virginia"], [1, 0, "virginia"]]}},
-     "hubs [[0, 1, 'virginia']] are not"),
-    ({"topology": {"groups": [["virginia"], ["california"]],
-                   "hubs": [[0, 1, "california"]]}},
-     "group pairs [(1, 0)] have no hub"),
-    ({"topology": {"compute_s": {"virgina": 0.5}}},
-     "topology.compute_s names DCs outside the run: ['virgina']"),
-])
+    38: ({"topology": {"dcs": ["virginia", "atlantis"]}},
+         "missing from the bandwidth table: ['atlantis']"),
+    39: ({"topology": {"groups": [["virginia"]]}}, "exactly once"),
+    41: ({"partition": {"nodes": 12}}, "but 11 DCs in the bandwidth table"),
+    42: ({"partition": {"nodes": 5, "alpha": 1}}, "1 of 5 partitions would be empty"),
+    43: ({"model": {"kind": "mf", "rows": 2, "cols": 2}, "partition": {"nodes": 3}},
+         "2 of 3 partitions would be empty"),
+    44: ({"topology": {"dcs": ["virginia", "virginia"]}}, "more than once"),
+    45: ({"algorithm": {"decay": "linear"}}, "unknown algorithm decay"),
+    # what Simulator.hops relies on: each DC in one group, and a first DC,
+    # its hub, in every group
+    46: ({"topology": {"groups": [["virginia", "california"], ["virginia"]]}},
+         "exactly once"),
+    50: ({"topology": {"groups": [[], ["virginia", "california"]]}},
+         "overlay groups [0] are empty"),
+    49: ({"topology": {"compute_s": {"virgina": 0.5}}},
+         "topology.compute_s names DCs outside the run: ['virgina']"),
+}
+
+
+@pytest.mark.parametrize("patch,needle", list(_CATCHES.values()), ids=[
+    f"patch{key}-{needle}" for key, (_, needle) in _CATCHES.items()])
 def test_validate_config_catches(patch, needle):
     cfg = config_from_dict(patch)
     errs = validate_config(cfg)
@@ -701,6 +707,22 @@ def _softmax_cfg(kind, nodes, trace=False, **algorithm):
         "convergence": {"mode": "none"},
         "output": {"trace": trace},
     })
+
+
+@pytest.mark.parametrize("remote", [["ireland", "frankfurt"],
+                                    ["frankfurt", "ireland"]])
+def test_an_overlay_group_receives_through_its_first_dc(remote):
+    # groups alone make an overlay: it validates and runs, and every copy
+    # the remote group's second DC receives comes from its first, the hub
+    cfg = dataclasses.replace(_softmax_cfg("bsp", 4), topology=harness.TopoCfg(
+        dcs=("virginia", "california", *remote),
+        groups=(("virginia", "california"), tuple(remote))))
+    assert validate_config(cfg) == []
+    result = run_experiment(cfg)
+    assert [node.iters_done for node in result.nodes] == [20] * 4
+    hub, member = remote
+    assert {src for (src, dst), channel in result.sim.channels.items()
+            if dst == member and channel.sent_bytes} == {hub}
 
 
 def _count_gate_checks(monkeypatch):

@@ -273,12 +273,12 @@ class _EagerSimulator:
     a copy of the message on each hop.
     """
 
-    def __init__(self, dcs, links, groups=(), hubs=None):
+    def __init__(self, dcs, links, groups=()):
         self.now, self._heap, self._seq, self.nodes = 0.0, [], 0, {}
         self.channels = {key: [link, deque(), deque(), 0.0, None]
                          for key, link in links.items()}
         self.sent, self.delivered = {}, {}
-        self._router = Simulator(dcs, links, groups, hubs)
+        self._router = Simulator(dcs, links, groups)
 
     def _push(self, time, kind, data):
         heapq.heappush(self._heap, (time, self._seq, kind, data))
@@ -485,9 +485,9 @@ def test_broadcast_without_plan_is_direct():
 
 def test_broadcast_and_forward_hops_oracle():
     dcs = ["a", "b", "c", "d"]
-    sim = Simulator(*_mesh(dcs), groups=(("a", "b"), ("c", "d")),
-                    hubs={(0, 1): "c", (1, 0): "a"})
-    # in-group peer direct, one flagged copy to the remote group's hub
+    sim = Simulator(*_mesh(dcs), groups=(("a", "b"), ("c", "d")))
+    # in-group peer direct, one flagged copy to the remote group's hub, its
+    # first DC
     assert _keys(sim.hops("a", "a")) == [("b", False), ("c", True)]
     assert _keys(sim.hops("d", "d")) == [("c", False), ("a", True)]
     # a hub forwards to its group but itself and the origin
@@ -495,29 +495,40 @@ def test_broadcast_and_forward_hops_oracle():
     assert _keys(sim.hops("a", "d")) == [("b", False)]
 
 
+def test_a_groups_first_dc_is_its_hub():
+    sim = Simulator(*_mesh(["a", "b", "c", "d"]),
+                    groups=(("b", "a"), ("d", "c")))
+    assert _keys(sim.hops("a", "a")) == [("b", False), ("d", True)]
+    assert _keys(sim.hops("c", "c")) == [("d", False), ("b", True)]
+    assert _keys(sim.hops("d", "a")) == [("c", False)]
+
+
+def test_trace_is_keyword_only():
+    # a positional fourth argument cannot turn the gate trace on
+    with pytest.raises(TypeError):
+        Simulator(*_mesh(["a", "b"]), (("a",), ("b",)), True)
+
+
 @st.composite
 def _overlays(draw):
-    """DC names and random overlay groups and hubs over them, or no groups
-    (()) and no hubs (None)."""
+    """DC names and random overlay groups over them (a random permutation,
+    so each group's first DC, its hub, is a random member), or no groups
+    (())."""
     n = draw(st.integers(2, 6))
     dcs = [f"dc{i}" for i in range(n)]
     if draw(st.booleans()):
-        return dcs, (), None
+        return dcs, ()
     order = draw(st.permutations(dcs))
     cuts = sorted(draw(st.lists(st.integers(1, n - 1), unique=True,
                                 max_size=n - 1)))
-    groups = [list(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
-    hubs = {(gi, gj): draw(st.sampled_from(groups[gj]))
-            for gi in range(len(groups)) for gj in range(len(groups))
-            if gi != gj}
-    return dcs, groups, hubs
+    return dcs, [list(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
 
 
 @settings(max_examples=100, deadline=None)
 @given(overlay=_overlays())
 def test_overlay_reaches_every_dc_exactly_once(overlay):
-    dcs, groups, hubs = overlay
-    sim = Simulator(*_mesh(dcs), groups, hubs)
+    dcs, groups = overlay
+    sim = Simulator(*_mesh(dcs), groups)
     group_of = {dc: gi for gi, group in enumerate(groups or [dcs])
                 for dc in group}
     for src in dcs:
@@ -530,7 +541,7 @@ def test_overlay_reaches_every_dc_exactly_once(overlay):
             # only the copy to another group's hub is flagged to forward
             assert forward == (group_of[dst] != group_of[src])
             if forward:
-                assert dst == hubs[group_of[src], group_of[dst]]
+                assert dst == groups[group_of[dst]][0]
                 fwd = sim.hops(dst, src)
                 assert sim.hops(dst, src) is fwd
                 assert all(ch.key[0] == dst and not fw for ch, fw in fwd)
@@ -555,9 +566,9 @@ class _HopLog:
        split=st.dictionaries(st.sampled_from(BYTE_KINDS),
                              st.integers(0, 300), min_size=1))
 def test_a_broadcast_is_sent_once_on_each_of_its_hops(overlay, split):
-    dcs, groups, hubs = overlay
-    sim = Simulator(*_mesh(dcs), groups, hubs)
-    oracle = _EagerSimulator(*_mesh(dcs), groups, hubs)
+    dcs, groups = overlay
+    sim = Simulator(*_mesh(dcs), groups)
+    oracle = _EagerSimulator(*_mesh(dcs), groups)
     log, oracle_log = [], []
     for dc in dcs[1:]:           # dcs[0] has no node: its copies are dropped
         sim.register(dc, _HopLog(dc, log))
@@ -617,7 +628,7 @@ _price = st.integers(0, 2 ** 20).map(lambda k: k / 3 ** 12)
 @settings(max_examples=100, deadline=None)
 @given(overlay=_overlays(), data=st.data())
 def test_account_cost_is_the_per_kind_rows_sum_bit_for_bit(overlay, data):
-    dcs, groups, hubs = overlay
+    dcs, groups = overlay
     dc = st.sampled_from(dcs)
     sends = sorted(data.draw(st.lists(st.tuples(
         st.sampled_from((0.0, 0.5, 1.0)), dc, st.none() | dc,
@@ -628,7 +639,7 @@ def test_account_cost_is_the_per_kind_rows_sum_bit_for_bit(overlay, data):
                              data.draw(_price)) for name in dcs}
     runs = []
     for make in (Simulator, _EagerSimulator):
-        sim = make(*_uneven_mesh(dcs), groups, hubs)
+        sim = make(*_uneven_mesh(dcs), groups)
         for name in dcs:
             sim.nodes[name] = _Relay(name, [
                 (None if dst == src else dst, split)
